@@ -14,6 +14,8 @@ Commands:
   printing a PASS/FAIL/INCONCLUSIVE verdict per structural claim;
 * ``chaos`` — run a named fault-injection scenario against the full
   MC system (policies on or off) and print the deterministic report;
+  ``--replications R`` runs R consecutive seeds and adds a 95%
+  confidence interval per headline metric;
 * ``races`` — whole-program static shared-state analysis: call graph
   over every process function, cross-process access matrix (exported
   as a JSON artifact), findings for unordered shared mutable state;
@@ -23,7 +25,8 @@ Commands:
 * ``bench`` — drive N concurrent users through the full transaction
   path with the hot-path caches on and off and the kernel scheduler
   A/B'd heap-vs-calendar, verify byte-identical outputs, optionally
-  sweep a goodput-vs-offered-load curve, and write ``BENCH_PERF.json``;
+  sweep a goodput-vs-offered-load curve, and write ``BENCH_PERF.json``
+  (``--replications R`` instead replicates the plain run over R seeds);
 * ``tables`` — print the paper's five tables as reproduced from the
   model registries (specs only — run ``pytest benchmarks/`` for the
   measured versions);
@@ -212,6 +215,20 @@ def _cmd_check(args) -> int:
     return 1 if failures else 0
 
 
+def _print_replications(result) -> None:
+    """One stderr line per summarised metric of a replicated run."""
+    seeds = list(result["replicas"])
+    measured = result["measured"]
+    print(f"replications: seeds {seeds[0]}..{seeds[-1]} on "
+          f"{measured['processes']} process(es), "
+          f"{measured['wall_seconds']:.2f}s wall", file=sys.stderr)
+    for name, stats in result["summary"].items():
+        half = ("n/a" if stats["ci95"] is None
+                else f"{stats['ci95']:.6g}")
+        print(f"  {name:20s} {stats['mean']:.6g} ± {half} "
+              f"(95% CI, n={stats['n']})", file=sys.stderr)
+
+
 def _cmd_chaos(args) -> int:
     from repro.faults import FaultPlan, report_json, run_chaos
 
@@ -232,14 +249,10 @@ def _cmd_chaos(args) -> int:
         plan=plan,
         fleet=args.fleet,
     )
-    if args.workers > 0:
-        from repro.perf import run_parallel_chaos
+    if args.replications > 1:
+        from repro.perf import replicate
 
-        report = run_parallel_chaos(workers=args.workers, **kwargs)
-        if "parallel_fallback" in report:
-            note = report["parallel_fallback"]
-            print(f"parallel: no legal cut ({note['reason']}); "
-                  f"ran sequentially", file=sys.stderr)
+        report = replicate(run_chaos, args.replications, **kwargs)
     else:
         report = run_chaos(**kwargs)
     text = report_json(report)
@@ -249,6 +262,10 @@ def _cmd_chaos(args) -> int:
         print(f"report written to {args.json}")
     else:
         print(text)
+    if args.replications > 1:
+        _print_replications(report)
+        return 0 if all(replica["success_rate"] > 0
+                        for replica in report["replicas"].values()) else 1
     print(f"\n{args.scenario} seed={args.seed} policies={args.policies}: "
           f"{report['successful']}/{report['offered']} ok "
           f"(vs offered {report['success_vs_offered']:.3f}), "
@@ -280,28 +297,6 @@ def _cmd_races(args) -> int:
         with open(args.json, "w") as handle:
             handle.write(analysis.render_json() + "\n")
         print(f"access matrix written to {args.json}", file=sys.stderr)
-    if args.suggest_cut is not None:
-        from repro.sim.parallel import suggest_cut
-        from repro.sim.parallel.partition import plan_json
-
-        plan = suggest_cut(users=args.cut_users, workers=args.cut_workers,
-                           fleet=args.cut_fleet,
-                           matrix=analysis.to_dict()["matrix"])
-        text = plan_json(plan)
-        if args.suggest_cut == "-":
-            print(text)
-        else:
-            with open(args.suggest_cut, "w") as handle:
-                handle.write(text + "\n")
-            print(f"shard-cut plan written to {args.suggest_cut}",
-                  file=sys.stderr)
-        if plan["legal"]:
-            print(f"cut: {len(plan['shards'])} shard(s), lookahead "
-                  f"{plan['lookahead']}s, {plan['windows']} window(s)",
-                  file=sys.stderr)
-        else:
-            print(f"cut: ILLEGAL — {plan['reason']}", file=sys.stderr)
-        return 0
     if args.format == "json":
         print(analysis.render_json())
     else:
@@ -368,13 +363,21 @@ def _cmd_bench(args) -> int:
             print(f"--sweep expects comma-separated user counts, "
                   f"got {args.sweep!r}", file=sys.stderr)
             return 2
-    report = full_bench(users=args.users, seed=args.seed,
-                        transactions_per_user=args.transactions,
-                        horizon=args.horizon,
-                        scheduler=args.scheduler,
-                        sweep=sweep,
-                        fleet=args.fleet,
-                        workers=args.workers)
+    if args.replications > 1:
+        from repro.perf import replicate, run_bench
+
+        report = replicate(run_bench, args.replications, seed=args.seed,
+                           users=args.users,
+                           transactions_per_user=args.transactions,
+                           horizon=args.horizon, scheduler=args.scheduler,
+                           fleet=args.fleet)
+    else:
+        report = full_bench(users=args.users, seed=args.seed,
+                            transactions_per_user=args.transactions,
+                            horizon=args.horizon,
+                            scheduler=args.scheduler,
+                            sweep=sweep,
+                            fleet=args.fleet)
     text = report_to_json(report)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -382,6 +385,10 @@ def _cmd_bench(args) -> int:
         handle.write(text + "\n")
     if args.json:
         print(text)
+    if args.replications > 1:
+        _print_replications(report)
+        print(f"report written to {args.out}", file=sys.stderr)
+        return 0
     det = report["determinism"]
     sched = report["scheduler_determinism"]
     fleet_det = report["fleet_determinism"]
@@ -402,22 +409,6 @@ def _cmd_bench(args) -> int:
         summary += (f"; vs pre-calendar baseline "
                     f"{report['speedup_vs_pre_calendar']}x")
     print(summary, file=sys.stderr)
-    parallel = report.get("parallel")
-    if parallel is not None:
-        if "fallback" in parallel:
-            print(f"parallel: no legal cut "
-                  f"({parallel['fallback']['reason']}); ran sequentially",
-                  file=sys.stderr)
-        else:
-            measured = parallel["report"]["measured"]
-            print(f"parallel: {parallel['workers']} worker(s) on "
-                  f"{measured['host_cpus']} cpu(s), "
-                  f"{parallel['wall_seconds']:.2f}s wall, "
-                  f"{parallel['aggregate_events_per_sec']} events/s "
-                  f"aggregate; vs sequential "
-                  f"{report.get('speedup_parallel_vs_sequential')}x, "
-                  f"vs lockstep {parallel['speedup_vs_lockstep']}x",
-                  file=sys.stderr)
     if sweep is not None:
         for point in report["sweep"]["deterministic"]["points"]:
             print(f"  sweep users={point['users']:4d}: "
@@ -436,15 +427,6 @@ def _cmd_bench(args) -> int:
                 "capacity curve has a cliff: goodput regressed at "
                 + ", ".join(f"users={r['users']}"
                             for r in curve["regressions"]))
-        events_check = report["sweep"]["measured"]["events_check"]
-        if events_check["checked"] and not events_check["ok"]:
-            failures.append(
-                f"kernel efficiency regressed across the sweep: "
-                f"{events_check['largest']['events_per_sec']} events/s at "
-                f"users={events_check['largest']['users']} is below "
-                f"{1.0 - events_check['tolerance']:.0%} of "
-                f"{events_check['smallest']['events_per_sec']} events/s at "
-                f"users={events_check['smallest']['users']}")
     if not det["identical"] or \
             not report["identical_results_caches_on_vs_off"]:
         failed = [name for name, ok in det["checks"].items() if not ok]
@@ -458,17 +440,6 @@ def _cmd_bench(args) -> int:
                   if not ok]
         failures.append(
             f"fleet wiring changed the results ({', '.join(failed)})")
-    if parallel is not None and "fallback" not in parallel:
-        if not parallel["identical_parallel_vs_lockstep"]:
-            failures.append(
-                f"parallel run diverged from the sequential decomposition "
-                f"at {args.users} users / {args.workers} workers")
-        guard = parallel["guard"]
-        if not guard["identical"]:
-            failed = [name for name, ok in guard["checks"].items()
-                      if not ok]
-            failures.append(
-                f"parallel_check failed ({', '.join(failed)})")
     if failures:
         for failure in failures:
             print(f"BENCH FAILURE: {failure}", file=sys.stderr)
@@ -480,10 +451,6 @@ def _cmd_bench(args) -> int:
           f"({', '.join(sched['checks'])})", file=sys.stderr)
     print("determinism: fleet wiring transparent "
           f"({', '.join(fleet_det['checks'])})", file=sys.stderr)
-    if parallel is not None and "fallback" not in parallel:
-        print("determinism: parallel workers byte-identical "
-              f"({', '.join(parallel['guard']['checks'])})",
-              file=sys.stderr)
     return 0
 
 
@@ -526,6 +493,13 @@ def _cmd_info(args) -> int:
                     "faults", "resilience", "analysis"):
         print(f"  repro.{package}")
     return 0
+
+
+def _replications(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -611,11 +585,11 @@ def main(argv=None) -> int:
                        choices=["cellular", "wlan"])
     chaos.add_argument("--plan", default=None, metavar="PATH",
                        help="JSON fault plan overriding the scenario")
-    chaos.add_argument("--workers", type=int, default=0,
-                       help="run the scenario partitioned across N "
-                            "worker processes (0 = sequential; falls "
-                            "back to sequential when no legal cut, "
-                            "e.g. fleet scenarios)")
+    chaos.add_argument("--replications", type=_replications, default=1,
+                       metavar="R",
+                       help="run seeds SEED..SEED+R-1 as independent "
+                            "replications and report a 95%% confidence "
+                            "interval per metric (default 1 = one run)")
     chaos.add_argument("--json", default=None, metavar="PATH",
                        help="write the report JSON here instead of stdout")
     chaos.set_defaults(func=_cmd_chaos)
@@ -635,21 +609,6 @@ def main(argv=None) -> int:
                        metavar="PREFIX",
                        help="exit nonzero only on findings under these "
                             "path prefixes (e.g. src/repro/faults)")
-    races.add_argument("--suggest-cut", nargs="?", const="-",
-                       default=None, metavar="PATH",
-                       help="emit the parallel partitioner's shard-cut "
-                            "plan for this matrix (shards, cut links, "
-                            "lookahead, blocking keys) as JSON to PATH "
-                            "(default: stdout)")
-    races.add_argument("--cut-users", type=int, default=500,
-                       help="scenario size for --suggest-cut "
-                            "(default 500)")
-    races.add_argument("--cut-workers", type=int, default=4,
-                       help="worker count for --suggest-cut (default 4)")
-    races.add_argument("--cut-fleet", type=int, default=0,
-                       help="gateway fleet size for --suggest-cut; a "
-                            "fleet makes the cut illegal and documents "
-                            "the sequential fallback")
     races.set_defaults(func=_cmd_races)
 
     sanitize = sub.add_parser(
@@ -696,18 +655,20 @@ def main(argv=None) -> int:
                        help="kernel scheduler for the timed runs "
                             "(default: calendar; the A/B guard always "
                             "exercises both)")
-    bench.add_argument("--sweep", default=None, metavar="N,N,...",
-                       help="also run a goodput-vs-offered-load sweep "
-                            "at these user counts (e.g. 50,100,200,500)")
+    repeat = bench.add_mutually_exclusive_group()
+    repeat.add_argument("--sweep", default=None, metavar="N,N,...",
+                        help="also run a goodput-vs-offered-load sweep "
+                             "at these user counts (e.g. 50,100,200,500)")
+    repeat.add_argument("--replications", type=_replications, default=1,
+                        metavar="R",
+                        help="instead of the A/B guards, run the plain "
+                             "scenario at seeds SEED..SEED+R-1 and "
+                             "report a 95%% confidence interval per "
+                             "metric (default 1)")
     bench.add_argument("--fleet", type=int, default=0,
                        help="run the middleware tier as an N-member "
                             "gateway fleet behind the consistent-hash "
                             "balancer (default 0 = single gateway)")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="also run the scenario partitioned across N "
-                            "worker processes, byte-compare it against "
-                            "the sequential decomposition, and record "
-                            "the speedup (default 0 = off)")
     bench.add_argument("--out", default="BENCH_PERF.json", metavar="PATH",
                        help="where to write the report "
                             "(default: ./BENCH_PERF.json)")

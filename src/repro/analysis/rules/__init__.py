@@ -16,7 +16,6 @@ from .base import (
 )
 from .determinism import ModuleRandomRule, WallClockRule
 from .faults import FaultScheduleRule
-from .forksafety import ForkUnsafeGlobalRule
 from .hygiene import (
     BareExceptRule,
     BroadExceptRule,
@@ -37,7 +36,6 @@ __all__ = [
     "ModuleRandomRule",
     "WallClockRule",
     "FaultScheduleRule",
-    "ForkUnsafeGlobalRule",
     "BareExceptRule",
     "BroadExceptRule",
     "ExportDriftRule",

@@ -99,15 +99,7 @@ class TransactionContext:
         attempt = 1
         while True:
             try:
-                if deadline is None:
-                    # Legacy call shape: keep duck-typed sessions that
-                    # predate the timeout keyword working untouched.
-                    if method == "get":
-                        response = yield session.get(url, trace=self.trace)
-                    else:
-                        response = yield session.post(url, form,
-                                                      trace=self.trace)
-                elif method == "get":
+                if method == "get":
                     response = yield session.get(url, trace=self.trace,
                                                  timeout=deadline)
                 else:

@@ -553,7 +553,7 @@ class _Parser:
 # Bounded: cleared wholesale on overflow rather than tracking LRU order,
 # which keeps the hit path to a single dict lookup.
 _PARSE_CACHE_LIMIT = 1024
-_parse_cache: dict[str, Statement] = {}  # repro: noqa[fork-unsafe-global] — keyed by SQL text; per-process divergence only changes hit rate, never results
+_parse_cache: dict[str, Statement] = {}
 
 
 def clear_parse_cache() -> None:

@@ -22,8 +22,7 @@ from .engine import FaultEngine
 from .plan import FaultPlan
 
 __all__ = ["SCENARIOS", "FLEET_SCENARIOS", "scenario_plan", "run_chaos",
-           "build_chaos_scenario", "chaos_report", "report_json",
-           "percentile"]
+           "report_json", "percentile"]
 
 DEFAULT_DEVICE = "Nokia 9290 Communicator"
 
@@ -152,43 +151,33 @@ def percentile(values, q: float) -> float:
 
 
 # ------------------------------------------------------------- the runner
-class _ChaosScenario:
-    """A fully wired chaos scenario, ready to run.
+def run_chaos(scenario: str = "storm", seed: int = 0,
+              intensity: float = 0.5, policies: bool = True,
+              stations: int = None, transactions_per_station: int = 6,
+              horizon: float = 240.0, middleware: str = "WAP",
+              bearer: tuple = ("cellular", "GPRS"),
+              device: str = DEFAULT_DEVICE,
+              plan: FaultPlan = None,
+              post_build=None, fleet: int = 0) -> dict:
+    """Run one chaos scenario end to end; returns the report dict.
 
-    Produced by :func:`build_chaos_scenario`; consumed by
-    :func:`run_chaos` and by the parallel shard runner, which advances
-    it window by window in a worker process.  Sharing the wiring and
-    the report derivation keeps the two paths byte-identical.
-    """
-
-    __slots__ = ("system", "engine", "shop", "faults", "plan", "handles",
-                 "scenario", "seed", "intensity", "policies", "middleware",
-                 "bearer", "device", "horizon", "stations",
-                 "station_offset", "transactions_per_station")
-
-
-def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
-                         intensity: float = 0.5, policies: bool = True,
-                         stations: int = None,
-                         transactions_per_station: int = 6,
-                         horizon: float = 240.0, middleware: str = "WAP",
-                         bearer: tuple = ("cellular", "GPRS"),
-                         device: str = DEFAULT_DEVICE,
-                         plan: FaultPlan = None,
-                         fleet: int = 0,
-                         station_offset: int = 0) -> _ChaosScenario:
-    """Build and wire a chaos scenario without running it.
-
-    ``station_offset`` shifts station/account naming so a shard hosting
-    stations ``[offset, offset+stations)`` uses the same global
-    identities the sequential run would.
+    ``policies=False`` builds the identical system without any
+    resilience wiring (no retry, breakers, standby, shedding), which is
+    the baseline the benchmark compares against.  An explicit ``plan``
+    overrides the scenario's schedule (the scenario name is still
+    recorded).  ``post_build(system, engine)``, when given, runs after
+    the scenario is fully wired but before the clock starts — the race
+    sanitizer uses it to instrument shared state and install its
+    kernel hook.  ``fleet`` > 0 runs the scenario against an N-member
+    gateway fleet (requires ``policies``); the fleet-native scenarios
+    (``fleet-outage``, ``canary-regression``) default to one.
     """
     if fleet == 0:
         fleet = FLEET_SCENARIOS.get(scenario, 0)
     if fleet > 0 and not policies:
         raise ValueError("a gateway fleet requires policies=True")
     if stations is None:
-        # Fleet scenarios need enough stations that every shard (and
+        # Fleet scenarios need enough stations that every member (and
         # the canary cohort) actually sees traffic.
         stations = 12 if fleet > 0 else 4
     resilience = ResilienceConfig() if policies else None
@@ -216,11 +205,9 @@ def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
                               ("Leather Case", 950, 10_000)])
     system.mount_application(shop)
     for index in range(stations):
-        system.host.payment.open_account(
-            f"shopper{station_offset + index}", 100_000_000)
+        system.host.payment.open_account(f"shopper{index}", 100_000_000)
 
-    handles = [system.add_station(
-                   device, name=f"station-{station_offset + index}")
+    handles = [system.add_station(device, name=f"station-{index}")
                for index in range(stations)]
     engine = TransactionEngine(system)
 
@@ -247,35 +234,14 @@ def build_chaos_scenario(scenario: str = "storm", seed: int = 0,
         return loop
 
     for index, handle in enumerate(handles):
-        name = f"shopper-{station_offset + index}"
-        system.sim.spawn(
-            shopper(handle, f"shopper{station_offset + index}")(system.sim),
-            name=name)
+        system.sim.spawn(shopper(handle, f"shopper{index}")(system.sim),
+                         name=f"shopper-{index}")
 
-    built = _ChaosScenario()
-    built.system = system
-    built.engine = engine
-    built.shop = shop
-    built.faults = faults
-    built.plan = plan
-    built.handles = handles
-    built.scenario = scenario
-    built.seed = seed
-    built.intensity = intensity
-    built.policies = policies
-    built.middleware = middleware
-    built.bearer = bearer
-    built.device = device
-    built.horizon = horizon
-    built.stations = stations
-    built.station_offset = station_offset
-    built.transactions_per_station = transactions_per_station
-    return built
+    if post_build is not None:
+        post_build(system, engine)
 
+    system.run(until=horizon)
 
-def chaos_report(built: _ChaosScenario) -> dict:
-    """Derive the chaos report dict from a finished scenario run."""
-    system, engine = built.system, built.engine
     records = engine.completed
     latencies = sorted(engine.latencies())
     errors: dict = {}
@@ -284,20 +250,20 @@ def chaos_report(built: _ChaosScenario) -> dict:
             label = record.error.split(":", 1)[0] or "unknown"
             errors[label] = errors.get(label, 0) + 1
 
-    offered = built.stations * built.transactions_per_station
+    offered = stations * transactions_per_station
     report = {
-        "scenario": built.scenario,
-        "seed": built.seed,
-        "intensity": built.intensity,
-        "policies": bool(built.policies),
-        "middleware": built.middleware,
-        "bearer": list(built.bearer),
-        "device": built.device,
-        "horizon": built.horizon,
-        "stations": built.stations,
-        "transactions_per_station": built.transactions_per_station,
-        "plan": [spec.to_dict() for spec in built.plan.ordered()],
-        "faults": dict(sorted(built.faults.stats.as_dict().items())),
+        "scenario": scenario,
+        "seed": seed,
+        "intensity": intensity,
+        "policies": bool(policies),
+        "middleware": middleware,
+        "bearer": list(bearer),
+        "device": device,
+        "horizon": horizon,
+        "stations": stations,
+        "transactions_per_station": transactions_per_station,
+        "plan": [spec.to_dict() for spec in plan.ordered()],
+        "faults": dict(sorted(faults.stats.as_dict().items())),
         "offered": offered,
         "completed": len(records),
         "successful": len(engine.successful),
@@ -311,46 +277,11 @@ def chaos_report(built: _ChaosScenario) -> dict:
             "p95": round(percentile(latencies, 0.95), 6),
             "max": round(latencies[-1], 6) if latencies else 0.0,
         },
-        "resilience": _resilience_counters(system, built.handles),
+        "resilience": _resilience_counters(system, handles),
     }
     if system.fleet is not None:
         report["fleet"] = fleet_report(system)
     return report
-
-
-def run_chaos(scenario: str = "storm", seed: int = 0,
-              intensity: float = 0.5, policies: bool = True,
-              stations: int = None, transactions_per_station: int = 6,
-              horizon: float = 240.0, middleware: str = "WAP",
-              bearer: tuple = ("cellular", "GPRS"),
-              device: str = DEFAULT_DEVICE,
-              plan: FaultPlan = None,
-              post_build=None, fleet: int = 0) -> dict:
-    """Run one chaos scenario end to end; returns the report dict.
-
-    ``policies=False`` builds the identical system without any
-    resilience wiring (no retry, breakers, standby, shedding), which is
-    the baseline the benchmark compares against.  An explicit ``plan``
-    overrides the scenario's schedule (the scenario name is still
-    recorded).  ``post_build(system, engine)``, when given, runs after
-    the scenario is fully wired but before the clock starts — the race
-    sanitizer uses it to instrument shared state and install its
-    kernel hook.  ``fleet`` > 0 runs the scenario against an N-member
-    gateway fleet (requires ``policies``); the fleet-native scenarios
-    (``fleet-outage``, ``canary-regression``) default to one.
-    """
-    built = build_chaos_scenario(
-        scenario=scenario, seed=seed, intensity=intensity,
-        policies=policies, stations=stations,
-        transactions_per_station=transactions_per_station,
-        horizon=horizon, middleware=middleware, bearer=bearer,
-        device=device, plan=plan, fleet=fleet)
-
-    if post_build is not None:
-        post_build(built.system, built.engine)
-
-    built.system.run(until=horizon)
-    return chaos_report(built)
 
 
 def _resilience_counters(system, handles) -> dict:

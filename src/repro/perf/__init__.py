@@ -12,6 +12,10 @@ fixed scenarios with the hot-path caches forced on and forced off and
 compares the outputs byte for byte.  ``scheduler_check`` applies the
 same discipline to the pluggable kernel scheduler (heap vs calendar
 queue).  See :mod:`repro.opt` and :mod:`repro.sim.sched`.
+
+``replicate`` runs the bench or a chaos scenario over consecutive seeds
+on a process pool and reports a mean and 95% confidence interval per
+headline metric.
 """
 
 from .baseline import (
@@ -21,28 +25,19 @@ from .baseline import (
     baseline_for,
     baselines_for,
 )
-from .determinism import (
-    determinism_check,
-    fleet_check,
-    parallel_check,
-    scheduler_check,
-)
+from .determinism import determinism_check, fleet_check, scheduler_check
 from .loadgen import (
-    bench_deterministic,
     bench_json,
     bench_resilience,
-    build_bench_scenario,
     check_capacity_curve,
     run_bench,
     sweep_bench,
 )
-from .parallel import run_parallel_bench, run_parallel_chaos
+from .replicate import replicate
 from .report import full_bench, report_to_json
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
-           "bench_deterministic", "build_bench_scenario",
            "check_capacity_curve", "determinism_check", "fleet_check",
-           "parallel_check", "scheduler_check", "run_parallel_bench",
-           "run_parallel_chaos", "full_bench", "report_to_json",
+           "scheduler_check", "replicate", "full_bench", "report_to_json",
            "PRE_OPTIMIZATION_BASELINE", "PRE_CALENDAR_BASELINE",
            "BASELINES", "baseline_for", "baselines_for"]

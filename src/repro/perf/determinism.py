@@ -31,8 +31,7 @@ from ..opt import OPTIMIZATIONS, optimizations_disabled
 from ..sim import SCHEDULERS, scheduler_override
 from .loadgen import run_bench
 
-__all__ = ["determinism_check", "fleet_check", "parallel_check",
-           "scheduler_check"]
+__all__ = ["determinism_check", "fleet_check", "scheduler_check"]
 
 
 def _bench_bytes(users: int, seed: int, fleet: int = 0) -> str:
@@ -110,59 +109,6 @@ def fleet_check(users: int = 20, seed: int = 7) -> dict:
     return {
         "identical": all(checks.values()),
         "checks": checks,
-        "users": users,
-        "seed": seed,
-    }
-
-
-def parallel_check(users: int = 24, seed: int = 7,
-                   shards: int = 4,
-                   workers: tuple = (1, 2, 4)) -> dict:
-    """A/B guard for the conservative parallel engine (DESIGN §15).
-
-    One fixed shard decomposition is executed under each worker count
-    — ``workers=1`` is the lockstep (sequential-interleave) reference,
-    higher counts host the same shards on OS processes — and every
-    merged deterministic section is held to byte equality with the
-    lockstep one.  The per-shard canonical state hashes must agree
-    too, which pins the pre-merge shard states and not just the merged
-    totals.  Alongside, the one-shard plan must reproduce the plain
-    sequential :func:`run_bench` bytes (the partition itself adds
-    nothing at S=1).
-    """
-    from .parallel import run_parallel_bench
-
-    def produce(count: int) -> tuple:
-        report = run_parallel_bench(users=users, seed=seed,
-                                    transactions_per_user=3,
-                                    horizon=120.0, workers=count,
-                                    shards=shards)
-        det = report["deterministic"]
-        return (json.dumps(det, indent=2, sort_keys=True),
-                det["parallel"]["state_hash"])
-
-    reference_bytes, reference_hash = produce(1)
-    checks: dict[str, bool] = {}
-    for count in workers:
-        if count == 1:
-            continue
-        produced, state_hash = produce(count)
-        checks[f"lockstep_vs_workers{count}"] = produced == reference_bytes
-        checks[f"state_hash_workers{count}"] = state_hash == reference_hash
-
-    single = run_parallel_bench(users=users, seed=seed,
-                                transactions_per_user=3, horizon=120.0,
-                                workers=1, shards=1)
-    merged = dict(single["deterministic"])
-    merged.pop("parallel", None)
-    checks["one_shard_vs_sequential"] = (
-        json.dumps(merged, indent=2, sort_keys=True)
-        == _bench_bytes(users, seed))
-    return {
-        "identical": all(checks.values()),
-        "checks": checks,
-        "shards": shards,
-        "workers": list(workers),
         "users": users,
         "seed": seed,
     }

@@ -38,8 +38,7 @@ from ..resilience import ResilienceConfig
 from ..sim import scheduler_override
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
-           "check_capacity_curve", "build_bench_scenario",
-           "bench_deterministic"]
+           "check_capacity_curve"]
 
 
 def bench_resilience() -> ResilienceConfig:
@@ -105,23 +104,13 @@ def bench_resilience() -> ResilienceConfig:
     )
 
 
-def check_capacity_curve(points, tolerance: float = 0.05,
-                         events_points=None,
-                         events_tolerance: float = 0.25) -> dict:
+def check_capacity_curve(points, tolerance: float = 0.05) -> dict:
     """Verify goodput is monotone non-decreasing in admitted load.
 
     A healthy capacity curve rises with offered load and flattens at
     the knee; a cliff (goodput collapsing as more work is admitted)
-    is the overload failure mode this PR removes.  ``tolerance``
+    is the overload failure mode DESIGN §13 removed.  ``tolerance``
     forgives small non-monotonicities from discreteness at low loads.
-
-    ``events_points`` (``{"users", "events_per_sec"}`` per sweep point,
-    host-measured) adds a kernel-efficiency check on top of the goodput
-    one: the largest point's events/s must stay within
-    ``events_tolerance`` of the smallest point's.  Goodput can flatten
-    at the knee for capacity reasons while the kernel itself quietly
-    gets slower per event as scenarios grow — that regression used to
-    be invisible to the sweep.
     """
     ordered = sorted(points, key=lambda p: (p["admitted"], p["users"]))
     best = 0.0
@@ -136,142 +125,8 @@ def check_capacity_curve(points, tolerance: float = 0.05,
                 "previous_best": round(best, 6),
             })
         best = max(best, goodput)
-    verdict = {"monotone": not regressions, "tolerance": tolerance,
-               "regressions": regressions}
-    verdict["events_per_sec"] = _check_events_curve(events_points,
-                                                    events_tolerance)
-    return verdict
-
-
-def _check_events_curve(events_points, tolerance: float) -> dict:
-    """Kernel events/s at the largest point vs the smallest."""
-    points = sorted(events_points or [], key=lambda p: p["users"])
-    if len(points) < 2:
-        return {"checked": False, "ok": True, "tolerance": tolerance}
-    smallest, largest = points[0], points[-1]
-    floor = smallest["events_per_sec"] * (1.0 - tolerance)
-    ratio = (largest["events_per_sec"] / smallest["events_per_sec"]
-             if smallest["events_per_sec"] else 0.0)
-    return {
-        "checked": True,
-        "ok": largest["events_per_sec"] >= floor,
-        "ratio": round(ratio, 3),
-        "tolerance": tolerance,
-        "smallest": {"users": smallest["users"],
-                     "events_per_sec": smallest["events_per_sec"]},
-        "largest": {"users": largest["users"],
-                    "events_per_sec": largest["events_per_sec"]},
-    }
-
-
-class _BenchScenario:
-    """A fully wired bench scenario, ready to run.
-
-    Produced by :func:`build_bench_scenario`; consumed by
-    :func:`run_bench` (which runs it to the horizon in one process) and
-    by the parallel shard runner (which advances it window by window
-    inside a worker process).  Holding the pieces on one object keeps
-    the two execution paths byte-identical by construction: they share
-    the wiring *and* the report derivation below.
-    """
-
-    __slots__ = ("system", "engine", "shop", "tracer", "handles",
-                 "users", "user_offset", "seed", "transactions_per_user",
-                 "horizon", "middleware", "bearer", "device", "policies",
-                 "resilience")
-
-
-def build_bench_scenario(users: int = 50, seed: int = 7,
-                         transactions_per_user: int = 4,
-                         horizon: float = 240.0,
-                         middleware: str = "WAP",
-                         bearer: tuple = ("cellular", "GPRS"),
-                         device: str = DEFAULT_DEVICE,
-                         policies: bool = True,
-                         trace: bool = True,
-                         max_spans: int = 2_000_000,
-                         scheduler: Optional[str] = None,
-                         resilience: Optional[ResilienceConfig] = None,
-                         fleet: int = 0,
-                         user_offset: int = 0) -> _BenchScenario:
-    """Build and wire the load scenario without running it.
-
-    ``user_offset`` shifts station/account naming (``station-7``,
-    ``user7``) so a shard hosting users ``[offset, offset+users)`` uses
-    the same global identities the sequential run would.
-    """
-    if users < 1:
-        raise ValueError(f"users must be >= 1, got {users}")
-    if transactions_per_user < 1:
-        raise ValueError(
-            f"transactions_per_user must be >= 1, got {transactions_per_user}")
-
-    if resilience is None:
-        resilience = bench_resilience() if policies else None
-    if fleet > 0:
-        if resilience is None:
-            raise ValueError("a gateway fleet requires policies=True")
-        resilience = dataclasses.replace(resilience, fleet_size=fleet,
-                                         standby_gateway=False)
-    builder = MCSystemBuilder(seed=seed, middleware=middleware,
-                              bearer=bearer, resilience=resilience)
-    context = scheduler_override(scheduler) if scheduler is not None \
-        else nullcontext()
-    with context:
-        system = builder.build()
-
-    shop = CommerceApp(items=[("WAP Phone", 19900, 10_000_000),
-                              ("Leather Case", 950, 10_000_000)])
-    system.mount_application(shop)
-    for index in range(users):
-        system.host.payment.open_account(f"user{user_offset + index}",
-                                         100_000_000)
-
-    handles = [system.add_station(device,
-                                  name=f"station-{user_offset + index}")
-               for index in range(users)]
-    engine = TransactionEngine(system)
-
-    tracer = install_tracer(system.sim, max_spans=max_spans) if trace \
-        else None
-
-    think = system.seeds.stream("bench-think")
-    interval = horizon / (transactions_per_user + 1)
-
-    def shopper(handle, account):
-        def loop(env):
-            yield env.timeout(think.uniform(0.1, 0.9) * interval)
-            for _ in range(transactions_per_user):
-                started = env.now
-                flow = shop.browse_and_buy(item_id=1, account=account)
-                yield engine.run_flow(handle, flow)
-                elapsed = env.now - started
-                pause = max(0.1, interval - elapsed)
-                yield env.timeout(pause * think.uniform(0.7, 1.3))
-        return loop
-
-    for index, handle in enumerate(handles):
-        name = f"user-{user_offset + index}"
-        system.sim.spawn(shopper(handle, f"user{user_offset + index}")(
-            system.sim), name=name)
-
-    scenario = _BenchScenario()
-    scenario.system = system
-    scenario.engine = engine
-    scenario.shop = shop
-    scenario.tracer = tracer
-    scenario.handles = handles
-    scenario.users = users
-    scenario.user_offset = user_offset
-    scenario.seed = seed
-    scenario.transactions_per_user = transactions_per_user
-    scenario.horizon = horizon
-    scenario.middleware = middleware
-    scenario.bearer = bearer
-    scenario.device = device
-    scenario.policies = policies
-    scenario.resilience = resilience
-    return scenario
+    return {"monotone": not regressions, "tolerance": tolerance,
+            "regressions": regressions}
 
 
 def run_bench(users: int = 50, seed: int = 7,
@@ -305,13 +160,57 @@ def run_bench(users: int = 50, seed: int = 7,
     (requires policies); a fleet of 1 is the transparency case the
     fleet A/B guard byte-compares against the single-gateway build.
     """
-    scenario = build_bench_scenario(
-        users=users, seed=seed,
-        transactions_per_user=transactions_per_user, horizon=horizon,
-        middleware=middleware, bearer=bearer, device=device,
-        policies=policies, trace=trace, max_spans=max_spans,
-        scheduler=scheduler, resilience=resilience, fleet=fleet)
-    system, engine = scenario.system, scenario.engine
+    if users < 1:
+        raise ValueError(f"users must be >= 1, got {users}")
+    if transactions_per_user < 1:
+        raise ValueError(
+            f"transactions_per_user must be >= 1, got {transactions_per_user}")
+
+    if resilience is None:
+        resilience = bench_resilience() if policies else None
+    if fleet > 0:
+        if resilience is None:
+            raise ValueError("a gateway fleet requires policies=True")
+        resilience = dataclasses.replace(resilience, fleet_size=fleet,
+                                         standby_gateway=False)
+    builder = MCSystemBuilder(seed=seed, middleware=middleware,
+                              bearer=bearer, resilience=resilience)
+    context = scheduler_override(scheduler) if scheduler is not None \
+        else nullcontext()
+    with context:
+        system = builder.build()
+
+    shop = CommerceApp(items=[("WAP Phone", 19900, 10_000_000),
+                              ("Leather Case", 950, 10_000_000)])
+    system.mount_application(shop)
+    for index in range(users):
+        system.host.payment.open_account(f"user{index}", 100_000_000)
+
+    handles = [system.add_station(device, name=f"station-{index}")
+               for index in range(users)]
+    engine = TransactionEngine(system)
+
+    tracer = install_tracer(system.sim, max_spans=max_spans) if trace \
+        else None
+
+    think = system.seeds.stream("bench-think")
+    interval = horizon / (transactions_per_user + 1)
+
+    def shopper(handle, account):
+        def loop(env):
+            yield env.timeout(think.uniform(0.1, 0.9) * interval)
+            for _ in range(transactions_per_user):
+                started = env.now
+                flow = shop.browse_and_buy(item_id=1, account=account)
+                yield engine.run_flow(handle, flow)
+                elapsed = env.now - started
+                pause = max(0.1, interval - elapsed)
+                yield env.timeout(pause * think.uniform(0.7, 1.3))
+        return loop
+
+    for index, handle in enumerate(handles):
+        system.sim.spawn(shopper(handle, f"user{index}")(system.sim),
+                         name=f"user-{index}")
 
     if post_build is not None:
         post_build(system, engine)
@@ -337,42 +236,17 @@ def run_bench(users: int = 50, seed: int = 7,
     else:
         slices = 1
     try:
-        started = time.perf_counter()  # repro: noqa[wall-clock]
+        run_started = time.perf_counter()  # repro: noqa[wall-clock]
         for step in range(1, slices + 1):
             until = horizon if step == slices else horizon * step / slices
             system.run(until=until)
             if gc_isolated and step < slices:
                 gc.freeze()
-        wall_seconds = time.perf_counter() - started  # repro: noqa[wall-clock]
+        wall_seconds = time.perf_counter() - run_started  # repro: noqa[wall-clock]
     finally:
         if gc_isolated:
             gc.unfreeze()
 
-    deterministic = bench_deterministic(scenario)
-    events = system.sim.events_processed
-    records = engine.completed
-    report = {
-        "deterministic": deterministic,
-        "optimizations": OPTIMIZATIONS.as_dict(),
-        "scheduler": system.sim.scheduler_name,
-        "measured": {
-            "wall_seconds": round(wall_seconds, 4),
-            "events_per_sec": (round(events / wall_seconds)
-                               if wall_seconds > 0 else 0),
-            "transactions_per_sec": (round(len(records) / wall_seconds, 2)
-                                     if wall_seconds > 0 else 0.0),
-        },
-    }
-    return report
-
-
-def bench_deterministic(scenario: _BenchScenario) -> dict:
-    """Derive the ``deterministic`` report section from a finished run.
-
-    Shared between the sequential path and the parallel shard runner so
-    both derive the identical section from identical virtual state.
-    """
-    system, engine = scenario.system, scenario.engine
     records = engine.completed
     latencies = sorted(engine.latencies())
     events = system.sim.events_processed
@@ -380,7 +254,7 @@ def bench_deterministic(scenario: _BenchScenario) -> dict:
     # Honest goodput accounting: success is reported against *offered*
     # load (every transaction the stations were asked to run), not just
     # against the ones that happened to finish inside the horizon.
-    offered = scenario.users * scenario.transactions_per_user
+    offered = users * transactions_per_user
     started = len(engine.records)
     succeeded = len(engine.successful)
     # A completed-but-failed transaction whose attempts saw 503s was
@@ -390,14 +264,14 @@ def bench_deterministic(scenario: _BenchScenario) -> dict:
                    if not record.ok and record.shed_503s > 0)
 
     deterministic = {
-        "users": scenario.users,
-        "seed": scenario.seed,
-        "transactions_per_user": scenario.transactions_per_user,
-        "horizon": scenario.horizon,
-        "middleware": scenario.middleware,
-        "bearer": list(scenario.bearer),
-        "device": scenario.device,
-        "policies": bool(scenario.policies),
+        "users": users,
+        "seed": seed,
+        "transactions_per_user": transactions_per_user,
+        "horizon": horizon,
+        "middleware": middleware,
+        "bearer": list(bearer),
+        "device": device,
+        "policies": bool(policies),
         "offered": offered,
         "started": started,
         "admitted": started - rejected,
@@ -436,12 +310,24 @@ def bench_deterministic(scenario: _BenchScenario) -> dict:
     # Only a *real* fleet (>= 2 members) adds its section: the fleet-of-1
     # transparency guard byte-compares against the single-gateway build,
     # so the degenerate case must not change the report shape.
-    if system.fleet is not None and scenario.resilience.fleet_size >= 2:
+    if system.fleet is not None and resilience.fleet_size >= 2:
         deterministic["fleet"] = fleet_report(system)
-    if scenario.tracer is not None:
-        deterministic["layers"] = _aggregate_layers(scenario.tracer)
-        deterministic["spans"] = len(scenario.tracer.spans)
-    return deterministic
+    if tracer is not None:
+        deterministic["layers"] = _aggregate_layers(tracer)
+        deterministic["spans"] = len(tracer.spans)
+
+    return {
+        "deterministic": deterministic,
+        "optimizations": OPTIMIZATIONS.as_dict(),
+        "scheduler": system.sim.scheduler_name,
+        "measured": {
+            "wall_seconds": round(wall_seconds, 4),
+            "events_per_sec": (round(events / wall_seconds)
+                               if wall_seconds > 0 else 0),
+            "transactions_per_sec": (round(len(records) / wall_seconds, 2)
+                                     if wall_seconds > 0 else 0.0),
+        },
+    }
 
 
 def sweep_bench(user_counts: Iterable[int], seed: int = 7,
@@ -501,15 +387,7 @@ def sweep_bench(user_counts: Iterable[int], seed: int = 7,
             "points": det_points,
             "curve": check_capacity_curve(det_points),
         },
-        "measured": {
-            "points": measured_points,
-            # Host-measured, so it lives outside the deterministic
-            # section: kernel efficiency must not sag as the sweep
-            # grows (the per-event slowdown check).
-            "events_check": check_capacity_curve(
-                det_points,
-                events_points=measured_points)["events_per_sec"],
-        },
+        "measured": {"points": measured_points},
     }
 
 

@@ -681,7 +681,7 @@ SCHEDULERS = {
 #: The scheduler a bare ``Simulator()`` gets.
 DEFAULT_SCHEDULER = CalendarScheduler.name
 
-_default = [DEFAULT_SCHEDULER]  # repro: noqa[fork-unsafe-global] — process-wide CLI default; shard workers receive the scheduler name explicitly in shard params
+_default = [DEFAULT_SCHEDULER]
 
 
 def default_scheduler() -> str:
