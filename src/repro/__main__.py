@@ -23,8 +23,8 @@ Commands:
   sanitizer installed; hazards are confirmed by deterministic flipped
   replay and any confirmed race fails the command;
 * ``bench`` — drive N concurrent users through the full transaction
-  path with the hot-path caches on and off and the kernel scheduler
-  A/B'd heap-vs-calendar, verify byte-identical outputs, optionally
+  path with the hot-path caches on and off and a fleet-of-1 against
+  the single gateway, verify byte-identical outputs, optionally
   sweep a goodput-vs-offered-load curve, and write ``BENCH_PERF.json``
   (``--replications R`` instead replicates the plain run over R seeds);
 * ``tables`` — print the paper's five tables as reproduced from the
@@ -369,13 +369,11 @@ def _cmd_bench(args) -> int:
         report = replicate(run_bench, args.replications, seed=args.seed,
                            users=args.users,
                            transactions_per_user=args.transactions,
-                           horizon=args.horizon, scheduler=args.scheduler,
-                           fleet=args.fleet)
+                           horizon=args.horizon, fleet=args.fleet)
     else:
         report = full_bench(users=args.users, seed=args.seed,
                             transactions_per_user=args.transactions,
                             horizon=args.horizon,
-                            scheduler=args.scheduler,
                             sweep=sweep,
                             fleet=args.fleet)
     text = report_to_json(report)
@@ -390,24 +388,17 @@ def _cmd_bench(args) -> int:
         print(f"report written to {args.out}", file=sys.stderr)
         return 0
     det = report["determinism"]
-    sched = report["scheduler_determinism"]
     fleet_det = report["fleet_determinism"]
     opt = report["optimized"]
     summary = (
-        f"bench users={args.users} seed={args.seed} "
-        + (f"fleet={args.fleet} " if args.fleet else "")
-        + f"scheduler={opt['scheduler']}: "
+        f"bench users={args.users} seed={args.seed}"
+        + (f" fleet={args.fleet}" if args.fleet else "")
+        + ": "
         f"{opt['measured']['wall_seconds']:.2f}s wall, "
         f"{opt['measured']['events_per_sec']} events/s, "
         f"{opt['measured']['transactions_per_sec']} txn/s; "
         f"caches on/off speedup {report['speedup_caches_on_vs_off']}"
     )
-    if "speedup_vs_pre_optimization" in report:
-        summary += (f"; vs pre-optimization baseline "
-                    f"{report['speedup_vs_pre_optimization']}x")
-    if "speedup_vs_pre_calendar" in report:
-        summary += (f"; vs pre-calendar baseline "
-                    f"{report['speedup_vs_pre_calendar']}x")
     print(summary, file=sys.stderr)
     if sweep is not None:
         for point in report["sweep"]["deterministic"]["points"]:
@@ -432,9 +423,6 @@ def _cmd_bench(args) -> int:
         failed = [name for name, ok in det["checks"].items() if not ok]
         failures.append(f"caches changed the results "
                         f"({', '.join(failed) or 'bench A/B'})")
-    if not sched["identical"]:
-        failed = [name for name, ok in sched["checks"].items() if not ok]
-        failures.append(f"schedulers diverged ({', '.join(failed)})")
     if not fleet_det["identical"]:
         failed = [name for name, ok in fleet_det["checks"].items()
                   if not ok]
@@ -446,9 +434,6 @@ def _cmd_bench(args) -> int:
         return 1
     print("determinism: caches on/off byte-identical "
           f"({', '.join(det['checks'])})", file=sys.stderr)
-    print("determinism: schedulers "
-          f"{'/'.join(sched['schedulers'])} byte-identical "
-          f"({', '.join(sched['checks'])})", file=sys.stderr)
     print("determinism: fleet wiring transparent "
           f"({', '.join(fleet_det['checks'])})", file=sys.stderr)
     return 0
@@ -650,11 +635,6 @@ def main(argv=None) -> int:
                        help="transactions per user (default 4)")
     bench.add_argument("--horizon", type=float, default=240.0,
                        help="sim-seconds to run (default 240)")
-    bench.add_argument("--scheduler", default=None,
-                       choices=["heap", "calendar"],
-                       help="kernel scheduler for the timed runs "
-                            "(default: calendar; the A/B guard always "
-                            "exercises both)")
     repeat = bench.add_mutually_exclusive_group()
     repeat.add_argument("--sweep", default=None, metavar="N,N,...",
                         help="also run a goodput-vs-offered-load sweep "

@@ -63,18 +63,18 @@ class HotQueuePopRule(Rule):
 class DirectHeapqRule(Rule):
     """No direct ``heapq`` use outside :mod:`repro.sim.sched`.
 
-    The kernel's event ordering is owned by the pluggable scheduler
-    (``repro.sim.sched``); a stray ``heapq`` priority queue elsewhere
-    tends to become a shadow event queue whose ordering the scheduler
-    A/B determinism guard cannot see.  Algorithmic uses that are *not*
+    Event ordering belongs to ``repro.sim.sched``, the kernel's one
+    event queue; a stray ``heapq`` priority queue elsewhere tends to
+    become a shadow event queue whose ``(time, priority, seq)`` order
+    the kernel does not control.  Algorithmic uses that are *not*
     event scheduling (e.g. Dijkstra's frontier in the routing table)
     suppress with ``# repro: noqa[direct-heapq]`` and a justification.
     """
 
     rule_id = "direct-heapq"
     severity = SEVERITY_WARNING
-    description = ("direct heapq use outside repro.sim.sched; go through "
-                   "the scheduler abstraction")
+    description = ("direct heapq use outside repro.sim.sched; event "
+                   "ordering belongs to repro.sim.sched")
 
     SANCTIONED = "repro.sim.sched"
 
@@ -89,7 +89,7 @@ class DirectHeapqRule(Rule):
                     yield self.finding(
                         info, node.lineno,
                         "import heapq outside repro.sim.sched; event "
-                        "ordering belongs to the scheduler abstraction",
+                        "ordering belongs to repro.sim.sched",
                     )
             elif isinstance(node, ast.ImportFrom):
                 if node.level == 0 and node.module is not None and \
@@ -98,6 +98,5 @@ class DirectHeapqRule(Rule):
                     yield self.finding(
                         info, node.lineno,
                         "from heapq import ... outside repro.sim.sched; "
-                        "event ordering belongs to the scheduler "
-                        "abstraction",
+                        "event ordering belongs to repro.sim.sched",
                     )

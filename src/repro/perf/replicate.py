@@ -27,7 +27,6 @@ import statistics
 import time
 
 from ..opt import OPTIMIZATIONS
-from ..sim import default_scheduler, scheduler_override
 
 __all__ = ["replicate", "summarize", "t_critical"]
 
@@ -91,13 +90,12 @@ def summarize(samples: list) -> dict:
 
 
 def _run_one(job):
-    run, kwargs, flags, scheduler = job
+    run, kwargs, flags = job
     # Under a spawn or forkserver start method the worker does not
-    # inherit the caller's flags or scheduler default; set them here.
+    # inherit the caller's flags; set them here.
     for name, value in flags.items():
         setattr(OPTIMIZATIONS, name, value)
-    with scheduler_override(scheduler):
-        return run(**kwargs)
+    return run(**kwargs)
 
 
 def replicate(run, replications: int, seed: int, **kwargs) -> dict:
@@ -111,8 +109,8 @@ def replicate(run, replications: int, seed: int, **kwargs) -> dict:
         raise ValueError(f"replications must be >= 1, got {replications}")
     seeds = [seed + k for k in range(replications)]
     processes = min(replications, os.cpu_count() or 1)
-    flags, scheduler = OPTIMIZATIONS.as_dict(), default_scheduler()
-    jobs = [(run, dict(kwargs, seed=s), flags, scheduler) for s in seeds]
+    flags = OPTIMIZATIONS.as_dict()
+    jobs = [(run, dict(kwargs, seed=s), flags) for s in seeds]
     started = time.perf_counter()  # repro: noqa[wall-clock]
     with multiprocessing.Pool(processes) as pool:
         reports = pool.map(_run_one, jobs, chunksize=1)

@@ -18,25 +18,10 @@ from .kernel import (
 from .monitor import Counter, LatencyRecorder, StatSummary, TimeSeries, Trace
 from .random import RandomStream, SeedBank
 from .resources import Channel, PriorityResource, Request, Resource, Store
-from .sched import (
-    SCHEDULERS,
-    CalendarScheduler,
-    HeapScheduler,
-    Scheduler,
-    default_scheduler,
-    make_scheduler,
-    scheduler_override,
-    set_default_scheduler,
-)
+from .sched import HeapScheduler, scheduler_override
 
 __all__ = [
-    "Scheduler",
     "HeapScheduler",
-    "CalendarScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
-    "default_scheduler",
-    "set_default_scheduler",
     "scheduler_override",
     "AllOf",
     "AnyOf",

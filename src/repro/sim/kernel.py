@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .sched import make_scheduler
+from .sched import HeapScheduler
 
 __all__ = [
     "Event",
@@ -399,28 +399,20 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """The event loop over a pluggable scheduler of
+    """The event loop over a :class:`~repro.sim.sched.HeapScheduler` of
     (time, priority, seq, event) entries.
 
     ``strict`` controls error propagation from processes nobody waits
     on: when True (the default) an uncaught exception inside a process
     aborts :meth:`run`, which is almost always what a test wants.
-
-    ``scheduler`` names the queue implementation (see
-    :mod:`repro.sim.sched`): ``"heap"`` for the reference binary heap,
-    ``"calendar"`` for the calendar queue, ``None`` for the process
-    default.  Both dispatch events in the identical total order — the
-    A/B guard in ``repro.perf`` holds them to byte-identical runs.
     """
 
-    def __init__(self, strict: bool = True,
-                 scheduler: Optional[str] = None):
+    def __init__(self, strict: bool = True):
         self.now: float = 0.0
         self.strict = strict
-        self._sched = make_scheduler(scheduler)
+        self._sched = HeapScheduler()
         # Bound-method caches for the two push entry points: triggering
-        # is the kernel's hottest path and the scheduler never changes
-        # after construction.
+        # is the kernel's hottest path.
         self._push_now = self._sched.push_now
         self._push = self._sched.push
         self._seq = itertools.count()
@@ -442,11 +434,6 @@ class Simulator:
         # it without a profiler installed).  Tombstoned (cancelled)
         # entries are dropped without touching this counter.
         self.events_processed: int = 0
-
-    @property
-    def scheduler_name(self) -> str:
-        """Which scheduler this simulator runs on ("heap"/"calendar")."""
-        return self._sched.name
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -472,7 +459,7 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         if delay == 0.0 and priority == 1:
             # The dominant push: an event triggered at the current
-            # instant.  Schedulers keep an O(1) fast lane for it.
+            # instant.
             self._push_now(self.now, next(self._seq), event)
         else:
             self._push(self.now + delay, priority,
@@ -532,8 +519,7 @@ class Simulator:
         The observable sequence of state changes per event (time check,
         ``now`` advance, order stamp, profiler hook, callback drain) is
         exactly :meth:`step`'s, so single-stepping and running are
-        indistinguishable to everything above the kernel — whichever
-        scheduler is installed.
+        indistinguishable to everything above the kernel.
         """
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")

@@ -10,14 +10,7 @@ from repro.perf import (
     bench_json,
     determinism_check,
     run_bench,
-    scheduler_check,
     sweep_bench,
-)
-from repro.perf.baseline import (
-    BASELINES,
-    PRE_OPTIMIZATION_BASELINE,
-    baseline_for,
-    baselines_for,
 )
 
 SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0)
@@ -116,23 +109,6 @@ def test_determinism_check_verdict():
     assert all(OPTIMIZATIONS.as_dict().values())
 
 
-def test_scheduler_check_verdict():
-    """The tentpole invariant: heap and calendar dispatch identically."""
-    verdict = scheduler_check(users=5, seed=11)
-    assert verdict["identical"] is True
-    assert verdict["schedulers"] == ["heap", "calendar"]
-    assert set(verdict["checks"]) == {
-        "bench", "chaos-gateway-outage", "chaos-dns-blackout"}
-    assert all(verdict["checks"].values())
-
-
-def test_scheduler_check_rejects_bad_scheduler_lists():
-    with pytest.raises(ValueError):
-        scheduler_check(users=2, schedulers=("heap",))
-    with pytest.raises(ValueError):
-        scheduler_check(users=2, schedulers=("heap", "splay"))
-
-
 # ----------------------------------------------------------------- sweep
 def test_sweep_bench_curve_shape():
     sweep = sweep_bench([3, 1], seed=11, transactions_per_user=2,
@@ -152,22 +128,3 @@ def test_sweep_bench_rejects_empty():
     with pytest.raises(ValueError):
         sweep_bench([])
 
-
-# ------------------------------------------------------------- baseline
-def test_baseline_only_matches_its_exact_scenario():
-    b = PRE_OPTIMIZATION_BASELINE
-    match = baseline_for(b["users"], b["seed"],
-                         b["transactions_per_user"], b["horizon"])
-    assert match is not None and match["wall_seconds"] > 0
-    assert baseline_for(b["users"] + 1, b["seed"],
-                        b["transactions_per_user"], b["horizon"]) is None
-
-
-def test_baselines_for_returns_every_matching_record():
-    b = PRE_OPTIMIZATION_BASELINE
-    matches = baselines_for(b["users"], b["seed"],
-                            b["transactions_per_user"], b["horizon"])
-    assert set(matches) <= set(BASELINES)
-    assert "pre_optimization" in matches
-    for record in matches.values():
-        assert record["wall_seconds"] > 0 and record["kernel_events"] > 0

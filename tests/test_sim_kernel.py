@@ -484,3 +484,55 @@ def test_interrupt_detaches_condition_child_callbacks(combine):
     # children after the waiter was interrupted.
     assert a.callbacks == []
     assert b.callbacks == []
+
+
+# ------------------------------------------------ mid-batch escapes
+def _interrupt_mid_batch(sim, log):
+    """Three timeouts share t=1; the first one's callback interrupts a
+    sleeping process."""
+    def sleeper(env):
+        try:
+            yield env.timeout(100)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+
+    proc = sim.spawn(sleeper(sim))
+    for name in "abc":
+        timer = sim.timeout(1.0)
+        timer.callbacks.append(lambda ev, n=name: log.append((n, sim.now)))
+        if name == "a":
+            timer.callbacks.append(lambda ev: proc.interrupt())
+    return [("a", 1.0), ("interrupted", 1.0), ("b", 1.0), ("c", 1.0)]
+
+
+def _cancel_mid_batch(sim, log):
+    """Three timeouts share t=1; the first one's callback cancels the
+    third."""
+    timers = [sim.timeout(1.0) for _ in range(3)]
+    for name, timer in zip("abc", timers):
+        timer.callbacks.append(lambda ev, n=name: log.append((n, sim.now)))
+    timers[0].callbacks.append(lambda ev: timers[2].cancel())
+    return [("a", 1.0), ("b", 1.0)]
+
+
+@pytest.mark.parametrize("scenario", [_interrupt_mid_batch,
+                                      _cancel_mid_batch],
+                         ids=["interrupt", "cancel"])
+def test_mid_batch_escapes_match_single_stepping(scenario):
+    """run() drains a same-time batch in one go; an interrupt raised or
+    a timeout cancelled inside the batch must still act exactly as it
+    does under step()."""
+    logs = []
+    for whole in (True, False):
+        sim = Simulator()
+        log = []
+        expected = scenario(sim, log)
+        if whole:
+            sim.run()
+        else:
+            while sim.peek() != float("inf"):
+                sim.step()
+        assert log == expected
+        assert sim.queue_depth() == 0
+        logs.append((log, sim.events_processed))
+    assert logs[0] == logs[1]
