@@ -22,11 +22,12 @@ Commands:
 * ``sanitize`` — run a scenario with the same-timestamp commutativity
   sanitizer installed; hazards are confirmed by deterministic flipped
   replay and any confirmed race fails the command;
-* ``bench`` — drive N concurrent users through the full transaction
-  path with the hot-path caches on and off and a fleet-of-1 against
-  the single gateway, verify byte-identical outputs, optionally
-  sweep a goodput-vs-offered-load curve, and write ``BENCH_PERF.json``
-  (``--replications R`` instead replicates the plain run over R seeds);
+* ``bench`` — time N concurrent users through the full transaction
+  path, run the equivalence guard (caches on vs off, fleet-of-1 vs
+  the single gateway, fleet-of-3 run twice; any diverging row fails
+  the command), optionally sweep a goodput-vs-offered-load curve, and
+  write ``BENCH_PERF.json`` (``--replications R`` instead replicates
+  the plain run over R seeds);
 * ``tables`` — print the paper's five tables as reproduced from the
   model registries (specs only — run ``pytest benchmarks/`` for the
   measured versions);
@@ -342,25 +343,14 @@ def _cmd_bench(args) -> int:
 
     from repro.perf import full_bench, report_to_json
 
-    if args.sanitize:
-        # --sanitize switches bench into race-sanitizer mode: same
-        # scenario, instrumented shared state, flip-replay confirmation
-        # of any same-timestamp hazards, race report instead of the
-        # perf report.
-        from repro.analysis.races.runner import render_text, run_sanitize
-
-        report = run_sanitize(
-            "bench", seed=args.seed, users=args.users,
-            transactions=args.transactions, horizon=args.horizon)
-        print(render_text(report))
-        return 1 if report["confirmed_races"] else 0
-
     sweep = None
     if args.sweep:
         try:
             sweep = [int(part) for part in args.sweep.split(",") if part]
         except ValueError:
-            print(f"--sweep expects comma-separated user counts, "
+            sweep = []
+        if not sweep or min(sweep) < 1:
+            print(f"--sweep expects comma-separated user counts >= 1, "
                   f"got {args.sweep!r}", file=sys.stderr)
             return 2
     if args.replications > 1:
@@ -387,8 +377,6 @@ def _cmd_bench(args) -> int:
         _print_replications(report)
         print(f"report written to {args.out}", file=sys.stderr)
         return 0
-    det = report["determinism"]
-    fleet_det = report["fleet_determinism"]
     opt = report["optimized"]
     summary = (
         f"bench users={args.users} seed={args.seed}"
@@ -396,8 +384,7 @@ def _cmd_bench(args) -> int:
         + ": "
         f"{opt['measured']['wall_seconds']:.2f}s wall, "
         f"{opt['measured']['events_per_sec']} events/s, "
-        f"{opt['measured']['transactions_per_sec']} txn/s; "
-        f"caches on/off speedup {report['speedup_caches_on_vs_off']}"
+        f"{opt['measured']['transactions_per_sec']} txn/s"
     )
     print(summary, file=sys.stderr)
     if sweep is not None:
@@ -418,24 +405,15 @@ def _cmd_bench(args) -> int:
                 "capacity curve has a cliff: goodput regressed at "
                 + ", ".join(f"users={r['users']}"
                             for r in curve["regressions"]))
-    if not det["identical"] or \
-            not report["identical_results_caches_on_vs_off"]:
-        failed = [name for name, ok in det["checks"].items() if not ok]
-        failures.append(f"caches changed the results "
-                        f"({', '.join(failed) or 'bench A/B'})")
-    if not fleet_det["identical"]:
-        failed = [name for name, ok in fleet_det["checks"].items()
-                  if not ok]
-        failures.append(
-            f"fleet wiring changed the results ({', '.join(failed)})")
+    checks = report["equivalence"]["checks"]
+    failures += [f"equivalence row {name} diverged"
+                 for name, ok in checks.items() if not ok]
     if failures:
         for failure in failures:
             print(f"BENCH FAILURE: {failure}", file=sys.stderr)
         return 1
-    print("determinism: caches on/off byte-identical "
-          f"({', '.join(det['checks'])})", file=sys.stderr)
-    print("determinism: fleet wiring transparent "
-          f"({', '.join(fleet_det['checks'])})", file=sys.stderr)
+    print(f"equivalence: {len(checks)} rows byte-identical "
+          f"({', '.join(checks)})", file=sys.stderr)
     return 0
 
 
@@ -480,7 +458,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _replications(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -570,7 +548,7 @@ def main(argv=None) -> int:
                        choices=["cellular", "wlan"])
     chaos.add_argument("--plan", default=None, metavar="PATH",
                        help="JSON fault plan overriding the scenario")
-    chaos.add_argument("--replications", type=_replications, default=1,
+    chaos.add_argument("--replications", type=_positive_int, default=1,
                        metavar="R",
                        help="run seeds SEED..SEED+R-1 as independent "
                             "replications and report a 95%% confidence "
@@ -628,10 +606,10 @@ def main(argv=None) -> int:
 
     bench = sub.add_parser(
         "bench", help="run the load benchmark and write BENCH_PERF.json")
-    bench.add_argument("--users", type=int, default=50,
+    bench.add_argument("--users", type=_positive_int, default=50,
                        help="concurrent simulated users (default 50)")
     bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--transactions", type=int, default=4,
+    bench.add_argument("--transactions", type=_positive_int, default=4,
                        help="transactions per user (default 4)")
     bench.add_argument("--horizon", type=float, default=240.0,
                        help="sim-seconds to run (default 240)")
@@ -639,10 +617,10 @@ def main(argv=None) -> int:
     repeat.add_argument("--sweep", default=None, metavar="N,N,...",
                         help="also run a goodput-vs-offered-load sweep "
                              "at these user counts (e.g. 50,100,200,500)")
-    repeat.add_argument("--replications", type=_replications, default=1,
+    repeat.add_argument("--replications", type=_positive_int, default=1,
                         metavar="R",
-                        help="instead of the A/B guards, run the plain "
-                             "scenario at seeds SEED..SEED+R-1 and "
+                        help="instead of the equivalence guard, run the "
+                             "plain scenario at seeds SEED..SEED+R-1 and "
                              "report a 95%% confidence interval per "
                              "metric (default 1)")
     bench.add_argument("--fleet", type=int, default=0,
@@ -654,9 +632,6 @@ def main(argv=None) -> int:
                             "(default: ./BENCH_PERF.json)")
     bench.add_argument("--json", action="store_true",
                        help="also print the full report JSON to stdout")
-    bench.add_argument("--sanitize", action="store_true",
-                       help="run the bench under the commutativity "
-                            "sanitizer instead of timing it")
     bench.set_defaults(func=_cmd_bench)
 
     tables = sub.add_parser("tables", help="print the paper's tables")

@@ -8,10 +8,11 @@ generation).  Turning a flag off therefore changes how much host CPU a
 run burns, never what the simulation computes: same seed, same virtual
 timeline, byte-identical chaos reports / traces / benchmark tables.
 
-That guarantee is not taken on faith — ``repro.perf.determinism_check``
-(and the CI ``perf-smoke`` step) runs a fixed scenario with the caches
-forced on and forced off and compares the outputs bit for bit.  The
-flags exist precisely so that A/B test has something to toggle.
+That guarantee is not taken on faith — the caches rows of
+``repro.perf.equivalence_check`` (run by every ``repro bench`` and
+asserted in CI) run fixed scenarios with the caches forced on and
+forced off and compare the outputs bit for bit.  The flags exist
+precisely so that A/B test has something to toggle.
 
 The default is everything on.  ``optimizations_disabled()`` is the
 scoped way to turn caches off; mutating :data:`OPTIMIZATIONS` directly
@@ -24,15 +25,12 @@ from contextlib import contextmanager
 
 __all__ = ["OptimizationFlags", "OPTIMIZATIONS", "optimizations_disabled"]
 
-# The individual flags; each name is an OptimizationFlags slot.  The
-# three caches memoize pure computation; gc_isolation is different in
-# kind — it compacts and freezes the host interpreter's GC around the
-# measured benchmark loop (the live object graph of a large scenario
-# otherwise gets rescanned by every gen-2 collection).  It touches only
-# host wall-clock, never the virtual timeline, so it shares the same
-# transparency contract the A/B determinism check enforces.
-FLAG_NAMES = ("dns_cache", "translation_cache", "sql_cache",
-              "gc_isolation")
+# The individual flags; each name is an OptimizationFlags slot.
+FLAG_NAMES = ("dns_cache", "translation_cache", "sql_cache")
+
+# Kept for bench/worker.py, whose ``gc-off`` ablation arm disables it:
+# a retired flag that optimizations_disabled accepts as a no-op.
+_RETIRED = "gc_isolation"
 
 
 class OptimizationFlags:
@@ -42,12 +40,10 @@ class OptimizationFlags:
 
     def __init__(self, dns_cache: bool = True,
                  translation_cache: bool = True,
-                 sql_cache: bool = True,
-                 gc_isolation: bool = True):
+                 sql_cache: bool = True):
         self.dns_cache = dns_cache
         self.translation_cache = translation_cache
         self.sql_cache = sql_cache
-        self.gc_isolation = gc_isolation
 
     def set_all(self, enabled: bool) -> None:
         for name in FLAG_NAMES:
@@ -70,7 +66,7 @@ def optimizations_disabled(*names: str):
     """Disable the named cache flags (all of them when none given) for
     the duration of the ``with`` block, restoring the previous state —
     including on error — afterwards."""
-    targets = names or FLAG_NAMES
+    targets = [name for name in names or FLAG_NAMES if name != _RETIRED]
     unknown = set(targets) - set(FLAG_NAMES)
     if unknown:
         raise ValueError(f"unknown optimization flag(s): {sorted(unknown)}")

@@ -1,4 +1,4 @@
-"""Performance: the load-generation benchmark and its determinism guards.
+"""Performance: the load-generation benchmark and its equivalence guard.
 
 ``run_bench`` drives a fleet of simulated users through the full mobile
 commerce transaction path (device -> gateway middleware -> wired network
@@ -7,17 +7,17 @@ fully deterministic summary of what the virtual run computed.
 ``sweep_bench`` repeats it across user counts to draw the
 goodput-vs-offered-load curve.
 
-``determinism_check`` is the guard for the optimization pass: it runs
-fixed scenarios with the hot-path caches forced on and forced off and
-compares the outputs byte for byte (see :mod:`repro.opt`).
-``fleet_check`` does the same for the gateway-fleet wiring.
+``equivalence_check`` byte-compares a table of ``(name, produce_a,
+produce_b)`` rows; ``full_bench`` runs it over the claims that must
+not change results: hot-path caches on vs off (see :mod:`repro.opt`),
+a fleet of one vs the single gateway, and a fleet of three run twice.
 
 ``replicate`` runs the bench or a chaos scenario over consecutive seeds
 on a process pool and reports a mean and 95% confidence interval per
 headline metric.
 """
 
-from .determinism import determinism_check, fleet_check
+from .determinism import equivalence_check
 from .loadgen import (
     bench_json,
     bench_resilience,
@@ -29,5 +29,5 @@ from .replicate import replicate
 from .report import full_bench, report_to_json
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
-           "check_capacity_curve", "determinism_check", "fleet_check",
+           "check_capacity_curve", "equivalence_check",
            "replicate", "full_bench", "report_to_json"]

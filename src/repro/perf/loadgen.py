@@ -12,8 +12,8 @@ The report has two sections with different guarantees:
 
 * ``deterministic`` — everything derived from the virtual run (counts,
   latency percentiles, per-layer seconds, kernel event totals).  Same
-  seed, same bytes; the A/B determinism check compares exactly this
-  section with the caches on and off.
+  seed, same bytes; the equivalence guard (:mod:`repro.perf.determinism`)
+  byte-compares exactly this section.
 * ``measured`` — host wall-clock figures (seconds, events/sec,
   transactions/sec).  Honest but machine-dependent, so excluded from
   byte comparisons.
@@ -22,7 +22,6 @@ The report has two sections with different guarantees:
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import time
 from typing import Iterable, Optional
@@ -153,7 +152,7 @@ def run_bench(users: int = 50, seed: int = 7,
     :func:`bench_resilience`.  ``fleet`` > 0 runs the middleware tier
     as an N-member gateway fleet behind the consistent-hash balancer
     (requires policies); a fleet of 1 is the transparency case the
-    fleet A/B guard byte-compares against the single-gateway build.
+    equivalence guard byte-compares against the single-gateway build.
     """
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")
@@ -207,37 +206,9 @@ def run_bench(users: int = 50, seed: int = 7,
     if post_build is not None:
         post_build(system, engine)
 
-    # With gc_isolation on, compact the heap once and freeze the live
-    # object graph into the permanent generation, then re-freeze at
-    # regular virtual-time slices: a 500-user scenario's live graph
-    # (retained spans, open connections, station state) is otherwise
-    # rescanned by every gen-2 collection inside the measured loop, and
-    # that scanning dominates wall time at scale.  Slicing matters
-    # because objects allocated *after* a freeze are still collector-
-    # visible, so one up-front freeze decays as the run accumulates
-    # survivors.  Running to ``horizon`` in slices is observably
-    # identical to one ``run`` call (the kernel just stops and resumes
-    # the dispatch loop), so the virtual run — and the deterministic
-    # report section — is unaffected; this trades host-clock GC pauses
-    # for leaving the measured loop's garbage uncollected until the end.
-    gc_isolated = OPTIMIZATIONS.gc_isolation
-    if gc_isolated:
-        gc.collect()
-        gc.freeze()
-        slices = 96
-    else:
-        slices = 1
-    try:
-        run_started = time.perf_counter()  # repro: noqa[wall-clock]
-        for step in range(1, slices + 1):
-            until = horizon if step == slices else horizon * step / slices
-            system.run(until=until)
-            if gc_isolated and step < slices:
-                gc.freeze()
-        wall_seconds = time.perf_counter() - run_started  # repro: noqa[wall-clock]
-    finally:
-        if gc_isolated:
-            gc.unfreeze()
+    run_started = time.perf_counter()  # repro: noqa[wall-clock]
+    system.run(until=horizon)
+    wall_seconds = time.perf_counter() - run_started  # repro: noqa[wall-clock]
 
     records = engine.completed
     latencies = sorted(engine.latencies())
@@ -300,7 +271,7 @@ def run_bench(users: int = 50, seed: int = 7,
                           + admission["pressure_sheds"])
     deterministic["gateway_admission"] = admission
     # Only a *real* fleet (>= 2 members) adds its section: the fleet-of-1
-    # transparency guard byte-compares against the single-gateway build,
+    # equivalence row byte-compares against the single-gateway build,
     # so the degenerate case must not change the report shape.
     if system.fleet is not None and resilience.fleet_size >= 2:
         deterministic["fleet"] = fleet_report(system)

@@ -1,17 +1,24 @@
 """Tests for repro.perf: the load benchmark, the optimization flags,
-and the caches-on/off determinism guard."""
+and the table-driven equivalence guard."""
 
 import json
+from functools import partial
 
 import pytest
 
-from repro.opt import FLAG_NAMES, OPTIMIZATIONS, optimizations_disabled
+from repro.opt import (
+    FLAG_NAMES,
+    OPTIMIZATIONS,
+    OptimizationFlags,
+    optimizations_disabled,
+)
 from repro.perf import (
     bench_json,
-    determinism_check,
+    equivalence_check,
     run_bench,
     sweep_bench,
 )
+from repro.perf.determinism import bench_bytes, chaos_bytes
 
 SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0)
 
@@ -41,8 +48,15 @@ def test_flags_reject_unknown_names():
 
 
 def test_flag_catalogue_matches_slots():
-    assert set(FLAG_NAMES) == {"dns_cache", "translation_cache", "sql_cache",
-                               "gc_isolation"}
+    assert FLAG_NAMES == ("dns_cache", "translation_cache", "sql_cache")
+    assert OptimizationFlags.__slots__ == FLAG_NAMES
+
+
+def test_retired_gc_isolation_flag_is_a_no_op():
+    # bench/worker.py's gc-off ablation arm still disables it by name.
+    with optimizations_disabled("gc_isolation") as flags:
+        assert flags.as_dict() == dict.fromkeys(FLAG_NAMES, True)
+    assert all(OPTIMIZATIONS.as_dict().values())
 
 
 # ------------------------------------------------------------- the bench
@@ -87,7 +101,7 @@ def test_bench_json_is_canonical():
     assert text == bench_json(json.loads(text))
 
 
-# ------------------------------------------------- determinism A/B guard
+# ------------------------------------------------------ equivalence guard
 def test_caches_on_and_off_give_identical_bench_results():
     """The tentpole invariant: every optimization is transparent."""
     cached = run_bench(**SMALL)
@@ -100,13 +114,50 @@ def test_caches_on_and_off_give_identical_bench_results():
 
 
 def test_determinism_check_verdict():
-    verdict = determinism_check(users=5, seed=11)
-    assert verdict["identical"] is True
-    assert set(verdict["checks"]) == {
-        "bench", "chaos-gateway-outage", "chaos-dns-blackout"}
-    assert all(verdict["checks"].values())
-    # The guard restores the flags it toggled.
+    rows = [(name, partial(produce, *args),
+             partial(produce, *args, caches=False))
+            for name, produce, args in [
+                ("bench", bench_bytes, (5, 11)),
+                ("chaos-gateway-outage", chaos_bytes, ("gateway-outage", 11)),
+                ("chaos-dns-blackout", chaos_bytes, ("dns-blackout", 11))]]
+    verdict = equivalence_check(rows, users=5, seed=11)
+    assert verdict == {
+        "identical": True,
+        "checks": {"bench": True, "chaos-gateway-outage": True,
+                   "chaos-dns-blackout": True},
+        "users": 5, "seed": 11}
+    # The producers restore the flags they forced.
     assert all(OPTIMIZATIONS.as_dict().values())
+
+
+def test_equivalence_check_names_a_divergent_row():
+    verdict = equivalence_check([
+        ("same", lambda: "a", lambda: "a"),
+        ("planted", lambda: "a", lambda: "b"),
+    ])
+    assert verdict == {"identical": False,
+                       "checks": {"same": True, "planted": False}}
+
+
+def test_equivalence_check_runs_a_shared_producer_once():
+    calls = []
+
+    def produce(users, seed, fleet=0, run=1):
+        calls.append((users, seed, fleet, run))
+        return f"{users}/{seed}"
+
+    verdict = equivalence_check([
+        ("fleet-of-1", partial(produce, 20, 7, fleet=1),
+         partial(produce, 20, 7)),
+        # Same arguments as above, spelled with the default filled in.
+        ("again", partial(produce, 20, 7, fleet=0),
+         partial(produce, 20, 7, fleet=1)),
+        ("repeat", partial(produce, 20, 7, fleet=3, run=1),
+         partial(produce, 20, 7, fleet=3, run=2)),
+    ])
+    assert verdict["identical"] is True
+    assert calls == [(20, 7, 1, 1), (20, 7, 0, 1), (20, 7, 3, 1),
+                     (20, 7, 3, 2)]
 
 
 # ----------------------------------------------------------------- sweep
