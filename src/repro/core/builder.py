@@ -21,9 +21,7 @@ from typing import Optional
 from ..db import DatabaseClient, DatabaseServer
 from ..devices import Microbrowser, MobileStation, build_station
 from ..middleware import (
-    CLIPPING_PORT,
     DirectHTTPSession,
-    IMODE_PORT,
     IModeCenter,
     IModeSession,
     MiddlewareSession,
@@ -56,6 +54,13 @@ __all__ = ["HostTier", "StationHandle", "ClientHandle", "MCSystem",
            "ECSystem", "MCSystemBuilder", "ECSystemBuilder"]
 
 HOST_DOMAIN = "shop.example.com"
+
+# Middleware kind -> (gateway server class, device session class).
+_MIDDLEWARE = {
+    "WAP": (WAPGateway, WAPSession),
+    "i-mode": (IModeCenter, IModeSession),
+    "Palm": (WebClippingProxy, PalmSession),
+}
 
 
 @dataclass
@@ -270,7 +275,7 @@ class MCSystemBuilder:
                  wireless_loss: float = 0.0, secure_wap: bool = False,
                  resilience: Optional[ResilienceConfig] = None,
                  middleware_port: Optional[int] = None):
-        if middleware not in ("WAP", "i-mode", "Palm"):
+        if middleware not in _MIDDLEWARE:
             raise ValueError(f"unknown middleware {middleware!r}")
         if secure_wap and middleware != "WAP":
             raise ValueError("secure_wap requires the WAP middleware")
@@ -292,6 +297,60 @@ class MCSystemBuilder:
         # registry, so failover survives non-default layouts.
         self.middleware_port = middleware_port
 
+    def _primary_port(self) -> int:
+        return (self.middleware_port
+                or _MIDDLEWARE[self.middleware][0].default_port)
+
+    def _make_gateway(self, sim, seeds, registry, node, res, metrics, *,
+                      suffix: str, port: int, metric_name: str,
+                      air_pressure, handicap: float = 0.0):
+        """One middleware server plus its device-session factory.
+
+        ``suffix`` is "" for the primary, "-standby" for the standby and
+        "-m{i}" for fleet member i.  It names the seed streams
+        (``wtls-gateway{suffix}``, ``gateway-admission{suffix}``, the
+        session stream ``wtls{suffix}-{station}``), the origin breaker
+        (``{kind}-origin{suffix}``) and the registry service
+        (``middleware{suffix}``), so seeds and registry entries are the
+        same whichever topology builds the server.
+        """
+        kind = self.middleware
+        gateway_cls, session_cls = _MIDDLEWARE[kind]
+        batching = res.batch_config() if res is not None else None
+        wap_options = {}
+        if kind == "WAP":
+            wap_options = dict(
+                wtls_port=port + (WTLS_PORT - WSP_PORT),
+                entropy=seeds.stream(f"wtls-gateway{suffix}"))
+        gateway = gateway_cls(
+            node, registry, port=port,
+            breaker=(res.breaker(sim, name=f"{kind}-origin{suffix}")
+                     if res is not None else None),
+            origin_timeout=res.origin_timeout if res is not None else 30.0,
+            batching=batching,
+            batch_stream=(seeds.stream(f"gateway-admission{suffix}")
+                          if batching is not None else None),
+            air_pressure=air_pressure, handicap=handicap,
+            metrics=metrics, metric_name=metric_name, **wap_options)
+        service = f"middleware{suffix}"
+        registry.register_service(service, node.primary_address,
+                                  gateway.port)
+        if kind == "WAP":
+            registry.register_service(f"{service}-wtls", node.primary_address,
+                                      gateway.wtls_port)
+
+        def make_session(station: MobileStation) -> MiddlewareSession:
+            if self.secure_wap:
+                endpoint = registry.lookup_service(f"{service}-wtls")
+                return WAPSession(
+                    station, endpoint.address, port=endpoint.port,
+                    secure=True,
+                    entropy=seeds.stream(f"wtls{suffix}-{station.name}"))
+            endpoint = registry.lookup_service(service)
+            return session_cls(station, endpoint.address, port=endpoint.port)
+
+        return gateway, make_session
+
     def _build_fleet_middleware(self, sim, seeds, registry,
                                 middleware_node, res, cells,
                                 metrics) -> dict:
@@ -310,91 +369,17 @@ class MCSystemBuilder:
             LoadBalancer,
         )
 
-        kind = self.middleware
-        if kind == "WAP":
-            base_port = self.middleware_port or WSP_PORT
-        elif kind == "Palm":
-            base_port = self.middleware_port or CLIPPING_PORT
-        else:
-            base_port = self.middleware_port or IMODE_PORT
-        gw_address = middleware_node.primary_address
-        secure = self.secure_wap
-
-        def member_pressure(cell_index: int):
-            if not cells:
-                return None  # WLAN: no shared-airtime backlog probe
-            return cells[cell_index % len(cells)].air_backlog
-
         def make_gateway(index, port, version, handicap, cell_index):
-            suffix = "" if index == 0 else f"-m{index}"
-            service = "middleware" if index == 0 else f"middleware-m{index}"
-            breaker = (res.breaker(sim, name=f"{kind}-origin{suffix}")
-                       if res.breaker_threshold > 0 else None)
-            member_batch = res.batch_config()
-            member_stream = (seeds.stream(f"gateway-admission{suffix}")
-                             if member_batch is not None else None)
-            pressure = member_pressure(cell_index)
-            metric_name = f"gateway.gw-{index}"
-            if kind == "WAP":
-                gateway = WAPGateway(
-                    middleware_node, registry, port=port,
-                    wtls_port=port + (WTLS_PORT - WSP_PORT),
-                    entropy=seeds.stream(f"wtls-gateway{suffix}"),
-                    breaker=breaker, origin_timeout=res.origin_timeout,
-                    batching=member_batch, batch_stream=member_stream,
-                    air_pressure=pressure, handicap=handicap,
-                    metrics=metrics, metric_name=metric_name)
-                registry.register_service(service, gw_address,
-                                          gateway.port)
-                registry.register_service(f"{service}-wtls", gw_address,
-                                          gateway.wtls_port)
+            return self._make_gateway(
+                sim, seeds, registry, middleware_node, res, metrics,
+                suffix="" if index == 0 else f"-m{index}", port=port,
+                metric_name=f"gateway.gw-{index}",
+                air_pressure=(cells[cell_index % len(cells)].air_backlog
+                              if cells else None),
+                handicap=handicap)
 
-                def make_member_session(station, _service=service,
-                                        _index=index):
-                    if secure:
-                        endpoint = registry.lookup_service(
-                            f"{_service}-wtls")
-                        stream_name = (
-                            f"wtls-{station.name}" if _index == 0
-                            else f"wtls-m{_index}-{station.name}")
-                        return WAPSession(
-                            station, endpoint.address, port=endpoint.port,
-                            secure=True,
-                            entropy=seeds.stream(stream_name))
-                    endpoint = registry.lookup_service(_service)
-                    return WAPSession(station, endpoint.address,
-                                      port=endpoint.port)
-            elif kind == "Palm":
-                gateway = WebClippingProxy(
-                    middleware_node, registry, port=port,
-                    breaker=breaker, origin_timeout=res.origin_timeout,
-                    batching=member_batch, batch_stream=member_stream,
-                    air_pressure=pressure, handicap=handicap,
-                    metrics=metrics, metric_name=metric_name)
-                registry.register_service(service, gw_address,
-                                          gateway.port)
-
-                def make_member_session(station, _service=service):
-                    endpoint = registry.lookup_service(_service)
-                    return PalmSession(station, endpoint.address,
-                                       port=endpoint.port)
-            else:
-                gateway = IModeCenter(
-                    middleware_node, registry, port=port,
-                    breaker=breaker, origin_timeout=res.origin_timeout,
-                    batching=member_batch, batch_stream=member_stream,
-                    air_pressure=pressure, handicap=handicap,
-                    metrics=metrics, metric_name=metric_name)
-                registry.register_service(service, gw_address,
-                                          gateway.port)
-
-                def make_member_session(station, _service=service):
-                    endpoint = registry.lookup_service(_service)
-                    return IModeSession(station, endpoint.address,
-                                        port=endpoint.port)
-            return gateway, make_member_session
-
-        fleet = GatewayFleet(sim, make_gateway, base_port=base_port,
+        fleet = GatewayFleet(sim, make_gateway,
+                             base_port=self._primary_port(),
                              port_stride=res.fleet_port_stride,
                              virtual_nodes=res.fleet_virtual_nodes,
                              n_cells=max(1, len(cells)))
@@ -510,8 +495,7 @@ class MCSystemBuilder:
             cells = [cellnet.add_base_station(f"cell-{i}",
                                               Position(0.0, 0.0))
                      for i in range(n_cells)]
-            base_station = cells[0]
-            air_pressure = base_station.air_backlog
+            air_pressure = cells[0].air_backlog
             bearer_impl = cellnet
 
             def attach(station: MobileStation):
@@ -521,31 +505,7 @@ class MCSystemBuilder:
 
         # -- middleware service -------------------------------------------
         res = self.resilience
-        origin_timeout = res.origin_timeout if res is not None else 30.0
-        breaker = (res.breaker(sim, name=f"{self.middleware}-origin")
-                   if res is not None and fleet_size == 0 else None)
-        # The fleet replaces the single-standby scheme wholesale: the
-        # ring supplies the ordered failover candidates instead.
-        want_standby = (res is not None and res.standby_gateway
-                        and fleet_size == 0)
-        standby_breaker = (
-            res.breaker(sim, name=f"{self.middleware}-origin-standby")
-            if want_standby else None)
-        standby_gateway = None
-        make_standby_session = None
-        standby_offset = res.standby_port_offset if res is not None else 10
-        # Gateway-side batching + admission control (off unless the
-        # config enables it); primary and standby get independent
-        # batchers with their own seeded jitter streams.
-        batch_cfg = (res.batch_config()
-                     if res is not None and fleet_size == 0 else None)
-        batch_stream = (seeds.stream("gateway-admission")
-                        if batch_cfg is not None else None)
-        standby_batch_stream = (seeds.stream("gateway-admission-standby")
-                                if batch_cfg is not None and want_standby
-                                else None)
-        gw_address = middleware_node.primary_address
-
+        standby_gateway = make_standby_session = None
         fleet_parts = None
         if fleet_size > 0:
             fleet_parts = self._build_fleet_middleware(
@@ -562,135 +522,19 @@ class MCSystemBuilder:
                     cell = _cells[member.cell_index % len(_cells)]
                     return _cellnet.attach(station, station.mobile,
                                            cell=cell)
-        elif self.middleware == "WAP":
-            primary_port = self.middleware_port or WSP_PORT
-            gateway = WAPGateway(middleware_node, registry,
-                                 port=primary_port,
-                                 wtls_port=primary_port
-                                 + (WTLS_PORT - WSP_PORT),
-                                 entropy=seeds.stream("wtls-gateway"),
-                                 breaker=breaker,
-                                 origin_timeout=origin_timeout,
-                                 batching=batch_cfg,
-                                 batch_stream=batch_stream,
-                                 air_pressure=air_pressure,
-                                 metrics=metrics,
-                                 metric_name="gateway.primary")
-            secure = self.secure_wap
-            registry.register_service("middleware", gw_address,
-                                      gateway.port)
-            registry.register_service("middleware-wtls", gw_address,
-                                      gateway.wtls_port)
-
-            def make_session(station: MobileStation) -> MiddlewareSession:
-                if secure:
-                    endpoint = registry.lookup_service("middleware-wtls")
-                    return WAPSession(
-                        station, endpoint.address, port=endpoint.port,
-                        secure=True,
-                        entropy=seeds.stream(f"wtls-{station.name}"))
-                endpoint = registry.lookup_service("middleware")
-                return WAPSession(station, endpoint.address,
-                                  port=endpoint.port)
-
-            if want_standby:
-                standby_gateway = WAPGateway(
-                    middleware_node, registry,
-                    port=gateway.port + standby_offset,
-                    wtls_port=gateway.wtls_port + standby_offset,
-                    entropy=seeds.stream("wtls-gateway-standby"),
-                    breaker=standby_breaker, origin_timeout=origin_timeout,
-                    batching=res.batch_config(),
-                    batch_stream=standby_batch_stream,
-                    air_pressure=air_pressure,
-                    metrics=metrics, metric_name="gateway.standby")
-                registry.register_service("middleware-standby", gw_address,
-                                          standby_gateway.port)
-                registry.register_service("middleware-standby-wtls",
-                                          gw_address,
-                                          standby_gateway.wtls_port)
-
-                def make_standby_session(station):
-                    if secure:
-                        endpoint = registry.lookup_service(
-                            "middleware-standby-wtls")
-                        return WAPSession(
-                            station, endpoint.address, port=endpoint.port,
-                            secure=True,
-                            entropy=seeds.stream(
-                                f"wtls-standby-{station.name}"))
-                    endpoint = registry.lookup_service("middleware-standby")
-                    return WAPSession(station, endpoint.address,
-                                      port=endpoint.port)
-        elif self.middleware == "Palm":
-            gateway = WebClippingProxy(middleware_node, registry,
-                                       port=self.middleware_port
-                                       or CLIPPING_PORT,
-                                       breaker=breaker,
-                                       origin_timeout=origin_timeout,
-                                       batching=batch_cfg,
-                                       batch_stream=batch_stream,
-                                       air_pressure=air_pressure,
-                                       metrics=metrics,
-                                       metric_name="gateway.primary")
-            registry.register_service("middleware", gw_address,
-                                      gateway.port)
-
-            def make_session(station: MobileStation) -> MiddlewareSession:
-                endpoint = registry.lookup_service("middleware")
-                return PalmSession(station, endpoint.address,
-                                   port=endpoint.port)
-
-            if want_standby:
-                standby_gateway = WebClippingProxy(
-                    middleware_node, registry,
-                    port=gateway.port + standby_offset,
-                    breaker=standby_breaker, origin_timeout=origin_timeout,
-                    batching=res.batch_config(),
-                    batch_stream=standby_batch_stream,
-                    air_pressure=air_pressure,
-                    metrics=metrics, metric_name="gateway.standby")
-                registry.register_service("middleware-standby", gw_address,
-                                          standby_gateway.port)
-
-                def make_standby_session(station):
-                    endpoint = registry.lookup_service("middleware-standby")
-                    return PalmSession(station, endpoint.address,
-                                       port=endpoint.port)
         else:
-            gateway = IModeCenter(middleware_node, registry,
-                                  port=self.middleware_port or IMODE_PORT,
-                                  breaker=breaker,
-                                  origin_timeout=origin_timeout,
-                                  batching=batch_cfg,
-                                  batch_stream=batch_stream,
-                                  air_pressure=air_pressure,
-                                  metrics=metrics,
-                                  metric_name="gateway.primary")
-            registry.register_service("middleware", gw_address,
-                                      gateway.port)
-
-            def make_session(station: MobileStation) -> MiddlewareSession:
-                endpoint = registry.lookup_service("middleware")
-                return IModeSession(station, endpoint.address,
-                                    port=endpoint.port)
-
-            if want_standby:
-                standby_gateway = IModeCenter(
-                    middleware_node, registry,
-                    port=gateway.port + standby_offset,
-                    breaker=standby_breaker, origin_timeout=origin_timeout,
-                    batching=res.batch_config(),
-                    batch_stream=standby_batch_stream,
-                    air_pressure=air_pressure,
-                    metrics=metrics, metric_name="gateway.standby")
-                registry.register_service("middleware-standby", gw_address,
-                                          standby_gateway.port)
-
-                def make_standby_session(station):
-                    endpoint = registry.lookup_service("middleware-standby")
-                    return IModeSession(station, endpoint.address,
-                                        port=endpoint.port)
+            gateway, make_session = self._make_gateway(
+                sim, seeds, registry, middleware_node, res, metrics,
+                suffix="", port=self._primary_port(),
+                metric_name="gateway.primary", air_pressure=air_pressure)
+            # The fleet replaces the single-standby scheme wholesale (its
+            # ring supplies the ordered failover candidates instead).
+            if res is not None and res.standby_gateway:
+                standby_gateway, make_standby_session = self._make_gateway(
+                    sim, seeds, registry, middleware_node, res, metrics,
+                    suffix="-standby",
+                    port=gateway.port + res.standby_port_offset,
+                    metric_name="gateway.standby", air_pressure=air_pressure)
 
         if res is not None and fleet_parts is None:
             make_primary_session = make_session

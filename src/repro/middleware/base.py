@@ -7,11 +7,17 @@ and ``post(url, form)`` returning :class:`MiddlewareResponse` — and
 never know whether a WAP gateway or the i-mode service is underneath.
 Swapping middleware is a constructor change, which the interoperability
 tests exercise for every device x middleware x bearer combination.
+
+The server side is one component too (§5.1, Table 3):
+:class:`GatewayServer` is the gateway core the WAP gateway, the i-mode
+centre and the Palm clipping proxy share, and they differ only in their
+wire codec, error-reply shape, role word and content transform.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import struct
 from collections import deque
@@ -19,12 +25,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Optional
 from urllib.parse import urlsplit
 
-from ..sim import Counter, Event, Interrupt, SimulationError
+from ..net.dns import NameRegistry
+from ..net.node import Node
+from ..net.tcp import TCPConnection, TCPStack, tcp_stack
+from ..obs import ctx_of, end_span, start_span
+from ..opt import OPTIMIZATIONS
+from ..sim import Counter, Event, Interrupt, RandomStream, SimulationError
+from ..web.client import HTTPClient
 
 __all__ = ["RequestTimeout", "MiddlewareResponse", "MiddlewareSession",
            "guard_timeout", "split_url", "encode_frame", "encode_obj",
            "decode_obj", "FrameReader", "BatchConfig", "RequestBatcher",
-           "frame_reply"]
+           "frame_reply", "GatewayServer"]
 
 
 class RequestTimeout(Exception):
@@ -419,3 +431,226 @@ class RequestBatcher:
                 500, f"{type(exc).__name__}: {exc}", None)
         if not done.triggered:
             done.succeed(reply)
+
+
+# ------------------------------------------------------------ gateway core
+class GatewayServer:
+    """The gateway core: the server half every mobile middleware shares.
+
+    It owns the listener, the accept and serve loops, crash/restart,
+    the optional :class:`RequestBatcher`, the breaker-guarded origin
+    fetch and one content-hash memo.  A middleware supplies four things:
+
+    * its wire codec — ``_decoder`` (a class whose instances ``feed``
+      bytes and return requests), ``_encode`` (reply -> bytes) and
+      ``_fields`` (request -> method, url, body).  The defaults are the
+      length-prefixed frames WAP and Palm speak;
+    * its error-reply shape, ``_reply(status, message, retry_after)``,
+      used for shed replies and (through ``_error``) origin errors;
+    * a ``role`` word ("gateway", "centre", "proxy") for the 503 body,
+      the crash message and process names, and a ``span_name``;
+    * ``_transform(request, upstream, span)``, what it does to content.
+    """
+
+    role: str
+    span_name: str
+    default_port: int
+    # Extra headers on every origin request (None = none).
+    origin_headers: Optional[dict] = None
+    _decoder = FrameReader
+    _encode = staticmethod(encode_frame)
+    _reply = staticmethod(frame_reply)
+
+    def __init__(self, node: Node, registry: NameRegistry,
+                 port: Optional[int] = None, tcp: Optional[TCPStack] = None,
+                 breaker=None, origin_timeout: float = 30.0,
+                 batching: Optional[BatchConfig] = None,
+                 batch_stream: Optional[RandomStream] = None,
+                 air_pressure=None, handicap: float = 0.0,
+                 metrics=None, metric_name: Optional[str] = None):
+        if handicap < 0:
+            raise ValueError(f"handicap must be >= 0, got {handicap}")
+        self.node = node
+        self.sim = node.sim
+        self.registry = registry
+        self.port = self.default_port if port is None else port
+        self.tcp = tcp or tcp_stack(node)
+        self.http = HTTPClient(node, tcp=self.tcp)
+        # Optional CircuitBreaker guarding gateway -> origin calls.
+        self.breaker = breaker
+        self.origin_timeout = origin_timeout
+        self.stats = Counter()
+        # Transparent content memo keyed by a digest of the origin body
+        # (see _memo).  Flushed on crash and restart — a rebooted
+        # gateway has a cold cache.
+        self._translations: dict[tuple, tuple] = {}
+        self.translation_cache_hits = 0
+        # Per-request service handicap in sim-seconds, charged before
+        # handling.  0 (the default) adds no event; canary "v2" variants
+        # use it as the public knob for a deliberately degraded build.
+        self.handicap = handicap
+        # Optional accumulate-and-flush batching + admission control:
+        # serve loops route requests through the batcher when present
+        # (None keeps the inline path).
+        self.batcher = None
+        if batching is not None:
+            self.batcher = RequestBatcher(
+                self.sim, batching, handler=self._handle,
+                reply_factory=self._reply, stream=batch_stream,
+                stats=self.stats, name=f"{self.role}-batch@{node.name}",
+                pressure=air_pressure, metrics=metrics,
+                metric_name=metric_name)
+        self.is_down = False
+        self._conns: list[TCPConnection] = []
+        self._listen(self.port, self._serve, "sessions")
+
+    # -- fault hooks -------------------------------------------------------
+    def crash(self) -> None:
+        """Hard-stop: queued requests are rejected, every established
+        session is severed and new sessions are refused (closed
+        immediately) until :meth:`restart`."""
+        if self.is_down:
+            return
+        self.is_down = True
+        self.stats.incr("crashes")
+        self._translations.clear()
+        if self.batcher is not None:
+            self.batcher.reject_pending(f"{self.role} crashed")
+        for conn in self._conns:
+            conn.close()
+        self._conns.clear()
+
+    def restart(self) -> None:
+        if not self.is_down:
+            return
+        self.is_down = False
+        self.stats.incr("restarts")
+        self._translations.clear()
+
+    # -- serving -----------------------------------------------------------
+    def _listen(self, port: int, serve, stat: str) -> None:
+        listener = self.tcp.listen(port)
+        self.sim.spawn(self._accept_loop(listener, serve, stat),
+                       name=f"{self.role}@{self.node.name}:{port}")
+
+    def _accept_loop(self, listener, serve, stat: str):
+        while True:
+            conn = yield listener.accept()
+            if self.is_down:
+                conn.close()
+                continue
+            self._conns.append(conn)
+            self.stats.incr(stat)
+            self.sim.spawn(serve(conn), name=f"{self.role}-session")
+
+    def _serve(self, conn: TCPConnection):
+        decoder = self._decoder()
+        while True:
+            chunk = yield conn.recv()
+            if chunk == b"":
+                self._forget(conn)
+                return
+            for request in decoder.feed(chunk):
+                reply = yield from self._dispatch(request, conn)
+                if reply is None:
+                    return
+                conn.send(self._encode(reply))
+
+    def _dispatch(self, request, conn: TCPConnection):
+        """The reply to ``request``, or None when the gateway crashed or
+        the peer left while it was handled (the reply is dropped)."""
+        # conn.trace arrives as packet metadata via TCP.
+        if self.batcher is not None:
+            reply = yield self.batcher.submit(request, parent=conn.trace)
+        else:
+            reply = yield from self._handle(request, parent=conn.trace)
+        if self.is_down or conn.state not in (TCPConnection.ESTABLISHED,
+                                              TCPConnection.CLOSE_WAIT):
+            self._forget(conn)
+            return None
+        return reply
+
+    def _forget(self, conn: TCPConnection) -> None:
+        if conn in self._conns:
+            self._conns.remove(conn)
+
+    def _handle(self, request, parent=None):
+        self.stats.incr("requests")
+        if self.handicap > 0:
+            yield self.sim.timeout(self.handicap)
+        span = None
+        if self.sim.tracer is not None and parent is not None:
+            span = start_span(self.sim, self.span_name, "middleware",
+                              parent=parent, url=self._fields(request)[1])
+        try:
+            reply = yield from self._respond(request, span)
+        finally:
+            end_span(self.sim, span)
+        return reply
+
+    def _respond(self, request, span):
+        """Fetch ``request`` from its origin and transform the answer."""
+        method, url, body = self._fields(request)
+        try:
+            host, path = split_url(url)
+        except ValueError as exc:
+            return self._error(400, str(exc))
+        origin = self.registry.lookup(host)
+        if origin is None:
+            self.stats.incr("dns_failures")
+            return self._error(502, f"cannot resolve {host}")
+        if self.breaker is not None and not self.breaker.allow():
+            self.stats.incr("breaker_rejections")
+            return self._error(503, f"{self.role} circuit open",
+                               self.breaker.retry_after)
+        if method == "POST":
+            upstream = yield self.http.post(
+                origin, path, body, headers=self.origin_headers,
+                timeout=self.origin_timeout, trace=ctx_of(span))
+        else:
+            upstream = yield self.http.get(
+                origin, path, headers=self.origin_headers,
+                timeout=self.origin_timeout, trace=ctx_of(span))
+        if upstream is None:
+            self.stats.incr("origin_timeouts")
+            if self.breaker is not None:
+                self.breaker.record_failure()
+            return self._error(504, "origin timeout")
+        if self.breaker is not None:
+            # 5xx (including load-shed 503s) count against the origin.
+            if upstream.status >= 500:
+                self.breaker.record_failure()
+            else:
+                self.breaker.record_success()
+        return (yield from self._transform(request, upstream, span))
+
+    def _memo(self, compute, body: bytes, *args):
+        """``compute(body, *args)``, memoized on a digest of ``body``.
+
+        The only reader of ``OPTIMIZATIONS.translation_cache``.  It is
+        transparent: ``compute`` is pure content work, and callers
+        charge its virtual CPU time and tick their counters on hits
+        too, so a hit saves host time and never changes the timeline.
+        """
+        if not OPTIMIZATIONS.translation_cache:
+            return compute(body, *args)
+        key = (compute, hashlib.sha1(body).digest(), args)
+        hit = self._translations.get(key)
+        if hit is not None:
+            self.translation_cache_hits += 1
+            return hit
+        value = self._translations[key] = compute(body, *args)
+        return value
+
+    # -- what a middleware supplies ----------------------------------------
+    @staticmethod
+    def _fields(request: dict) -> tuple:
+        return (request.get("method", "GET").upper(), request.get("url", ""),
+                request.get("body", b""))
+
+    def _error(self, status: int, message: str,
+               retry_after: Optional[float] = None):
+        return self._reply(status, message, retry_after)
+
+    def _transform(self, request, upstream, span):
+        raise NotImplementedError

@@ -11,31 +11,29 @@ The contrast the Table 3 benchmark measures falls out of the two
 implementations: an :class:`IModeSession` holds one persistent
 keep-alive connection (no per-request session establishment) and the
 centre does cheap tag-stripping instead of full WML transcoding.
+
+The centre is a :class:`~repro.middleware.base.GatewayServer`; this
+module supplies its HTTP wire codec and error replies and the cHTML
+adaptation.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from typing import Deque, Optional
 from urllib.parse import urlencode
 
 from ..net.addressing import IPAddress
-from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
-from ..obs import ctx_of, end_span, start_span
-from ..opt import OPTIMIZATIONS
-from ..sim import Counter, Event, Interrupt, RandomStream
-from ..web.client import HTTPClient
+from ..obs import end_span, start_span
+from ..sim import Counter, Event, Interrupt
 from ..web.http import HTTPRequest, HTTPResponse, RequestParser, ResponseParser
 from .base import (
-    BatchConfig,
+    GatewayServer,
     MiddlewareResponse,
     MiddlewareSession,
-    RequestBatcher,
     guard_timeout,
-    split_url,
 )
 from .chtml import CHTML_CONTENT_TYPE, is_compact, to_chtml
 
@@ -54,166 +52,41 @@ def _http_reply(status: int, message: str,
     return HTTPResponse(status, headers, message)
 
 
-class IModeCenter:
-    """NTT DoCoMo's packet-gateway-plus-portal, as an HTTP proxy."""
+def _adaptation(body: bytes) -> tuple:
+    """(already compact?, cHTML body or None) for an HTML page."""
+    text = body.decode("utf-8", errors="replace")
+    compact = is_compact(text)
+    return compact, None if compact else to_chtml(text).encode()
+
+
+class IModeCenter(GatewayServer):
+    """NTT DoCoMo's packet-gateway-plus-portal, as an HTTP proxy.
+
+    A :class:`GatewayServer` speaking HTTP to its subscribers.
+    """
 
     # Table 3 properties (cross-checked by the static model checker).
     markup = "cHTML"
     session_model = "always-on"
     payload_limit: Optional[int] = None
+    role = "centre"
+    span_name = "imode.center"
+    default_port = IMODE_PORT
+    _decoder = RequestParser
+    _reply = staticmethod(_http_reply)
 
-    def __init__(self, node: Node, registry: NameRegistry,
-                 port: int = IMODE_PORT, tcp: Optional[TCPStack] = None,
-                 breaker=None, origin_timeout: float = 30.0,
-                 batching: Optional[BatchConfig] = None,
-                 batch_stream: Optional[RandomStream] = None,
-                 air_pressure=None, handicap: float = 0.0,
-                 metrics=None, metric_name: Optional[str] = None):
-        if handicap < 0:
-            raise ValueError(f"handicap must be >= 0, got {handicap}")
-        self.node = node
-        self.sim = node.sim
-        self.registry = registry
-        self.port = port
-        self.tcp = tcp or tcp_stack(node)
-        self.http = HTTPClient(node, tcp=self.tcp)
-        self.breaker = breaker
-        self.origin_timeout = origin_timeout
-        self.stats = Counter()
-        # Transparent cHTML adaptation cache keyed by a digest of the
-        # origin body.  Memoizes the pure is_compact / to_chtml work
-        # only — the adaptation timeout is still charged and counters
-        # still tick on hits, so the virtual timeline is unchanged.
-        # Flushed on crash and restart (cold cache after reboot).
-        self._adaptations: dict[bytes, tuple] = {}
-        self.adaptation_cache_hits = 0
-        # Per-request service handicap in sim-seconds (0 = none); the
-        # public knob canary "v2" variants use for degraded builds.
-        self.handicap = handicap
-        # Optional accumulate-and-flush batching + admission control
-        # (None keeps the legacy inline path bit-for-bit).
-        self.batcher = None
-        if batching is not None:
-            self.batcher = RequestBatcher(
-                self.sim, batching, handler=self._proxy,
-                reply_factory=_http_reply, stream=batch_stream,
-                stats=self.stats, name=f"imode-batch@{node.name}",
-                pressure=air_pressure, metrics=metrics,
-                metric_name=metric_name)
-        self.is_down = False
-        self._conns: list[TCPConnection] = []
-        self._listener = self.tcp.listen(port)
-        self.sim.spawn(self._accept_loop(), name=f"imode@{node.name}")
+    @staticmethod
+    def _encode(response: HTTPResponse) -> bytes:
+        response.headers["connection"] = "keep-alive"
+        return response.encode()
 
-    # -- fault hooks -------------------------------------------------------
-    def crash(self) -> None:
-        if self.is_down:
-            return
-        self.is_down = True
-        self.stats.incr("crashes")
-        self._adaptations.clear()
-        if self.batcher is not None:
-            self.batcher.reject_pending("centre crashed")
-        for conn in self._conns:
-            conn.close()
-        self._conns.clear()
+    @staticmethod
+    def _fields(request: HTTPRequest) -> tuple:
+        return request.method, request.path, request.body
 
-    def restart(self) -> None:
-        if not self.is_down:
-            return
-        self.is_down = False
-        self.stats.incr("restarts")
-        self._adaptations.clear()
-
-    def _accept_loop(self):
-        while True:
-            conn = yield self._listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("subscriber_sessions")
-            self.sim.spawn(self._serve(conn), name="imode-session")
-
-    def _serve(self, conn: TCPConnection):
-        parser = RequestParser()
-        while True:
-            chunk = yield conn.recv()
-            if chunk == b"":
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                return
-            for request in parser.feed(chunk):
-                # conn.trace arrives as packet metadata via TCP.
-                if self.batcher is not None:
-                    response = yield self.batcher.submit(request,
-                                                         parent=conn.trace)
-                else:
-                    response = yield from self._proxy(request,
-                                                      parent=conn.trace)
-                if self.is_down or \
-                        conn.state not in (TCPConnection.ESTABLISHED,
-                                           TCPConnection.CLOSE_WAIT):
-                    if conn in self._conns:
-                        self._conns.remove(conn)
-                    return
-                response.headers["connection"] = "keep-alive"
-                conn.send(response.encode())
-
-    def _proxy(self, request: HTTPRequest, parent=None):
-        self.stats.incr("requests")
-        if self.handicap > 0:
-            yield self.sim.timeout(self.handicap)
-        span = None
-        if self.sim.tracer is not None and parent is not None:
-            span = start_span(self.sim, "imode.center", "middleware",
-                              parent=parent, url=request.path)
-        try:
-            response = yield from self._proxy_inner(request, span)
-        finally:
-            end_span(self.sim, span)
-        return response
-
-    def _proxy_inner(self, request: HTTPRequest, span):
-        try:
-            host, path = split_url(request.path)
-        except ValueError as exc:
-            return HTTPResponse(400, {"content-type": "text/plain"},
-                                str(exc))
-        origin = self.registry.lookup(host)
-        if origin is None:
-            self.stats.incr("dns_failures")
-            return HTTPResponse(502, {"content-type": "text/plain"},
-                                f"cannot resolve {host}")
-        if self.breaker is not None and not self.breaker.allow():
-            self.stats.incr("breaker_rejections")
-            return HTTPResponse(
-                503,
-                {"content-type": "text/plain",
-                 "retry-after": f"{self.breaker.retry_after:g}"},
-                b"centre circuit open")
-        if request.method == "POST":
-            upstream = yield self.http.post(origin, path, request.body,
-                                            timeout=self.origin_timeout,
-                                            trace=ctx_of(span))
-        else:
-            upstream = yield self.http.get(origin, path,
-                                           timeout=self.origin_timeout,
-                                           trace=ctx_of(span))
-        if upstream is None:
-            self.stats.incr("origin_timeouts")
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return HTTPResponse(504, {"content-type": "text/plain"},
-                                "origin timeout")
-        if self.breaker is not None:
-            if upstream.status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-        return (yield from self._adapt(upstream, parent=span))
-
-    def _adapt(self, upstream: HTTPResponse, parent=None):
+    def _adapt(self, request: HTTPRequest, upstream: HTTPResponse,
+               parent=None):
+        """HTML -> cHTML adaptation; compact pages pass through."""
         span = None
         if parent is not None:
             span = start_span(self.sim, "imode.adapt", "middleware",
@@ -221,30 +94,18 @@ class IModeCenter:
         content_type = upstream.content_type
         body = upstream.body
         if "text/html" in content_type:
-            digest = hashlib.sha1(body).digest()
-            hit = (self._adaptations.get(digest)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.adaptation_cache_hits += 1
-                compact, adapted = hit
-            else:
-                text = body.decode("utf-8", errors="replace")
-                compact = is_compact(text)
-                adapted = None if compact else to_chtml(text).encode()
-                if OPTIMIZATIONS.translation_cache:
-                    self._adaptations[digest] = (compact, adapted)
+            compact, adapted = self._memo(_adaptation, body)
             if compact:
-                content_type = CHTML_CONTENT_TYPE
                 self.stats.incr("passthrough")
             else:
-                # Adaptation CPU cost is charged on hits too: the cache
+                # Adaptation CPU cost is charged on memo hits too: it
                 # saves host time, never virtual time.
                 yield self.sim.timeout(
                     ADAPTATION_TIME_PER_KB * max(1, len(body) // 1024)
                 )
                 body = adapted
-                content_type = CHTML_CONTENT_TYPE
                 self.stats.incr("adaptations")
+            content_type = CHTML_CONTENT_TYPE
         end_span(self.sim, span, delivered_bytes=len(body))
         headers = {"content-type": content_type}
         retry_after = upstream.headers.get("retry-after")
@@ -252,6 +113,8 @@ class IModeCenter:
             # Keep the origin's backpressure hint for the handset.
             headers["retry-after"] = retry_after
         return HTTPResponse(upstream.status, headers, body)
+
+    _transform = _adapt
 
 
 class IModeSession(MiddlewareSession):

@@ -9,12 +9,13 @@ ships them zlib-compressed — built for the Palm VII's tiny screens and
 slow Mobitex radios, and a natural fit for the Palm i705 in Table 2.
 
 Implemented as a third :class:`~repro.middleware.base.MiddlewareSession`
-so the interoperability matrix covers it like the other two.
+so the interoperability matrix covers it like the other two.  The proxy
+is a :class:`~repro.middleware.base.GatewayServer` speaking WAP's
+frames; this module supplies its error frames and the clipping.
 """
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from collections import deque
 from typing import Deque, Optional
@@ -23,21 +24,16 @@ from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
-from ..obs import ctx_of, end_span, start_span
-from ..opt import OPTIMIZATIONS
-from ..sim import Counter, Event, Interrupt, RandomStream, Resource
-from ..web.client import HTTPClient
+from ..obs import end_span, start_span
+from ..sim import Counter, Event, Interrupt, Resource
 from .adaptation import extract_title, strip_tags
 from .base import (
-    BatchConfig,
     FrameReader,
+    GatewayServer,
     MiddlewareResponse,
     MiddlewareSession,
-    RequestBatcher,
     encode_frame,
-    frame_reply,
     guard_timeout,
-    split_url,
 )
 
 __all__ = ["WebClippingProxy", "PalmSession", "CLIPPING_PORT",
@@ -49,210 +45,76 @@ CLIPPING_BYTE_LIMIT = 1024  # the Palm VII-era hard ceiling per clipping
 CLIPPING_TIME_PER_KB = 0.001
 
 
-class WebClippingProxy:
-    """The clipping server: fetch, strip, truncate, compress."""
+def _clipping(body: bytes, byte_limit: int) -> tuple:
+    """(zlib payload, clipping bytes, truncated?) for an HTML page."""
+    html = body.decode("utf-8", errors="replace")
+    title = extract_title(html)
+    text = strip_tags(html)
+    clipping = (f"{title}\n{text}" if title else text).encode()
+    raw = clipping[:byte_limit]
+    return zlib.compress(raw, level=9), len(raw), len(clipping) > byte_limit
+
+
+class WebClippingProxy(GatewayServer):
+    """The clipping server: fetch, strip, truncate, compress.
+
+    A :class:`GatewayServer` speaking the same frames as WAP.
+    """
 
     # Table 3 properties (cross-checked by the static model checker).
     markup = "web-clipping"
     session_model = "request-response"
+    role = "proxy"
+    span_name = "palm.proxy"
+    default_port = CLIPPING_PORT
 
     def __init__(self, node: Node, registry: NameRegistry,
-                 port: int = CLIPPING_PORT,
-                 byte_limit: int = CLIPPING_BYTE_LIMIT,
-                 tcp: Optional[TCPStack] = None,
-                 breaker=None, origin_timeout: float = 30.0,
-                 batching: Optional[BatchConfig] = None,
-                 batch_stream: Optional[RandomStream] = None,
-                 air_pressure=None, handicap: float = 0.0,
-                 metrics=None, metric_name: Optional[str] = None):
-        if handicap < 0:
-            raise ValueError(f"handicap must be >= 0, got {handicap}")
-        self.node = node
-        self.sim = node.sim
-        self.registry = registry
-        self.port = port
+                 port: Optional[int] = None,
+                 byte_limit: int = CLIPPING_BYTE_LIMIT, **server):
+        super().__init__(node, registry, port, **server)
         self.byte_limit = byte_limit
-        self.tcp = tcp or tcp_stack(node)
-        self.http = HTTPClient(node, tcp=self.tcp)
-        self.breaker = breaker
-        self.origin_timeout = origin_timeout
-        self.stats = Counter()
-        # Transparent clipping cache keyed by a digest of the origin
-        # HTML.  Memoizes the pure strip/truncate/zlib-compress work —
-        # the clipping timeout is still charged and counters still tick
-        # on hits, so the virtual timeline is unchanged.  Flushed on
-        # crash and restart (cold cache after reboot).
-        self._clippings: dict[bytes, tuple] = {}
-        self.clipping_cache_hits = 0
-        # Per-request service handicap in sim-seconds (0 = none); the
-        # public knob canary "v2" variants use for degraded builds.
-        self.handicap = handicap
-        # Optional accumulate-and-flush batching + admission control
-        # (None keeps the legacy inline path bit-for-bit).
-        self.batcher = None
-        if batching is not None:
-            self.batcher = RequestBatcher(
-                self.sim, batching, handler=self._handle,
-                reply_factory=frame_reply, stream=batch_stream,
-                stats=self.stats, name=f"clip-batch@{node.name}",
-                pressure=air_pressure, metrics=metrics,
-                metric_name=metric_name)
-        self.is_down = False
-        self._conns: list[TCPConnection] = []
-        self._listener = self.tcp.listen(port)
-        self.sim.spawn(self._accept_loop(), name=f"clipper@{node.name}")
 
     @property
     def payload_limit(self) -> int:
         return self.byte_limit
 
-    # -- fault hooks -------------------------------------------------------
-    def crash(self) -> None:
-        if self.is_down:
-            return
-        self.is_down = True
-        self.stats.incr("crashes")
-        self._clippings.clear()
-        if self.batcher is not None:
-            self.batcher.reject_pending("proxy crashed")
-        for conn in self._conns:
-            conn.close()
-        self._conns.clear()
+    @staticmethod
+    def _error(status: int, message: str,
+               retry_after: Optional[float] = None) -> dict:
+        """Proxy error frames carry no content type (shed replies do)."""
+        meta = {} if retry_after is None else {"retry_after": retry_after}
+        return {"status": status, "body": message.encode(), "meta": meta}
 
-    def restart(self) -> None:
-        if not self.is_down:
-            return
-        self.is_down = False
-        self.stats.incr("restarts")
-        self._clippings.clear()
-
-    def _accept_loop(self):
-        while True:
-            conn = yield self._listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("sessions")
-            self.sim.spawn(self._serve(conn), name="clipping-session")
-
-    def _serve(self, conn: TCPConnection):
-        reader = FrameReader()
-        while True:
-            chunk = yield conn.recv()
-            if chunk == b"":
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                return
-            for request in reader.feed(chunk):
-                # conn.trace arrives as packet metadata via TCP.
-                if self.batcher is not None:
-                    reply = yield self.batcher.submit(request,
-                                                      parent=conn.trace)
-                else:
-                    reply = yield from self._handle(request,
-                                                    parent=conn.trace)
-                if self.is_down or \
-                        conn.state not in (TCPConnection.ESTABLISHED,
-                                           TCPConnection.CLOSE_WAIT):
-                    if conn in self._conns:
-                        self._conns.remove(conn)
-                    return
-                conn.send(encode_frame(reply))
-
-    def _handle(self, request: dict, parent=None):
-        self.stats.incr("requests")
-        if self.handicap > 0:
-            yield self.sim.timeout(self.handicap)
-        span = None
-        if self.sim.tracer is not None and parent is not None:
-            span = start_span(self.sim, "palm.proxy", "middleware",
-                              parent=parent,
-                              url=request.get("url", ""))
-        try:
-            reply = yield from self._handle_inner(request, span)
-        finally:
-            end_span(self.sim, span)
-        return reply
-
-    def _handle_inner(self, request: dict, span):
-        url = request.get("url", "")
-        try:
-            host, path = split_url(url)
-        except ValueError as exc:
-            return {"status": 400, "body": str(exc).encode(), "meta": {}}
-        origin = self.registry.lookup(host)
-        if origin is None:
-            self.stats.incr("dns_failures")
-            return {"status": 502,
-                    "body": f"cannot resolve {host}".encode(), "meta": {}}
-        if self.breaker is not None and not self.breaker.allow():
-            self.stats.incr("breaker_rejections")
-            return {"status": 503, "body": b"proxy circuit open",
-                    "meta": {"retry_after": self.breaker.retry_after}}
-        if request.get("method", "GET").upper() == "POST":
-            response = yield self.http.post(origin, path,
-                                            request.get("body", b""),
-                                            timeout=self.origin_timeout,
-                                            trace=ctx_of(span))
-        else:
-            response = yield self.http.get(origin, path,
-                                           timeout=self.origin_timeout,
-                                           trace=ctx_of(span))
-        if response is None:
-            self.stats.incr("origin_timeouts")
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return {"status": 504, "body": b"origin timeout", "meta": {}}
-        if self.breaker is not None:
-            if response.status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-        return (yield from self._clip(response, parent=span))
-
-    def _clip(self, response, parent=None):
+    def _clip(self, request: dict, response, parent=None):
+        """Strip an HTML page to a truncated, compressed clipping."""
         body = response.body
         meta = {"origin_bytes": len(body), "clipped": False}
         retry_after = response.headers.get("retry-after")
         if retry_after is not None:
             meta["retry_after"] = float(retry_after)
-        if "text/html" in response.content_type:
-            clip_span = None
-            if parent is not None:
-                clip_span = start_span(self.sim, "palm.clip", "middleware",
-                                       parent=parent)
-            # Clipping CPU cost is charged whether or not the cache
-            # hits: the cache saves host time, never virtual time.
-            yield self.sim.timeout(
-                CLIPPING_TIME_PER_KB * max(1, len(body) // 1024))
-            digest = hashlib.sha1(body).digest()
-            hit = (self._clippings.get(digest)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.clipping_cache_hits += 1
-                payload, raw_len, truncated = hit
-            else:
-                html = body.decode("utf-8", errors="replace")
-                title = extract_title(html)
-                text = strip_tags(html)
-                clipping = (f"{title}\n{text}" if title else text)
-                truncated = len(clipping.encode()) > self.byte_limit
-                raw = clipping.encode()[: self.byte_limit]
-                payload = zlib.compress(raw, level=9)
-                raw_len = len(raw)
-                if OPTIMIZATIONS.translation_cache:
-                    self._clippings[digest] = (payload, raw_len, truncated)
-            meta.update(clipped=True, truncated=truncated)
-            self.stats.incr("clippings")
-            meta["compressed_bytes"] = len(payload)
-            meta["clipping_bytes"] = raw_len
-            end_span(self.sim, clip_span, clipping_bytes=raw_len)
-            return {"status": response.status, "body": payload,
-                    "content_type": CLIPPING_CONTENT_TYPE, "meta": meta}
-        # Non-HTML passes through uncompressed (rare for Palm-era use).
-        return {"status": response.status, "body": body,
-                "content_type": response.content_type, "meta": meta}
+        if "text/html" not in response.content_type:
+            # Non-HTML passes through uncompressed (rare for Palm-era use).
+            return {"status": response.status, "body": body,
+                    "content_type": response.content_type, "meta": meta}
+        clip_span = None
+        if parent is not None:
+            clip_span = start_span(self.sim, "palm.clip", "middleware",
+                                   parent=parent)
+        # Clipping CPU cost is charged whether or not the memo hits: it
+        # saves host time, never virtual time.
+        yield self.sim.timeout(
+            CLIPPING_TIME_PER_KB * max(1, len(body) // 1024))
+        payload, raw_len, truncated = self._memo(_clipping, body,
+                                                 self.byte_limit)
+        meta.update(clipped=True, truncated=truncated)
+        self.stats.incr("clippings")
+        meta["compressed_bytes"] = len(payload)
+        meta["clipping_bytes"] = raw_len
+        end_span(self.sim, clip_span, clipping_bytes=raw_len)
+        return {"status": response.status, "body": payload,
+                "content_type": CLIPPING_CONTENT_TYPE, "meta": meta}
+
+    _transform = _clip
 
 
 class PalmSession(MiddlewareSession):

@@ -14,11 +14,17 @@ rather than WDP/UDP, and the session is one TCP connection per
 measures: WAP pays a gateway hop plus per-request translation, and
 must *establish* a session before the first byte, while i-mode is
 always-on.
+
+The server plumbing (listener, serve loop, crash/restart, batching,
+breaker-guarded origin fetch, content memo) is the shared
+:class:`~repro.middleware.base.GatewayServer`.  This module supplies
+what is WAP's own: the WTLS listener, the origin ``accept``
+negotiation, the ``cache_ttl`` response cache and the HTML -> WML
+(-> WMLC) translation.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from typing import Deque, Optional
 from urllib.parse import urlencode
@@ -27,24 +33,19 @@ from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
-from ..obs import ctx_of, end_span, start_span
-from ..opt import OPTIMIZATIONS
+from ..obs import end_span, start_span
 from ..security.wtls import SecureChannel, SecurityError
 from ..sim import Counter, Event, Interrupt, RandomStream
-from ..web.client import HTTPClient
 from .adaptation import html_to_wml
 from .base import (
-    BatchConfig,
     FrameReader,
+    GatewayServer,
     MiddlewareResponse,
     MiddlewareSession,
-    RequestBatcher,
     decode_obj,
     encode_frame,
     encode_obj,
-    frame_reply,
     guard_timeout,
-    split_url,
 )
 from .wml import WML_CONTENT_TYPE, WMLC_CONTENT_TYPE, encode_wmlc, parse_wml
 
@@ -55,118 +56,53 @@ WTLS_PORT = 9203  # WAP's registered secure-session port
 TRANSLATION_TIME_PER_KB = 0.002  # HTML->WML transcoding CPU cost
 
 
-class WAPGateway:
-    """The protocol translation point between wireless and wired worlds."""
+def _wml_from_html(body: bytes, binary: bool) -> tuple:
+    """(body, content type, cards) of an HTML page translated to WML."""
+    document = html_to_wml(body.decode("utf-8", errors="replace"))
+    if binary:
+        return encode_wmlc(document), WMLC_CONTENT_TYPE, len(document.cards)
+    return document.to_xml().encode(), WML_CONTENT_TYPE, len(document.cards)
+
+
+def _wmlc_from_wml(body: bytes) -> bytes:
+    return encode_wmlc(parse_wml(body.decode()))
+
+
+class WAPGateway(GatewayServer):
+    """The protocol translation point between wireless and wired worlds.
+
+    A :class:`GatewayServer` speaking WSP frames, plus a WTLS listener
+    when given an entropy stream and an optional GET response cache
+    (``cache_ttl`` seconds; 0 disables it).
+    """
 
     # Table 3 properties (cross-checked by the static model checker).
     markup = "WML"
     session_model = "gateway-session"
     payload_limit: Optional[int] = None
+    role = "gateway"
+    span_name = "wap.gateway"
+    default_port = WSP_PORT
+    # Negotiate: origins that author native WML serve it directly (no
+    # transcoding); others fall back to HTML for translation.
+    origin_headers = {"accept": f"{WML_CONTENT_TYPE}, text/html"}
 
     def __init__(self, node: Node, registry: NameRegistry,
-                 port: int = WSP_PORT, tcp: Optional[TCPStack] = None,
+                 port: Optional[int] = None, tcp: Optional[TCPStack] = None,
                  entropy: Optional[RandomStream] = None,
                  wtls_port: int = WTLS_PORT,
-                 cache_ttl: float = 0.0,
-                 breaker=None, origin_timeout: float = 30.0,
-                 batching: Optional[BatchConfig] = None,
-                 batch_stream: Optional[RandomStream] = None,
-                 air_pressure=None, handicap: float = 0.0,
-                 metrics=None, metric_name: Optional[str] = None):
-        if handicap < 0:
-            raise ValueError(f"handicap must be >= 0, got {handicap}")
-        self.node = node
-        self.sim = node.sim
-        self.registry = registry
-        self.port = port
-        self.wtls_port = wtls_port
-        self.tcp = tcp or tcp_stack(node)
-        self.http = HTTPClient(node, tcp=self.tcp)
+                 cache_ttl: float = 0.0, **server):
+        super().__init__(node, registry, port, tcp=tcp, **server)
         self.entropy = entropy
-        # Optional CircuitBreaker guarding gateway -> origin calls.
-        self.breaker = breaker
-        self.origin_timeout = origin_timeout
+        self.wtls_port = wtls_port
         # Response cache for GETs (real gateways cached aggressively to
         # spare the air interface); 0 disables it.
         self.cache_ttl = cache_ttl
         self._cache: dict[tuple, tuple[float, dict]] = {}
-        # Transparent WML compile cache, keyed by a digest of the origin
-        # body (plus the binary-encoding request flag).  It memoizes the
-        # pure html_to_wml / encode_wmlc work only: the translation
-        # timeout is still charged and every counter still ticks, so a
-        # hit is invisible to the virtual timeline.  Flushed on crash
-        # and restart — a rebooted gateway has a cold cache.
-        self._translations: dict[tuple, tuple] = {}
-        self.translation_cache_hits = 0
-        self.stats = Counter()
-        # Per-request service handicap in sim-seconds, charged before
-        # handling.  0 (the default) adds no event and keeps legacy
-        # runs bit-for-bit; canary "v2" variants use it as the public
-        # knob for a deliberately degraded build.
-        self.handicap = handicap
-        # Optional accumulate-and-flush batching + admission control:
-        # serve loops route requests through the batcher when present
-        # (None keeps the legacy inline path bit-for-bit).
-        self.batcher = None
-        if batching is not None:
-            self.batcher = RequestBatcher(
-                self.sim, batching, handler=self._handle,
-                reply_factory=frame_reply, stream=batch_stream,
-                stats=self.stats, name=f"wap-batch@{node.name}",
-                pressure=air_pressure, metrics=metrics,
-                metric_name=metric_name)
-        self.is_down = False
-        self._conns: list[TCPConnection] = []
-        self._listener = self.tcp.listen(port)
-        self.sim.spawn(self._accept_loop(), name=f"wap-gw@{node.name}")
         # WTLS: WAP's transport security layer, on its registered port.
         # Enabled only when the gateway is given an entropy stream.
         if entropy is not None:
-            self._secure_listener = self.tcp.listen(wtls_port)
-            self.sim.spawn(self._secure_accept_loop(),
-                           name=f"wap-wtls@{node.name}")
-
-    # -- fault hooks -------------------------------------------------------
-    def crash(self) -> None:
-        """Hard-stop: every established session is severed; new sessions
-        are refused (closed immediately) until :meth:`restart`."""
-        if self.is_down:
-            return
-        self.is_down = True
-        self.stats.incr("crashes")
-        self._translations.clear()
-        if self.batcher is not None:
-            self.batcher.reject_pending("gateway crashed")
-        for conn in self._conns:
-            conn.close()
-        self._conns.clear()
-
-    def restart(self) -> None:
-        if not self.is_down:
-            return
-        self.is_down = False
-        self.stats.incr("restarts")
-        self._translations.clear()
-
-    def _accept_loop(self):
-        while True:
-            conn = yield self._listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("wsp_sessions")
-            self.sim.spawn(self._serve(conn), name="wsp-session")
-
-    def _secure_accept_loop(self):
-        while True:
-            conn = yield self._secure_listener.accept()
-            if self.is_down:
-                conn.close()
-                continue
-            self._conns.append(conn)
-            self.stats.incr("wtls_sessions")
-            self.sim.spawn(self._serve_secure(conn), name="wtls-session")
+            self._listen(wtls_port, self._serve_secure, "wtls_sessions")
 
     def _serve_secure(self, conn: TCPConnection):
         channel = SecureChannel(conn, self.entropy)
@@ -186,65 +122,13 @@ class WAPGateway:
             if record == b"":
                 self._forget(conn)
                 return
-            request = decode_obj(record)
-            if self.batcher is not None:
-                reply = yield self.batcher.submit(request,
-                                                  parent=conn.trace)
-            else:
-                reply = yield from self._handle(request,
-                                                parent=conn.trace)
-            if self.is_down or \
-                    conn.state not in (TCPConnection.ESTABLISHED,
-                                       TCPConnection.CLOSE_WAIT):
-                # Crashed (or peer gone) while handling: drop the reply.
-                self._forget(conn)
+            reply = yield from self._dispatch(decode_obj(record), conn)
+            if reply is None:
                 return
             channel.send(encode_obj(reply))
 
-    def _serve(self, conn: TCPConnection):
-        reader = FrameReader()
-        while True:
-            chunk = yield conn.recv()
-            if chunk == b"":
-                self._forget(conn)
-                return
-            for request in reader.feed(chunk):
-                # conn.trace arrives as packet metadata via TCP.
-                if self.batcher is not None:
-                    reply = yield self.batcher.submit(request,
-                                                      parent=conn.trace)
-                else:
-                    reply = yield from self._handle(request,
-                                                    parent=conn.trace)
-                if self.is_down or \
-                        conn.state not in (TCPConnection.ESTABLISHED,
-                                           TCPConnection.CLOSE_WAIT):
-                    self._forget(conn)
-                    return
-                conn.send(encode_frame(reply))
-
-    def _forget(self, conn: TCPConnection) -> None:
-        if conn in self._conns:
-            self._conns.remove(conn)
-
-    def _handle(self, request: dict, parent=None):
-        self.stats.incr("wsp_requests")
-        if self.handicap > 0:
-            yield self.sim.timeout(self.handicap)
-        span = None
-        if self.sim.tracer is not None and parent is not None:
-            span = start_span(self.sim, "wap.gateway", "middleware",
-                              parent=parent,
-                              url=request.get("url", ""))
-        try:
-            reply = yield from self._handle_inner(request, span)
-        finally:
-            end_span(self.sim, span)
-        return reply
-
-    def _handle_inner(self, request: dict, span):
-        url = request.get("url", "")
-        method = request.get("method", "GET").upper()
+    def _respond(self, request: dict, span):
+        method, url, _body = self._fields(request)
         cache_key = (method, url, request.get("accept", ""))
         if self.cache_ttl > 0 and method == "GET":
             cached = self._cache.get(cache_key)
@@ -254,51 +138,7 @@ class WAPGateway:
                 reply = dict(cached[1])
                 reply["meta"] = dict(reply.get("meta", {}), cache_hit=True)
                 return reply
-        try:
-            host, path = split_url(url)
-        except ValueError as exc:
-            return {"status": 400, "content_type": "text/plain",
-                    "body": str(exc).encode(), "meta": {}}
-        origin = self.registry.lookup(host)
-        if origin is None:
-            self.stats.incr("dns_failures")
-            return {"status": 502, "content_type": "text/plain",
-                    "body": f"cannot resolve {host}".encode(), "meta": {}}
-
-        if self.breaker is not None and not self.breaker.allow():
-            self.stats.incr("breaker_rejections")
-            return {"status": 503, "content_type": "text/plain",
-                    "body": b"gateway circuit open",
-                    "meta": {"retry_after": self.breaker.retry_after}}
-
-        # Negotiate: origins that author native WML serve it directly
-        # (no transcoding); others fall back to HTML for translation.
-        negotiate = {"accept": f"{WML_CONTENT_TYPE}, text/html"}
-        method = request.get("method", "GET").upper()
-        if method == "POST":
-            response = yield self.http.post(
-                origin, path, request.get("body", b""),
-                headers=negotiate, timeout=self.origin_timeout,
-                trace=ctx_of(span))
-        else:
-            response = yield self.http.get(origin, path,
-                                           headers=negotiate,
-                                           timeout=self.origin_timeout,
-                                           trace=ctx_of(span))
-        if response is None:
-            self.stats.incr("origin_timeouts")
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return {"status": 504, "content_type": "text/plain",
-                    "body": b"origin timeout", "meta": {}}
-        if self.breaker is not None:
-            # 5xx (including load-shed 503s) count against the origin.
-            if response.status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-
-        reply = yield from self._translate(request, response, parent=span)
+        reply = yield from super()._respond(request, span)
         if self.cache_ttl > 0 and method == "GET" and \
                 reply.get("status") == 200:
             self._cache[cache_key] = (self.sim.now, reply)
@@ -323,45 +163,19 @@ class WAPGateway:
 
         if "text/html" in content_type:
             # The transcoding CPU cost is charged whether or not the
-            # compile cache hits: the cache saves host time, never
-            # virtual time (same-seed runs stay byte-identical).
+            # memo hits: it saves host time, never virtual time.
             yield self.sim.timeout(
                 TRANSLATION_TIME_PER_KB * max(1, len(body) // 1024)
             )
-            cache_key = ("html", hashlib.sha1(body).digest(), wants_binary)
-            hit = (self._translations.get(cache_key)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.translation_cache_hits += 1
-                body, content_type, cards = hit
-            else:
-                document = html_to_wml(body.decode("utf-8", errors="replace"))
-                cards = len(document.cards)
-                if wants_binary:
-                    body = encode_wmlc(document)
-                    content_type = WMLC_CONTENT_TYPE
-                else:
-                    body = document.to_xml().encode()
-                    content_type = WML_CONTENT_TYPE
-                if OPTIMIZATIONS.translation_cache:
-                    self._translations[cache_key] = (body, content_type, cards)
+            body, content_type, cards = self._memo(_wml_from_html, body,
+                                                   wants_binary)
             meta["translated"] = True
             meta["cards"] = cards
             self.stats.incr("translations")
             if wants_binary:
                 self.stats.incr("wmlc_encodings")
         elif content_type == WML_CONTENT_TYPE and wants_binary:
-            cache_key = ("wml", hashlib.sha1(body).digest(), True)
-            hit = (self._translations.get(cache_key)
-                   if OPTIMIZATIONS.translation_cache else None)
-            if hit is not None:
-                self.translation_cache_hits += 1
-                body = hit[0]
-            else:
-                document = parse_wml(body.decode())
-                body = encode_wmlc(document)
-                if OPTIMIZATIONS.translation_cache:
-                    self._translations[cache_key] = (body,)
+            body = self._memo(_wmlc_from_wml, body)
             content_type = WMLC_CONTENT_TYPE
             self.stats.incr("wmlc_encodings")
 
@@ -370,6 +184,8 @@ class WAPGateway:
                  delivered_bytes=len(body))
         return {"status": response.status, "content_type": content_type,
                 "body": body, "meta": meta}
+
+    _transform = _translate
 
 
 class WAPSession(MiddlewareSession):

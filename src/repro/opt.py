@@ -1,18 +1,23 @@
 """Global toggles for the hot-path caches (the perf optimization pass).
 
-Every cache guarded by these flags is *transparent*: it memoizes a pure
-function of its inputs (an HTML->WML translation, a cHTML adaptation, a
-clipping compression, a SQL parse) or short-circuits a lookup whose
-answer cannot have changed (a DNS record within its TTL and registry
-generation).  Turning a flag off therefore changes how much host CPU a
-run burns, never what the simulation computes: same seed, same virtual
+Two of the three flagged caches are *transparent*: each memoizes a pure
+function of its inputs — the gateway core's content memo (an HTML->WML
+translation, a cHTML adaptation, a clipping compression) and the SQL
+parse cache.  Turning those flags off changes how much host CPU a run
+burns, never what the simulation computes: same seed, same virtual
 timeline, byte-identical chaos reports / traces / benchmark tables.
-
 That guarantee is not taken on faith — the caches rows of
 ``repro.perf.equivalence_check`` (run by every ``repro bench`` and
 asserted in CI) run fixed scenarios with the caches forced on and
-forced off and compare the outputs bit for bit.  The flags exist
-precisely so that A/B test has something to toggle.
+forced off and compare the outputs bit for bit.
+
+``dns_cache`` is different.  It guards :class:`repro.net.DNSResolver`'s
+answer cache, and with the flag off a repeat ``resolve()`` sends a UDP
+query and takes virtual time, so it is *not* transparent.  No built
+system creates a resolver (gateways read the name registry directly),
+so the caches rows never exercise it; ``tests/test_net_udp_dns.py``
+pins both of its behaviours.  The flag stays because the ``caches-off``
+arm of ``bench/worker.py`` passes its name.
 
 The default is everything on.  ``optimizations_disabled()`` is the
 scoped way to turn caches off; mutating :data:`OPTIMIZATIONS` directly

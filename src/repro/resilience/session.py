@@ -196,7 +196,8 @@ class ResilienceConfig:
     retry_multiplier: float = 2.0
     retry_max_delay: float = 4.0
     retry_jitter: float = 0.2
-    # Gateway -> origin circuit breaker.
+    # Gateway -> origin circuit breaker: consecutive failures that open
+    # it (0 = off).
     breaker_threshold: int = 4
     breaker_recovery_time: float = 8.0
     breaker_half_open_max: int = 2
@@ -301,6 +302,9 @@ class ResilienceConfig:
         )
 
     def breaker(self, sim, name: str = "breaker"):
+        """A fresh gateway -> origin breaker, or None when it is off."""
+        if self.breaker_threshold == 0:
+            return None
         from .breaker import CircuitBreaker
         return CircuitBreaker(
             sim,

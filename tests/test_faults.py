@@ -68,8 +68,8 @@ def test_plan_validation_rejects_bad_specs():
 
 
 # ------------------------------------------------------------- injectors
-def _world(seed=4, stations=1):
-    system = MCSystemBuilder(seed=seed).build()
+def _world(seed=4, stations=1, middleware="WAP"):
+    system = MCSystemBuilder(seed=seed, middleware=middleware).build()
     shop = CommerceApp()
     system.mount_application(shop)
     handles = [system.add_station("Nokia 9290 Communicator",
@@ -275,9 +275,10 @@ def test_dns_cache_not_stale_across_blackout():
     assert resolver.hits == 1  # only the pre-blackout repeat was cached
 
 
-def test_gateway_crash_flushes_translation_cache():
+@pytest.mark.parametrize("middleware", ["WAP", "i-mode", "Palm"])
+def test_gateway_crash_flushes_translation_cache(middleware):
     """A restarted gateway must not reuse pre-crash translations."""
-    system, shop, handles = _world()
+    system, shop, handles = _world(middleware=middleware)
     system.host.payment.open_account("ann", 100_000)
     engine = TransactionEngine(system)
     done = engine.run_flow(handles[0],

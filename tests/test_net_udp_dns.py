@@ -10,6 +10,7 @@ from repro.net import (
     Subnet,
     UDPStack,
 )
+from repro.opt import optimizations_disabled
 from repro.sim import Simulator
 
 
@@ -158,3 +159,24 @@ def test_dns_cache_hits_without_network():
     second = resolver.resolve("shop.example.com")
     sim.run()
     assert second.value == server_node.primary_address
+
+
+def test_dns_cache_off_sends_every_query():
+    """With the flag off a repeat resolve goes to the wire: not transparent."""
+    sim = Simulator()
+    net, client_node, server_node = make_pair(sim)
+    registry = NameRegistry()
+    registry.register("shop.example.com", server_node.primary_address)
+    DNSServer(server_node, registry)
+    resolver = DNSResolver(client_node, server_node.primary_address)
+    with optimizations_disabled("dns_cache"):
+        first = resolver.resolve("shop.example.com")
+        sim.run()
+        assert first.value == server_node.primary_address
+        net.links[0].take_down()
+        before = sim.now
+        second = resolver.resolve("shop.example.com")
+        sim.run()
+    assert second.value is None
+    assert sim.now - before == pytest.approx(resolver.timeout)
+    assert (resolver.hits, resolver.misses) == (0, 2)

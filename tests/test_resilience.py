@@ -331,3 +331,27 @@ def test_builder_with_resilience_wires_everything():
     assert isinstance(handle.session, ResilientSession)
     # primary gateway session, standby session, direct fallback
     assert len(handle.session.routes) == 3
+
+
+@pytest.mark.parametrize("fleet_size", [0, 2])
+def test_breaker_threshold_zero_builds_without_breakers(fleet_size):
+    """breaker_threshold=0 means "no breaker" for every topology."""
+    from repro.apps import CommerceApp
+
+    config = ResilienceConfig(breaker_threshold=0, fleet_size=fleet_size)
+    assert config.breaker(Simulator()) is None
+    system = MCSystemBuilder(seed=2, resilience=config).build()
+    assert system.gateway.breaker is None
+    if fleet_size:
+        assert all(member.gateway.breaker is None
+                   for member in system.fleet.members.values())
+    else:
+        assert system.standby_gateway.breaker is None
+    shop = CommerceApp()
+    system.mount_application(shop)
+    system.host.payment.open_account("ann", 100_000)
+    handle = system.add_station("Toshiba E740")
+    done = TransactionEngine(system).run_flow(
+        handle, shop.browse_and_buy(account="ann"))
+    system.run(until=300)
+    assert done.value.ok, done.value.error
