@@ -5,6 +5,13 @@ component (paper §7).  It is deliberately dependency-free and
 synchronous; query planning lives in :mod:`repro.db.query`, SQL parsing
 in :mod:`repro.db.sql`, concurrency in :mod:`repro.db.transactions`,
 and the wire protocol in :mod:`repro.db.server`.
+
+The mutating :class:`Table` methods take an optional ``undo`` list and
+append one entry per change they make: an insert records the row, an
+update the row and a copy of it from before the change, a delete the
+row and its list position, ``create_index`` the column name.  A
+transaction hands its own list in; :func:`undo_writes` reverses the
+entries, so a write costs O(rows touched) however large the table is.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ __all__ = [
     "REAL",
     "TEXT",
     "BOOLEAN",
+    "undo_writes",
 ]
 
 INTEGER = "INTEGER"
@@ -118,7 +126,8 @@ class Table:
                 f"no column {name!r} in table {self.name}"
             ) from None
 
-    def create_index(self, column_name: str) -> None:
+    def create_index(self, column_name: str,
+                     undo: Optional[list] = None) -> None:
         column = self.column(column_name)
         if column_name in self._indexes:
             return
@@ -126,6 +135,20 @@ class Table:
         for row in self.rows:
             index.setdefault(row[column.name], []).append(row)
         self._indexes[column_name] = index
+        if undo is not None:
+            undo.append((self, "index", column_name, None))
+
+    def _reindex(self) -> None:
+        """Refill the pk index and every secondary index from ``rows``,
+        in place (the race sanitizer wraps these very containers)."""
+        self._pk_index.clear()
+        if self.primary_key is not None:
+            pk_name = self.primary_key.name
+            self._pk_index.update((row[pk_name], row) for row in self.rows)
+        for column_name, index in self._indexes.items():
+            index.clear()
+            for row in self.rows:
+                index.setdefault(row[column_name], []).append(row)
 
     @property
     def indexed_columns(self) -> set[str]:
@@ -135,7 +158,7 @@ class Table:
         return indexed
 
     # -- mutation ----------------------------------------------------------
-    def insert(self, values: dict) -> dict:
+    def insert(self, values: dict, undo: Optional[list] = None) -> dict:
         """Insert one row; returns the stored row."""
         unknown = set(values) - set(self.column_map)
         if unknown:
@@ -153,25 +176,30 @@ class Table:
                 )
             self._pk_index[pk] = row
         self.rows.append(row)
+        if undo is not None:
+            undo.append((self, "insert", row, None))
         for column_name, index in self._indexes.items():
             index.setdefault(row[column_name], []).append(row)
         return dict(row)
 
-    def delete_rows(self, predicate: Callable[[dict], bool]) -> int:
+    def delete_rows(self, predicate: Callable[[dict], bool],
+                    undo: Optional[list] = None) -> int:
         """Delete matching rows; returns the count."""
         doomed = [row for row in self.rows if predicate(row)]
         for row in doomed:
-            self.rows.remove(row)
+            position = _position(self.rows, row)
+            self.rows.pop(position)
+            if undo is not None:
+                undo.append((self, "delete", row, position))
             if self.primary_key is not None:
                 self._pk_index.pop(row[self.primary_key.name], None)
             for column_name, index in self._indexes.items():
-                bucket = index.get(row[column_name])
-                if bucket and row in bucket:
-                    bucket.remove(row)
+                bucket = index[row[column_name]]
+                bucket.pop(_position(bucket, row))
         return len(doomed)
 
     def update_rows(self, predicate: Callable[[dict], bool],
-                    changes) -> int:
+                    changes, undo: Optional[list] = None) -> int:
         """Apply ``changes`` to matching rows; returns the count.
 
         ``changes`` is either a column->value dict or a callable taking
@@ -207,11 +235,12 @@ class Table:
                     raise IntegrityError(
                         f"duplicate primary key {new_pk!r} in {self.name}"
                     )
+            if undo is not None:
+                undo.append((self, "update", row, dict(row)))
             for column_name, index in self._indexes.items():
                 if column_name in coerced:
-                    old_bucket = index.get(row[column_name])
-                    if old_bucket and row in old_bucket:
-                        old_bucket.remove(row)
+                    bucket = index[row[column_name]]
+                    bucket.pop(_position(bucket, row))
             if pk_name is not None and pk_name in coerced:
                 self._pk_index.pop(row[pk_name], None)
             row.update(coerced)
@@ -245,6 +274,34 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def _position(rows: list, row: dict) -> int:
+    """Index of ``row`` itself in ``rows`` (the table's rows or an
+    index bucket).  ``list.index`` and ``list.remove`` match by
+    equality, which picks the wrong one of two equal rows in a table
+    without a primary key."""
+    for position in range(len(rows) - 1, -1, -1):
+        if rows[position] is row:
+            return position
+    raise ValueError("row not in table")
+
+
+def undo_writes(log: list) -> None:
+    """Reverse the changes recorded in ``log``, newest first, then
+    rebuild the indexes of every table touched; empties ``log``."""
+    for table, kind, subject, extra in reversed(log):
+        if kind == "insert":
+            table.rows.pop(_position(table.rows, subject))
+        elif kind == "update":
+            subject.update(extra)
+        elif kind == "delete":
+            table.rows.insert(extra, subject)
+        else:  # "index": subject is the column name
+            del table._indexes[subject]
+    for table in dict.fromkeys(entry[0] for entry in log):
+        table._reindex()
+    log.clear()
 
 
 class Database:

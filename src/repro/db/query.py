@@ -60,10 +60,15 @@ def execute(database: Database, statement_or_sql, params: tuple = ()) \
 
 
 class Executor:
-    """Stateless statement executor bound to a database."""
+    """Statement executor bound to a database.
 
-    def __init__(self, database: Database):
+    With an ``undo`` list every write appends its undo entries there
+    (see :mod:`repro.db.engine`); a transaction passes its own.
+    """
+
+    def __init__(self, database: Database, undo: Optional[list] = None):
         self.database = database
+        self.undo = undo
 
     def execute(self, statement_or_sql, params: tuple = ()) -> QueryResult:
         if isinstance(statement_or_sql, str):
@@ -94,7 +99,8 @@ class Executor:
         return QueryResult(access_path="ddl")
 
     def _create_index(self, stmt: CreateIndex, params) -> QueryResult:
-        self.database.table(stmt.table).create_index(stmt.column)
+        table = self.database.table(stmt.table)
+        table.create_index(stmt.column, undo=self.undo)
         return QueryResult(access_path="ddl")
 
     # -- DML --------------------------------------------------------------
@@ -106,7 +112,7 @@ class Executor:
                 column: self._value(expr, params, row=None)
                 for column, expr in zip(stmt.columns, row_exprs)
             }
-            table.insert(values)
+            table.insert(values, undo=self.undo)
             count += 1
         return QueryResult(rowcount=count, access_path="insert")
 
@@ -125,13 +131,13 @@ class Executor:
                 for column, expr in stmt.changes
             }
         predicate = self._predicate(stmt.where, params, table)
-        count = table.update_rows(predicate, changes)
+        count = table.update_rows(predicate, changes, undo=self.undo)
         return QueryResult(rowcount=count, access_path="update")
 
     def _delete(self, stmt: Delete, params) -> QueryResult:
         table = self.database.table(stmt.table)
         predicate = self._predicate(stmt.where, params, table)
-        count = table.delete_rows(predicate)
+        count = table.delete_rows(predicate, undo=self.undo)
         return QueryResult(rowcount=count, access_path="delete")
 
     # -- SELECT -----------------------------------------------------------

@@ -2,21 +2,21 @@
 
 Good enough for the host computer's application programs: a
 :class:`Transaction` acquires shared/exclusive table locks (strict 2PL
-— all locks held to commit/abort), records before-images, and restores
-them on rollback.  Deadlocks are broken by wound-wait on lock-request
-timeouts.
+— all locks held to commit/abort) and keeps a row-level undo log: each
+write appends the rows it touched (see :mod:`repro.db.engine`).  Commit
+drops the log; rollback undoes it newest first.  Deadlocks are broken
+by wound-wait on lock-request timeouts.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from ..sim import Event, Simulator
-from .engine import Database, IntegrityError, SchemaError, Table
+from .engine import Database, IntegrityError, SchemaError, undo_writes
 from .query import Executor, QueryError, QueryResult
-from .sql import CreateIndex, CreateTable, Delete, Insert, Select, Update, parse
+from .sql import CreateIndex, CreateTable, Delete, Insert, Update, parse
 
 __all__ = ["TransactionError", "DeadlockError", "Transaction",
            "TransactionManager"]
@@ -52,14 +52,6 @@ class _TableLock:
         for event in waiters:
             if not event.triggered:
                 event.succeed()
-
-
-@dataclass
-class _UndoRecord:
-    table: Table
-    saved_rows: list[dict]
-    saved_pk_index: dict
-    saved_indexes: dict
 
 
 class TransactionManager:
@@ -148,8 +140,8 @@ class Transaction:
         self.txn_id = next(_txn_ids)
         self.state = Transaction.ACTIVE
         self._held: set[str] = set()
-        self._undo: dict[str, _UndoRecord] = {}
-        self._executor = Executor(manager.database)
+        self._undo: list = []
+        self._executor = Executor(manager.database, undo=self._undo)
 
     # -- statement execution -------------------------------------------------
     def execute(self, statement_or_sql, params: tuple = ()) -> Event:
@@ -170,8 +162,6 @@ class Transaction:
                 if not isinstance(statement, CreateTable):
                     yield self.manager.acquire(self, table_name,
                                                exclusive=writes)
-                if writes and table_name in self.manager.database.tables:
-                    self._snapshot(table_name)
                 outcome = self._executor.execute(statement, params)
             except (DeadlockError, TransactionError, QueryError,
                     SchemaError, IntegrityError) as exc:
@@ -182,21 +172,6 @@ class Transaction:
 
         sim.spawn(run(sim), name=f"txn{self.txn_id}-exec")
         return result
-
-    def _snapshot(self, table_name: str) -> None:
-        """Record a before-image of the table, once per transaction."""
-        if table_name in self._undo:
-            return
-        table = self.manager.database.table(table_name)
-        self._undo[table_name] = _UndoRecord(
-            table=table,
-            saved_rows=[dict(row) for row in table.rows],
-            saved_pk_index=dict(table._pk_index),
-            saved_indexes={
-                name: {value: list(bucket) for value, bucket in index.items()}
-                for name, index in table._indexes.items()
-            },
-        )
 
     # -- outcome ----------------------------------------------------------
     def commit(self) -> None:
@@ -211,19 +186,6 @@ class Transaction:
         if self.state != Transaction.ACTIVE:
             return
         self.state = Transaction.ABORTED
-        for record in self._undo.values():
-            table = record.table
-            table.rows = [dict(row) for row in record.saved_rows]
-            table._pk_index = {
-                row[table.primary_key.name]: row for row in table.rows
-            } if table.primary_key else {}
-            rebuilt: dict[str, dict] = {}
-            for index_name in record.saved_indexes:
-                index: dict = {}
-                for row in table.rows:
-                    index.setdefault(row[index_name], []).append(row)
-                rebuilt[index_name] = index
-            table._indexes = rebuilt
-        self._undo.clear()
+        undo_writes(self._undo)
         self.manager.release_all(self)
         self.manager.aborted += 1

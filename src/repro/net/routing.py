@@ -42,32 +42,52 @@ class Route:
 
 
 class RoutingTable:
-    """Longest-prefix-match over a list of routes.
+    """Longest-prefix match over routes bucketed by prefix length.
 
-    Lookups are memoised per destination; any table mutation drops the
-    memo, so Mobile IP's mid-run host-route updates are seen instantly.
+    ``_buckets`` maps prefix length -> network value -> Route, longest
+    prefix first, so a lookup is one dict probe per distinct length.
+    Lookups are also memoised per destination; any table mutation drops
+    the memo, so Mobile IP's mid-run host-route updates are seen
+    instantly.
     """
 
     def __init__(self):
-        self._routes: list[Route] = []
+        self._buckets: dict[int, dict[int, Route]] = {}
+        # (mask, bucket) per prefix length, longest first.
+        self._probes: list[tuple[int, dict[int, Route]]] = []
         # destination address value -> winning Route (or None for no
         # route).  Purely a lookup memo: cleared on every mutation.
         self._lookup_cache: dict[int, Optional[Route]] = {}
 
     def add(self, route: Route) -> None:
-        # Replace an existing route for the identical prefix.
-        self._routes = [
-            r for r in self._routes if r.subnet != route.subnet
-        ]
-        self._routes.append(route)
-        self._routes.sort(key=lambda r: -r.subnet.prefix_len)
+        """Install ``route``, replacing any route for the same prefix
+        (the replacement goes last among routes of its length)."""
+        subnet = route.subnet
+        bucket = self._buckets.get(subnet.prefix_len)
+        if bucket is None:
+            bucket = self._buckets[subnet.prefix_len] = {}
+            self._reprobe()
+        bucket.pop(subnet.network.value, None)
+        bucket[subnet.network.value] = route
         self._lookup_cache.clear()
 
     def remove(self, subnet: Subnet) -> bool:
-        before = len(self._routes)
-        self._routes = [r for r in self._routes if r.subnet != subnet]
+        bucket = self._buckets.get(subnet.prefix_len)
+        if bucket is None or subnet.network.value not in bucket:
+            return False
+        del bucket[subnet.network.value]
+        if not bucket:
+            del self._buckets[subnet.prefix_len]
+            self._reprobe()
         self._lookup_cache.clear()
-        return len(self._routes) != before
+        return True
+
+    def _reprobe(self) -> None:
+        self._probes = [
+            ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF,
+             self._buckets[length])
+            for length in sorted(self._buckets, reverse=True)
+        ]
 
     def lookup(self, destination: IPAddress) -> Optional[Route]:
         """Most specific matching route, or None."""
@@ -77,19 +97,22 @@ class RoutingTable:
         except KeyError:
             pass
         found = None
-        for route in self._routes:  # sorted by descending prefix length
-            subnet = route.subnet
-            if (value & subnet.mask) == subnet.network.value:
-                found = route
+        for mask, bucket in self._probes:
+            found = bucket.get(value & mask)
+            if found is not None:
                 break
         self._lookup_cache[value] = found
         return found
 
     def routes(self) -> list[Route]:
-        return list(self._routes)
+        """Every route, longest prefix first, in insertion order within
+        a length."""
+        return [route for _, bucket in self._probes
+                for route in bucket.values()]
 
     def clear(self) -> None:
-        self._routes.clear()
+        self._buckets.clear()
+        self._probes.clear()
         self._lookup_cache.clear()
 
 

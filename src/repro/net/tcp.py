@@ -320,7 +320,10 @@ class TCPConnection:
     def _become_established(self) -> None:
         self.state = TCPConnection.ESTABLISHED
         if not self.established_event.triggered:
-            self.established_event.succeed(self)
+            # No value: connection -> event -> value -> connection
+            # would be a cycle, keeping every closed connection alive
+            # until the cyclic GC runs.  Waiters only need the firing.
+            self.established_event.succeed()
         self._cancel_timer()
         self._pump()
 

@@ -69,6 +69,9 @@ class PaymentProcessor:
         self.accounts: dict[str, int] = {}       # account -> balance (cents)
         self.merchant_keys: dict[str, bytes] = {}
         self.authorizations: dict[int, Authorization] = {}
+        # account -> total of its authorizations still "authorized":
+        # authorize adds, capture and void subtract.
+        self._held: dict[str, int] = {}
         self._seen_nonces: set[str] = set()
         # Processor-local counter: a module-level one made auth ids (which
         # ride in SQL params and confirmation pages, hence packet sizes)
@@ -115,8 +118,7 @@ class PaymentProcessor:
         if balance is None:
             self.stats.incr("declined_no_account")
             raise PaymentError(f"no account {order.account!r}")
-        held = sum(a.amount_cents for a in self.authorizations.values()
-                   if a.account == order.account and a.state == "authorized")
+        held = self._held.get(order.account, 0)
         if balance - held < order.amount_cents:
             self.stats.incr("declined_insufficient")
             raise PaymentError("insufficient funds")
@@ -128,12 +130,13 @@ class PaymentProcessor:
             amount_cents=order.amount_cents,
         )
         self.authorizations[authorization.auth_id] = authorization
+        self._held[order.account] = held + order.amount_cents
         self.stats.incr("authorized")
         return authorization
 
     def capture(self, auth_id: int) -> int:
         """Settle a hold; returns the new account balance."""
-        authorization = self._active(auth_id)
+        authorization = self._release(auth_id)
         authorization.state = "captured"
         self.accounts[authorization.account] -= authorization.amount_cents
         self.stats.incr("captured")
@@ -141,11 +144,13 @@ class PaymentProcessor:
 
     def void(self, auth_id: int) -> None:
         """Release a hold without moving money."""
-        authorization = self._active(auth_id)
+        authorization = self._release(auth_id)
         authorization.state = "voided"
         self.stats.incr("voided")
 
-    def _active(self, auth_id: int) -> Authorization:
+    def _release(self, auth_id: int) -> Authorization:
+        """The still-held authorization ``auth_id``, its hold taken off
+        the account's held total."""
         authorization = self.authorizations.get(auth_id)
         if authorization is None:
             raise PaymentError(f"no authorization {auth_id}")
@@ -153,4 +158,5 @@ class PaymentProcessor:
             raise PaymentError(
                 f"authorization {auth_id} already {authorization.state}"
             )
+        self._held[authorization.account] -= authorization.amount_cents
         return authorization

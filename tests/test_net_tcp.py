@@ -378,3 +378,49 @@ def test_link_flap_mid_transfer_recovers_with_retransmissions():
         "outage must force at least one RTO"
     assert conn.stats.get("retransmitted_segments") >= 1, \
         "recovery must resend lost segments"
+
+
+def test_closed_connection_is_freed_without_cyclic_gc():
+    """A connection that was opened, closed and dropped must be freed
+    by reference counting alone: no reference cycle may hold it (with
+    its buffers and events) until the cyclic collector runs."""
+    import gc
+    import weakref
+
+    refs = []
+
+    def exchange():
+        sim = Simulator()
+        net, a, b = build_pair(sim)
+        tcp_c = TCPStack(a)
+        tcp_s = TCPStack(b)
+        listener = tcp_s.listen(80)
+
+        def server(env):
+            conn = yield listener.accept()
+            yield conn.recv()
+            yield conn.recv()
+            conn.close()
+
+        def client(env):
+            conn = tcp_c.connect(b.primary_address, 80)
+            refs.append(weakref.ref(conn))
+            yield conn.established_event
+            conn.send(b"bye")
+            conn.close()
+            yield conn.closed_event
+
+        sim.spawn(server(sim))
+        sim.spawn(client(sim))
+        sim.run(until=120)
+        # The client closed first, so it saw the server's FIN and its
+        # stack has forgotten it.
+        assert tcp_c._connections == {}
+
+    gc.collect()
+    gc.disable()
+    try:
+        exchange()
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()

@@ -390,3 +390,46 @@ def test_double_capture_rejected():
         processor.capture(auth.auth_id)
     with pytest.raises(PaymentError, match="already"):
         processor.void(auth.auth_id)
+
+
+def _scanned_hold(processor, account):
+    """The held total as a scan over every authorization computes it."""
+    return sum(a.amount_cents for a in processor.authorizations.values()
+               if a.account == account and a.state == "authorized")
+
+
+_PAYMENT_OPS = st.one_of(
+    st.tuples(st.just("authorize"), st.sampled_from(["ann", "bob"]),
+              st.integers(min_value=1, max_value=6_000)),
+    st.tuples(st.just("capture"), st.integers(min_value=1, max_value=30)),
+    st.tuples(st.just("void"), st.integers(min_value=1, max_value=30)),
+)
+
+
+@given(st.lists(_PAYMENT_OPS, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_hold_ledger_matches_authorization_scan(ops):
+    sim, processor, key = payment_world()
+    processor.open_account("bob", 4_000)
+    for op in ops:
+        if op[0] == "authorize":
+            _, account, amount = op
+            room = processor.balance(account) - \
+                _scanned_hold(processor, account)
+            try:
+                processor.authorize(signed_order(
+                    processor, key, amount=amount, account=account))
+                declined = False
+            except PaymentError as exc:
+                assert "insufficient" in str(exc)
+                declined = True
+            assert declined == (room < amount)
+        else:
+            action = getattr(processor, op[0])
+            try:
+                action(op[1])
+            except PaymentError as exc:
+                assert "already" in str(exc) or "no authorization" in str(exc)
+        for account in ("ann", "bob"):
+            assert processor._held.get(account, 0) == \
+                _scanned_hold(processor, account)
