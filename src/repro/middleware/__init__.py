@@ -19,7 +19,6 @@ from .base import (
     MiddlewareSession,
     RequestTimeout,
     encode_frame,
-    guard_timeout,
     split_url,
 )
 from .direct import DirectHTTPSession
@@ -58,7 +57,6 @@ __all__ = [
     "MiddlewareSession",
     "RequestTimeout",
     "TABLE3_PROPERTIES",
-    "guard_timeout",
     "encode_frame",
     "encode_obj",
     "decode_obj",

@@ -12,6 +12,14 @@ The server side is one component too (§5.1, Table 3):
 :class:`GatewayServer` is the gateway core the WAP gateway, the i-mode
 centre and the Palm clipping proxy share, and they differ only in their
 wire codec, error-reply shape, role word and content transform.
+
+So is the device side: :class:`ClientSession` is the one client
+session behind ``WAPSession``, ``IModeSession`` and ``PalmSession``.
+It owns the connection, the caller mutex, the deadline watchdog, the
+abort and the spans, and they differ only in how a request is built
+and encoded, how a reply is decoded and mapped to a
+:class:`MiddlewareResponse`, and their span prefix (plus WAP's WTLS
+handshake).
 """
 
 from __future__ import annotations
@@ -23,20 +31,21 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Optional
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urlsplit
 
 from ..net.dns import NameRegistry
 from ..net.node import Node
 from ..net.tcp import TCPConnection, TCPStack, tcp_stack
 from ..obs import ctx_of, end_span, start_span
 from ..opt import OPTIMIZATIONS
-from ..sim import Counter, Event, Interrupt, RandomStream, SimulationError
+from ..sim import (Counter, Event, Interrupt, RandomStream, Resource,
+                   SimulationError)
 from ..web.client import HTTPClient
 
 __all__ = ["RequestTimeout", "MiddlewareResponse", "MiddlewareSession",
-           "guard_timeout", "split_url", "encode_frame", "encode_obj",
+           "response_from_http", "split_url", "encode_frame", "encode_obj",
            "decode_obj", "FrameReader", "BatchConfig", "RequestBatcher",
-           "frame_reply", "GatewayServer"]
+           "frame_reply", "GatewayServer", "ClientSession"]
 
 
 class RequestTimeout(Exception):
@@ -47,33 +56,6 @@ class RequestTimeout(Exception):
     from protocol-level failures so retry policies can treat it as
     transient.
     """
-
-
-def guard_timeout(sim, result: Event, proc, timeout: Optional[float],
-                  detail: str = "") -> None:
-    """Enforce ``timeout`` on a session exchange.
-
-    Spawns a watchdog racing ``result`` against a sim-clock deadline;
-    if the deadline fires first the exchange process is interrupted
-    with a :class:`RequestTimeout` carried as the interrupt cause (the
-    exchange fails ``result`` with it and aborts its connection).  A
-    ``timeout`` of None installs nothing.
-    """
-    if timeout is None:
-        return
-
-    def watchdog(env):
-        expiry = env.timeout(timeout)
-        try:
-            yield env.any_of([result, expiry])
-        except Exception:  # repro: noqa[broad-except] failed result ends the watch
-            return
-        if not result.triggered:
-            proc.interrupt(RequestTimeout(
-                f"no middleware response within {timeout:g}s"
-                + (f" ({detail})" if detail else "")))
-
-    sim.spawn(watchdog(sim), name="request-timeout")
 
 
 @dataclass
@@ -91,7 +73,12 @@ class MiddlewareResponse:
 
 
 class MiddlewareSession:
-    """Interface implemented by WAPSession and IModeSession."""
+    """What applications call, whatever middleware is underneath.
+
+    Implemented by :class:`ClientSession` (and through it by
+    ``WAPSession``, ``IModeSession`` and ``PalmSession``) and by
+    ``DirectHTTPSession`` for wired clients.
+    """
 
     middleware_name = "abstract"
 
@@ -117,6 +104,21 @@ class MiddlewareSession:
 
     def close(self) -> None:
         raise NotImplementedError
+
+
+def response_from_http(response) -> MiddlewareResponse:
+    """The :class:`MiddlewareResponse` for an HTTP reply.
+
+    ``meta`` carries the delivered body size and, when the reply has
+    one, its Retry-After backpressure hint in seconds.
+    """
+    meta = {"delivered_bytes": len(response.body)}
+    retry_after = response.headers.get("retry-after")
+    if retry_after is not None:
+        meta["retry_after"] = float(retry_after)
+    return MiddlewareResponse(status=response.status,
+                              content_type=response.content_type,
+                              body=response.body, meta=meta)
 
 
 def split_url(url: str) -> tuple[str, str]:
@@ -654,3 +656,171 @@ class GatewayServer:
 
     def _transform(self, request, upstream, span):
         raise NotImplementedError
+
+
+# ---------------------------------------------------------- client session
+class ClientSession(MiddlewareSession):
+    """The device-side session every mobile middleware shares.
+
+    It holds one connection to the middleware server, opened on first
+    use and again after a drop, and serialises callers on it so each
+    reply answers its own request.  A request given a ``timeout`` that
+    passes without a reply fails with :class:`RequestTimeout` and
+    aborts the connection, so a late half-reply never answers the next
+    request.  A middleware supplies:
+
+    * ``_request(method, url, body)``, the request it sends (``body``
+      is None for a GET);
+    * its wire codec — ``_encode`` (request -> bytes) and ``_decoder``
+      (a class whose instances ``feed`` bytes and return replies).  The
+      defaults are the length-prefixed frames WAP and Palm speak;
+    * ``_response(reply)``, the :class:`MiddlewareResponse` for a reply;
+    * a ``span_prefix`` for its ``<prefix>.request`` span and the
+      ``<prefix>.connect`` child opened when a request has to connect,
+      the ``protocol`` word of its "session closed" error and a
+      ``default_port``.
+
+    ``_handshake`` runs on every new connection (WAP's WTLS) and may
+    replace ``_link``, what requests are sent over, with a channel.
+    """
+
+    span_prefix: str
+    protocol: str
+    default_port: int
+    _decoder = FrameReader
+    _encode = staticmethod(encode_frame)
+    # Protocol errors that fail the request instead of the process.
+    _failures: tuple = ()
+
+    def __init__(self, node: Node, address, port: Optional[int] = None,
+                 tcp: Optional[TCPStack] = None):
+        self.node = node
+        self.sim = node.sim
+        self.address = address
+        self.port = self.default_port if port is None else port
+        self.tcp = tcp or tcp_stack(node)
+        self.stats = Counter()
+        self._conn: Optional[TCPConnection] = None
+        self._link = None
+        self._reader = self._decoder()
+        self._replies: Deque = deque()
+        self._mutex = Resource(self.sim, capacity=1)
+
+    def get(self, url: str, trace=None,
+            timeout: Optional[float] = None) -> Event:
+        return self._exchange(self._request("GET", url, None), url,
+                              trace, timeout)
+
+    def post(self, url: str, form: dict, trace=None,
+             timeout: Optional[float] = None) -> Event:
+        return self._exchange(
+            self._request("POST", url, urlencode(form).encode()), url,
+            trace, timeout)
+
+    def _exchange(self, request, url: str, trace,
+                  timeout: Optional[float]) -> Event:
+        result = self.sim.event()
+        span = None
+        if trace is not None:
+            span = start_span(self.sim, f"{self.span_prefix}.request",
+                              "middleware", parent=trace, url=url)
+        proc = self.sim.spawn(self._run(request, result, span),
+                              name=f"{self.span_prefix}-request")
+        if timeout is not None:
+            self.sim.spawn(self._watchdog(result, proc, timeout, url),
+                           name="request-timeout")
+        return result
+
+    def _run(self, request, result: Event, span):
+        grant = self._mutex.request()
+        try:
+            yield grant
+            connect_span = None
+            if span is not None and not self._established():
+                connect_span = start_span(
+                    self.sim, f"{self.span_prefix}.connect", "middleware",
+                    parent=span)
+            yield from self._ensure_connected()
+            end_span(self.sim, connect_span)
+            if span is not None:
+                self._conn.trace = span.context()
+            self.stats.incr("requests")
+            self._link.send(self._encode(request))
+            while not self._replies:
+                chunk = yield self._link.recv()
+                if chunk == b"":
+                    result.fail(
+                        ConnectionError(f"{self.protocol} session closed"))
+                    return
+                self._replies.extend(self._reader.feed(chunk))
+            result.succeed(self._response(self._replies.popleft()))
+        except self._failures as exc:
+            result.fail(exc)
+        except Interrupt as exc:
+            # The deadline passed: abort the session (a stale half-reply
+            # must not answer the next request).
+            self.stats.incr("request_timeouts")
+            self._abort()
+            if not result.triggered:
+                result.fail(exc.cause if isinstance(exc.cause, Exception)
+                            else ConnectionError("request interrupted"))
+        finally:
+            if grant.triggered:
+                self._mutex.release(grant)
+            else:
+                grant.cancel()
+            end_span(self.sim, span)
+
+    def _watchdog(self, result: Event, proc, timeout: float, url: str):
+        """Interrupt ``proc`` with a RequestTimeout if ``result`` is not
+        settled within ``timeout`` sim-seconds."""
+        expiry = self.sim.timeout(timeout)
+        try:
+            yield self.sim.any_of([result, expiry])
+        except Exception:  # repro: noqa[broad-except] failed result ends the watch
+            return
+        if not result.triggered:
+            proc.interrupt(RequestTimeout(
+                f"no middleware response within {timeout:g}s ({url})"))
+
+    def _established(self) -> bool:
+        return self._conn is not None and \
+            self._conn.state == TCPConnection.ESTABLISHED
+
+    def _ensure_connected(self):
+        """Generator: opens the session unless it is established."""
+        if self._established():
+            return
+        self._conn = self._link = self.tcp.connect(self.address, self.port)
+        self.stats.incr("session_establishments")
+        yield self._conn.established_event
+        yield from self._handshake()
+
+    def _handshake(self):
+        """Generator run on each new connection; none by default."""
+        yield from ()
+
+    def _abort(self) -> None:
+        self.close()
+        self._reader = self._decoder()
+        self._replies.clear()
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+        self._link = None
+
+    # -- what a middleware supplies ----------------------------------------
+    def _request(self, method: str, url: str, body: Optional[bytes]):
+        request = {"method": method, "url": url}
+        if body is not None:
+            request["body"] = body
+        return request
+
+    @staticmethod
+    def _response(reply: dict) -> MiddlewareResponse:
+        return MiddlewareResponse(status=reply.get("status", 0),
+                                  content_type=reply.get("content_type", ""),
+                                  body=reply.get("body", b""),
+                                  meta=reply.get("meta", {}))

@@ -22,6 +22,7 @@ from .base import (
     MiddlewareResponse,
     MiddlewareSession,
     RequestTimeout,
+    response_from_http,
     split_url,
 )
 
@@ -99,16 +100,7 @@ class DirectHTTPSession(MiddlewareSession):
                         status=504, content_type="text/plain",
                         body=b"timeout"))
                     return
-                meta = {"delivered_bytes": len(response.body)}
-                retry_after = response.headers.get("retry-after")
-                if retry_after is not None:
-                    meta["retry_after"] = float(retry_after)
-                result.succeed(MiddlewareResponse(
-                    status=response.status,
-                    content_type=response.content_type,
-                    body=response.body,
-                    meta=meta,
-                ))
+                result.succeed(response_from_http(response))
             finally:
                 end_span(self.sim, span)
 

@@ -12,29 +12,19 @@ implementations: an :class:`IModeSession` holds one persistent
 keep-alive connection (no per-request session establishment) and the
 centre does cheap tag-stripping instead of full WML transcoding.
 
-The centre is a :class:`~repro.middleware.base.GatewayServer`; this
-module supplies its HTTP wire codec and error replies and the cHTML
-adaptation.
+The centre is a :class:`~repro.middleware.base.GatewayServer` and the
+handset side a :class:`~repro.middleware.base.ClientSession`; this
+module supplies their HTTP wire codec, the centre's error replies and
+the cHTML adaptation.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
-from urllib.parse import urlencode
+from typing import Optional
 
-from ..net.addressing import IPAddress
-from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack, tcp_stack
 from ..obs import end_span, start_span
-from ..sim import Counter, Event, Interrupt
 from ..web.http import HTTPRequest, HTTPResponse, RequestParser, ResponseParser
-from .base import (
-    GatewayServer,
-    MiddlewareResponse,
-    MiddlewareSession,
-    guard_timeout,
-)
+from .base import ClientSession, GatewayServer, response_from_http
 from .chtml import CHTML_CONTENT_TYPE, is_compact, to_chtml
 
 __all__ = ["IModeCenter", "IModeSession", "IMODE_PORT"]
@@ -117,107 +107,22 @@ class IModeCenter(GatewayServer):
     _transform = _adapt
 
 
-class IModeSession(MiddlewareSession):
-    """A subscriber's always-on connection to the i-mode centre."""
+class IModeSession(ClientSession):
+    """A subscriber's always-on HTTP connection to the i-mode centre."""
 
     middleware_name = "i-mode"
     session_model = "always-on"
+    span_prefix = "imode"
+    protocol = "i-mode"
+    default_port = IMODE_PORT
+    _decoder = ResponseParser
+    _encode = staticmethod(HTTPRequest.encode)
+    _response = staticmethod(response_from_http)
 
-    def __init__(self, node: Node, center_address: IPAddress,
-                 port: int = IMODE_PORT, tcp: Optional[TCPStack] = None):
-        self.node = node
-        self.sim = node.sim
-        self.center_address = center_address
-        self.port = port
-        self.tcp = tcp or tcp_stack(node)
-        self.stats = Counter()
-        self._conn: Optional[TCPConnection] = None
-        self._parser = ResponseParser()
-        self._responses: Deque[HTTPResponse] = deque()
-        # Serialise concurrent callers on the always-on connection.
-        from ..sim import Resource
-        self._mutex = Resource(self.sim, capacity=1)
-
-    def _ensure_connected(self):
-        if self._conn is not None and \
-                self._conn.state == TCPConnection.ESTABLISHED:
-            return
-        self._conn = self.tcp.connect(self.center_address, self.port)
-        self.stats.incr("session_establishments")
-        yield self._conn.established_event
-
-    def get(self, url: str, trace=None,
-            timeout: Optional[float] = None) -> Event:
-        request = HTTPRequest("GET", url, {"connection": "keep-alive"})
-        return self._roundtrip(request, trace=trace, timeout=timeout)
-
-    def post(self, url: str, form: dict, trace=None,
-             timeout: Optional[float] = None) -> Event:
-        request = HTTPRequest(
-            "POST", url,
-            {"connection": "keep-alive",
-             "content-type": "application/x-www-form-urlencoded"},
-            body=urlencode(form).encode(),
-        )
-        return self._roundtrip(request, trace=trace, timeout=timeout)
-
-    def _roundtrip(self, request: HTTPRequest, trace=None,
-                   timeout: Optional[float] = None) -> Event:
-        result = self.sim.event()
-        span = None
-        if trace is not None:
-            span = start_span(self.sim, "imode.request", "middleware",
-                              parent=trace, url=request.path)
-
-        def exchange(env):
-            grant = self._mutex.request()
-            try:
-                yield grant
-                yield from self._ensure_connected()
-                if span is not None:
-                    self._conn.trace = span.context()
-                self._conn.send(request.encode())
-                self.stats.incr("requests")
-                while not self._responses:
-                    chunk = yield self._conn.recv()
-                    if chunk == b"":
-                        result.fail(ConnectionError("i-mode session closed"))
-                        return
-                    self._responses.extend(self._parser.feed(chunk))
-                response = self._responses.popleft()
-                meta = {"delivered_bytes": len(response.body)}
-                retry_after = response.headers.get("retry-after")
-                if retry_after is not None:
-                    meta["retry_after"] = float(retry_after)
-                result.succeed(MiddlewareResponse(
-                    status=response.status,
-                    content_type=response.content_type,
-                    body=response.body,
-                    meta=meta,
-                ))
-            except Interrupt as exc:
-                self.stats.incr("request_timeouts")
-                self._abort()
-                if not result.triggered:
-                    result.fail(exc.cause if isinstance(exc.cause, Exception)
-                                else ConnectionError("request interrupted"))
-            finally:
-                if grant.triggered:
-                    self._mutex.release(grant)
-                else:
-                    grant.cancel()
-                end_span(self.sim, span)
-
-        proc = self.sim.spawn(exchange(self.sim), name="imode-get")
-        guard_timeout(self.sim, result, proc, timeout, detail=request.path)
-        return result
-
-    def _abort(self) -> None:
-        self.close()
-        self._parser = ResponseParser()
-        self._responses.clear()
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+    def _request(self, method: str, url: str,
+                 body: Optional[bytes]) -> HTTPRequest:
+        headers = {"connection": "keep-alive"}
+        if body is None:
+            return HTTPRequest(method, url, headers)
+        headers["content-type"] = "application/x-www-form-urlencoded"
+        return HTTPRequest(method, url, headers, body=body)

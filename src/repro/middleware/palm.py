@@ -10,31 +10,22 @@ slow Mobitex radios, and a natural fit for the Palm i705 in Table 2.
 
 Implemented as a third :class:`~repro.middleware.base.MiddlewareSession`
 so the interoperability matrix covers it like the other two.  The proxy
-is a :class:`~repro.middleware.base.GatewayServer` speaking WAP's
-frames; this module supplies its error frames and the clipping.
+is a :class:`~repro.middleware.base.GatewayServer` and the device side
+a :class:`~repro.middleware.base.ClientSession`, both speaking WAP's
+frames; this module supplies the proxy's error frames, the clipping
+and its decompression on arrival.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import deque
-from typing import Deque, Optional
+from typing import Optional
 
-from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack, tcp_stack
 from ..obs import end_span, start_span
-from ..sim import Counter, Event, Interrupt, Resource
 from .adaptation import extract_title, strip_tags
-from .base import (
-    FrameReader,
-    GatewayServer,
-    MiddlewareResponse,
-    MiddlewareSession,
-    encode_frame,
-    guard_timeout,
-)
+from .base import ClientSession, GatewayServer, MiddlewareResponse
 
 __all__ = ["WebClippingProxy", "PalmSession", "CLIPPING_PORT",
            "CLIPPING_CONTENT_TYPE", "CLIPPING_BYTE_LIMIT"]
@@ -117,107 +108,23 @@ class WebClippingProxy(GatewayServer):
     _transform = _clip
 
 
-class PalmSession(MiddlewareSession):
+class PalmSession(ClientSession):
     """Device-side clipping client (decompresses on arrival)."""
 
     middleware_name = "Palm Web Clipping"
     session_model = "request-response"
+    span_prefix = "clip"
+    protocol = "clipping"
+    default_port = CLIPPING_PORT
 
-    def __init__(self, node: Node, proxy_address: IPAddress,
-                 port: int = CLIPPING_PORT, tcp: Optional[TCPStack] = None):
-        self.node = node
-        self.sim = node.sim
-        self.proxy_address = proxy_address
-        self.port = port
-        self.tcp = tcp or tcp_stack(node)
-        self.stats = Counter()
-        self._conn: Optional[TCPConnection] = None
-        self._reader = FrameReader()
-        self._frames: Deque[dict] = deque()
-        self._mutex = Resource(self.sim, capacity=1)
-
-    def _ensure_connected(self):
-        if self._conn is not None and \
-                self._conn.state == TCPConnection.ESTABLISHED:
-            return
-        self._conn = self.tcp.connect(self.proxy_address, self.port)
-        self.stats.incr("session_establishments")
-        yield self._conn.established_event
-
-    def get(self, url: str, trace=None,
-            timeout: Optional[float] = None) -> Event:
-        return self._roundtrip({"method": "GET", "url": url}, trace=trace,
-                               timeout=timeout)
-
-    def post(self, url: str, form: dict, trace=None,
-             timeout: Optional[float] = None) -> Event:
-        from urllib.parse import urlencode
-        return self._roundtrip({"method": "POST", "url": url,
-                                "body": urlencode(form).encode()},
-                               trace=trace, timeout=timeout)
-
-    def _roundtrip(self, request: dict, trace=None,
-                   timeout: Optional[float] = None) -> Event:
-        result = self.sim.event()
-        span = None
-        if trace is not None:
-            span = start_span(self.sim, "clip.request", "middleware",
-                              parent=trace, url=request.get("url", ""))
-
-        def exchange(env):
-            grant = self._mutex.request()
-            try:
-                yield grant
-                yield from self._ensure_connected()
-                if span is not None:
-                    self._conn.trace = span.context()
-                self._conn.send(encode_frame(request))
-                self.stats.incr("requests")
-                while not self._frames:
-                    chunk = yield self._conn.recv()
-                    if chunk == b"":
-                        result.fail(
-                            ConnectionError("clipping session closed"))
-                        return
-                    self._frames.extend(self._reader.feed(chunk))
-                frame = self._frames.popleft()
-                body = frame.get("body", b"")
-                content_type = frame.get("content_type", "text/plain")
-                meta = frame.get("meta", {})
-                if content_type == CLIPPING_CONTENT_TYPE and \
-                        meta.get("clipped"):
-                    meta["wire_bytes"] = len(body)
-                    body = zlib.decompress(body)
-                result.succeed(MiddlewareResponse(
-                    status=frame.get("status", 0),
-                    content_type=content_type,
-                    body=body,
-                    meta=meta,
-                ))
-            except Interrupt as exc:
-                self.stats.incr("request_timeouts")
-                self._abort()
-                if not result.triggered:
-                    result.fail(exc.cause if isinstance(exc.cause, Exception)
-                                else ConnectionError("request interrupted"))
-            finally:
-                if grant.triggered:
-                    self._mutex.release(grant)
-                else:
-                    grant.cancel()
-                end_span(self.sim, span)
-
-        proc = self.sim.spawn(exchange(self.sim), name="palm-get")
-        guard_timeout(self.sim, result, proc, timeout,
-                      detail=request.get("url", ""))
-        return result
-
-    def _abort(self) -> None:
-        self.close()
-        self._reader = FrameReader()
-        self._frames.clear()
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+    @staticmethod
+    def _response(frame: dict) -> MiddlewareResponse:
+        body = frame.get("body", b"")
+        content_type = frame.get("content_type", "text/plain")
+        meta = frame.get("meta", {})
+        if content_type == CLIPPING_CONTENT_TYPE and meta.get("clipped"):
+            meta["wire_bytes"] = len(body)
+            body = zlib.decompress(body)
+        return MiddlewareResponse(status=frame.get("status", 0),
+                                  content_type=content_type, body=body,
+                                  meta=meta)

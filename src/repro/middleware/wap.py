@@ -17,36 +17,26 @@ always-on.
 
 The server plumbing (listener, serve loop, crash/restart, batching,
 breaker-guarded origin fetch, content memo) is the shared
-:class:`~repro.middleware.base.GatewayServer`.  This module supplies
-what is WAP's own: the WTLS listener, the origin ``accept``
-negotiation, the ``cache_ttl`` response cache and the HTML -> WML
-(-> WMLC) translation.
+:class:`~repro.middleware.base.GatewayServer`, and the device side is
+the shared :class:`~repro.middleware.base.ClientSession`.  This module
+supplies what is WAP's own: the WTLS listener and client handshake,
+the ``accept`` header on requests and its origin negotiation, the
+``cache_ttl`` response cache and the HTML -> WML (-> WMLC) translation.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
-from urllib.parse import urlencode
+from typing import Optional
 
 from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack, tcp_stack
+from ..net.tcp import TCPConnection, TCPStack
 from ..obs import end_span, start_span
 from ..security.wtls import SecureChannel, SecurityError
-from ..sim import Counter, Event, Interrupt, RandomStream
+from ..sim import RandomStream
 from .adaptation import html_to_wml
-from .base import (
-    FrameReader,
-    GatewayServer,
-    MiddlewareResponse,
-    MiddlewareSession,
-    decode_obj,
-    encode_frame,
-    encode_obj,
-    guard_timeout,
-)
+from .base import ClientSession, GatewayServer, decode_obj, encode_obj
 from .wml import WML_CONTENT_TYPE, WMLC_CONTENT_TYPE, encode_wmlc, parse_wml
 
 __all__ = ["WAPGateway", "WAPSession", "WSP_PORT", "WTLS_PORT"]
@@ -188,11 +178,23 @@ class WAPGateway(GatewayServer):
     _transform = _translate
 
 
-class WAPSession(MiddlewareSession):
-    """Device-side WSP session to a gateway."""
+class _Records:
+    """WTLS keeps record boundaries: each record is one whole reply."""
+
+    @staticmethod
+    def feed(record: bytes) -> list[dict]:
+        return [decode_obj(record)]
+
+
+class WAPSession(ClientSession):
+    """Device-side WSP session to a gateway, optionally over WTLS."""
 
     middleware_name = "WAP"
     session_model = "gateway-session"
+    span_prefix = "wsp"
+    protocol = "WSP"
+    default_port = WSP_PORT
+    _failures = (SecurityError,)
 
     def __init__(self, node: Node, gateway_address: IPAddress,
                  port: Optional[int] = None,
@@ -202,129 +204,24 @@ class WAPSession(MiddlewareSession):
                  entropy: Optional[RandomStream] = None):
         if secure and entropy is None:
             raise ValueError("secure WAP sessions need an entropy stream")
-        self.node = node
-        self.sim = node.sim
-        self.gateway_address = gateway_address
         self.secure = secure
         self.entropy = entropy
-        self.port = port if port is not None else (
-            WTLS_PORT if secure else WSP_PORT)
         self.accept = accept
-        self.tcp = tcp or tcp_stack(node)
-        self.stats = Counter()
-        self._conn: Optional[TCPConnection] = None
-        self._channel: Optional[SecureChannel] = None
-        self._reader = FrameReader()
-        self._frames: Deque[dict] = deque()
-        # One request at a time per WSP session: concurrent callers are
-        # serialised so replies match their requests.
-        from ..sim import Resource
-        self._mutex = Resource(self.sim, capacity=1)
+        if secure:
+            self.protocol = "WTLS"
+            self.default_port = WTLS_PORT
+            self._encode = encode_obj
+            self._decoder = _Records
+        super().__init__(node, gateway_address, port, tcp)
 
-    def _ensure_connected(self):
-        """Generator: establishes the WSP (or WTLS) session on first use."""
-        if self._conn is not None and \
-                self._conn.state == TCPConnection.ESTABLISHED:
-            return
-        self._conn = self.tcp.connect(self.gateway_address, self.port)
-        self.stats.incr("session_establishments")
-        yield self._conn.established_event
+    def _handshake(self):
         if self.secure:
-            self._channel = SecureChannel(self._conn, self.entropy)
-            yield self._channel.handshake_client()
+            self._link = SecureChannel(self._conn, self.entropy)
+            yield self._link.handshake_client()
             self.stats.incr("wtls_handshakes")
 
-    def get(self, url: str, trace=None,
-            timeout: Optional[float] = None) -> Event:
-        return self._roundtrip({"method": "GET", "url": url,
-                                "accept": self.accept}, trace=trace,
-                               timeout=timeout)
-
-    def post(self, url: str, form: dict, trace=None,
-             timeout: Optional[float] = None) -> Event:
-        return self._roundtrip({
-            "method": "POST",
-            "url": url,
-            "accept": self.accept,
-            "body": urlencode(form).encode(),
-        }, trace=trace, timeout=timeout)
-
-    def _roundtrip(self, request: dict, trace=None,
-                   timeout: Optional[float] = None) -> Event:
-        result = self.sim.event()
-        span = None
-        if trace is not None:
-            span = start_span(self.sim, "wsp.request", "middleware",
-                              parent=trace, url=request.get("url", ""))
-
-        def exchange(env):
-            grant = self._mutex.request()
-            try:
-                yield grant
-                connect_span = None
-                if span is not None and (
-                    self._conn is None
-                    or self._conn.state != TCPConnection.ESTABLISHED
-                ):
-                    connect_span = start_span(self.sim, "wsp.connect",
-                                              "middleware", parent=span)
-                yield from self._ensure_connected()
-                end_span(self.sim, connect_span)
-                if span is not None:
-                    self._conn.trace = span.context()
-                self.stats.incr("requests")
-                if self.secure:
-                    self._channel.send(encode_obj(request))
-                    record = yield self._channel.recv()
-                    if record == b"":
-                        result.fail(ConnectionError("WTLS session closed"))
-                        return
-                    frame = decode_obj(record)
-                else:
-                    self._conn.send(encode_frame(request))
-                    while not self._frames:
-                        chunk = yield self._conn.recv()
-                        if chunk == b"":
-                            result.fail(
-                                ConnectionError("WSP session closed"))
-                            return
-                        self._frames.extend(self._reader.feed(chunk))
-                    frame = self._frames.popleft()
-                result.succeed(MiddlewareResponse(
-                    status=frame.get("status", 0),
-                    content_type=frame.get("content_type", ""),
-                    body=frame.get("body", b""),
-                    meta=frame.get("meta", {}),
-                ))
-            except SecurityError as exc:
-                result.fail(exc)
-            except Interrupt as exc:
-                # The timeout watchdog fired: abort the session (a
-                # stale half-reply must not answer the next request).
-                self.stats.incr("request_timeouts")
-                self._abort()
-                if not result.triggered:
-                    result.fail(exc.cause if isinstance(exc.cause, Exception)
-                                else ConnectionError("request interrupted"))
-            finally:
-                if grant.triggered:
-                    self._mutex.release(grant)
-                else:
-                    grant.cancel()
-                end_span(self.sim, span)
-
-        proc = self.sim.spawn(exchange(self.sim), name="wap-get")
-        guard_timeout(self.sim, result, proc, timeout,
-                      detail=request.get("url", ""))
-        return result
-
-    def _abort(self) -> None:
-        self.close()
-        self._reader = FrameReader()
-        self._frames.clear()
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-        self._channel = None
+    def _request(self, method: str, url: str, body: Optional[bytes]) -> dict:
+        request = {"method": method, "url": url, "accept": self.accept}
+        if body is not None:
+            request["body"] = body
+        return request

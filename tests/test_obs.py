@@ -133,6 +133,23 @@ def test_context_survives_middleware_reencoding(middleware):
     assert "db.query" in names
 
 
+@pytest.mark.parametrize("middleware, prefix",
+                         [("WAP", "wsp"), ("i-mode", "imode"),
+                          ("Palm", "clip")])
+def test_one_connect_span_under_the_first_request(middleware, prefix):
+    # Every device-side session opens <prefix>.connect when a request
+    # has to establish the connection first, as a child of that request.
+    tracer, record = traced_commerce_run(middleware=middleware)
+    spans = tracer.for_trace(record.trace_id)
+    requests = sorted((s for s in spans if s.name == f"{prefix}.request"),
+                      key=lambda s: (s.start, s.span_id))
+    connects = [s for s in spans if s.name == f"{prefix}.connect"]
+    assert len(requests) > 1
+    assert len(connects) == 1
+    assert connects[0].parent_id == requests[0].span_id
+    assert connects[0].layer == requests[0].layer == "middleware"
+
+
 def test_context_survives_tcp_segmentation():
     tracer, record = traced_commerce_run()
     spans = tracer.for_trace(record.trace_id)
