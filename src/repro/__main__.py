@@ -219,10 +219,8 @@ def _cmd_check(args) -> int:
 def _print_replications(result) -> None:
     """One stderr line per summarised metric of a replicated run."""
     seeds = list(result["replicas"])
-    measured = result["measured"]
     print(f"replications: seeds {seeds[0]}..{seeds[-1]} on "
-          f"{measured['processes']} process(es), "
-          f"{measured['wall_seconds']:.2f}s wall", file=sys.stderr)
+          f"{result['measured']['processes']} process(es)", file=sys.stderr)
     for name, stats in result["summary"].items():
         half = ("n/a" if stats["ci95"] is None
                 else f"{stats['ci95']:.6g}")
@@ -377,14 +375,14 @@ def _cmd_bench(args) -> int:
         _print_replications(report)
         print(f"report written to {args.out}", file=sys.stderr)
         return 0
-    opt = report["optimized"]
+    det = report["optimized"]["deterministic"]
     summary = (
         f"bench users={args.users} seed={args.seed}"
         + (f" fleet={args.fleet}" if args.fleet else "")
         + ": "
-        f"{opt['measured']['wall_seconds']:.2f}s wall, "
-        f"{opt['measured']['events_per_sec']} events/s, "
-        f"{opt['measured']['transactions_per_sec']} txn/s"
+        f"succeeded {det['succeeded']}/{det['offered']} offered, "
+        f"p95 {det['latency']['p95']:.3f}s, "
+        f"{det['kernel_events']} kernel events"
     )
     print(summary, file=sys.stderr)
     if sweep is not None:

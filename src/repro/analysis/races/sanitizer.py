@@ -472,7 +472,7 @@ def _shared_roots(system, engine=None) -> Iterable[tuple]:
                 continue  # member 0 is already wrapped as "gateway"
             yield f"fleet[{name}]", member.gateway
             yield f"fleet[{name}].stats", member.gateway.stats
-    for label in ("balancer", "health_monitor", "autoscaler", "canary"):
+    for label in ("balancer", "health_monitor", "canary"):
         component = getattr(system, label, None)
         if component is not None:
             yield label, component

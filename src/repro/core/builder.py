@@ -15,7 +15,7 @@ application code on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..db import DatabaseClient, DatabaseServer
@@ -34,7 +34,7 @@ from ..middleware import (
 )
 from ..net import AddressAllocator, NameRegistry, Network, Node, Subnet
 from ..obs import MetricsRegistry
-from ..resilience import ResilienceConfig, ResilientSession
+from ..resilience import CircuitBreaker, ResilienceConfig, ResilientSession
 from ..security import PaymentProcessor, TokenIssuer, UserStore
 from ..sim import SeedBank, Simulator
 from ..web import WebServer
@@ -54,6 +54,22 @@ __all__ = ["HostTier", "StationHandle", "ClientHandle", "MCSystem",
            "ECSystem", "MCSystemBuilder", "ECSystemBuilder"]
 
 HOST_DOMAIN = "shop.example.com"
+
+# Resilience values no caller varies, each used at one call site below
+# (the knobs callers do vary live in ResilienceConfig).  The breaker
+# opens after 4 consecutive origin failures, probes again after 8 s and
+# lets 2 half-open requests through; the origin timeout sits under the
+# request deadline so the breaker learns about dead origins quickly
+# (without policies the gateway keeps its own 30 s default).
+BREAKER = dict(failure_threshold=4, recovery_time=8.0, half_open_max=2)
+ORIGIN_TIMEOUT = 3.0
+# Web-server admission control: extra queued requests tolerated on top
+# of the busy worker pool before shedding with 503, the base
+# Retry-After (scaled with queue depth) and its seeded jitter.
+SHEDDING = dict(backlog=16, retry_after=1.0, jitter=0.2)
+# The standby gateway listens this many ports above the primary (its
+# endpoint is published in the name registry, never hardcoded).
+STANDBY_PORT_OFFSET = 10
 
 # Middleware kind -> (gateway server class, device session class).
 _MIDDLEWARE = {
@@ -164,7 +180,6 @@ class MCSystem(_BaseSystem):
         self.fleet = None
         self.balancer = None
         self.health_monitor = None
-        self.autoscaler = None
         self.canary = None
 
     def add_station(self, device_name: str,
@@ -316,22 +331,24 @@ class MCSystemBuilder:
         """
         kind = self.middleware
         gateway_cls, session_cls = _MIDDLEWARE[kind]
-        batching = res.batch_config() if res is not None else None
-        wap_options = {}
+        options = {}
         if kind == "WAP":
-            wap_options = dict(
+            options = dict(
                 wtls_port=port + (WTLS_PORT - WSP_PORT),
                 entropy=seeds.stream(f"wtls-gateway{suffix}"))
+        if res is not None:
+            options.update(
+                breaker=CircuitBreaker(sim, name=f"{kind}-origin{suffix}",
+                                       **BREAKER),
+                origin_timeout=ORIGIN_TIMEOUT)
+            if res.batching is not None:
+                options.update(
+                    batching=res.batching,
+                    batch_stream=seeds.stream(f"gateway-admission{suffix}"))
         gateway = gateway_cls(
-            node, registry, port=port,
-            breaker=(res.breaker(sim, name=f"{kind}-origin{suffix}")
-                     if res is not None else None),
-            origin_timeout=res.origin_timeout if res is not None else 30.0,
-            batching=batching,
-            batch_stream=(seeds.stream(f"gateway-admission{suffix}")
-                          if batching is not None else None),
-            air_pressure=air_pressure, handicap=handicap,
-            metrics=metrics, metric_name=metric_name, **wap_options)
+            node, registry, port=port, air_pressure=air_pressure,
+            handicap=handicap, metrics=metrics, metric_name=metric_name,
+            **options)
         service = f"middleware{suffix}"
         registry.register_service(service, node.primary_address,
                                   gateway.port)
@@ -358,11 +375,10 @@ class MCSystemBuilder:
 
         Member 0 reuses the classic port, seed-stream names and the
         ``middleware`` service name, so a fleet of one is byte-for-byte
-        the single-gateway topology; the monitors (health, autoscale,
-        canary) only spawn once there is an actual fleet to manage.
+        the single-gateway topology; the monitors (health, canary) only
+        spawn once there is an actual fleet to manage.
         """
         from ..fleet import (
-            AutoScaler,
             CanaryController,
             GatewayFleet,
             HealthMonitor,
@@ -380,8 +396,6 @@ class MCSystemBuilder:
 
         fleet = GatewayFleet(sim, make_gateway,
                              base_port=self._primary_port(),
-                             port_stride=res.fleet_port_stride,
-                             virtual_nodes=res.fleet_virtual_nodes,
                              n_cells=max(1, len(cells)))
         for _ in range(res.fleet_size):
             fleet.add_member()
@@ -390,45 +404,24 @@ class MCSystemBuilder:
         if res.direct_fallback:
             def direct_factory(station):
                 return DirectHTTPSession(station, registry)
+        # The balancer's observation window must cover the canary's
+        # judgement windows.
+        canary_window = (res.canary or {}).get("window", 0.0)
         balancer = LoadBalancer(
             sim, fleet, direct_factory=direct_factory,
-            sample_window=max(120.0, 4 * res.canary_window))
+            sample_window=max(120.0, 4 * canary_window))
 
         def make_session(station: MobileStation) -> MiddlewareSession:
             return ResilientSession(balancer.provider(station),
                                     timeout=res.request_timeout,
                                     observer=balancer.observe, sim=sim)
 
-        health = autoscaler = canary = None
+        health = canary = None
         if res.fleet_size >= 2:
-            health = HealthMonitor(
-                sim, fleet, interval=res.health_interval,
-                timeout=res.health_timeout,
-                unhealthy_threshold=res.unhealthy_threshold,
-                recovery_threshold=res.recovery_threshold,
-                metrics=metrics)
+            health = HealthMonitor(sim, fleet, metrics=metrics)
             health.start()
-        if res.autoscale:
-            autoscaler = AutoScaler(
-                sim, fleet, metrics,
-                high_watermark=res.autoscale_high_watermark,
-                low_watermark=res.autoscale_low_watermark,
-                min_members=res.autoscale_min_members,
-                max_members=res.autoscale_max_members,
-                cooldown=res.autoscale_cooldown,
-                interval=res.autoscale_interval)
-            autoscaler.start()
-        if res.canary_fraction > 0:
-            canary = CanaryController(
-                sim, fleet, balancer, fraction=res.canary_fraction,
-                deploy_at=res.canary_deploy_at,
-                handicap=res.canary_handicap,
-                window=res.canary_window,
-                min_samples=res.canary_min_samples,
-                p95_ratio=res.canary_p95_ratio,
-                success_delta=res.canary_success_delta,
-                violations=res.canary_violations,
-                healthy_windows=res.canary_healthy_windows)
+        if res.canary is not None:
+            canary = CanaryController(sim, fleet, balancer, **res.canary)
             canary.start()
 
         return {
@@ -437,7 +430,6 @@ class MCSystemBuilder:
             "fleet": fleet,
             "balancer": balancer,
             "health": health,
-            "autoscaler": autoscaler,
             "canary": canary,
         }
 
@@ -488,9 +480,9 @@ class MCSystemBuilder:
                 loss_rate=self.wireless_loss, loss_stream=loss_stream,
                 subscriber_subnet=str(station_subnet),
             )
-            # A fleet gets one cell per initial member (the radio tier
-            # scales with the planned middleware tier, not with later
-            # autoscaling); the classic topology keeps its single cell.
+            # A fleet gets one cell per member (canary replacements
+            # reuse the retired member's cell); the classic topology
+            # keeps its single cell.
             n_cells = fleet_size if fleet_size > 1 else 1
             cells = [cellnet.add_base_station(f"cell-{i}",
                                               Position(0.0, 0.0))
@@ -533,7 +525,7 @@ class MCSystemBuilder:
                 standby_gateway, make_standby_session = self._make_gateway(
                     sim, seeds, registry, middleware_node, res, metrics,
                     suffix="-standby",
-                    port=gateway.port + res.standby_port_offset,
+                    port=gateway.port + STANDBY_PORT_OFFSET,
                     metric_name="gateway.standby", air_pressure=air_pressure)
 
         if res is not None and fleet_parts is None:
@@ -591,14 +583,13 @@ class MCSystemBuilder:
             system.fleet = fleet_parts["fleet"]
             system.balancer = fleet_parts["balancer"]
             system.health_monitor = fleet_parts["health"]
-            system.autoscaler = fleet_parts["autoscaler"]
             system.canary = fleet_parts["canary"]
         if res is not None:
             host.web_server.enable_load_shedding(
-                backlog=res.shed_backlog, retry_after=res.shed_retry_after,
-                jitter=res.shed_jitter, stream=seeds.stream("shed-jitter"))
-            system.retry_policy = res.retry_policy(
-                seeds.stream("retry-jitter"))
+                stream=seeds.stream("shed-jitter"), **SHEDDING)
+            system.retry_policy = replace(
+                res.retry, attempt_timeout=res.request_timeout,
+                stream=seeds.stream("retry-jitter"))
             system.request_timeout = res.request_timeout
         return system
 

@@ -182,21 +182,19 @@ def run_chaos(scenario: str = "storm", seed: int = 0,
         stations = 12 if fleet > 0 else 4
     resilience = ResilienceConfig() if policies else None
     if fleet > 0:
-        resilience = dataclasses.replace(
-            resilience, fleet_size=fleet, standby_gateway=False)
+        resilience = dataclasses.replace(resilience, fleet_size=fleet)
     if scenario == "canary-regression" and fleet > 0:
         # The planted regression: a v2 canary whose per-request
         # handicap scales with intensity, judged over windows sized to
         # see several transactions per side.
-        resilience = dataclasses.replace(
-            resilience,
-            canary_fraction=0.5,
-            canary_deploy_at=horizon * 0.25,
-            canary_handicap=2.0 + 2.0 * intensity,
-            canary_window=horizon / 6.0,
-            canary_min_samples=3,
-            canary_violations=2,
-        )
+        resilience = dataclasses.replace(resilience, canary=dict(
+            fraction=0.5,
+            deploy_at=horizon * 0.25,
+            handicap=2.0 + 2.0 * intensity,
+            window=horizon / 6.0,
+            min_samples=3,
+            violations=2,
+        ))
     builder = MCSystemBuilder(seed=seed, middleware=middleware,
                               bearer=bearer, resilience=resilience)
     system = builder.build()

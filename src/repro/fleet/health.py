@@ -43,7 +43,7 @@ class HealthMonitor:
         self.recovery_threshold = recovery_threshold
         self.probe_cost = probe_cost
         # Distinct phase offset: monitor writes land in their own
-        # kernel batches, never sharing one with autoscale/canary.
+        # kernel batches, never sharing one with the canary's.
         self.phase = phase
         self.metrics = metrics
         self.stats = Counter()
@@ -63,7 +63,7 @@ class HealthMonitor:
         while True:
             yield self.sim.timeout(self.interval)
             # Insertion-ordered dict sweep: deterministic, and members
-            # added mid-run (autoscale, canary) join the next sweep.
+            # added mid-run (canary replacements) join the next sweep.
             for name in list(self.fleet.members):
                 member = self.fleet.members[name]
                 if member.state != "active":

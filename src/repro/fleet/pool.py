@@ -11,7 +11,7 @@ session.
 Members are never destroyed mid-run: retirement is *graceful* — the
 member leaves the ring so no new request routes to it, while in-flight
 requests on its still-running gateway complete normally.  That is what
-makes canary replacement and scale-down lossless (zero stranded
+makes canary replacement and rollback lossless (zero stranded
 sessions), and it mirrors real connection-draining balancers.
 """
 
@@ -89,6 +89,8 @@ class GatewayFleet:
         self.sim = sim
         self.ring = HashRing(virtual_nodes=virtual_nodes)
         self.base_port = base_port
+        # The default stride of 20 leaves room for each member's WTLS
+        # companion port and the single-gateway standby offset (10).
         self.port_stride = port_stride
         # Radio cells do not scale with middleware: members past the
         # initial pool share the existing cells round-robin.
@@ -105,9 +107,9 @@ class GatewayFleet:
                    handicap: Optional[float] = None,
                    cell_index: Optional[int] = None) -> FleetMember:
         # Membership changes come only from the phase-offset monitor
-        # loops (health 0.111 / autoscale 0.222 / canary 0.333), so no
-        # two writers ever share a same-timestamp kernel batch; the
-        # dynamic sanitizer confirms this over the fleet scenarios.
+        # loops (health 0.111 / canary 0.333), so no two writers ever
+        # share a same-timestamp kernel batch; the dynamic sanitizer
+        # confirms this over the fleet scenarios.
         index = self._next_index
         self._next_index += 1  # repro: noqa[shared-state]
         if version is None:

@@ -39,10 +39,6 @@ def fleet_report(system) -> dict:
     monitor = getattr(system, "health_monitor", None)
     if monitor is not None:
         out["health"] = monitor.stats.as_dict()
-    scaler = getattr(system, "autoscaler", None)
-    if scaler is not None:
-        out["autoscale"] = {"stats": scaler.stats.as_dict(),
-                            "events": list(scaler.events)}
     canary = getattr(system, "canary", None)
     if canary is not None:
         out["canary"] = canary.as_dict()

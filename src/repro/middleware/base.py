@@ -308,9 +308,8 @@ class RequestBatcher:
         self.stats = stats if stats is not None else Counter()
         # Optional live export through repro.obs.metrics: queue depth as
         # a first-class gauge (updated on every enqueue/dequeue) and the
-        # shed counters mirrored into a registry counter, so health
-        # checks and autoscalers read current values instead of poking
-        # batcher internals.  Purely observational — never consulted by
+        # shed counters mirrored into a registry counter, so a monitor
+        # can read current values instead of poking batcher internals.  Purely observational — never consulted by
         # the batcher itself, so wiring it changes no virtual behaviour.
         self.depth_gauge = None
         self.shed_counter = None

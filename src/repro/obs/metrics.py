@@ -37,9 +37,8 @@ class Gauge:
     Unlike a :class:`Counter` (monotone accumulation) or a
     :class:`TimeSeries` (retained history), a gauge holds only the
     current reading plus its high-water mark — cheap enough to update
-    on every queue mutation, which is what lets health checks and
-    autoscalers read *live* values instead of poking component
-    internals after the run.
+    on every queue mutation, which is what lets a monitor read *live*
+    values instead of poking component internals after the run.
     """
 
     __slots__ = ("value", "peak", "updates")

@@ -2,8 +2,8 @@
 
 ``run_bench`` drives a fleet of simulated users through the full mobile
 commerce transaction path (device -> gateway middleware -> wired network
--> web server -> database) and reports wall-clock throughput alongside a
-fully deterministic summary of what the virtual run computed.
+-> web server -> database) and reports a fully deterministic summary of
+what the virtual run computed (``python -m bench`` does the timing).
 ``sweep_bench`` repeats it across user counts to draw the
 goodput-vs-offered-load curve.
 

@@ -4,35 +4,32 @@ The benchmark reuses the chaos runner's system wiring (builder ->
 stations -> :class:`TransactionEngine`) minus the fault plan: every user
 is a seeded shopper running ``browse_and_buy`` flows paced across the
 horizon.  The kernel's own ``events_processed`` counter supplies event
-totals (no profiler in the measured loop — its per-event hook costs
+totals (no profiler in the run — its per-event hook costs
 several percent of wall time) and a :class:`~repro.obs.Tracer` records
 per-layer spans, so the report can break virtual latency down by layer.
 
-The report has two sections with different guarantees:
-
-* ``deterministic`` — everything derived from the virtual run (counts,
-  latency percentiles, per-layer seconds, kernel event totals).  Same
-  seed, same bytes; the equivalence guard (:mod:`repro.perf.determinism`)
-  byte-compares exactly this section.
-* ``measured`` — host wall-clock figures (seconds, events/sec,
-  transactions/sec).  Honest but machine-dependent, so excluded from
-  byte comparisons.
+The report's ``deterministic`` section holds everything derived from
+the virtual run (counts, latency percentiles, per-layer seconds, kernel
+event totals): same seed, same bytes, and the equivalence guard
+(:mod:`repro.perf.determinism`) byte-compares exactly this section.
+The report carries no host timing; ``python -m bench`` is the timer
+(median and IQR over interleaved repeats).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from typing import Iterable, Optional
 
 from ..apps import CommerceApp
 from ..core import MCSystemBuilder, TransactionEngine
 from ..faults.chaos import DEFAULT_DEVICE, percentile
 from ..fleet import fleet_report
+from ..middleware.base import BatchConfig
 from ..obs import install_tracer, layer_breakdown
 from ..opt import OPTIMIZATIONS
-from ..resilience import ResilienceConfig
+from ..resilience import ResilienceConfig, RetryPolicy
 
 __all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
            "check_capacity_curve"]
@@ -42,50 +39,48 @@ def bench_resilience() -> ResilienceConfig:
     """The load benchmark's capacity-engineered policy set (DESIGN §13).
 
     On top of the default resilience knobs this enables gateway-side
-    batching (the sustained service rate ``batch_max / batch_window``
-    is sized to keep the GPRS cell's shared airtime below saturation)
+    batching (the sustained service rate ``max_batch / window`` is
+    sized to keep the GPRS cell's shared airtime below saturation)
     and admission control (watermark + virtual-FIFO Retry-After
     reservations), so overload is shed at the cheapest layer instead of
     timing out after burning wireless and middleware budget.
     """
     return ResilienceConfig(
-        gateway_batching=True,
-        # 4 requests / 0.3s = ~13.3 req/s sustained service, sized so
-        # the admitted stream (~620B of shared GPRS airtime per served
-        # request) plus shed chatter stays below the cell's 12.5 KB/s.
-        # ~18.75 req/s nominal: deliberately above what the radio can
-        # sustain, so the binding constraint is the RAN backpressure
-        # gate below (which tracks the radio's true capacity) rather
-        # than a hardcoded rate that wastes airtime when the cell is
-        # quiet.  Empirically the knee: shorter windows push the GPRS
-        # cell into queueing (p50 latency jumps 3s -> 30s+).
-        batch_window=0.16,
-        batch_max=3,
-        batch_item_cost=0.001,
-        # A shallow watermark sheds the arrival wave BEFORE the radio
-        # saturates: a shed cycle costs ~400B of airtime against ~620B
-        # plus queueing for a served request, and the parked client
-        # stops contending entirely until its reservation matures.
-        admission_watermark=12,
-        admission_retry_floor=1.0,
-        admission_jitter=0.2,
-        # Over-space reservations 5x so returning shed clients use a
-        # fraction of the service slots, leaving room for fresh
-        # arrivals; repeated sheds push the pointer (and the hints)
-        # out fast, which is what parks the overload wave.
-        admission_reserve_factor=5.0,
-        # RAN backpressure: stop admitting whenever ~12 transmitters
-        # are already queued for the cell's shared airtime — replies
-        # sent into a saturated cell only deepen the collapse.
-        air_pressure_threshold=12,
+        batching=BatchConfig(
+            # 4 requests / 0.3s = ~13.3 req/s sustained service, sized so
+            # the admitted stream (~620B of shared GPRS airtime per served
+            # request) plus shed chatter stays below the cell's 12.5 KB/s.
+            # ~18.75 req/s nominal: deliberately above what the radio can
+            # sustain, so the binding constraint is the RAN backpressure
+            # gate below (which tracks the radio's true capacity) rather
+            # than a hardcoded rate that wastes airtime when the cell is
+            # quiet.  Empirically the knee: shorter windows push the GPRS
+            # cell into queueing (p50 latency jumps 3s -> 30s+).
+            window=0.16,
+            max_batch=3,
+            per_item_cost=0.001,
+            # A shallow watermark sheds the arrival wave BEFORE the radio
+            # saturates: a shed cycle costs ~400B of airtime against ~620B
+            # plus queueing for a served request, and the parked client
+            # stops contending entirely until its reservation matures.
+            watermark=12,
+            retry_floor=1.0,
+            jitter=0.2,
+            # Over-space reservations 5x so returning shed clients use a
+            # fraction of the service slots, leaving room for fresh
+            # arrivals; repeated sheds push the pointer (and the hints)
+            # out fast, which is what parks the overload wave.
+            reserve_factor=5.0,
+            # RAN backpressure: stop admitting whenever ~12 transmitters
+            # are already queued for the cell's shared airtime — replies
+            # sent into a saturated cell only deepen the collapse.
+            pressure_threshold=12,
+        ),
         # Shed clients park on the virtual-FIFO Retry-After hint (which
         # grows with the shed backlog) rather than on their own small
         # exponential backoff; parked devices cost zero airtime.
-        retry_attempts=5,
-        retry_base_delay=0.5,
-        retry_multiplier=2.0,
-        retry_max_delay=8.0,
-        retry_jitter=0.3,
+        retry=RetryPolicy(max_attempts=5, base_delay=0.5, max_delay=8.0,
+                          jitter=0.3),
         # Air-queueing latency under load must not masquerade as a dead
         # route: aborting a slow-but-alive request tears down the WSP
         # session, and the reconnect handshake storm consumes the very
@@ -141,12 +136,10 @@ def run_bench(users: int = 50, seed: int = 7,
     """Run the load scenario once and return the benchmark report dict.
 
     ``users`` stations each run ``transactions_per_user`` purchase flows
-    spread across ``horizon`` virtual seconds.  The wall-clock section
-    measures only the ``system.run`` call — build and reporting time is
-    not counted.  ``post_build(system, engine)``, when given, runs after
-    the scenario is fully wired but before the clock starts — the race
-    sanitizer uses it to instrument shared state and install its kernel
-    hook.
+    spread across ``horizon`` virtual seconds.  ``post_build(system,
+    engine)``, when given, runs after the scenario is fully wired but
+    before the clock starts — the race sanitizer uses it to instrument
+    shared state and install its kernel hook.
     ``resilience`` overrides the policy set (tests use it to force
     specific capacity knobs); the default with ``policies=True`` is
     :func:`bench_resilience`.  ``fleet`` > 0 runs the middleware tier
@@ -165,8 +158,7 @@ def run_bench(users: int = 50, seed: int = 7,
     if fleet > 0:
         if resilience is None:
             raise ValueError("a gateway fleet requires policies=True")
-        resilience = dataclasses.replace(resilience, fleet_size=fleet,
-                                         standby_gateway=False)
+        resilience = dataclasses.replace(resilience, fleet_size=fleet)
     builder = MCSystemBuilder(seed=seed, middleware=middleware,
                               bearer=bearer, resilience=resilience)
     system = builder.build()
@@ -206,9 +198,7 @@ def run_bench(users: int = 50, seed: int = 7,
     if post_build is not None:
         post_build(system, engine)
 
-    run_started = time.perf_counter()  # repro: noqa[wall-clock]
     system.run(until=horizon)
-    wall_seconds = time.perf_counter() - run_started  # repro: noqa[wall-clock]
 
     records = engine.completed
     latencies = sorted(engine.latencies())
@@ -282,13 +272,6 @@ def run_bench(users: int = 50, seed: int = 7,
     return {
         "deterministic": deterministic,
         "optimizations": OPTIMIZATIONS.as_dict(),
-        "measured": {
-            "wall_seconds": round(wall_seconds, 4),
-            "events_per_sec": (round(events / wall_seconds)
-                               if wall_seconds > 0 else 0),
-            "transactions_per_sec": (round(len(records) / wall_seconds, 2)
-                                     if wall_seconds > 0 else 0.0),
-        },
     }
 
 
@@ -304,16 +287,12 @@ def sweep_bench(user_counts: Iterable[int], seed: int = 7,
     horizon`` tx per virtual second); goodput is what the system
     actually completed successfully per virtual second.  The gap between
     the two as users grow is the overload curve capacity PRs move.
-
-    Virtual-run quantities and host wall-clock figures are split into
-    ``deterministic`` / ``measured`` sections with the same guarantees
-    as :func:`run_bench`.
+    Every field is derived from the virtual run (``deterministic``).
     """
     counts = sorted(set(int(count) for count in user_counts))
     if not counts:
         raise ValueError("sweep needs at least one user count")
     det_points = []
-    measured_points = []
     for users in counts:
         report = run_bench(users=users, seed=seed,
                            transactions_per_user=transactions_per_user,
@@ -333,11 +312,6 @@ def sweep_bench(user_counts: Iterable[int], seed: int = 7,
             "latency_p95": det["latency"]["p95"],
             "kernel_events": det["kernel_events"],
         })
-        measured_points.append({
-            "users": users,
-            "wall_seconds": report["measured"]["wall_seconds"],
-            "events_per_sec": report["measured"]["events_per_sec"],
-        })
     return {
         "deterministic": {
             "seed": seed,
@@ -347,7 +321,6 @@ def sweep_bench(user_counts: Iterable[int], seed: int = 7,
             "points": det_points,
             "curve": check_capacity_curve(det_points),
         },
-        "measured": {"points": measured_points},
     }
 
 

@@ -15,7 +15,7 @@ The result has three sections:
 * ``summary`` — ``mean``, ``ci95`` (the half-width; ``None`` for one
   replica) and ``n`` per metric, computed only from deterministic
   report fields, so the same arguments give the same bytes;
-* ``measured`` — host wall seconds and the process count.
+* ``measured`` — the pool's process count and the host's CPU count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import multiprocessing
 import os
 import statistics
-import time
 
 from ..opt import OPTIMIZATIONS
 
@@ -111,14 +110,11 @@ def replicate(run, replications: int, seed: int, **kwargs) -> dict:
     processes = min(replications, os.cpu_count() or 1)
     flags = OPTIMIZATIONS.as_dict()
     jobs = [(run, dict(kwargs, seed=s), flags) for s in seeds]
-    started = time.perf_counter()  # repro: noqa[wall-clock]
     with multiprocessing.Pool(processes) as pool:
         reports = pool.map(_run_one, jobs, chunksize=1)
-    wall_seconds = time.perf_counter() - started  # repro: noqa[wall-clock]
     return {
         "replicas": {str(s): report for s, report in zip(seeds, reports)},
         "summary": summarize([_metrics(report) for report in reports]),
-        "measured": {"wall_seconds": round(wall_seconds, 4),
-                     "processes": processes,
+        "measured": {"processes": processes,
                      "host_cpus": os.cpu_count()},
     }

@@ -1,7 +1,7 @@
-"""BENCH_PERF assembly: the timed run, the equivalence guard, the sweep.
+"""BENCH_PERF assembly: the load run, the equivalence guard, the sweep.
 
-``full_bench`` is what ``python -m repro bench`` executes: a warm-up,
-the timed load scenario, the equivalence table (DESIGN §10: caches on
+``full_bench`` is what ``python -m repro bench`` executes: the load
+scenario, the equivalence table (DESIGN §10: caches on
 vs off over four scenarios, fleet-of-1 vs single gateway, fleet-of-3
 run twice), and optionally the goodput-vs-offered-load sweep.  The
 result serialises to ``BENCH_PERF.json``.
@@ -9,7 +9,6 @@ result serialises to ``BENCH_PERF.json``.
 
 from __future__ import annotations
 
-import gc
 import json
 from functools import partial
 from typing import Iterable, Optional
@@ -26,31 +25,24 @@ def full_bench(users: int = 50, seed: int = 7,
                determinism_users: int = 20,
                sweep: Optional[Iterable[int]] = None,
                fleet: int = 0) -> dict:
-    """Run the timed benchmark and the equivalence guard.
+    """Run the load benchmark and the equivalence guard.
 
     ``sweep`` is an optional list of user counts for the
-    goodput-vs-offered-load curve.  ``fleet`` > 0 runs the timed
+    goodput-vs-offered-load curve.  ``fleet`` > 0 runs the main
     scenario (and the sweep) against an N-member gateway fleet; the
     guard's fleet rows run either way.  The guard's small rows run at
     ``min(users, determinism_users)``.
     """
-    # Warm-up pass so the timed run does not pay first-touch costs
-    # (imports, code objects, allocator growth), then collect so it is
-    # not timed under the warm-up's garbage.
-    run_bench(users=min(users, 20), seed=seed,
-              transactions_per_user=transactions_per_user,
-              horizon=min(horizon, 60.0), fleet=fleet)
-    gc.collect()
     optimized = run_bench(users=users, seed=seed,
                           transactions_per_user=transactions_per_user,
                           horizon=horizon, fleet=fleet)
-    timed_bytes = json.dumps(optimized["deterministic"], indent=2,
-                             sort_keys=True)
+    optimized_bytes = json.dumps(optimized["deterministic"], indent=2,
+                                 sort_keys=True)
 
     small = min(users, determinism_users)
     single = partial(bench_bytes, small, seed)
     rows = [
-        ("caches-bench-timed", lambda: timed_bytes,
+        ("caches-bench-timed", lambda: optimized_bytes,
          partial(bench_bytes, users, seed, transactions_per_user, horizon,
                  fleet, caches=False)),
         ("caches-bench", single, partial(bench_bytes, small, seed,

@@ -13,12 +13,13 @@ costs one failover rather than one per request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from ..middleware.base import MiddlewareSession, RequestTimeout
+from ..middleware.base import BatchConfig, MiddlewareSession, RequestTimeout
 from ..security.wtls import SecurityError
 from ..sim import Counter, Event
+from .retry import RetryPolicy
 
 __all__ = ["ResilienceConfig", "ResilientSession", "FAILOVER_ERRORS"]
 
@@ -35,7 +36,7 @@ class ResilientSession(MiddlewareSession):
     primary -> standby -> direct chain) or a zero-argument callable
     returning the *current* ordered candidate list — which is how a
     fleet load balancer supplies ring-derived alternates that change as
-    members are ejected, re-admitted, autoscaled or canaried.  With a
+    members are ejected, re-admitted or canaried.  With a
     static list the behaviour is bit-for-bit the pre-fleet one.
 
     ``observer(session, ok, elapsed)``, when given, is called once per
@@ -184,132 +185,34 @@ class ResilienceConfig:
     One config block switches on the whole policy set: per-request
     timeouts + engine retry, gateway circuit breakers, web-server
     admission control, a standby gateway and (optionally) direct-HTML
-    fallback.  Every default is deliberately aggressive enough for
-    chaos benchmarks to show recovery inside a few sim-minutes.
+    fallback.  Only what real callers set differently lives here
+    (DESIGN.md §9 lists who sets what); the breaker, origin-timeout,
+    shedding and standby-port values are constants at the builder's
+    one call site, and fleet health checks and canary judgement keep
+    their own classes' defaults.
     """
 
-    # Per-attempt request deadline (device -> middleware -> back).
+    # Per-attempt request deadline (device -> middleware -> back); the
+    # builder also applies it as ``retry.attempt_timeout``.
     request_timeout: float = 5.0
-    # Engine retry policy.
-    retry_attempts: int = 4
-    retry_base_delay: float = 0.25
-    retry_multiplier: float = 2.0
-    retry_max_delay: float = 4.0
-    retry_jitter: float = 0.2
-    # Gateway -> origin circuit breaker: consecutive failures that open
-    # it (0 = off).
-    breaker_threshold: int = 4
-    breaker_recovery_time: float = 8.0
-    breaker_half_open_max: int = 2
-    # Gateway -> origin HTTP timeout (shorter than the request
-    # deadline so the breaker learns about dead origins quickly).
-    origin_timeout: float = 3.0
-    # Web-server admission control: extra queued requests tolerated on
-    # top of the busy worker pool before shedding with 503.  The shed
-    # Retry-After scales with queue depth and is spread by seeded
-    # jitter so shed clients do not re-stampede in lockstep.
-    shed_backlog: int = 16
-    shed_retry_after: float = 1.0
-    shed_jitter: float = 0.2
-    # Graceful degradation.
+    # Engine retry template; the builder adds the deadline and the
+    # seeded ``retry-jitter`` stream.
+    retry: RetryPolicy = field(
+        default_factory=lambda: RetryPolicy(max_delay=4.0, jitter=0.2))
+    # Graceful degradation (single-gateway topology only: a fleet's
+    # ring supplies its own failover candidates).
     standby_gateway: bool = True
     direct_fallback: bool = True
-    # The standby gateway listens this many ports above the primary
-    # (its endpoint is derived from the primary's actual port and
-    # published in the name registry, never hardcoded).
-    standby_port_offset: int = 10
     # Gateway-side batching + admission control (DESIGN.md §13).  Off
     # by default: the chaos suite exercises failover without capacity
     # shaping; the load benchmark turns it on via
     # ``repro.perf.loadgen.bench_resilience``.
-    gateway_batching: bool = False
-    batch_window: float = 0.05
-    batch_max: int = 8
-    batch_item_cost: float = 0.0
-    admission_watermark: int = 0
-    admission_retry_floor: float = 0.25
-    admission_jitter: float = 0.2
-    # Reservation over-spacing: >1 leaves service slots free between
-    # returning shed clients for fresh arrivals.
-    admission_reserve_factor: float = 1.0
-    # RAN backpressure: shed new work at the gateway while this many
-    # transmitters are queued for the cell's shared airtime (0 = off).
-    air_pressure_threshold: int = 0
-    # --- Gateway fleet (DESIGN.md §14) ---------------------------------
-    # 0 keeps the classic single-gateway topology; >= 1 builds a
-    # GatewayFleet behind a consistent-hash LoadBalancer.  fleet_size=1
-    # is the byte-identical degenerate case (no monitors spawn).
+    batching: Optional[BatchConfig] = None
+    # Gateway fleet (DESIGN.md §14): 0 keeps the classic single-gateway
+    # topology; >= 1 builds a GatewayFleet behind a consistent-hash
+    # LoadBalancer.  fleet_size=1 is the byte-identical degenerate case
+    # (no monitors spawn).
     fleet_size: int = 0
-    # Member i listens at primary_port + i * stride (stride leaves room
-    # for the WTLS companion port and the legacy standby offset).
-    fleet_port_stride: int = 20
-    fleet_virtual_nodes: int = 64
-    # Active health checks (per-member probe process, CircuitBreaker-
-    # style ejection with half-open re-admission).
-    health_interval: float = 2.0
-    health_timeout: float = 1.5
-    unhealthy_threshold: int = 3
-    recovery_threshold: int = 2
-    # Queue-depth autoscaling over the live batcher-depth gauges.
-    autoscale: bool = False
-    autoscale_high_watermark: float = 8.0
-    autoscale_low_watermark: float = 1.0
-    autoscale_min_members: int = 1
-    autoscale_max_members: int = 8
-    autoscale_cooldown: float = 30.0
-    autoscale_interval: float = 5.0
-    # Canary rollout: deploy a v2 variant to ceil(fraction * N) ring
-    # slots at deploy_at, compare SLO windows, auto-promote/rollback.
-    canary_fraction: float = 0.0
-    canary_deploy_at: float = 0.0
-    # Deliberate per-request service-time penalty on the v2 variant —
-    # the chaos canary-regression scenario uses it to plant an SLO
-    # regression the controller must catch.
-    canary_handicap: float = 0.0
-    canary_window: float = 20.0
-    canary_min_samples: int = 5
-    canary_p95_ratio: float = 1.5
-    canary_success_delta: float = 0.1
-    canary_violations: int = 2
-    canary_healthy_windows: int = 3
-
-    def batch_config(self):
-        """BatchConfig for one gateway, or None when batching is off."""
-        if not self.gateway_batching:
-            return None
-        from ..middleware.base import BatchConfig
-        return BatchConfig(
-            window=self.batch_window,
-            max_batch=self.batch_max,
-            per_item_cost=self.batch_item_cost,
-            watermark=self.admission_watermark,
-            retry_floor=self.admission_retry_floor,
-            jitter=self.admission_jitter,
-            reserve_factor=self.admission_reserve_factor,
-            pressure_threshold=self.air_pressure_threshold,
-        )
-
-    def retry_policy(self, stream=None):
-        from .retry import RetryPolicy
-        return RetryPolicy(
-            max_attempts=self.retry_attempts,
-            base_delay=self.retry_base_delay,
-            multiplier=self.retry_multiplier,
-            max_delay=self.retry_max_delay,
-            jitter=self.retry_jitter,
-            attempt_timeout=self.request_timeout,
-            stream=stream,
-        )
-
-    def breaker(self, sim, name: str = "breaker"):
-        """A fresh gateway -> origin breaker, or None when it is off."""
-        if self.breaker_threshold == 0:
-            return None
-        from .breaker import CircuitBreaker
-        return CircuitBreaker(
-            sim,
-            failure_threshold=self.breaker_threshold,
-            recovery_time=self.breaker_recovery_time,
-            half_open_max=self.breaker_half_open_max,
-            name=name,
-        )
+    # Canary rollout: CanaryController keyword arguments (fraction,
+    # deploy_at, handicap, window, ...); None deploys no canary.
+    canary: Optional[dict] = None

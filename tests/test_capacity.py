@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro.core import MCSystemBuilder
+from repro.core.builder import STANDBY_PORT_OFFSET
 from repro.middleware.base import BatchConfig, RequestBatcher, frame_reply
 from repro.perf import bench_resilience, check_capacity_curve, run_bench
 from repro.resilience import ResilienceConfig
@@ -216,23 +217,15 @@ def test_standby_ports_derive_from_primary_not_hardcoded():
     system = MCSystemBuilder(seed=2, resilience=config,
                              middleware_port=7777).build()
     assert system.gateway.port == 7777
-    assert system.standby_gateway.port == 7777 + config.standby_port_offset
+    assert system.standby_gateway.port == 7777 + STANDBY_PORT_OFFSET
     primary = system.registry.lookup_service("middleware")
     standby = system.registry.lookup_service("middleware-standby")
     assert primary.port == system.gateway.port
     assert standby.port == system.standby_gateway.port
 
 
-def test_standby_port_offset_is_configurable():
-    config = ResilienceConfig(standby_port_offset=25)
-    system = MCSystemBuilder(seed=2, resilience=config).build()
-    assert (system.standby_gateway.port
-            == system.gateway.port + 25)
-
-
 def test_builder_wires_air_pressure_probe_for_cellular_only():
-    config = ResilienceConfig(gateway_batching=True,
-                              air_pressure_threshold=4,
+    config = ResilienceConfig(batching=BatchConfig(pressure_threshold=4),
                               standby_gateway=False,
                               direct_fallback=False)
     cellular = MCSystemBuilder(seed=2, resilience=config,
@@ -276,8 +269,8 @@ SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0,
 def _passthrough_batching(**overrides):
     """Batching on, but shaped to add zero virtual delay and no sheds."""
     return ResilienceConfig(
-        gateway_batching=True, batch_window=0.0, batch_max=8,
-        batch_item_cost=0.0, admission_watermark=0,
+        batching=BatchConfig(window=0.0, max_batch=8, per_item_cost=0.0,
+                             watermark=0),
         standby_gateway=False, direct_fallback=False, **overrides)
 
 
@@ -286,7 +279,7 @@ def test_batching_is_transparent_on_the_untraced_wire():
     batched = run_bench(resilience=_passthrough_batching(), **SMALL)
     unbatched = run_bench(
         resilience=dataclasses.replace(_passthrough_batching(),
-                                       gateway_batching=False),
+                                       batching=None),
         **SMALL)
     det_a = dict(batched["deterministic"])
     det_b = dict(unbatched["deterministic"])
@@ -318,9 +311,10 @@ def test_deprecated_success_rate_is_gone_from_bench_output():
     The field is now removed outright from the bench deterministic
     section; success_vs_offered is the honest replacement and must
     still expose the stranded work."""
-    throttled = dataclasses.replace(
-        bench_resilience(), batch_window=2.0, batch_max=1,
-        admission_watermark=0, air_pressure_threshold=0)
+    bench = bench_resilience()
+    throttled = dataclasses.replace(bench, batching=dataclasses.replace(
+        bench.batching, window=2.0, max_batch=1, watermark=0,
+        pressure_threshold=0))
     report = run_bench(users=5, seed=11, transactions_per_user=4,
                        horizon=40.0, trace=False, resilience=throttled)
     det = report["deterministic"]

@@ -1,10 +1,10 @@
-"""Tests for repro.fleet: ring, health FSM, autoscaler, canary, fleet.
+"""Tests for repro.fleet: ring, health FSM, canary, fleet.
 
 The pure cores (ring arithmetic, :meth:`HealthMonitor.record_probe`,
-:meth:`AutoScaler.decide`, :meth:`CanaryController.evaluate`) are
-driven directly; the integration surface (fleet-of-1 transparency,
-member-outage recovery, canary rollback under a planted regression) is
-exercised through the real chaos/bench runners.
+:meth:`CanaryController.evaluate`) are driven directly; the
+integration surface (fleet-of-1 transparency, member-outage recovery,
+canary rollback under a planted regression) is exercised through the
+real chaos/bench runners.
 """
 
 import json
@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.fleet import (
-    AutoScaler,
     CanaryController,
     GatewayFleet,
     HashRing,
@@ -175,85 +174,6 @@ def test_health_readmission_respects_retirement():
     # Recovered but retired: it must not rejoin the ring.
     assert member.health == "healthy"
     assert "gw-1" not in fleet.ring
-
-
-# --------------------------------------------------------------- autoscaler
-class _GaugeRegistry:
-    """Minimal stand-in for MetricsRegistry.gauge()."""
-
-    class _Gauge:
-        def __init__(self, value=0.0):
-            self.value = value
-
-        def set(self, value):
-            self.value = value
-
-    def __init__(self):
-        self._gauges = {}
-
-    def gauge(self, name):
-        return self._gauges.setdefault(name, self._Gauge())
-
-
-def test_autoscaler_decides_with_watermarks_and_cooldown():
-    sim = Simulator()
-    fleet = _make_fleet(sim, members=2)
-    scaler = AutoScaler(sim, fleet, _GaugeRegistry(),
-                        high_watermark=8.0, low_watermark=1.0,
-                        min_members=1, max_members=4, cooldown=30.0)
-    assert scaler.decide([10.0, 12.0], 2, now=0.0) == "up"
-    assert scaler.decide([0.0, 0.5], 2, now=0.0) == "down"
-    assert scaler.decide([4.0, 4.0], 2, now=0.0) is None  # in the band
-    assert scaler.decide([], 2, now=0.0) is None
-    # Bounds: never above max_members or below min_members.
-    assert scaler.decide([20.0] * 4, 4, now=0.0) is None
-    assert scaler.decide([0.0], 1, now=0.0) is None
-
-
-def test_autoscaler_hysteresis_does_not_flap():
-    sim = Simulator()
-    fleet = _make_fleet(sim, members=2)
-    scaler = AutoScaler(sim, fleet, _GaugeRegistry(),
-                        high_watermark=8.0, low_watermark=1.0,
-                        min_members=1, max_members=4, cooldown=30.0)
-    scaler.last_action_at = 100.0
-    # Oscillating load inside the cooldown window: every decision is
-    # suppressed, so the pool cannot flap.
-    for step, depth in enumerate([12.0, 0.2, 15.0, 0.1, 9.0]):
-        now = 101.0 + step * 5.0
-        assert scaler.decide([depth, depth], 2, now=now) is None
-    # After the cooldown the high watermark acts again.
-    assert scaler.decide([12.0, 12.0], 2, now=131.0) == "up"
-
-
-def test_autoscaler_tick_scales_up_and_down_via_gauges():
-    sim = Simulator()
-    fleet = _make_fleet(sim, members=2)
-    metrics = _GaugeRegistry()
-    scaler = AutoScaler(sim, fleet, metrics, high_watermark=4.0,
-                        low_watermark=1.0, min_members=1, max_members=4,
-                        cooldown=0.0)
-    for member in fleet.members.values():
-        metrics.gauge(f"gateway.{member.name}.queue_depth").set(9.0)
-    assert scaler.tick() == "up"
-    assert len(fleet.serving_members()) == 3
-    for member in fleet.members.values():
-        metrics.gauge(f"gateway.{member.name}.queue_depth").set(0.0)
-    assert scaler.tick() == "down"
-    # The newest member drains first.
-    assert fleet.member("gw-2").state == "retired"
-    assert [e["action"] for e in scaler.events] == ["up", "down"]
-
-
-def test_autoscaler_validates_watermarks():
-    sim = Simulator()
-    fleet = _make_fleet(sim, members=1)
-    with pytest.raises(ValueError):
-        AutoScaler(sim, fleet, _GaugeRegistry(), high_watermark=1.0,
-                   low_watermark=2.0)
-    with pytest.raises(ValueError):
-        AutoScaler(sim, fleet, _GaugeRegistry(), min_members=3,
-                   max_members=2)
 
 
 # ------------------------------------------------------------------ canary

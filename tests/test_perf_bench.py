@@ -74,9 +74,8 @@ def test_run_bench_report_shape_and_health():
     # The tracer-backed layer breakdown covers the whole path (deepest
     # span wins, so layers fully covered by children may not appear).
     assert {"wireless", "middleware", "wired", "db"} <= set(det["layers"])
-    measured = report["measured"]
-    assert measured["wall_seconds"] > 0
-    assert measured["events_per_sec"] > 0
+    # No host timing: python -m bench is the one timer.
+    assert sorted(report) == ["deterministic", "optimizations"]
     assert report["optimizations"] == OPTIMIZATIONS.as_dict()
 
 
@@ -171,8 +170,7 @@ def test_sweep_bench_curve_shape():
         assert point["offered_tps"] > 0
         assert 0.0 <= point["goodput_tps"] <= point["offered_tps"] + 1e-9
         assert point["kernel_events"] > 0
-    measured = [point["users"] for point in sweep["measured"]["points"]]
-    assert measured == users
+    assert sorted(sweep) == ["deterministic"]  # no host timing
 
 
 def test_sweep_bench_rejects_empty():

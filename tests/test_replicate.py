@@ -26,15 +26,8 @@ CHAOS = dict(scenario="storm", intensity=0.4, stations=4,
              transactions_per_station=3, horizon=90.0)
 
 
-def _without_measured(report):
-    """A bench report's bytes minus its host-measured section."""
-    return bench_json({key: value for key, value in report.items()
-                       if key != "measured"})
-
-
 def _replicas_bytes(result):
-    return [_without_measured(report)
-            for report in result["replicas"].values()]
+    return [bench_json(report) for report in result["replicas"].values()]
 
 
 # ------------------------------------------------ replica == direct run
@@ -45,7 +38,7 @@ def test_bench_replica_is_byte_identical_to_direct_run(users, seed):
     assert list(result["replicas"]) == [str(seed), str(seed + 1)]
     for k, report in enumerate(result["replicas"].values()):
         direct = run_bench(seed=seed + k, **scenario)
-        assert _without_measured(report) == _without_measured(direct)
+        assert bench_json(report) == bench_json(direct)
 
 
 def test_chaos_storm_replica_is_byte_identical_to_direct_run():
@@ -60,7 +53,7 @@ def test_fleet_config_replicates_like_any_other():
     result = replicate(run_bench, 2, seed=7, **scenario)
     for k, report in enumerate(result["replicas"].values()):
         assert "fleet" in report["deterministic"]
-        assert _without_measured(report) == _without_measured(
+        assert bench_json(report) == bench_json(
             run_bench(seed=7 + k, **scenario))
 
 
@@ -107,9 +100,9 @@ def test_summary_matches_replica_accounting():
 def test_one_replication_is_the_plain_run():
     result = replicate(run_bench, 1, seed=7, **BENCH)
     (report,) = result["replicas"].values()
-    assert _without_measured(report) == _without_measured(
-        run_bench(seed=7, **BENCH))
-    assert result["measured"]["processes"] == 1
+    assert bench_json(report) == bench_json(run_bench(seed=7, **BENCH))
+    assert result["measured"] == {"processes": 1,
+                                  "host_cpus": os.cpu_count()}
 
 
 def test_cli_replications_1_prints_the_plain_report(tmp_path):

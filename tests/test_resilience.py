@@ -1,10 +1,15 @@
 """Unit tests for repro.resilience: retry, breaker, shedding, failover."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import MCSystemBuilder, TransactionEngine
+from repro.core.builder import SHEDDING
+from repro.faults.chaos import run_chaos
 from repro.middleware.base import MiddlewareResponse, MiddlewareSession
 from repro.net import Network, Subnet
+from repro.perf import run_bench
 from repro.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -326,32 +331,121 @@ def test_builder_with_resilience_wires_everything():
     assert system.retry_policy is not None
     assert system.standby_gateway is not None
     assert system.gateway.breaker is not None
-    assert system.host.web_server._shed_backlog == config.shed_backlog
+    assert system.host.web_server._shed_backlog == SHEDDING["backlog"]
     handle = system.add_station("Toshiba E740")
     assert isinstance(handle.session, ResilientSession)
     # primary gateway session, standby session, direct fallback
     assert len(handle.session.routes) == 3
 
 
-@pytest.mark.parametrize("fleet_size", [0, 2])
-def test_breaker_threshold_zero_builds_without_breakers(fleet_size):
-    """breaker_threshold=0 means "no breaker" for every topology."""
-    from repro.apps import CommerceApp
+# ------------------------------------------- effective settings, pinned
+class _Built(Exception):
+    """Raised from ``post_build`` to stop a run right after its build."""
 
-    config = ResilienceConfig(breaker_threshold=0, fleet_size=fleet_size)
-    assert config.breaker(Simulator()) is None
-    system = MCSystemBuilder(seed=2, resilience=config).build()
-    assert system.gateway.breaker is None
+    def __init__(self, system):
+        super().__init__("built")
+        self.system = system
+
+
+def _built(run, **kwargs):
+    """The system a real caller builds, captured before the clock starts."""
+    def stop(system, engine):
+        raise _Built(system)
+
+    with pytest.raises(_Built) as caught:
+        run(post_build=stop, **kwargs)
+    return caught.value.system
+
+
+_DEFAULT_RETRY = dict(max_attempts=4, base_delay=0.25, multiplier=2.0,
+                      max_delay=4.0, jitter=0.2, attempt_timeout=5.0)
+_BENCH_RETRY = dict(max_attempts=5, base_delay=0.5, multiplier=2.0,
+                    max_delay=8.0, jitter=0.3, attempt_timeout=20.0)
+_BENCH_BATCH = dict(window=0.16, max_batch=3, watermark=12, retry_floor=1.0,
+                    jitter=0.2, per_item_cost=0.001, reserve_factor=5.0,
+                    pressure_threshold=12)
+_CANARY = dict(fraction=0.5, deploy_at=60.0, handicap=3.0, window=40.0,
+               min_samples=3, p95_ratio=1.5, success_delta=0.1,
+               violations=2, healthy_windows=3)
+
+# (id, caller, kwargs, retry, standby, batching, fleet size, canary,
+#  balancer sample window)
+_EFFECTIVE = [
+    ("chaos-default", run_chaos, dict(scenario="storm"),
+     _DEFAULT_RETRY, True, None, 0, None, None),
+    ("bench", run_bench, {},
+     _BENCH_RETRY, False, _BENCH_BATCH, 0, None, None),
+    ("bench-fleet3", run_bench, dict(fleet=3),
+     _BENCH_RETRY, False, _BENCH_BATCH, 3, None, 120.0),
+    ("canary-regression", run_chaos, dict(scenario="canary-regression"),
+     _DEFAULT_RETRY, False, None, 4, _CANARY, 160.0),
+]
+
+
+@pytest.mark.parametrize(
+    "run,kwargs,retry,standby,batching,fleet_size,canary,sample_window",
+    [case[1:] for case in _EFFECTIVE], ids=[case[0] for case in _EFFECTIVE])
+def test_effective_resilience_settings_are_pinned(
+        run, kwargs, retry, standby, batching, fleet_size, canary,
+        sample_window):
+    """What each real caller's config turns into on the built objects."""
+    system = _built(run, **kwargs)
     if fleet_size:
-        assert all(member.gateway.breaker is None
-                   for member in system.fleet.members.values())
+        gateways = system.fleet.gateways()
+        assert len(gateways) == fleet_size
     else:
-        assert system.standby_gateway.breaker is None
-    shop = CommerceApp()
-    system.mount_application(shop)
-    system.host.payment.open_account("ann", 100_000)
-    handle = system.add_station("Toshiba E740")
-    done = TransactionEngine(system).run_flow(
-        handle, shop.browse_and_buy(account="ann"))
-    system.run(until=300)
-    assert done.value.ok, done.value.error
+        gateways = [system.gateway]
+    if standby:
+        assert system.standby_gateway.port == system.gateway.port + 10
+        gateways.append(system.standby_gateway)
+    else:
+        assert system.standby_gateway is None
+    for gateway in gateways:
+        breaker = gateway.breaker
+        assert (breaker.failure_threshold, breaker.recovery_time,
+                breaker.half_open_max) == (4, 8.0, 2)
+        assert gateway.origin_timeout == 3.0
+        if batching is None:
+            assert gateway.batcher is None
+        else:
+            assert dataclasses.asdict(gateway.batcher.config) == batching
+
+    web = system.host.web_server
+    assert (web._shed_backlog, web._shed_retry_after,
+            web._shed_jitter) == (16, 1.0, 0.2)
+    assert web._shed_stream is system.seeds.stream("shed-jitter")
+
+    policy = system.retry_policy
+    assert {f.name: getattr(policy, f.name)
+            for f in dataclasses.fields(policy)} == dict(
+        retry, stream=system.seeds.stream("retry-jitter"))
+    assert system.request_timeout == retry["attempt_timeout"]
+    assert all(handle.session.timeout == retry["attempt_timeout"]
+               for handle in system.stations)
+
+    if not fleet_size:
+        assert system.fleet is None and system.balancer is None
+        return
+    assert system.fleet.port_stride == 20
+    assert system.fleet.ring.virtual_nodes == 64
+    health = system.health_monitor
+    assert (health.interval, health.timeout, health.unhealthy_threshold,
+            health.recovery_threshold) == (2.0, 1.5, 3, 2)
+    assert system.balancer.sample_window == sample_window
+    if canary is None:
+        assert system.canary is None
+    else:
+        assert {name: getattr(system.canary, name)
+                for name in canary} == canary
+
+
+def test_every_resilience_knob_is_varied_by_a_real_caller():
+    """A ResilienceConfig field no real caller sets differently is a
+    constant in disguise: it belongs at its one point of use."""
+    configs = [_built(run_chaos, scenario="storm").resilience,
+               _built(run_bench).resilience,
+               _built(run_bench, fleet=4).resilience,
+               _built(run_chaos, scenario="canary-regression").resilience]
+    for field in dataclasses.fields(ResilienceConfig):
+        values = {repr(getattr(config, field.name)) for config in configs}
+        assert len(values) >= 2, field.name
