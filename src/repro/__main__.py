@@ -81,7 +81,6 @@ def _flow_for(app, category: str):
 
 
 def _cmd_trace(args) -> int:
-    import json
     import os
 
     from repro.apps import ALL_CATEGORIES
@@ -91,7 +90,7 @@ def _cmd_trace(args) -> int:
         install_tracer,
         layer_breakdown,
         render_breakdown_table,
-        trace_to_dict,
+        render_trace_json,
     )
 
     # Accept both a bare category name and an examples/<name> spelling.
@@ -126,8 +125,8 @@ def _cmd_trace(args) -> int:
     print(f"outcome: {'OK' if record.ok else record.error}")
     if args.json:
         with open(args.json, "w") as handle_out:
-            json.dump(trace_to_dict(tracer, trace_id=record.trace_id),
-                      handle_out, indent=2, sort_keys=True)
+            handle_out.write(render_trace_json(tracer,
+                                               trace_id=record.trace_id))
         print(f"trace written to {args.json}")
     if profiler is not None:
         summary = profiler.summary()
@@ -229,7 +228,8 @@ def _print_replications(result) -> None:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.faults import FaultPlan, report_json, run_chaos
+    from repro.core.shoppers import canonical_json
+    from repro.faults import FaultPlan, run_chaos
 
     plan = None
     if args.plan:
@@ -254,7 +254,7 @@ def _cmd_chaos(args) -> int:
         report = replicate(run_chaos, args.replications, **kwargs)
     else:
         report = run_chaos(**kwargs)
-    text = report_json(report)
+    text = canonical_json(report)
     if args.json:
         with open(args.json, "w") as handle:
             handle.write(text)
@@ -313,11 +313,8 @@ def _cmd_races(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    from repro.analysis.races.runner import (
-        render_json,
-        render_text,
-        run_sanitize,
-    )
+    from repro.analysis.races.runner import render_text, run_sanitize
+    from repro.core.shoppers import canonical_json
 
     try:
         report = run_sanitize(
@@ -330,7 +327,7 @@ def _cmd_sanitize(args) -> int:
         return 2
     if args.json:
         with open(args.json, "w") as handle:
-            handle.write(render_json(report) + "\n")
+            handle.write(canonical_json(report) + "\n")
         print(f"report written to {args.json}", file=sys.stderr)
     print(render_text(report))
     return 1 if report["confirmed_races"] else 0
@@ -339,7 +336,8 @@ def _cmd_sanitize(args) -> int:
 def _cmd_bench(args) -> int:
     import os
 
-    from repro.perf import full_bench, report_to_json
+    from repro.core.shoppers import canonical_json
+    from repro.perf import full_bench
 
     sweep = None
     if args.sweep:
@@ -364,7 +362,7 @@ def _cmd_bench(args) -> int:
                             horizon=args.horizon,
                             sweep=sweep,
                             fleet=args.fleet)
-    text = report_to_json(report)
+    text = canonical_json(report)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w") as handle:
@@ -528,14 +526,14 @@ def main(argv=None) -> int:
     chaos.add_argument("--policies", default="on", choices=["on", "off"],
                        help="resilience policies (retry, breaker, "
                             "failover, shedding)")
-    chaos.add_argument("--stations", type=int, default=None,
+    chaos.add_argument("--stations", type=_positive_int, default=None,
                        help="shopper stations (default: 4, or 12 for "
                             "fleet scenarios)")
     chaos.add_argument("--fleet", type=int, default=0,
                        help="gateway fleet size (0 = scenario default; "
                             "fleet-outage and canary-regression "
                             "default to 4)")
-    chaos.add_argument("--transactions", type=int, default=8,
+    chaos.add_argument("--transactions", type=_positive_int, default=8,
                        help="transactions per station")
     chaos.add_argument("--horizon", type=float, default=240.0,
                        help="sim-seconds to run")
@@ -581,11 +579,11 @@ def main(argv=None) -> int:
              "dns-blackout, storm, fleet-outage, canary-regression, "
              "or planted-race")
     sanitize.add_argument("--seed", type=int, default=7)
-    sanitize.add_argument("--users", type=int, default=50,
+    sanitize.add_argument("--users", type=_positive_int, default=50,
                           help="bench scenario: concurrent users")
-    sanitize.add_argument("--stations", type=int, default=4,
+    sanitize.add_argument("--stations", type=_positive_int, default=4,
                           help="chaos scenarios: stations")
-    sanitize.add_argument("--transactions", type=int, default=3,
+    sanitize.add_argument("--transactions", type=_positive_int, default=3,
                           help="transactions per user/station")
     sanitize.add_argument("--horizon", type=float, default=120.0,
                           help="sim-seconds to run (default 120)")

@@ -1,9 +1,8 @@
 """Race and nondeterminism detection for the simulation kernel.
 
 Two complementary engines, one goal: prove which same-timestamp events
-commute and which mutable state crosses process boundaries, so the
-parallel-DES refactor (shard the topology at link boundaries, run
-shards on multiple processes) knows exactly where its merge points are.
+commute and which mutable state crosses process boundaries, so that a
+run's output never depends on the kernel's tie-breaking order.
 
 * the **static side** (:mod:`.static`) extends the per-file AST linter
   into a whole-program pass: it builds a call graph over every
@@ -11,7 +10,8 @@ shards on multiple processes) knows exactly where its merge points are.
   shared-state access matrix (which module/class attributes are read
   and written by which processes), and flags cross-process mutable
   state touched without a kernel-ordered handoff.  The matrix is
-  emitted as a JSON artifact for the shard-boundary work to consume.
+  emitted as a JSON artifact, and ``python -m repro races --strict-on``
+  fails CI on any finding under the strict paths.
 * the **dynamic side** (:mod:`.sanitizer` + :mod:`.runner`) is a
   sanitizer mode wired into :meth:`repro.sim.Simulator.run`'s
   ``pop_batch`` dispatch loop: it records per-event read/write sets

@@ -8,7 +8,7 @@ One :func:`run_sanitize` call is two-phase:
    read/write sets are scanned for write/write or read/write overlap;
    each overlapping batch becomes one *hazard*.  The run's canonical
    deterministic output (the bench report's ``deterministic`` section,
-   a chaos report's ``report_json`` bytes, the planted fixture's final
+   a chaos report's ``canonical_json`` bytes, the planted fixture's final
    state) is kept as the baseline.
 2. **Confirmation replays** — for each hazard (up to ``max_replays``)
    the *entire scenario* re-executes deterministically with a
@@ -22,19 +22,22 @@ One :func:`run_sanitize` call is two-phase:
    effect (e.g. two independent counter increments) and the hazard is
    benign.
 
-The default ``pair`` flip is deliberately minimal: reversing a whole
-batch also permutes the order in which processes draw from shared
-seeded streams — a kernel-ordering effect the parallel-DES plan
-handles by splitting streams per shard, not an application race — so
+The default ``pair`` flip is the minimal confirming flip: it changes
+only the order of the two conflicting events.  Reversing a whole batch
+also permutes the order in which processes draw from shared seeded
+streams — a kernel-ordering effect, not an application race — so
 whole-batch reversal is kept behind ``flip_mode="batch"`` for
 exploratory use.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
+from ...core.shoppers import canonical_json
+from ...faults.chaos import SCENARIOS, run_chaos
+from ...perf.loadgen import run_bench
+from ...sim import Simulator
 from .sanitizer import (
     AccessRecorder,
     BatchSanitizer,
@@ -47,18 +50,7 @@ from .sanitizer import (
     state_hash,
 )
 
-__all__ = ["SCENARIOS", "run_sanitize", "render_text", "render_json"]
-
-#: Scenario names accepted by ``python -m repro sanitize``: the default
-#: load benchmark, every shipped chaos scenario, and the planted-race
-#: fixture used by tests/CI to prove the detector actually detects.
-SCENARIOS = ("bench", "flaky-radio", "gateway-outage", "brownout",
-             "dns-blackout", "storm", "fleet-outage",
-             "canary-regression", "planted-race")
-
-_CHAOS_SCENARIOS = ("flaky-radio", "gateway-outage", "brownout",
-                    "dns-blackout", "storm", "fleet-outage",
-                    "canary-regression")
+__all__ = ["run_sanitize", "render_text"]
 
 
 # ----------------------------------------------------------- one execution
@@ -67,11 +59,13 @@ def _execute(scenario: str, params: dict,
              record: bool = True) -> tuple:
     """Run ``scenario`` once; returns (sanitizer, wrapped, canonical).
 
-    ``record=True`` is the detection run (tracked containers feed a
-    live recorder, hazards are scanned); ``record=False`` is a
-    confirmation replay (same instrumentation for bit-identical
-    behaviour, but a disabled recorder and no hazard scan — only the
-    flip and the final canonical bytes matter).
+    ``scenario`` is ``bench`` (the default load benchmark), a chaos
+    scenario name, or ``planted-race`` (the fixture that proves the
+    detector actually detects).  ``record=True`` is the detection run
+    (tracked containers feed a live recorder, hazards are scanned);
+    ``record=False`` is a confirmation replay (same instrumentation for
+    bit-identical behaviour, but a disabled recorder and no hazard scan
+    — only the flip and the final canonical bytes matter).
     """
     recorder = AccessRecorder() if record else null_recorder()
     sanitizer = BatchSanitizer(recorder if record else None, flip=flip)
@@ -86,30 +80,23 @@ def _execute(scenario: str, params: dict,
         install_sanitizer(system.sim, sanitizer)
 
     if scenario == "bench":
-        from ...perf.loadgen import run_bench
-
         report = run_bench(users=params["users"], seed=params["seed"],
                            transactions_per_user=params["transactions"],
                            horizon=params["horizon"], trace=False,
-                           post_build=post_build)
-        canonical = json.dumps(report["deterministic"], indent=2,
-                               sort_keys=True)
-    elif scenario in _CHAOS_SCENARIOS:
-        from ...faults.chaos import report_json, run_chaos
-
+                           post_build=post_build)["deterministic"]
+    elif scenario in SCENARIOS:
         report = run_chaos(scenario, seed=params["seed"],
                            intensity=params["intensity"],
                            stations=params["stations"],
                            transactions_per_station=params["transactions"],
                            horizon=params["horizon"],
                            post_build=post_build)
-        canonical = report_json(report)
     else:
         raise ValueError(
-            f"unknown sanitize scenario {scenario!r} "
-            f"(choose from {', '.join(SCENARIOS)})")
+            f"unknown sanitize scenario {scenario!r} (choose from bench, "
+            f"{', '.join(SCENARIOS)}, planted-race)")
     sanitizer.finalize()
-    return sanitizer, wrapped, canonical
+    return sanitizer, wrapped, canonical_json(report)
 
 
 def _run_planted(recorder: AccessRecorder,
@@ -124,8 +111,6 @@ def _run_planted(recorder: AccessRecorder,
     replay must flip the winner — a CONFIRMED verdict with a visible
     state diff.
     """
-    from ...sim import Simulator
-
     sim = Simulator()
     install_sanitizer(sim, sanitizer)
     shared = TrackedDict({"winner": "nobody", "total": 0},
@@ -142,8 +127,7 @@ def _run_planted(recorder: AccessRecorder,
         sim.spawn(contender(name)(sim), name=name)
     sim.run()
     sanitizer.finalize()
-    canonical = json.dumps(dict(shared), indent=2, sort_keys=True)
-    return canonical, ["planted.shared"]
+    return canonical_json(dict(shared)), ["planted.shared"]
 
 
 # --------------------------------------------------------------- the driver
@@ -157,12 +141,15 @@ def run_sanitize(scenario: str = "bench", *, seed: int = 7,
     Returns the sanitize report dict; ``report["confirmed_races"]``
     counts hazards whose flipped replay diverged (the CLI exits
     non-zero when it is positive).  ``max_replays`` bounds the number
-    of full-scenario confirmation re-executions; hazards beyond the
-    cap are reported unconfirmed (``replays_skipped``).
+    of full-scenario confirmation re-executions (0 detects without
+    replaying); hazards beyond the cap are reported unconfirmed
+    (``replays_skipped``).
     """
     if flip_mode not in ("pair", "batch"):
         raise ValueError(f"flip_mode must be 'pair' or 'batch', "
                          f"got {flip_mode!r}")
+    if max_replays < 0:
+        raise ValueError(f"max_replays must be >= 0, got {max_replays}")
     params = {"seed": seed, "users": users, "stations": stations,
               "transactions": transactions, "horizon": horizon,
               "intensity": intensity}
@@ -214,10 +201,6 @@ def run_sanitize(scenario: str = "bench", *, seed: int = 7,
 
 
 # ---------------------------------------------------------------- rendering
-def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
 def render_text(report: dict) -> str:
     lines = [
         f"sanitize {report['scenario']}: {report['verdict']} "

@@ -3,9 +3,9 @@
 The kernel dispatches every event sharing the earliest timestamp as one
 ``pop_batch`` batch (see :meth:`repro.sim.Simulator.run`).  Entries in
 a batch have no intra-batch causal edges through the kernel — they were
-all scheduled before dispatch began — which makes them exactly the
-candidates a parallel-DES core would run concurrently.  The sanitizer
-asks the question that refactor depends on: *do they commute?*
+all scheduled before dispatch began — so their relative order is the
+kernel's tie-break, not causality.  The sanitizer asks whether the
+output depends on that tie-break: *do they commute?*
 
 Three pieces:
 
@@ -31,9 +31,8 @@ Three pieces:
   in effect (e.g. independent counter increments).
 
 Seeded :class:`repro.sim.RandomStream` draws are deliberately *not*
-tracked: the seed bank is kernel-owned state (the parallel-DES plan
-splits streams per shard), and its draw order is part of the kernel's
-ordering contract, not application-level sharing.
+tracked: the seed bank is kernel-owned state, and its draw order is
+part of the kernel's ordering contract, not application-level sharing.
 """
 
 from __future__ import annotations

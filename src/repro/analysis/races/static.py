@@ -30,7 +30,8 @@ share?*  It works in four stages:
    one process function and touched by at least one other (without a
    handoff) is *cross-process mutable state*: a finding is emitted at
    each writing file's first write site, and the full matrix goes into
-   a JSON artifact that the shard-boundary work can consume.
+   a JSON artifact; CI's strict-path gate (``races --strict-on``)
+   fails on findings under the paths it names.
 
 The kernel package (``repro.sim``) is exempt: the scheduler and event
 machinery own their ordering by construction.  Same-process
@@ -526,7 +527,7 @@ class RaceAnalysis:
                        or f"/{p}/" in f.file for p in normalized)]
 
     def to_dict(self) -> dict:
-        """The JSON artifact later shard-boundary work consumes."""
+        """The access-matrix JSON artifact (``races --json``)."""
         matrix = {}
         for key in sorted(self.matrix):
             cell = self.matrix[key]

@@ -14,7 +14,7 @@ mobile commerce system with the :mod:`repro.resilience` policies on or
 off, reported as deterministic JSON.
 """
 
-from .chaos import SCENARIOS, percentile, report_json, run_chaos, scenario_plan
+from .chaos import SCENARIOS, run_chaos, scenario_plan
 from .engine import FaultEngine
 from .injectors import INJECTORS, links_for, radio_links_for, stations_for
 from .plan import FAULT_KINDS, FaultPlan, FaultSpec
@@ -31,6 +31,4 @@ __all__ = [
     "SCENARIOS",
     "scenario_plan",
     "run_chaos",
-    "report_json",
-    "percentile",
 ]

@@ -1,9 +1,9 @@
 """Named chaos scenarios and the end-to-end chaos runner.
 
-:func:`run_chaos` builds a complete mobile commerce system (optionally
-with the resilience policies on), mounts the commerce application,
-runs a fleet of shoppers while a :class:`FaultEngine` executes the
-scenario's fault plan, and returns a deterministic JSON-able report —
+:func:`run_chaos` runs the shared shopper workload
+(:func:`repro.core.shoppers.run_shoppers`, resilience policies on or
+off) while a :class:`FaultEngine` executes the scenario's fault plan,
+and returns a deterministic JSON-able report —
 success rate, latency percentiles, retry/failover/breaker/shedding
 counters, and the plan itself.  Everything derives from the seed and
 the sim clock, so the same arguments produce a byte-identical report.
@@ -12,19 +12,15 @@ the sim clock, so the same arguments produce a byte-identical report.
 from __future__ import annotations
 
 import dataclasses
-import json
 
-from ..apps import CommerceApp
-from ..core import MCSystemBuilder, TransactionEngine
+from ..core import MCSystemBuilder
+from ..core.shoppers import DEFAULT_DEVICE, outcome, run_shoppers
 from ..fleet import fleet_report
 from ..resilience import ResilienceConfig
 from .engine import FaultEngine
 from .plan import FaultPlan
 
-__all__ = ["SCENARIOS", "FLEET_SCENARIOS", "scenario_plan", "run_chaos",
-           "report_json", "percentile"]
-
-DEFAULT_DEVICE = "Nokia 9290 Communicator"
+__all__ = ["SCENARIOS", "FLEET_SCENARIOS", "scenario_plan", "run_chaos"]
 
 
 # ------------------------------------------------------------- scenarios
@@ -137,19 +133,6 @@ def scenario_plan(scenario: str, stream, horizon: float,
     return build(stream, horizon, intensity)
 
 
-# ------------------------------------------------------------- reporting
-def percentile(values, q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    # ceil(q * n) as an integer rank, then 0-based clamped index.
-    rank = int(q * len(ordered))
-    if rank < q * len(ordered):
-        rank += 1
-    return ordered[max(0, min(len(ordered) - 1, rank - 1))]
-
-
 # ------------------------------------------------------------- the runner
 def run_chaos(scenario: str = "storm", seed: int = 0,
               intensity: float = 0.5, policies: bool = True,
@@ -195,60 +178,28 @@ def run_chaos(scenario: str = "storm", seed: int = 0,
             min_samples=3,
             violations=2,
         ))
-    builder = MCSystemBuilder(seed=seed, middleware=middleware,
-                              bearer=bearer, resilience=resilience)
-    system = builder.build()
+    faults = None
 
-    shop = CommerceApp(items=[("WAP Phone", 19900, 10_000),
-                              ("Leather Case", 950, 10_000)])
-    system.mount_application(shop)
-    for index in range(stations):
-        system.host.payment.open_account(f"shopper{index}", 100_000_000)
+    def start(system):
+        nonlocal plan, faults
+        if plan is None:
+            plan = scenario_plan(scenario, system.seeds.stream("chaos-plan"),
+                                 horizon, intensity)
+        faults = FaultEngine(system, plan).start()
 
-    handles = [system.add_station(device, name=f"station-{index}")
-               for index in range(stations)]
-    engine = TransactionEngine(system)
+    system, engine, handles = run_shoppers(
+        MCSystemBuilder(seed=seed, middleware=middleware, bearer=bearer,
+                        resilience=resilience),
+        stations=stations, transactions=transactions_per_station,
+        horizon=horizon, device=device, stock=10_000, account="shopper",
+        think="chaos-think", start=start, post_build=post_build)
 
-    if plan is None:
-        plan_stream = system.seeds.stream("chaos-plan")
-        plan = scenario_plan(scenario, plan_stream, horizon, intensity)
-    faults = FaultEngine(system, plan).start()
-
-    think = system.seeds.stream("chaos-think")
-    # Pace each shopper so its transactions spread across the horizon
-    # (otherwise everything finishes before the first fault fires).
-    interval = horizon / (transactions_per_station + 1)
-
-    def shopper(handle, account):
-        def loop(env):
-            yield env.timeout(think.uniform(0.1, 0.9) * interval)
-            for _ in range(transactions_per_station):
-                started = env.now
-                flow = shop.browse_and_buy(item_id=1, account=account)
-                yield engine.run_flow(handle, flow)
-                elapsed = env.now - started
-                pause = max(0.1, interval - elapsed)
-                yield env.timeout(pause * think.uniform(0.7, 1.3))
-        return loop
-
-    for index, handle in enumerate(handles):
-        system.sim.spawn(shopper(handle, f"shopper{index}")(system.sim),
-                         name=f"shopper-{index}")
-
-    if post_build is not None:
-        post_build(system, engine)
-
-    system.run(until=horizon)
-
-    records = engine.completed
-    latencies = sorted(engine.latencies())
     errors: dict = {}
-    for record in records:
+    for record in engine.completed:
         if not record.ok:
             label = record.error.split(":", 1)[0] or "unknown"
             errors[label] = errors.get(label, 0) + 1
 
-    offered = stations * transactions_per_station
     report = {
         "scenario": scenario,
         "seed": seed,
@@ -262,19 +213,9 @@ def run_chaos(scenario: str = "storm", seed: int = 0,
         "transactions_per_station": transactions_per_station,
         "plan": [spec.to_dict() for spec in plan.ordered()],
         "faults": dict(sorted(faults.stats.as_dict().items())),
-        "offered": offered,
-        "completed": len(records),
-        "successful": len(engine.successful),
+        **outcome(engine, stations * transactions_per_station),
         "success_rate": round(engine.success_rate(), 6),
-        "success_vs_offered": (round(len(engine.successful) / offered, 6)
-                               if offered else 0.0),
-        "retries": sum(record.retries for record in records),
         "errors": dict(sorted(errors.items())),
-        "latency": {
-            "p50": round(percentile(latencies, 0.50), 6),
-            "p95": round(percentile(latencies, 0.95), 6),
-            "max": round(latencies[-1], 6) if latencies else 0.0,
-        },
         "resilience": _resilience_counters(system, handles),
     }
     if system.fleet is not None:
@@ -310,8 +251,3 @@ def _resilience_counters(system, handles) -> dict:
     counters["failovers"] = failovers
     counters["route_failures"] = route_failures
     return counters
-
-
-def report_json(report: dict) -> str:
-    """Canonical serialisation: byte-identical for identical reports."""
-    return json.dumps(report, indent=2, sort_keys=True)

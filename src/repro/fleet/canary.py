@@ -25,20 +25,11 @@ threshold where rollback triggers.
 from __future__ import annotations
 
 import math
-from ..sim import Counter, Simulator
+from ..sim import Counter, Simulator, percentile
 from .balancer import LoadBalancer
 from .pool import GatewayFleet
 
 __all__ = ["CanaryController"]
-
-
-def _p95(latencies: list[float]) -> float:
-    """Nearest-rank p95 (matches repro.faults.chaos.percentile)."""
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    rank = max(1, math.ceil(0.95 * len(ordered)))
-    return ordered[rank - 1]
 
 
 class CanaryController:
@@ -156,9 +147,9 @@ class CanaryController:
         base_success = baseline["successes"] / baseline["count"]
         if canary_success < base_success - self.success_delta:
             return "violation"
-        base_p95 = _p95(baseline["latencies"])
-        if base_p95 > 0 and \
-                _p95(canary["latencies"]) > self.p95_ratio * base_p95:
+        base_p95 = percentile(sorted(baseline["latencies"]), 0.95)
+        canary_p95 = percentile(sorted(canary["latencies"]), 0.95)
+        if base_p95 > 0 and canary_p95 > self.p95_ratio * base_p95:
             return "violation"
         return "healthy"
 
@@ -178,10 +169,11 @@ class CanaryController:
             "verdict": verdict,
             "canary_count": canary["count"],
             "canary_successes": canary["successes"],
-            "canary_p95": _p95(canary["latencies"]),
+            "canary_p95": percentile(sorted(canary["latencies"]), 0.95),
             "baseline_count": baseline["count"],
             "baseline_successes": baseline["successes"],
-            "baseline_p95": _p95(baseline["latencies"]),
+            "baseline_p95": percentile(sorted(baseline["latencies"]),
+                                       0.95),
         })
         self.stats.incr(f"windows_{verdict}")
         if verdict == "violation":

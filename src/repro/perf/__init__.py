@@ -19,15 +19,14 @@ headline metric.
 
 from .determinism import equivalence_check
 from .loadgen import (
-    bench_json,
     bench_resilience,
     check_capacity_curve,
     run_bench,
     sweep_bench,
 )
 from .replicate import replicate
-from .report import full_bench, report_to_json
+from .report import full_bench
 
-__all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
+__all__ = ["run_bench", "sweep_bench", "bench_resilience",
            "check_capacity_curve", "equivalence_check",
-           "replicate", "full_bench", "report_to_json"]
+           "replicate", "full_bench"]

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import functools
 import inspect
-import json
 from contextlib import contextmanager
 
-from ..faults.chaos import report_json, run_chaos
+from ..core.shoppers import canonical_json
+from ..faults.chaos import run_chaos
 from ..opt import OPTIMIZATIONS
 from .loadgen import run_bench
 
@@ -52,7 +52,7 @@ def bench_bytes(users: int, seed: int, transactions_per_user: int = 3,
         report = run_bench(users=users, seed=seed, horizon=horizon,
                            transactions_per_user=transactions_per_user,
                            fleet=fleet)
-    return json.dumps(report["deterministic"], indent=2, sort_keys=True)
+    return canonical_json(report["deterministic"])
 
 
 def chaos_bytes(scenario: str, seed: int, caches: bool = True) -> str:
@@ -61,7 +61,7 @@ def chaos_bytes(scenario: str, seed: int, caches: bool = True) -> str:
         report = run_chaos(scenario=scenario, seed=seed, intensity=0.6,
                            stations=3, transactions_per_station=4,
                            horizon=120.0)
-    return report_json(report)
+    return canonical_json(report)
 
 
 def _memo_key(produce):

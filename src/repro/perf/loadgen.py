@@ -1,9 +1,9 @@
 """Load generator: N concurrent users through the whole stack.
 
-The benchmark reuses the chaos runner's system wiring (builder ->
-stations -> :class:`TransactionEngine`) minus the fault plan: every user
-is a seeded shopper running ``browse_and_buy`` flows paced across the
-horizon.  The kernel's own ``events_processed`` counter supplies event
+The benchmark runs the same shopper workload as the chaos runner
+(:func:`repro.core.shoppers.run_shoppers`) minus the fault plan: every
+user is a seeded shopper running ``browse_and_buy`` flows paced across
+the horizon.  The kernel's own ``events_processed`` counter supplies event
 totals (no profiler in the run — its per-event hook costs
 several percent of wall time) and a :class:`~repro.obs.Tracer` records
 per-layer spans, so the report can break virtual latency down by layer.
@@ -19,19 +19,17 @@ The report carries no host timing; ``python -m bench`` is the timer
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Iterable, Optional
 
-from ..apps import CommerceApp
-from ..core import MCSystemBuilder, TransactionEngine
-from ..faults.chaos import DEFAULT_DEVICE, percentile
+from ..core import MCSystemBuilder
+from ..core.shoppers import DEFAULT_DEVICE, outcome, run_shoppers
 from ..fleet import fleet_report
 from ..middleware.base import BatchConfig
 from ..obs import install_tracer, layer_breakdown
 from ..opt import OPTIMIZATIONS
 from ..resilience import ResilienceConfig, RetryPolicy
 
-__all__ = ["run_bench", "sweep_bench", "bench_json", "bench_resilience",
+__all__ = ["run_bench", "sweep_bench", "bench_resilience",
            "check_capacity_curve"]
 
 
@@ -147,73 +145,30 @@ def run_bench(users: int = 50, seed: int = 7,
     (requires policies); a fleet of 1 is the transparency case the
     equivalence guard byte-compares against the single-gateway build.
     """
-    if users < 1:
-        raise ValueError(f"users must be >= 1, got {users}")
-    if transactions_per_user < 1:
-        raise ValueError(
-            f"transactions_per_user must be >= 1, got {transactions_per_user}")
-
     if resilience is None:
         resilience = bench_resilience() if policies else None
     if fleet > 0:
         if resilience is None:
             raise ValueError("a gateway fleet requires policies=True")
         resilience = dataclasses.replace(resilience, fleet_size=fleet)
-    builder = MCSystemBuilder(seed=seed, middleware=middleware,
-                              bearer=bearer, resilience=resilience)
-    system = builder.build()
 
-    shop = CommerceApp(items=[("WAP Phone", 19900, 10_000_000),
-                              ("Leather Case", 950, 10_000_000)])
-    system.mount_application(shop)
-    for index in range(users):
-        system.host.payment.open_account(f"user{index}", 100_000_000)
+    def start(system):
+        if trace:
+            install_tracer(system.sim, max_spans=max_spans)
 
-    handles = [system.add_station(device, name=f"station-{index}")
-               for index in range(users)]
-    engine = TransactionEngine(system)
+    system, engine, _ = run_shoppers(
+        MCSystemBuilder(seed=seed, middleware=middleware, bearer=bearer,
+                        resilience=resilience),
+        stations=users, transactions=transactions_per_user,
+        horizon=horizon, device=device, stock=10_000_000, account="user",
+        think="bench-think", start=start, post_build=post_build)
 
-    tracer = install_tracer(system.sim, max_spans=max_spans) if trace \
-        else None
-
-    think = system.seeds.stream("bench-think")
-    interval = horizon / (transactions_per_user + 1)
-
-    def shopper(handle, account):
-        def loop(env):
-            yield env.timeout(think.uniform(0.1, 0.9) * interval)
-            for _ in range(transactions_per_user):
-                started = env.now
-                flow = shop.browse_and_buy(item_id=1, account=account)
-                yield engine.run_flow(handle, flow)
-                elapsed = env.now - started
-                pause = max(0.1, interval - elapsed)
-                yield env.timeout(pause * think.uniform(0.7, 1.3))
-        return loop
-
-    for index, handle in enumerate(handles):
-        system.sim.spawn(shopper(handle, f"user{index}")(system.sim),
-                         name=f"user-{index}")
-
-    if post_build is not None:
-        post_build(system, engine)
-
-    system.run(until=horizon)
-
-    records = engine.completed
-    latencies = sorted(engine.latencies())
-    events = system.sim.events_processed
-
-    # Honest goodput accounting: success is reported against *offered*
-    # load (every transaction the stations were asked to run), not just
-    # against the ones that happened to finish inside the horizon.
-    offered = users * transactions_per_user
+    shared = outcome(engine, users * transactions_per_user)
     started = len(engine.records)
-    succeeded = len(engine.successful)
     # A completed-but-failed transaction whose attempts saw 503s was
     # rejected by admission control (gateway watermark or web-server
     # shedding) — shed by design, not lost to overload.
-    rejected = sum(1 for record in records
+    rejected = sum(1 for record in engine.completed
                    if not record.ok and record.shed_503s > 0)
 
     deterministic = {
@@ -225,22 +180,13 @@ def run_bench(users: int = 50, seed: int = 7,
         "bearer": list(bearer),
         "device": device,
         "policies": bool(policies),
-        "offered": offered,
+        **shared,
         "started": started,
         "admitted": started - rejected,
         "rejected": rejected,
-        "completed": len(records),
-        "succeeded": succeeded,
-        "success_vs_offered": round(succeeded / offered, 6),
-        "successful": len(engine.successful),
-        "retries": sum(record.retries for record in records),
-        "shed_503s": sum(record.shed_503s for record in records),
-        "latency": {
-            "p50": round(percentile(latencies, 0.50), 6),
-            "p95": round(percentile(latencies, 0.95), 6),
-            "max": round(latencies[-1], 6) if latencies else 0.0,
-        },
-        "kernel_events": events,
+        "succeeded": shared["successful"],
+        "shed_503s": sum(record.shed_503s for record in engine.completed),
+        "kernel_events": system.sim.events_processed,
         "virtual_seconds": round(system.sim.now, 6),
     }
     admission = {"sheds": 0, "watermark_sheds": 0, "pressure_sheds": 0,
@@ -265,9 +211,9 @@ def run_bench(users: int = 50, seed: int = 7,
     # so the degenerate case must not change the report shape.
     if system.fleet is not None and resilience.fleet_size >= 2:
         deterministic["fleet"] = fleet_report(system)
-    if tracer is not None:
-        deterministic["layers"] = _aggregate_layers(tracer)
-        deterministic["spans"] = len(tracer.spans)
+    if trace:
+        deterministic["layers"] = _aggregate_layers(system.sim.tracer)
+        deterministic["spans"] = len(system.sim.tracer.spans)
 
     return {
         "deterministic": deterministic,
@@ -343,8 +289,3 @@ def _aggregate_layers(tracer) -> dict:
             totals[layer] = totals.get(layer, 0.0) + seconds
     return {layer: round(seconds, 6)
             for layer, seconds in sorted(totals.items())}
-
-
-def bench_json(report: dict) -> str:
-    """Canonical serialisation: byte-identical for identical reports."""
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -9,14 +9,14 @@ result serialises to ``BENCH_PERF.json``.
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from typing import Iterable, Optional
 
+from ..core.shoppers import canonical_json
 from .determinism import bench_bytes, chaos_bytes, equivalence_check
 from .loadgen import run_bench, sweep_bench
 
-__all__ = ["full_bench", "report_to_json"]
+__all__ = ["full_bench"]
 
 
 def full_bench(users: int = 50, seed: int = 7,
@@ -36,8 +36,7 @@ def full_bench(users: int = 50, seed: int = 7,
     optimized = run_bench(users=users, seed=seed,
                           transactions_per_user=transactions_per_user,
                           horizon=horizon, fleet=fleet)
-    optimized_bytes = json.dumps(optimized["deterministic"], indent=2,
-                                 sort_keys=True)
+    optimized_bytes = canonical_json(optimized["deterministic"])
 
     small = min(users, determinism_users)
     single = partial(bench_bytes, small, seed)
@@ -76,7 +75,3 @@ def full_bench(users: int = 50, seed: int = 7,
                                           transactions_per_user),
                                       horizon=horizon, fleet=fleet)
     return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -15,7 +15,14 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .monitor import Counter, LatencyRecorder, StatSummary, TimeSeries, Trace
+from .monitor import (
+    Counter,
+    LatencyRecorder,
+    StatSummary,
+    TimeSeries,
+    Trace,
+    percentile,
+)
 from .random import RandomStream, SeedBank
 from .resources import Channel, PriorityResource, Request, Resource, Store
 from .sched import HeapScheduler, scheduler_override
@@ -36,6 +43,7 @@ __all__ = [
     "StatSummary",
     "TimeSeries",
     "Trace",
+    "percentile",
     "RandomStream",
     "SeedBank",
     "Channel",

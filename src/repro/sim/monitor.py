@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["Counter", "TimeSeries", "StatSummary", "LatencyRecorder", "Trace"]
+__all__ = ["Counter", "TimeSeries", "StatSummary", "LatencyRecorder", "Trace",
+           "percentile"]
 
 
 class Counter:
@@ -107,18 +108,21 @@ class StatSummary:
             stdev=math.sqrt(var),
             minimum=ordered[0],
             maximum=ordered[-1],
-            p50=_percentile(ordered, 0.50),
-            p95=_percentile(ordered, 0.95),
-            p99=_percentile(ordered, 0.99),
+            p50=percentile(ordered, 0.50),
+            p95=percentile(ordered, 0.95),
+            p99=percentile(ordered, 0.99),
         )
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile on a pre-sorted list."""
+def percentile(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of a pre-sorted list (0.0 when empty).
+
+    Deterministic, no interpolation: the ``ceil(q * n)``-th smallest
+    sample, ``0 <= q <= 1``.
+    """
     if not ordered:
         return 0.0
-    idx = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-    return ordered[idx]
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 class LatencyRecorder:

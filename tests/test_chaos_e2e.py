@@ -96,10 +96,10 @@ def test_chaos_report_identical_with_caches_off():
     """The hot-path caches must be invisible in chaos reports: the same
     gateway-outage run (crash/restart flushes included) produces the
     same bytes with every optimization disabled."""
-    from repro.faults import report_json
+    from repro.core.shoppers import canonical_json
     from repro.opt import optimizations_disabled
 
-    cached = report_json(run_chaos(policies=True, **_OUTAGE))
+    cached = canonical_json(run_chaos(policies=True, **_OUTAGE))
     with optimizations_disabled():
-        uncached = report_json(run_chaos(policies=True, **_OUTAGE))
+        uncached = canonical_json(run_chaos(policies=True, **_OUTAGE))
     assert cached == uncached

@@ -105,10 +105,23 @@ def test_cli_bench_fails_naming_a_divergent_row(tmp_path, monkeypatch,
     assert report["equivalence"]["checks"]["planted-divergence"] is False
 
 
-@pytest.mark.parametrize("flag", ["--users", "--transactions"])
-def test_cli_bench_rejects_non_positive_counts(flag, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bench", "--users", "0"], id="--users"),
+    pytest.param(["bench", "--transactions", "0"], id="--transactions"),
+    pytest.param(["chaos", "storm", "--stations", "-2"],
+                 id="chaos--stations"),
+    pytest.param(["chaos", "storm", "--transactions", "0"],
+                 id="chaos--transactions"),
+    pytest.param(["sanitize", "bench", "--users", "0"],
+                 id="sanitize--users"),
+    pytest.param(["sanitize", "storm", "--stations", "-1"],
+                 id="sanitize--stations"),
+    pytest.param(["sanitize", "storm", "--transactions", "0"],
+                 id="sanitize--transactions"),
+])
+def test_cli_bench_rejects_non_positive_counts(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["bench", flag, "0"])
+        main(argv)
     assert exit_info.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
 

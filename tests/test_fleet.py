@@ -410,14 +410,14 @@ def test_canary_regression_rolls_back_with_zero_stranded():
 
 
 def test_fleet_chaos_reports_are_deterministic():
-    from repro.faults.chaos import report_json, run_chaos
+    from repro.core.shoppers import canonical_json
+    from repro.faults.chaos import run_chaos
 
-    first = report_json(run_chaos("fleet-outage", seed=5, intensity=0.4,
-                                  stations=6, transactions_per_station=3,
-                                  horizon=120.0))
-    second = report_json(run_chaos("fleet-outage", seed=5, intensity=0.4,
-                                   stations=6, transactions_per_station=3,
-                                   horizon=120.0))
+    first, second = (
+        canonical_json(run_chaos("fleet-outage", seed=5, intensity=0.4,
+                                 stations=6, transactions_per_station=3,
+                                 horizon=120.0))
+        for _ in range(2))
     assert first == second
 
 

@@ -12,8 +12,8 @@ from repro.opt import (
     OptimizationFlags,
     optimizations_disabled,
 )
+from repro.core.shoppers import canonical_json
 from repro.perf import (
-    bench_json,
     equivalence_check,
     run_bench,
     sweep_bench,
@@ -95,9 +95,9 @@ def test_bench_deterministic_section_reproducible():
 
 def test_bench_json_is_canonical():
     report = run_bench(**SMALL)
-    text = bench_json(report)
+    text = canonical_json(report)
     assert json.loads(text) == report
-    assert text == bench_json(json.loads(text))
+    assert text == canonical_json(json.loads(text))
 
 
 # ------------------------------------------------------ equivalence guard

@@ -15,8 +15,9 @@ import statistics
 import pytest
 
 from repro.__main__ import main
-from repro.faults import report_json, run_chaos
-from repro.perf import bench_json, replicate, run_bench
+from repro.core.shoppers import canonical_json
+from repro.faults import run_chaos
+from repro.perf import replicate, run_bench
 from repro.perf.replicate import summarize, t_critical
 
 # Small-but-real scenario kwargs: a handful of users keeps each replica
@@ -27,7 +28,7 @@ CHAOS = dict(scenario="storm", intensity=0.4, stations=4,
 
 
 def _replicas_bytes(result):
-    return [bench_json(report) for report in result["replicas"].values()]
+    return [canonical_json(report) for report in result["replicas"].values()]
 
 
 # ------------------------------------------------ replica == direct run
@@ -38,13 +39,13 @@ def test_bench_replica_is_byte_identical_to_direct_run(users, seed):
     assert list(result["replicas"]) == [str(seed), str(seed + 1)]
     for k, report in enumerate(result["replicas"].values()):
         direct = run_bench(seed=seed + k, **scenario)
-        assert bench_json(report) == bench_json(direct)
+        assert canonical_json(report) == canonical_json(direct)
 
 
 def test_chaos_storm_replica_is_byte_identical_to_direct_run():
     result = replicate(run_chaos, 2, seed=3, **CHAOS)
     for k, report in enumerate(result["replicas"].values()):
-        assert report_json(report) == report_json(
+        assert canonical_json(report) == canonical_json(
             run_chaos(seed=3 + k, **CHAOS))
 
 
@@ -53,7 +54,7 @@ def test_fleet_config_replicates_like_any_other():
     result = replicate(run_bench, 2, seed=7, **scenario)
     for k, report in enumerate(result["replicas"].values()):
         assert "fleet" in report["deterministic"]
-        assert bench_json(report) == bench_json(
+        assert canonical_json(report) == canonical_json(
             run_bench(seed=7 + k, **scenario))
 
 
@@ -100,7 +101,7 @@ def test_summary_matches_replica_accounting():
 def test_one_replication_is_the_plain_run():
     result = replicate(run_bench, 1, seed=7, **BENCH)
     (report,) = result["replicas"].values()
-    assert bench_json(report) == bench_json(run_bench(seed=7, **BENCH))
+    assert canonical_json(report) == canonical_json(run_bench(seed=7, **BENCH))
     assert result["measured"] == {"processes": 1,
                                   "host_cpus": os.cpu_count()}
 

@@ -187,6 +187,19 @@ def test_planted_race_is_confirmed_with_diff():
     assert "planted.shared['winner']" in states
 
 
+def test_negative_max_replays_is_rejected_not_a_hidden_race(capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(ValueError, match="max_replays"):
+        run_sanitize("planted-race", max_replays=-1)
+    assert main(["sanitize", "planted-race", "--max-replays", "-1"]) == 2
+    assert "max_replays must be >= 0" in capsys.readouterr().err
+    # 0 is detection without replay: the hazard is found, left unconfirmed.
+    report = run_sanitize("planted-race", max_replays=0)
+    assert report["hazards_found"] == 1
+    assert report["replays"] == 0 and report["replays_skipped"] == 1
+
+
 def test_planted_race_batch_flip_also_confirms():
     report = run_sanitize("planted-race", flip_mode="batch")
     assert report["confirmed_races"] == 1
