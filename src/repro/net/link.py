@@ -1,7 +1,7 @@
 """Point-to-point links with bandwidth, propagation delay, loss and queuing.
 
 A :class:`Link` is full duplex: each direction has its own FIFO transmit
-queue and its own transmitter process.  Serialization time is
+queue and its own transmitter.  Serialization time is
 ``size * 8 / bandwidth``; after serialization the packet propagates for
 ``delay`` seconds and is handed to the remote interface's node.
 
@@ -12,11 +12,12 @@ are reproducible.  A full transmit queue drops arriving packets
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from ..obs import end_span, start_span
-from ..sim import Counter, RandomStream, Simulator, Store, Timeout
+from ..sim import Counter, RandomStream, Simulator, Timeout
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,66 +27,105 @@ __all__ = ["Link", "LinkEnd"]
 
 
 class LinkEnd:
-    """One direction of a link: queue + transmitter process."""
+    """One direction of a link: a bounded FIFO and its transmitter.
+
+    The transmitter is a chain of callbacks, not a process: a wakeup
+    event starts a packet, an airtime grant (shared media only) and the
+    serialization timeout follow, and :meth:`_sent` settles the frame
+    and takes the next packet.  The events, and the order they are
+    pushed in, are those of a process looping get → grant → timeout.
+    """
 
     def __init__(self, link: "Link", sim: Simulator, queue_capacity: int):
+        if queue_capacity < 1:
+            raise ValueError(f"queue_capacity must be >= 1: {queue_capacity}")
         self.link = link
         self.sim = sim
-        self.queue: Store = Store(sim, capacity=queue_capacity)
+        self.capacity = queue_capacity
+        self.queue: Deque[Packet] = deque()
         self.peer_iface: Optional["Interface"] = None
-        sim.spawn(self._transmitter(), name=f"{link.name}-tx")
+        # Idle: no packet in flight or waking, so enqueue wakes the
+        # transmitter.  Then the in-flight packet, its span, attempt
+        # count, per-attempt serialization time and airtime grant.
+        self._idle = False
+        self._packet: Optional[Packet] = None
+        self._span = self._grant = None
+        self._attempts = 0
+        self._frame_s = 0.0
+        sim._wake(self._take_next)
 
     def enqueue(self, packet: Packet) -> bool:
         """Queue a packet for transmission; False if tail-dropped."""
-        accepted = self.queue.try_put(packet)
-        if not accepted:
+        if self._idle:
+            self._idle = False
+            self.sim._wake(self._begin, packet)
+        elif len(self.queue) >= self.capacity:
             self.link.stats.incr("queue_drops")
-        return accepted
+            return False
+        else:
+            self.queue.append(packet)
+        return True
 
-    def _transmitter(self):
-        sim = self.sim
-        while True:
-            packet = yield self.queue.get()
-            # Only packets that carry a TraceContext get a span; untraced
-            # traffic must not seed root traces of its own.
-            span = None
-            if packet.trace is not None:
-                span = start_span(
-                    sim, f"{self.link.name}.tx", self.link.layer,
-                    parent=packet.trace, bytes=packet.size,
-                )
-            attempts = 0
-            while True:
-                attempts += 1
-                rate = self.link.transmit_rate(self)
-                if rate <= 0:
-                    self.link.stats.incr("no_signal_drops")
-                    end_span(sim, span, dropped="no_signal")
-                    break
-                grant = self.link.request_airtime()
-                if grant is not None:
-                    yield grant
-                yield sim.timeout(packet.size * 8 / rate)
-                if grant is not None:
-                    self.link.airtime.release(grant)
-                if self.link.is_down:
-                    self.link.stats.incr("down_drops")
-                    end_span(sim, span, dropped="down")
-                    break
-                if self.link.frame_delivered(self, packet):
-                    self.link.stats.incr("delivered")
-                    self.link.stats.incr("bytes_delivered", packet.size)
-                    # Propagation needs no process of its own: a bare
-                    # timeout with a delivery callback arrives at exactly
-                    # now + delay, without a generator spawn per packet.
-                    Timeout(sim, self.link.delay).callbacks.append(
-                        partial(self._arrive, packet, span))
-                    break
-                self.link.stats.incr("frame_errors")
-                if attempts > self.link.retry_limit:
-                    self.link.stats.incr("loss_drops")
-                    end_span(sim, span, dropped="loss", attempts=attempts)
-                    break
+    def _take_next(self, _event=None) -> None:
+        self._packet = self._span = self._grant = None
+        if self.queue:
+            self.sim._wake(self._begin, self.queue.popleft())
+        else:
+            self._idle = True
+
+    def _begin(self, event) -> None:
+        packet = self._packet = event._value
+        # Only packets that carry a TraceContext get a span; untraced
+        # traffic must not seed root traces of its own.
+        if packet.trace is not None:
+            self._span = start_span(
+                self.sim, f"{self.link.name}.tx", self.link.layer,
+                parent=packet.trace, bytes=packet.size,
+            )
+        self._attempts = 0
+        self._attempt()
+
+    def _attempt(self) -> None:
+        self._attempts += 1
+        rate = self.link.transmit_rate(self)
+        if rate <= 0:
+            self.link.stats.incr("no_signal_drops")
+            end_span(self.sim, self._span, dropped="no_signal")
+            self._take_next()
+            return
+        self._frame_s = self._packet.size * 8 / rate
+        self._grant = self.link.request_airtime()
+        if self._grant is None:
+            self._serialize()
+        else:
+            self._grant.callbacks.append(self._serialize)
+
+    def _serialize(self, _grant=None) -> None:
+        Timeout(self.sim, self._frame_s).callbacks.append(self._sent)
+
+    def _sent(self, _event) -> None:
+        link = self.link
+        packet, span = self._packet, self._span
+        if self._grant is not None:
+            link.airtime.release(self._grant)
+        if link.is_down:
+            link.stats.incr("down_drops")
+            end_span(self.sim, span, dropped="down")
+        elif link.frame_delivered(self, packet):
+            link.stats.incr("delivered")
+            link.stats.incr("bytes_delivered", packet.size)
+            # Propagation is a bare timeout with a delivery callback:
+            # it arrives at exactly now + delay.
+            Timeout(self.sim, link.delay).callbacks.append(
+                partial(self._arrive, packet, span))
+        else:
+            link.stats.incr("frame_errors")
+            if self._attempts <= link.retry_limit:
+                self._attempt()
+                return
+            link.stats.incr("loss_drops")
+            end_span(self.sim, span, dropped="loss", attempts=self._attempts)
+        self._take_next()
 
     def _arrive(self, packet: Packet, span, _event) -> None:
         if self.peer_iface is not None and not self.link.is_down:

@@ -12,9 +12,10 @@ allocates addresses, and recomputes static routes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional
 
-from ..sim import Counter, Simulator, Store, Trace
+from ..sim import Counter, Simulator, Trace
 from .addressing import AddressAllocator, IPAddress, Subnet
 from .link import Link
 from .packet import PROTO_IPIP, Packet
@@ -94,12 +95,15 @@ class Node:
         # address never changes after construction).
         self._owned_values: set[int] = set()
         self._handlers: dict[str, ProtocolHandler] = {}
-        self._rx: Store = Store(sim)
+        # Received (packet, iface) pairs waiting their turn; the receiver
+        # takes one per wakeup event (see _on_rx).
+        self._rx: Deque[tuple[Packet, Interface]] = deque()
+        self._rx_idle = False
         # Hooks that see every packet before normal processing; used by
         # snoop agents and foreign agents.  A hook returning True consumes
         # the packet.
         self.rx_taps: list[Callable[[Packet, Interface], bool]] = []
-        sim.spawn(self._dispatcher(), name=f"{name}-rx")
+        sim._wake(self._take_next_rx)
 
     # -- configuration -----------------------------------------------------
     def add_interface(self, name: str, address: Optional[IPAddress] = None,
@@ -153,12 +157,22 @@ class Node:
 
     # -- data path -----------------------------------------------------------
     def enqueue_rx(self, packet: Packet, iface: Interface) -> None:
-        self._rx.try_put((packet, iface))
+        if self._rx_idle:
+            self._rx_idle = False
+            self.sim._wake(self._on_rx, (packet, iface))
+        else:
+            self._rx.append((packet, iface))
 
-    def _dispatcher(self):
-        while True:
-            packet, iface = yield self._rx.get()
-            self._receive(packet, iface)
+    def _take_next_rx(self, _event=None) -> None:
+        if self._rx:
+            self.sim._wake(self._on_rx, self._rx.popleft())
+        else:
+            self._rx_idle = True
+
+    def _on_rx(self, event) -> None:
+        # One wakeup event per packet, as a receive loop would take.
+        self._receive(*event._value)
+        self._take_next_rx()
 
     def _receive(self, packet: Packet, iface: Interface) -> None:
         packet.record_hop(self.name)

@@ -24,7 +24,7 @@ from .monitor import (
     percentile,
 )
 from .random import RandomStream, SeedBank
-from .resources import Channel, PriorityResource, Request, Resource, Store
+from .resources import PriorityResource, Request, Resource, Store
 from .sched import HeapScheduler, scheduler_override
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "percentile",
     "RandomStream",
     "SeedBank",
-    "Channel",
     "PriorityResource",
     "Request",
     "Resource",

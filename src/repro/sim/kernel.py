@@ -121,10 +121,9 @@ class Event:
         self._ok = True
         self._value = value
         self._state = Event.TRIGGERED
-        # Inlined Simulator._schedule(self) for the delay-0 priority-1
-        # case — this is the single hottest call site in any run.
+        # A same-instant push: the single hottest call site in any run.
         sim = self.sim
-        sim._push_now(sim.now, next(sim._seq), self)
+        sim._lane_append((sim.now, 1, next(sim._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -136,7 +135,8 @@ class Event:
         self._ok = False
         self._value = exception
         self._state = Event.TRIGGERED
-        self.sim._schedule(self)
+        sim = self.sim
+        sim._lane_append((sim.now, 1, next(sim._seq), self))
         return self
 
     def _mark_processed(self) -> None:
@@ -149,6 +149,8 @@ class Event:
 # Module-level alias so the run() hot loop marks events processed
 # without re-resolving the class attribute per event.
 _PROCESSED = Event.PROCESSED
+_TRIGGERED = Event.TRIGGERED
+_new_event = object.__new__
 
 
 class Timeout(Event):
@@ -177,7 +179,7 @@ class Timeout(Event):
         self._order = None
         self._cancelled = False
         if delay == 0.0:
-            sim._push_now(sim.now, next(sim._seq), self)
+            sim._lane_append((sim.now, 1, next(sim._seq), self))
         else:
             sim._push(sim.now + delay, 1, next(sim._seq), self)
 
@@ -214,11 +216,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
         # Bootstrap: resume the process at the current time.
-        init = Event(sim)
-        init._ok = True
-        init._state = Event.TRIGGERED
-        init.callbacks.append(self._resume)
-        sim._schedule(init)
+        sim._wake(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -246,35 +244,32 @@ class Process(Event):
             # callbacks so the children don't keep a dead waiter alive.
             target.cancel()
         self._target = None
-        self.sim._schedule(err, priority=0)
+        sim = self.sim
+        sim._push(sim.now, 0, next(sim._seq), err)
 
     def _resume(self, event: Event) -> None:
         profiler = self.sim._profiler
         if profiler is not None:
             profiler.on_resume(self)
         self._target = None
-        self.sim._active_process = self
         try:
             if event._ok:
                 result = self.generator.send(event._value)
             else:
                 result = self.generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
             if not self.triggered:
                 self.succeed(stop.value)
             return
         except BaseException as exc:  # repro: noqa[broad-except] kernel trampoline
             # The process trampoline is the one place every escaped
             # exception must be routed into Event.fail / strict re-raise.
-            self.sim._active_process = None
             if not self.triggered:
                 if self.sim.strict:
                     raise
                 self.fail(exc)
                 return
             raise
-        self.sim._active_process = None
         if not isinstance(result, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {result!r}, expected an Event"
@@ -284,12 +279,7 @@ class Process(Event):
         self._target = result
         if result._state == Event.PROCESSED:
             # Already-processed events resume the process immediately.
-            relay = Event(self.sim)
-            relay._ok = result._ok
-            relay._value = result._value
-            relay._state = Event.TRIGGERED
-            relay.callbacks.append(self._resume)
-            self.sim._schedule(relay)
+            self.sim._wake(self._resume, result._value, result._ok)
         else:
             result.callbacks.append(self._resume)
 
@@ -412,11 +402,12 @@ class Simulator:
         self.strict = strict
         self._sched = HeapScheduler()
         # Bound-method caches for the two push entry points: triggering
-        # is the kernel's hottest path.
-        self._push_now = self._sched.push_now
+        # is the kernel's hottest path.  A same-instant priority-1 entry
+        # goes straight onto the scheduler's lane (HeapScheduler.push_now
+        # without the call).
+        self._lane_append = self._sched._lane.append
         self._push = self._sched.push
         self._seq = itertools.count()
-        self._active_process: Optional[Process] = None
         # Observability attachment points (duck-typed so the kernel never
         # imports repro.obs): a repro.obs Tracer and KernelProfiler hang
         # here when installed; both default to None and the disabled
@@ -456,14 +447,22 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        if delay == 0.0 and priority == 1:
-            # The dominant push: an event triggered at the current
-            # instant.
-            self._push_now(self.now, next(self._seq), event)
-        else:
-            self._push(self.now + delay, priority,
-                       next(self._seq), event)
+    def _wake(self, callback: Callable[[Event], None], value: Any = None,
+              ok: bool = True) -> None:
+        """Run ``callback`` at the current instant, as the one waiter of
+        an event already triggered with ``value``: a process bootstrap
+        or relay, or the wakeup of a link transmitter or node receiver.
+        """
+        # Every slot written once, as in Timeout.__init__.
+        event = _new_event(Event)
+        event.sim = self
+        event.callbacks = [callback]
+        event._value = value
+        event._ok = ok
+        event._state = _TRIGGERED
+        event._order = None
+        event._cancelled = False
+        self._lane_append((self.now, 1, next(self._seq), event))
 
     def peek(self) -> float:
         """Time of the next *live* scheduled event, or +inf if none.

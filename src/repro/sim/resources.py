@@ -1,23 +1,21 @@
 """Shared-resource primitives built on the simulation kernel.
 
-Three primitives cover everything the stack needs:
+Two primitives cover everything the stack needs:
 
 * :class:`Resource` — a counted semaphore with FIFO queuing (radio
   channels, server worker pools, circuit-switched trunks).
-* :class:`Store` — an unbounded-or-bounded FIFO of Python objects
-  (packet queues, mailboxes).
-* :class:`Channel` — a Store with a fixed per-item transfer delay,
-  convenient for simple pipes.
+* :class:`Store` — an unbounded FIFO of Python objects (socket
+  streams, accept backlogs, datagram inboxes).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .kernel import Event, Simulator, SimulationError
 
-__all__ = ["Request", "Resource", "PriorityResource", "Store", "Channel"]
+__all__ = ["Request", "Resource", "PriorityResource", "Store"]
 
 
 class Request(Event):
@@ -31,6 +29,9 @@ class Request(Event):
     def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource
+        # True from the grant until the release: only a holder may
+        # release, and only once.
+        self.holds_slot = False
 
     def cancel(self) -> None:
         """Withdraw the request (no-op if already granted)."""
@@ -67,19 +68,25 @@ class Resource:
         req = Request(self)
         if self.in_use < self.capacity:
             self.in_use += 1
-            req.succeed(self)
+            self._grant(req)
         else:
             self._waiting.append(req)
         return req
 
+    def _grant(self, req: Request) -> None:
+        req.holds_slot = True
+        req.succeed(self)
+
     def release(self, request: Request) -> None:
         if request.resource is not self:
             raise SimulationError("release() of a foreign request")
-        if self.in_use <= 0:
-            raise SimulationError("release() with nothing in use")
+        if not request.holds_slot:
+            raise SimulationError(
+                "release() of a request that holds no slot "
+                "(never granted, or already released)")
+        request.holds_slot = False
         if self._waiting:
-            nxt = self._waiting.popleft()
-            nxt.succeed(self)
+            self._grant(self._waiting.popleft())
         else:
             self.in_use -= 1
 
@@ -102,7 +109,7 @@ class PriorityResource(Resource):
         req._seq = self._seq
         if self.in_use < self.capacity:
             self.in_use += 1
-            req.succeed(self)
+            self._grant(req)
         else:
             self._waiting.append(req)
             # Deques have no sort(); rebuild.  The queue is short (it
@@ -117,100 +124,29 @@ class PriorityResource(Resource):
 
 
 class Store:
-    """FIFO object store; ``get`` blocks until an item is available."""
+    """Unbounded FIFO object store; ``get`` blocks until an item is
+    available."""
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self.items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; blocks (pending event) while the store is full."""
-        ev = Event(self.sim)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed()
-        elif not self.is_full:
-            self.items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
+    def try_put(self, item: Any) -> None:
+        """Insert ``item`` (never blocks: the store is unbounded)."""
         if self._getters:
             self._getters.popleft().succeed(item)
-            return True
-        if self.is_full:
-            return False
-        self.items.append(item)
-        return True
+        else:
+            self.items.append(item)
 
     def get(self) -> Event:
         """Remove and return the oldest item (event value)."""
         ev = Event(self.sim)
         if self.items:
             ev.succeed(self.items.popleft())
-            self._drain_putters()
-        elif self._putters:
-            put_ev, item = self._putters.popleft()
-            put_ev.succeed()
-            ev.succeed(item)
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get; returns (ok, item)."""
-        if self.items:
-            item = self.items.popleft()
-            self._drain_putters()
-            return True, item
-        return False, None
-
-    def _drain_putters(self) -> None:
-        while self._putters and not self.is_full:
-            put_ev, item = self._putters.popleft()
-            self.items.append(item)
-            put_ev.succeed()
-
-
-class Channel:
-    """A unidirectional pipe with a fixed per-item latency."""
-
-    def __init__(self, sim: Simulator, delay: float = 0.0,
-                 capacity: Optional[int] = None):
-        if delay < 0:
-            raise ValueError(f"negative channel delay: {delay}")
-        self.sim = sim
-        self.delay = delay
-        self.store = Store(sim, capacity=capacity)
-
-    def send(self, item: Any) -> Event:
-        """Deliver ``item`` into the channel after ``delay`` time units."""
-        done = Event(self.sim)
-
-        def _deliver(env=self.sim, item=item, done=done):
-            yield env.timeout(self.delay)
-            yield self.store.put(item)
-            done.succeed()
-
-        self.sim.spawn(_deliver(), name="channel-send")
-        return done
-
-    def recv(self) -> Event:
-        """Event yielding the next delivered item."""
-        return self.store.get()

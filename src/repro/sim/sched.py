@@ -1,11 +1,12 @@
-"""The simulation kernel's event queue: one binary heap.
+"""The simulation kernel's event queue: one binary heap and a lane.
 
 The kernel's total order over scheduled events is the tuple
 ``(time, priority, seq)``: virtual time first, then priority (0 for
 interrupts, 1 for everything else), then a global monotonic sequence
 number that makes every key unique and same-time dispatch FIFO.
 :class:`HeapScheduler` stores ``(time, priority, seq, event)`` entries
-in a flat ``heapq`` and hands them back in exactly that order.
+in a flat ``heapq``, keeps same-instant pushes in a list beside it,
+and hands both back in exactly that order.
 """
 
 from __future__ import annotations
@@ -22,31 +23,45 @@ _INF = float("inf")
 
 
 class HeapScheduler:
-    """Binary heap of ``(time, priority, seq, event)`` entries.
+    """Binary heap of ``(time, priority, seq, event)`` entries, plus a
+    lane: a plain list that :meth:`push_now` appends to.
 
-    The scheduler never inspects an event beyond its ``_cancelled``
-    flag.  Three parts of the contract matter to the kernel:
+    Every lane entry has the current time, priority 1 and a seq above
+    any entry already popped (callers push at ``now`` with increasing
+    seqs), so the lane is sorted as it stands.  The heap stays the only
+    structure for future times.  The scheduler never inspects an event
+    beyond its ``_cancelled`` flag.  Three parts of the contract matter
+    to the kernel:
 
     * **Tombstones.**  :meth:`repro.sim.kernel.Timeout.cancel` marks the
       event and bumps ``tombstones`` instead of hunting the entry down.
-      Dead entries are dropped — uncounted, without running callbacks —
-      the moment any pop or peek reaches them, so :meth:`live_count`
-      and :meth:`peek_time` describe only events that will fire.
+      Dead entries, in the heap or the lane, are dropped — uncounted,
+      without running callbacks — the moment any pop or peek reaches
+      them, so :meth:`live_count` and :meth:`peek_time` describe only
+      events that will fire.
     * **``urgent_pending``.**  Set whenever a priority != 1 entry is
       pushed, so :meth:`Simulator.run` notices mid-batch that an
       interrupt arrived and must preempt the rest of the same-time
       batch (it hands the tail back through :meth:`requeue`); the next
       :meth:`pop_batch` or :meth:`pop_one` clears it.
     * **The batch.**  :meth:`pop_batch` returns every live entry sharing
-      the earliest time.  The entries have no intra-batch causal edge
-      through the kernel, which makes the batch the race sanitizer's
-      unit (``repro.analysis.races``): it records per-entry read/write
-      sets right after this call and, on replay, hands the batch back
-      in flipped order to prove or refute a flagged hazard.
+      the earliest time, in order.  When no heap entry shares the
+      lane's time, the lane is the batch; otherwise (a same-time
+      :meth:`push` or :meth:`requeue`) it is merged into the heap
+      first.  Either way the batch, and where it ends, is the one a
+      heap alone would give.  The entries have no intra-batch causal
+      edge through the kernel, which makes the batch the race
+      sanitizer's unit (``repro.analysis.races``): it records per-entry
+      read/write sets right after this call and, on replay, hands the
+      batch back in flipped order to prove or refute a flagged hazard.
+
+    The lane list is emptied in place, never replaced, so the kernel
+    holds its bound ``append`` as the push-now fast path.
     """
 
     def __init__(self):
         self._heap: list = []
+        self._lane: list = []
         #: Cancelled-but-not-yet-dropped entries (see Timeout.cancel).
         self.tombstones = 0
         self.urgent_pending = False
@@ -59,7 +74,14 @@ class HeapScheduler:
 
     def push_now(self, time: float, seq: int, event: Any) -> None:
         """Fast path: priority-1 entry at the current instant."""
-        heapq.heappush(self._heap, (time, 1, seq, event))
+        self._lane.append((time, 1, seq, event))
+
+    def _merge_lane(self) -> None:
+        """Move the lane into the heap (rare: see the batch contract)."""
+        heap = self._heap
+        for entry in self._lane:
+            heapq.heappush(heap, entry)
+        self._lane.clear()
 
     def pop_batch(self, until: Optional[float]) -> list:
         """All live entries sharing the earliest time, in order.
@@ -69,6 +91,23 @@ class HeapScheduler:
         """
         self.urgent_pending = False
         heap = self._heap
+        lane = self._lane
+        if lane:
+            time = lane[0][0]
+            if heap and heap[0][0] <= time:
+                self._merge_lane()
+            elif until is not None and time > until:
+                return []
+            else:
+                batch = lane[:]
+                lane.clear()
+                for entry in batch:
+                    if entry[3]._cancelled:
+                        live = [entry for entry in batch
+                                if not entry[3]._cancelled]
+                        self.tombstones -= len(batch) - len(live)
+                        return live or self.pop_batch(until)
+                return batch
         heappop = heapq.heappop
         while heap:
             if heap[0][3]._cancelled:
@@ -91,6 +130,8 @@ class HeapScheduler:
     def pop_one(self) -> Optional[tuple]:
         """The single earliest live entry, or None when empty."""
         self.urgent_pending = False
+        if self._lane:
+            self._merge_lane()
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -107,6 +148,8 @@ class HeapScheduler:
 
     def peek_time(self) -> float:
         """Earliest live entry's time, or +inf; drops leading tombstones."""
+        if self._lane:
+            self._merge_lane()
         heap = self._heap
         while heap:
             if heap[0][3]._cancelled:
@@ -118,11 +161,11 @@ class HeapScheduler:
 
     def __len__(self) -> int:
         """Raw entry count, tombstones included."""
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     def live_count(self) -> int:
         """Entries that will actually dispatch (raw minus tombstones)."""
-        return len(self._heap) - self.tombstones
+        return len(self._heap) + len(self._lane) - self.tombstones
 
 
 # Kept for bench/worker.py, whose ``heap`` ablation arm enters it.

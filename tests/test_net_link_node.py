@@ -13,6 +13,7 @@ from repro.net import (
 )
 from repro.net.packet import PROTO_ICMP
 from repro.sim import SeedBank, Simulator
+from repro.wireless import CellularNetwork, Mobile, Position, cellular_standard
 
 
 def two_host_net(sim, **link_kwargs):
@@ -160,6 +161,18 @@ def test_queue_tail_drop():
     assert net.links[0].stats.get("queue_drops") > 0
 
 
+def test_link_end_enqueue_respects_capacity():
+    sim = Simulator()
+    link = Link(sim, queue_capacity=2)
+    end = link.ends[0]
+    packet = Packet(src=IPAddress.parse("10.0.0.1"),
+                    dst=IPAddress.parse("10.0.0.2"), proto="test")
+    assert end.enqueue(packet)
+    assert end.enqueue(packet)
+    assert not end.enqueue(packet)
+    assert link.stats.get("queue_drops") == 1
+
+
 def test_no_route_counted():
     sim = Simulator()
     net, a, b = two_host_net(sim)
@@ -235,3 +248,108 @@ def test_find_node_by_address():
     net, a, b = two_host_net(sim)
     assert net.find_node_by_address(b.primary_address) is b
     assert net.find_node_by_address(IPAddress.parse("1.2.3.4")) is None
+
+
+# ------------------------------------------------------------ hop pin
+def _hop_scenario():
+    """Wired chain with a tail-drop burst, a lossy GPRS cell with shared
+    airtime, and a link taken down in mid-frame."""
+    sim = Simulator()
+    net = Network(sim)
+    a = net.add_node("a")
+    r = net.add_node("r", forwarding=True)
+    b = net.add_node("b")
+    net.connect(a, r, Subnet.parse("10.0.1.0/24"),
+                bandwidth_bps=80_000.0, delay=0.002, queue_capacity=2)
+    net.connect(r, b, Subnet.parse("10.0.2.0/24"),
+                bandwidth_bps=40_000.0, delay=0.003)
+    cellnet = CellularNetwork(net, r, cellular_standard("GPRS"),
+                              loss_rate=0.35,
+                              loss_stream=SeedBank(5).stream("air"))
+    cellnet.add_base_station("bs0", Position(0, 0))
+    phones = []
+    for index in range(2):
+        phone = net.add_node(f"phone{index}")
+        phone.assign_address(IPAddress.parse(f"10.200.0.{10 + index}"))
+        cellnet.attach(phone, Mobile(Position(100.0 * index, 0)))
+        phones.append(phone)
+    net.build_routes()
+
+    arrivals = []
+    for node in [b] + phones:
+        node.register_protocol(
+            "pin", lambda n, p: arrivals.append(
+                (n.name, p.payload, list(p.hops), round(sim.now, 9))))
+
+    def send(src, dst, label, size):
+        src.send_ip(Packet(src=src.primary_address, dst=dst.primary_address,
+                           proto="pin", payload=label, payload_size=size))
+
+    # A burst past queue_capacity=2 on a -> r: tail drops at t=0.
+    for index in range(5):
+        send(a, b, f"burst{index}", 180)
+
+    def traffic(env):
+        yield env.timeout(0.5)
+        for index in range(6):
+            send(b, phones[index % 2], f"down{index}", 300)
+            send(phones[index % 2], b, f"up{index}", 120)
+            yield env.timeout(0.01)
+        yield env.timeout(2.0)
+        # Take a -> r down while its second frame is on the wire.
+        send(a, b, "doomed0", 480)
+        send(a, b, "doomed1", 480)
+        yield env.timeout(0.07)
+        net.links[0].take_down()
+        yield env.timeout(0.05)
+        net.links[0].bring_up()
+        send(a, b, "after", 100)
+
+    sim.spawn(traffic(sim))
+    sim.run()
+    links = [link.stats.as_dict() for link in net.links]
+    links += [att.link.stats.as_dict() for att in cellnet.attachments]
+    nodes = {node.name: node.stats.as_dict() for node in net.nodes}
+    return sim.events_processed, links, nodes, arrivals
+
+
+def test_hop_events_stats_and_arrivals_are_pinned():
+    """Every hop outcome (tail drop, airtime wait, frame error, retry
+    loss, down drop, delivery) at the event count and the arrival times
+    the generator-driven transmitter and receiver gave."""
+    events, links, nodes, arrivals = _hop_scenario()
+    assert events == 214
+    assert links == [
+        {"bytes_delivered": 1020, "delivered": 4, "down_drops": 1,
+         "queue_drops": 3},
+        {"bytes_delivered": 3500, "delivered": 14},
+        {"bytes_delivered": 2480, "delivered": 10},
+        {"bytes_delivered": 1240, "delivered": 5, "frame_errors": 5,
+         "loss_drops": 1},
+        {"bytes_delivered": 1240, "delivered": 5, "frame_errors": 5,
+         "loss_drops": 1},
+    ]
+    assert nodes == {
+        "a": {"forwarded": 5, "tx_drops": 3},
+        "r": {"forwarded": 14},
+        "b": {"delivered_local": 8, "forwarded": 6},
+        "bs0": {"forwarded": 10},
+        "phone0": {"delivered_local": 3, "forwarded": 3},
+        "phone1": {"delivered_local": 3, "forwarded": 3},
+    }
+    assert arrivals == [
+        ("b", "burst0", ["r", "b"], 0.065),
+        ("b", "burst1", ["r", "b"], 0.105),
+        ("b", "up0", ["bs0", "r", "b"], 0.5942112),
+        ("b", "up2", ["bs0", "r", "b"], 0.6390112),
+        ("phone0", "down0", ["r", "bs0", "phone0"], 0.6652),
+        ("b", "up3", ["bs0", "r", "b"], 0.7206112),
+        ("phone1", "down1", ["r", "bs0", "phone1"], 0.7244),
+        ("phone0", "down2", ["r", "bs0", "phone0"], 0.7726256),
+        ("b", "up5", ["bs0", "r", "b"], 0.7798112),
+        ("phone1", "down3", ["r", "bs0", "phone1"], 0.8366256),
+        ("phone0", "down4", ["r", "bs0", "phone0"], 0.9262256),
+        ("phone1", "down5", ["r", "bs0", "phone1"], 0.9646256),
+        ("b", "doomed0", ["r", "b"], 2.715),
+        ("b", "after", ["r", "b"], 2.739),
+    ]

@@ -515,9 +515,39 @@ def _cancel_mid_batch(sim, log):
     return [("a", 1.0), ("b", 1.0)]
 
 
+def _lane_beside_heap_mid_batch(sim, log):
+    """Two timeouts share t=1; their callbacks trigger same-instant
+    events beside a timeout whose delay rounds to zero, so the next
+    batch mixes both kinds of entry at one time, and one of the
+    same-instant entries is cancelled before it runs."""
+    def note(name):
+        return lambda ev: log.append((name, sim.now))
+
+    first, second = sim.timeout(1.0), sim.timeout(1.0)
+
+    def fan_out(ev):
+        woken = sim.event()
+        woken.callbacks.append(note("woken"))
+        woken.succeed()
+        # 1.0 + 1e-18 == 1.0: a priority-1 entry at the current time.
+        tiny = sim.timeout(1e-18)
+        tiny.callbacks.append(note("tiny"))
+        doomed = sim.timeout(0)
+        doomed.callbacks.append(note("doomed"))
+        tiny.callbacks.append(lambda ev: doomed.cancel())
+
+    first.callbacks.extend([note("a"), fan_out])
+    second.callbacks.extend([
+        note("b"),
+        lambda ev: sim.timeout(0).callbacks.append(note("zero"))])
+    return [("a", 1.0), ("b", 1.0), ("woken", 1.0), ("tiny", 1.0),
+            ("zero", 1.0)]
+
+
 @pytest.mark.parametrize("scenario", [_interrupt_mid_batch,
-                                      _cancel_mid_batch],
-                         ids=["interrupt", "cancel"])
+                                      _cancel_mid_batch,
+                                      _lane_beside_heap_mid_batch],
+                         ids=["interrupt", "cancel", "lane-beside-heap"])
 def test_mid_batch_escapes_match_single_stepping(scenario):
     """run() drains a same-time batch in one go; an interrupt raised or
     a timeout cancelled inside the batch must still act exactly as it

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Channel primitives."""
+"""Unit tests for the Resource and Store primitives."""
 
 import pytest
 
-from repro.sim import Channel, Resource, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -74,6 +74,31 @@ def test_request_cancel_leaves_queue():
     assert not waiting.triggered  # cancelled requests are never granted
 
 
+def test_release_of_ungranted_request_is_refused():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    a, b, c = res.request(), res.request(), res.request()
+    with pytest.raises(SimulationError):
+        res.release(c)
+    # Nothing moved: a still holds the slot, b and c still wait.
+    assert a.triggered and not b.triggered and not c.triggered
+    assert res.in_use == 1 and res.queue_length == 2
+    res.release(a)
+    assert b.triggered and not c.triggered and res.in_use == 1
+
+
+def test_double_release_is_refused():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    a, b = res.request(), res.request()
+    res.release(a)
+    with pytest.raises(SimulationError):
+        res.release(a)
+    assert res.in_use == 1
+    res.release(b)
+    assert res.in_use == 0
+
+
 # ------------------------------------------------------------------- Store
 def test_store_put_then_get():
     sim = Simulator()
@@ -86,7 +111,7 @@ def test_store_put_then_get():
 
     def producer(env):
         yield env.timeout(3)
-        yield store.put("packet")
+        store.try_put("packet")
 
     sim.spawn(consumer(sim))
     sim.spawn(producer(sim))
@@ -104,32 +129,9 @@ def test_store_get_before_put_blocks():
         order.append(item)
 
     sim.spawn(consumer(sim))
-    store.put("x")
+    store.try_put("x")
     sim.run()
     assert order == ["x"]
-
-
-def test_store_bounded_put_blocks_until_space():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer(env):
-        yield store.put(1)
-        times.append(("put1", env.now))
-        yield store.put(2)
-        times.append(("put2", env.now))
-
-    def consumer(env):
-        yield env.timeout(5)
-        item = yield store.get()
-        times.append(("got", env.now, item))
-
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert ("put1", 0.0) in times
-    assert ("put2", 5.0) in times
 
 
 def test_store_fifo_ordering():
@@ -147,65 +149,3 @@ def test_store_fifo_ordering():
     sim.spawn(consumer(sim))
     sim.run()
     assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_try_put_respects_capacity():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    assert store.try_put("a")
-    assert store.try_put("b")
-    assert not store.try_put("c")
-    assert len(store) == 2
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    ok, item = store.try_get()
-    assert not ok and item is None
-    store.try_put("v")
-    ok, item = store.try_get()
-    assert ok and item == "v"
-
-
-# ----------------------------------------------------------------- Channel
-def test_channel_delivers_after_delay():
-    sim = Simulator()
-    chan = Channel(sim, delay=2.5)
-    got = []
-
-    def receiver(env):
-        item = yield chan.recv()
-        got.append((env.now, item))
-
-    sim.spawn(receiver(sim))
-    chan.send("msg")
-    sim.run()
-    assert got == [(2.5, "msg")]
-
-
-def test_channel_preserves_order():
-    sim = Simulator()
-    chan = Channel(sim, delay=1.0)
-    got = []
-
-    def sender(env):
-        for i in range(3):
-            chan.send(i)
-            yield env.timeout(0.1)
-
-    def receiver(env):
-        for _ in range(3):
-            item = yield chan.recv()
-            got.append(item)
-
-    sim.spawn(sender(sim))
-    sim.spawn(receiver(sim))
-    sim.run()
-    assert got == [0, 1, 2]
-
-
-def test_channel_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Channel(sim, delay=-1)

@@ -99,43 +99,61 @@ def test_until_excludes_later_entries():
 
 # --------------------------------------------------------------- oracle
 def test_heap_matches_sorted_oracle_property():
-    """Random push/pop/cancel interleavings dispatch exactly what a
-    sort of the live entries says, batch by batch."""
-    for seed in range(5):
+    """Random push/pop/peek/cancel interleavings dispatch exactly what a
+    sort of the live entries says, batch by batch and one by one.
+    Same-instant entries go through ``push_now`` or, as a same-time
+    ``push`` at priority 1 or 0, straight beside them; cancellations hit
+    either kind."""
+    def key(entry):
+        return entry[:3]
+
+    for seed in range(8):
         rng = random.Random(seed)
         sched = HeapScheduler()
         live = []  # the oracle: every pushed, not-yet-popped live entry
         seq = 0
         now = 0.0
-        for _ in range(120):
+        for _ in range(160):
             action = rng.random()
-            if action < 0.55:
+            if action < 0.5:
                 seq += 1
-                delay = rng.choice([0.0, rng.uniform(0.0, 0.2),
+                delay = rng.choice([0.0, 0.0, rng.uniform(0.0, 0.2),
                                     rng.uniform(0.0, 50.0)])
-                priority = 0 if rng.random() < 0.05 else 1
+                priority = 0 if rng.random() < 0.08 else 1
                 entry = (now + delay, priority, seq, FakeEvent())
-                if delay == 0.0 and priority == 1:
+                if delay == 0.0 and priority == 1 and rng.random() < 0.8:
                     sched.push_now(now, seq, entry[3])
                 else:
                     sched.push(*entry)
                 live.append(entry)
-            elif action < 0.65 and live:
+            elif action < 0.6 and live:
                 entry = live.pop(rng.randrange(len(live)))
                 entry[3]._cancelled = True
                 sched.tombstones += 1
+            elif action < 0.68:
+                live.sort(key=key)
+                assert sched.peek_time() == (live[0][0] if live
+                                             else float("inf"))
+            elif action < 0.8:
+                entry = sched.pop_one()
+                live.sort(key=key)
+                if live:
+                    assert key(entry) == key(live.pop(0))
+                    now = entry[0]
+                else:
+                    assert entry is None
             else:
                 batch = sched.pop_batch(None)
-                live.sort(key=lambda entry: entry[:3])
+                live.sort(key=key)
                 expected = [entry for entry in live
                             if entry[0] == live[0][0]] if live else []
-                assert [e[:3] for e in batch] == [e[:3] for e in expected]
+                assert [key(e) for e in batch] == [key(e) for e in expected]
                 del live[:len(expected)]
                 if batch:
                     now = batch[0][0]
             assert sched.live_count() == len(live)
-        live.sort(key=lambda entry: entry[:3])
-        assert [e[:3] for e in drain(sched)] == [e[:3] for e in live]
+        live.sort(key=key)
+        assert [key(e) for e in drain(sched)] == [key(e) for e in live]
         assert sched.live_count() == 0
 
 
