@@ -16,9 +16,6 @@ Commands:
   MC system (policies on or off) and print the deterministic report;
   ``--replications R`` runs R consecutive seeds and adds a 95%
   confidence interval per headline metric;
-* ``races`` — whole-program static shared-state analysis: call graph
-  over every process function, cross-process access matrix (exported
-  as a JSON artifact), findings for unordered shared mutable state;
 * ``sanitize`` — run a scenario with the same-timestamp commutativity
   sanitizer installed; hazards are confirmed by deterministic flipped
   replay and any confirmed race fails the command;
@@ -283,35 +280,6 @@ def _cmd_chaos(args) -> int:
     return 0 if report["success_rate"] > 0 else 1
 
 
-def _cmd_races(args) -> int:
-    from repro.analysis.races import analyze_paths
-
-    paths = args.paths or _default_lint_paths()[:1]
-    try:
-        analysis = analyze_paths(paths)
-    except FileNotFoundError as exc:
-        print(f"python -m repro races: error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(analysis.render_json() + "\n")
-        print(f"access matrix written to {args.json}", file=sys.stderr)
-    if args.format == "json":
-        print(analysis.render_json())
-    else:
-        print(analysis.render_text())
-    if args.strict_on:
-        strict = analysis.findings_in(args.strict_on)
-        if strict:
-            print(f"\n{len(strict)} unsuppressed finding(s) in strict "
-                  f"paths ({', '.join(args.strict_on)})", file=sys.stderr)
-            return 1
-        print(f"strict paths clean ({', '.join(args.strict_on)})",
-              file=sys.stderr)
-        return 0
-    return 1 if (args.strict and analysis.findings) else 0
-
-
 def _cmd_sanitize(args) -> int:
     from repro.analysis.races.runner import render_text, run_sanitize
     from repro.core.shoppers import canonical_json
@@ -552,23 +520,6 @@ def main(argv=None) -> int:
     chaos.add_argument("--json", default=None, metavar="PATH",
                        help="write the report JSON here instead of stdout")
     chaos.set_defaults(func=_cmd_chaos)
-
-    races = sub.add_parser(
-        "races", help="whole-program shared-state race analysis")
-    races.add_argument("paths", nargs="*",
-                       help="files/directories to analyze "
-                            "(default: the repro package sources)")
-    races.add_argument("--format", default="text",
-                       choices=["text", "json"])
-    races.add_argument("--json", default=None, metavar="PATH",
-                       help="write the access-matrix JSON artifact here")
-    races.add_argument("--strict", action="store_true",
-                       help="exit nonzero on any finding")
-    races.add_argument("--strict-on", nargs="*", default=None,
-                       metavar="PREFIX",
-                       help="exit nonzero only on findings under these "
-                            "path prefixes (e.g. src/repro/faults)")
-    races.set_defaults(func=_cmd_races)
 
     sanitize = sub.add_parser(
         "sanitize",

@@ -1,4 +1,4 @@
-"""Static analysis: simulation-safety linter and static model checker.
+"""Analysis: simulation-safety linter, model checker, race sanitizer.
 
 Two engines guard the model *before* anything runs:
 
@@ -11,13 +11,12 @@ Two engines guard the model *before* anything runs:
 * the **model checker** (:mod:`repro.analysis.model_check`) renders
   verdicts (``PASS``/``FAIL``/``INCONCLUSIVE``) over a built-but-not-run
   :class:`~repro.core.model.SystemModel`, mapping every Figure 1/2 and
-  Table 3 claim from :mod:`repro.core.requirements` to a machine check;
-* the **race detector** (:mod:`repro.analysis.races`) grows the linter
-  into a whole-program pass — call graph over every process function,
-  cross-process shared-state access matrix, findings for mutable state
-  crossing process boundaries without a kernel handoff — paired with a
-  runtime commutativity sanitizer that flags same-timestamp read/write
-  conflicts and confirms them by deterministic flipped-order replay.
+  Table 3 claim from :mod:`repro.core.requirements` to a machine check.
+
+One guards it while it runs: the **race sanitizer**
+(:mod:`repro.analysis.races`) flags same-timestamp read/write
+conflicts over instrumented shared state and confirms them by
+deterministic flipped-order replay.
 """
 
 from .findings import Finding, SEVERITY_ERROR, SEVERITY_WARNING
@@ -31,10 +30,6 @@ from .model_check import (
 )
 from .races import (
     BatchSanitizer,
-    RaceAnalysis,
-    StaticRaceAnalyzer,
-    analyze_paths,
-    analyze_sources,
     install_sanitizer,
     instrument_system,
 )
@@ -53,10 +48,6 @@ __all__ = [
     "Verdict",
     "check_reference_systems",
     "BatchSanitizer",
-    "RaceAnalysis",
-    "StaticRaceAnalyzer",
-    "analyze_paths",
-    "analyze_sources",
     "install_sanitizer",
     "instrument_system",
     "Rule",

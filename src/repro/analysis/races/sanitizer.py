@@ -1,4 +1,4 @@
-"""Same-timestamp commutativity sanitizer (the dynamic side).
+"""Same-timestamp commutativity sanitizer.
 
 The kernel dispatches every event sharing the earliest timestamp as one
 ``pop_batch`` batch (see :meth:`repro.sim.Simulator.run`).  Entries in

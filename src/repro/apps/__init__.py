@@ -5,7 +5,7 @@ server-side (CGI programs + schema) plus client flows runnable over any
 middleware/bearer combination.
 """
 
-from .base import Application, form_body, html_page, wml_page
+from .base import Application, html_page
 from .commerce import CommerceApp
 from .education import EducationApp
 from .entertainment import EntertainmentApp
@@ -28,9 +28,7 @@ ALL_CATEGORIES = {
 
 __all__ = [
     "Application",
-    "form_body",
     "html_page",
-    "wml_page",
     "CommerceApp",
     "EducationApp",
     "EntertainmentApp",

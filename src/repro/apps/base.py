@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from ..db import execute
 
-__all__ = ["Application", "form_body", "wml_page", "html_page"]
+__all__ = ["Application", "html_page"]
 
 
 class Application:
@@ -53,18 +53,6 @@ class Application:
         self.personalization_used = True
 
 
-def form_body(params: dict) -> str:
-    """Render a dict as readable key=value lines (plain-text responses)."""
-    return "\n".join(f"{key}={value}" for key, value in sorted(params.items()))
-
-
 def html_page(title: str, body_html: str) -> str:
     return (f"<html><head><title>{title}</title></head>"
             f"<body>{body_html}</body></html>")
-
-
-def wml_page(title: str, paragraphs: list[str]) -> str:
-    """A WML deck for content providers that author natively for WAP."""
-    inner = "".join(f"<p>{p}</p>" for p in paragraphs)
-    return (f'<?xml version="1.0"?>\n<wml>\n'
-            f'<card id="main" title="{title}">{inner}</card>\n</wml>')

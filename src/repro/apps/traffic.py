@@ -118,19 +118,3 @@ class TrafficApp(Application):
 
         flow.__name__ = "navigate"
         return flow
-
-    def report_and_reroute(self, congestion=(2, 2)):
-        """Report congestion, then verify routes avoid it."""
-
-        def flow(ctx):
-            report = yield from ctx.get(
-                f"/traffic/report?x={congestion[0]}&y={congestion[1]}"
-                f"&delay=30")
-            if report.status != 200:
-                raise RuntimeError("report failed")
-            advisories = yield from ctx.get("/traffic/advisories")
-            yield from ctx.render(advisories)
-            return {"status": advisories.status}
-
-        flow.__name__ = "report_and_reroute"
-        return flow

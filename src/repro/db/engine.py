@@ -253,10 +253,6 @@ class Table:
         return count
 
     # -- lookup -------------------------------------------------------------
-    def by_primary_key(self, value: Any) -> Optional[dict]:
-        row = self._pk_index.get(value)
-        return dict(row) if row is not None else None
-
     def lookup_indexed(self, column_name: str, value: Any) -> list[dict]:
         """Index-backed equality lookup (falls back to scan if unindexed)."""
         if self.primary_key is not None and \
@@ -320,11 +316,6 @@ class Database:
         table = Table(name, columns)
         self.tables[name] = table
         return table
-
-    def drop_table(self, name: str) -> None:
-        if name not in self.tables:
-            raise SchemaError(f"no table {name!r}")
-        del self.tables[name]
 
     def table(self, name: str) -> Table:
         try:

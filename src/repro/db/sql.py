@@ -27,7 +27,6 @@ from ..opt import OPTIMIZATIONS
 __all__ = [
     "SQLSyntaxError",
     "parse",
-    "clear_parse_cache",
     "CreateTable",
     "CreateIndex",
     "Insert",
@@ -554,11 +553,6 @@ class _Parser:
 # which keeps the hit path to a single dict lookup.
 _PARSE_CACHE_LIMIT = 1024
 _parse_cache: dict[str, Statement] = {}
-
-
-def clear_parse_cache() -> None:
-    """Drop every cached AST (test hook; also the overflow policy)."""
-    _parse_cache.clear()
 
 
 def parse(text: str) -> Statement:

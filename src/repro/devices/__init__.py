@@ -1,7 +1,7 @@
 """Mobile stations component (paper §4): devices, OSes, browsers, hardware."""
 
 from .browser import CYCLES_PER_BYTE, Microbrowser, RenderedPage, UnsupportedContentError
-from .embedded_db import EmbeddedDatabase, Record, SyncDelta, apply_delta
+from .embedded_db import EmbeddedDatabase, Record, SyncDelta
 from .hardware import (
     Battery,
     BatteryDeadError,
@@ -29,7 +29,6 @@ __all__ = [
     "EmbeddedDatabase",
     "Record",
     "SyncDelta",
-    "apply_delta",
     "Battery",
     "BatteryDeadError",
     "CPU",

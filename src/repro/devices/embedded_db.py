@@ -22,7 +22,7 @@ from typing import Any, Optional
 from .hardware import OutOfMemoryError
 from .station import MobileStation
 
-__all__ = ["Record", "EmbeddedDatabase", "SyncDelta", "apply_delta"]
+__all__ = ["Record", "EmbeddedDatabase", "SyncDelta"]
 
 RECORD_OVERHEAD_BYTES = 24
 
@@ -149,16 +149,3 @@ class EmbeddedDatabase:
             )
             applied += 1
         return applied
-
-
-def apply_delta(store: dict[str, Record], delta: SyncDelta) -> int:
-    """Server-side helper: merge a device's delta into a plain dict store."""
-    applied = 0
-    for remote in delta.records:
-        local = store.get(remote.key)
-        if local is not None and local.version >= remote.version:
-            continue
-        store[remote.key] = Record(remote.key, dict(remote.value),
-                                   remote.version, remote.deleted)
-        applied += 1
-    return applied

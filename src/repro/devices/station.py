@@ -110,8 +110,5 @@ class MobileStation(Node):
         """Charge the battery for screen time (no virtual time passes)."""
         self.battery.drain("screen", seconds)
 
-    def radio_active(self, seconds: float) -> None:
-        self.battery.drain("radio_tx", seconds)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MobileStation {self.spec.full_name} ({self.os.name})>"

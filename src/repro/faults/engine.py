@@ -32,7 +32,7 @@ class FaultEngine:
         if self._started:
             raise RuntimeError("FaultEngine.start() called twice")
         # Written once, before the clock starts; drivers only read it.
-        self._started = True  # repro: noqa[shared-state]
+        self._started = True
         self.plan.validate()
         for index, spec in enumerate(self.plan.ordered()):
             self.system.sim.spawn(
@@ -49,10 +49,10 @@ class FaultEngine:
                           target=spec.target, duration=spec.duration,
                           magnitude=spec.magnitude)
         # Counter increments commute across driver processes.
-        self.stats.incr("injected")  # repro: noqa[shared-state]
+        self.stats.incr("injected")
         self.stats.incr(f"injected_{spec.kind}")
         if self.metrics is not None:
-            self.metrics.incr("faults_injected", spec.kind)  # repro: noqa[shared-state]
+            self.metrics.incr("faults_injected", spec.kind)
         try:
             yield from INJECTORS[spec.kind](self.system, spec)
         finally:

@@ -79,7 +79,7 @@ class CanaryController:
         # Controller state is written only by the single fleet-canary
         # process at phase-offset times (0.333) no other monitor
         # shares; the dynamic sanitizer confirms no same-batch overlap.
-        self._started = True  # repro: noqa[shared-state]
+        self._started = True
         self.sim.spawn(self._run(), name="fleet-canary")
 
     def _run(self):
@@ -104,9 +104,9 @@ class CanaryController:
             fresh = self.fleet.add_member(version="v2",
                                           handicap=self.handicap,
                                           cell_index=old.cell_index)
-            self.canary_members.append(fresh.name)  # repro: noqa[shared-state]
-        self.state = CanaryController.CANARY  # repro: noqa[shared-state]
-        self.stats.incr("deploys")  # repro: noqa[shared-state]
+            self.canary_members.append(fresh.name)
+        self.state = CanaryController.CANARY
+        self.stats.incr("deploys")
 
     def rollback(self) -> None:
         for name in self.canary_members:
@@ -164,7 +164,7 @@ class CanaryController:
         canary = self.balancer.window_stats(active_canaries, since)
         baseline = self.balancer.window_stats(baseline_names, since)
         verdict = self.evaluate(canary, baseline)
-        self.history.append({  # repro: noqa[shared-state]
+        self.history.append({
             "at": self.sim.now,
             "verdict": verdict,
             "canary_count": canary["count"],
@@ -177,8 +177,8 @@ class CanaryController:
         })
         self.stats.incr(f"windows_{verdict}")
         if verdict == "violation":
-            self._bad_windows += 1  # repro: noqa[shared-state]
-            self._good_windows = 0  # repro: noqa[shared-state]
+            self._bad_windows += 1
+            self._good_windows = 0
             if self._bad_windows >= self.violations:
                 self.rollback()
         elif verdict == "healthy":

@@ -55,7 +55,7 @@ class HealthMonitor:
         # Only the single monitor process (spawned below) and the
         # build-time caller touch this; the phase offset keeps every
         # later write in its own kernel batch.
-        self._started = True  # repro: noqa[shared-state]
+        self._started = True
         self.sim.spawn(self._probe_loop(), name="fleet-health")
 
     def _probe_loop(self):
@@ -74,7 +74,7 @@ class HealthMonitor:
         # Single-writer: only the one fleet-health process increments
         # these counters and mutates ring membership, at phase-offset
         # times no other monitor shares (sanitizer-verified).
-        self.stats.incr("probes")  # repro: noqa[shared-state]
+        self.stats.incr("probes")
         if member.gateway.is_down:
             # Dead listener: the probe burns its full connect timeout.
             yield self.sim.timeout(self.timeout)
@@ -102,7 +102,7 @@ class HealthMonitor:
     def _eject(self, member: FleetMember) -> None:
         member.health = "ejected"
         member.probe_failures = 0
-        self.fleet.ring.remove(member.name)  # repro: noqa[shared-state]
+        self.fleet.ring.remove(member.name)
         self.stats.incr("ejections")
         self._record_pool_size()
 

@@ -111,7 +111,7 @@ class GatewayFleet:
         # share a same-timestamp kernel batch; the dynamic sanitizer
         # confirms this over the fleet scenarios.
         index = self._next_index
-        self._next_index += 1  # repro: noqa[shared-state]
+        self._next_index += 1
         if version is None:
             version = self.default_version
         if handicap is None:
@@ -126,9 +126,9 @@ class GatewayFleet:
         member = FleetMember(index, name, gateway, make_session, port,
                              cell_index, version, handicap,
                              added_at=self.sim.now)
-        self.members[name] = member  # repro: noqa[shared-state]
-        self.ring.add(name)  # repro: noqa[shared-state]
-        self.stats.incr("members_added")  # repro: noqa[shared-state]
+        self.members[name] = member
+        self.ring.add(name)
+        self.stats.incr("members_added")
         return member
 
     def retire_member(self, name: str,

@@ -80,10 +80,6 @@ class NameRegistry:
     def lookup_service(self, name: str) -> Optional[ServiceEndpoint]:
         return self._services.get(name.lower())
 
-    def unregister_service(self, name: str) -> None:
-        if self._services.pop(name.lower(), None) is not None:
-            self.generation += 1
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -33,10 +33,6 @@ class HandoffNotifier:
         if connection not in self._connections:
             self._connections.append(connection)
 
-    def untrack(self, connection: TCPConnection) -> None:
-        if connection in self._connections:
-            self._connections.remove(connection)
-
     def handoff_complete(self) -> None:
         """Signal every tracked (still-open) connection."""
         for connection in list(self._connections):

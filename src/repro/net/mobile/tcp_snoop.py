@@ -51,9 +51,6 @@ class SnoopAgent:
         self.stats = Counter()
         base_station.rx_taps.append(self._tap)
 
-    def add_mobile(self, address) -> None:
-        self.mobile_addresses.add(address)
-
     def _tap(self, packet: Packet, iface: Interface) -> bool:
         if packet.proto != PROTO_TCP:
             return False

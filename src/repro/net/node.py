@@ -49,9 +49,6 @@ class Interface:
         """Administratively detach (used for handoff simulations)."""
         self.is_up = False
 
-    def reattach(self) -> None:
-        self.is_up = True
-
     def peer(self) -> Optional["Interface"]:
         """The interface at the other end of the link, if any."""
         if self.link is None:

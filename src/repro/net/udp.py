@@ -15,15 +15,7 @@ from .addressing import IPAddress
 from .node import Node
 from .packet import PROTO_UDP, Packet
 
-__all__ = ["UDPSegment", "UDPSocket", "UDPStack", "udp_stack"]
-
-
-def udp_stack(node: Node) -> "UDPStack":
-    """The node's UDP stack, creating one on first use."""
-    existing = getattr(node, "_udp_stack", None)
-    if existing is not None:
-        return existing
-    return UDPStack(node)
+__all__ = ["UDPSegment", "UDPSocket", "UDPStack"]
 
 UDP_HEADER_BYTES = 8
 

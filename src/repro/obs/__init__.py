@@ -4,7 +4,7 @@ Three pieces, all zero-cost until installed:
 
 * **Spans** (:mod:`repro.obs.span`): hierarchical timed operations over
   the simulation clock, stitched across components by an explicit
-  :class:`TraceContext` carried on frames, headers and packets.
+  :class:`TraceContext` carried on connections and packets.
 * **Metrics** (:mod:`repro.obs.metrics`): a named registry subsuming
   the :mod:`repro.sim.monitor` collectors.
 * **Kernel profiling** (:mod:`repro.obs.profile`): event-loop counters
@@ -16,7 +16,7 @@ breakdown whose sum equals the end-to-end latency exactly.
 
 from __future__ import annotations
 
-from .context import TRACE_HEADER, TRACE_KEY, TraceContext
+from .context import TraceContext
 from .metrics import (
     Counter,
     Gauge,
@@ -39,8 +39,6 @@ from .span import Span, Tracer, ctx_of, end_span, install_tracer, start_span
 
 __all__ = [
     "TraceContext",
-    "TRACE_HEADER",
-    "TRACE_KEY",
     "Span",
     "Tracer",
     "install_tracer",

@@ -1,26 +1,22 @@
 """Trace context: the identity a transaction carries across components.
 
-A :class:`TraceContext` is the (trace_id, span_id) pair that rides on
-whatever the layer below already transports — a ``"trace"`` key in the
-WSP/clipping/database frame dicts, an ``x-trace`` header on HTTP
-requests, and a ``trace`` field on :class:`~repro.net.packet.Packet` —
-so one end-to-end transaction can be reassembled from spans recorded in
-six different components.  Carrying a context is observational only: it
-never changes scheduling, and (apart from the wire bytes of the header
-or frame key when tracing is enabled) never changes the system.
+A :class:`TraceContext` is the (trace_id, span_id) pair that names a
+parent span.  It rides as a Python attribute beside the data, never in
+it: a client stamps it on its TCP connection (``conn.trace``), the
+connection copies it onto every :class:`~repro.net.packet.Packet` it
+sends (``packet.trace``), the receiving connection takes it back off,
+and the web server hands it to the request as ``HTTPRequest.trace``.
+So one end-to-end transaction can be reassembled from spans recorded
+in six different components.  Carrying a context is observational
+only: it never changes scheduling, and it never changes a byte that
+any frame, header or packet puts on the wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
-__all__ = ["TraceContext", "TRACE_HEADER", "TRACE_KEY"]
-
-# Header name used on HTTPRequest propagation (lower-cased by HTTPRequest).
-TRACE_HEADER = "x-trace"
-# Dict key used on frame-dict propagation (WSP, clipping, DB protocol).
-TRACE_KEY = "trace"
+__all__ = ["TraceContext"]
 
 
 @dataclass(frozen=True)
@@ -29,32 +25,3 @@ class TraceContext:
 
     trace_id: int
     span_id: int
-
-    # -- frame-dict carriage (JSON-encodable) ----------------------------
-    def to_wire(self) -> dict:
-        return {"t": self.trace_id, "s": self.span_id}
-
-    @staticmethod
-    def from_wire(obj: Any) -> Optional["TraceContext"]:
-        """Parse a frame-dict value; None for anything malformed."""
-        if not isinstance(obj, dict):
-            return None
-        trace_id, span_id = obj.get("t"), obj.get("s")
-        if isinstance(trace_id, int) and isinstance(span_id, int):
-            return TraceContext(trace_id, span_id)
-        return None
-
-    # -- header carriage -------------------------------------------------
-    def to_header(self) -> str:
-        return f"{self.trace_id}-{self.span_id}"
-
-    @staticmethod
-    def from_header(value: str) -> Optional["TraceContext"]:
-        """Parse an ``x-trace`` header value; None for anything malformed."""
-        trace_part, sep, span_part = str(value).partition("-")
-        if not sep:
-            return None
-        try:
-            return TraceContext(int(trace_part), int(span_part))
-        except ValueError:
-            return None

@@ -63,9 +63,9 @@ class CircuitBreaker:
                 # Breaker transitions are driven by call outcomes that
                 # each arrive in their own kernel event; the dynamic
                 # sanitizer confirms no same-batch overlap.
-                self.state = CircuitBreaker.HALF_OPEN  # repro: noqa[shared-state]
-                self._probes = 0  # repro: noqa[shared-state]
-                self.stats.incr("half_opens")  # repro: noqa[shared-state]
+                self.state = CircuitBreaker.HALF_OPEN
+                self._probes = 0
+                self.stats.incr("half_opens")
             else:
                 self.stats.incr("rejections")
                 return False
@@ -86,7 +86,7 @@ class CircuitBreaker:
         if self.state == CircuitBreaker.HALF_OPEN:
             self.stats.incr("closes")
         self.state = CircuitBreaker.CLOSED
-        self._failures = 0  # repro: noqa[shared-state]
+        self._failures = 0
 
     def record_failure(self) -> None:
         if self.state == CircuitBreaker.HALF_OPEN:
@@ -99,6 +99,6 @@ class CircuitBreaker:
 
     def _trip(self) -> None:
         self.state = CircuitBreaker.OPEN
-        self._opened_at = self.sim.now  # repro: noqa[shared-state]
+        self._opened_at = self.sim.now
         self._failures = 0
         self.stats.incr("trips")

@@ -1,7 +1,7 @@
 """Host-computer web tier (paper §7): HTTP, web server, CGI, sessions."""
 
 from .cgi import CGIContext, CGIProgram, CGIRegistry
-from .client import HTTPClient, http_get
+from .client import HTTPClient
 from .http import (
     HTTPParseError,
     HTTPRequest,
@@ -19,7 +19,6 @@ __all__ = [
     "CGIProgram",
     "CGIRegistry",
     "HTTPClient",
-    "http_get",
     "HTTPParseError",
     "HTTPRequest",
     "HTTPResponse",

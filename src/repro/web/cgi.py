@@ -81,9 +81,6 @@ class CGIRegistry:
         self._programs[path] = program
         return program
 
-    def unmount(self, path: str) -> None:
-        self._programs.pop(path, None)
-
     def resolve(self, path: str) -> Optional[CGIProgram]:
         if path in self._programs:
             return self._programs[path]

@@ -10,7 +10,7 @@ from ..net.tcp import TCPStack, tcp_stack
 from ..sim import Event
 from .http import HTTPRequest, HTTPResponse, ResponseParser
 
-__all__ = ["HTTPClient", "http_get"]
+__all__ = ["HTTPClient"]
 
 
 class HTTPClient:
@@ -78,9 +78,3 @@ class HTTPClient:
         req = HTTPRequest("POST", path, headers=merged, body=body)
         return self.request(server, req, port=port, timeout=timeout,
                             trace=trace)
-
-
-def http_get(node: Node, server: IPAddress, path: str, port: int = 80,
-             headers: Optional[dict] = None) -> Event:
-    """Convenience one-shot GET (creates/reuses the node's TCP stack)."""
-    return HTTPClient(node).get(server, path, port=port, headers=headers)

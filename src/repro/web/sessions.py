@@ -78,9 +78,6 @@ class SessionStore:
         session.last_seen = self.sim.now
         return session
 
-    def destroy(self, session_id: str) -> None:
-        self._sessions.pop(session_id, None)
-
     # -- HTTP integration -------------------------------------------------
     def resolve(self, request: HTTPRequest) -> tuple[Session, bool]:
         """Session for the request's cookie; (session, is_new)."""

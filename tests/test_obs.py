@@ -16,7 +16,6 @@ from repro.obs import (
     KernelProfiler,
     MetricsRegistry,
     Span,
-    TraceContext,
     Tracer,
     format_breakdown,
     install_profiler,
@@ -260,15 +259,6 @@ def test_tracer_max_spans_bound():
         tracer.end(tracer.start("s", "app"))
     assert len(tracer) == 2
     assert tracer.dropped == 3
-
-
-def test_trace_context_wire_and_header_round_trip():
-    ctx = TraceContext(trace_id=7, span_id=13)
-    assert TraceContext.from_wire(ctx.to_wire()) == ctx
-    assert TraceContext.from_header(ctx.to_header()) == ctx
-    assert TraceContext.from_wire(None) is None
-    assert TraceContext.from_header("") is None
-    assert TraceContext.from_header("garbage") is None
 
 
 # ------------------------------------------------------------- metrics

@@ -215,13 +215,18 @@ def test_bench_scenario_reports_zero_confirmed_races():
     assert report["events"] > 1000
 
 
-@pytest.mark.parametrize("scenario", ["gateway-outage", "dns-blackout"])
+@pytest.mark.parametrize("scenario", [
+    "gateway-outage", "dns-blackout", "brownout",
+    "fleet-outage", "canary-regression"])
 def test_chaos_scenarios_report_zero_confirmed_races(scenario):
     report = run_sanitize(scenario, stations=3, transactions=2,
                           horizon=90.0)
     assert report["verdict"] == "PASS"
     assert report["confirmed_races"] == 0
     assert report["multi_event_batches"] > 0
+    if scenario.startswith(("fleet", "canary")):
+        # Fleet membership must really be watched, not silently skipped.
+        assert "fleet.members" in report["instrumented"]
 
 
 def test_unknown_scenario_raises():
@@ -283,19 +288,3 @@ def test_cli_sanitize_writes_json(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["confirmed_races"] == 1
     assert report["confirmations"][0]["verdict"] == "CONFIRMED"
-
-
-def test_cli_races_strict_on(tmp_path, capsys):
-    from repro.__main__ import main
-
-    matrix_path = tmp_path / "matrix.json"
-    code = main(["races", "src/repro",
-                 "--strict-on", "src/repro/faults",
-                 "src/repro/resilience", "src/repro/sim",
-                 "--json", str(matrix_path)])
-    assert code == 0
-    artifact = json.loads(matrix_path.read_text())
-    assert artifact["cross_process_keys"] > 50
-    assert artifact["processes"]
-    out = capsys.readouterr().out
-    assert "shared-state" in out
