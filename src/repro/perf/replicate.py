@@ -21,7 +21,6 @@ The result has three sections:
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import statistics
 
@@ -104,6 +103,10 @@ def replicate(run, replications: int, seed: int, **kwargs) -> dict:
     passed to every replica unchanged.  The pool has
     ``min(R, os.cpu_count())`` processes.
     """
+    # Imported here: every bench and chaos process imports this module,
+    # and only a replicated run needs a process pool.
+    import multiprocessing
+
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     seeds = [seed + k for k in range(replications)]

@@ -1,6 +1,10 @@
 """Per-category tests for the eight Table 1 applications."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import (
     CommerceApp,
@@ -262,6 +266,65 @@ def test_traffic_off_map_rejected(world):
 
     record = run_flow(system, engine, handle, ask)
     assert record.result == {"status": 404}
+
+
+@pytest.mark.parametrize("delay", ["-10", "nan"])
+def test_traffic_bad_delay_rejected(world, delay):
+    system, handle, engine = world
+    app = TrafficApp()
+    system.mount_application(app)
+
+    def scenario(ctx):
+        report = yield from ctx.get(f"/traffic/report?x=2&y=2&delay={delay}")
+        directions = yield from ctx.get(
+            "/traffic/directions?from_x=0&from_y=0&to_x=4&to_y=4")
+        return {"report": report.status, "directions": directions.status,
+                "body": directions.body.decode(errors="replace")}
+
+    record = run_flow(system, engine, handle, scenario)
+    assert (record.result["report"], record.result["directions"]) == \
+        (400, 200)
+    assert "Estimated time: 16 min" in record.result["body"]
+    assert db_rows(system, "SELECT * FROM tf_advisories") == []
+
+
+def test_traffic_routes_pinned():
+    # Recorded from networkx's shortest_path before the grid went stdlib.
+    app = TrafficApp()
+    assert app.route((0, 0), (4, 4)) == (
+        [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 4),
+         (4, 4)], 16.0)
+    assert app.route((0, 0), (4, 4), [((2, 2), 60)]) == (
+        [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4),
+         (4, 4)], 16.0)
+
+
+GRID_NODES = list(itertools.product(range(TrafficApp.GRID), repeat=2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(GRID_NODES),
+                          st.sampled_from([1, 2, 5, 60])), max_size=3))
+def test_traffic_route_matches_networkx(advisories):
+    nx = pytest.importorskip("networkx")
+    grid = nx.Graph()
+    n = TrafficApp.GRID
+    for x in range(n):
+        for y in range(n):
+            if x + 1 < n:
+                grid.add_edge((x, y), (x + 1, y), minutes=2.0)
+            if y + 1 < n:
+                grid.add_edge((x, y), (x, y + 1), minutes=2.0)
+    weighted = grid.copy()  # copy() reorders neighbours, and so ties
+    for node, delay in advisories:
+        for neighbour in weighted.neighbors(node):
+            weighted[node][neighbour]["minutes"] += delay
+    app = TrafficApp()
+    for origin, destination in itertools.product(GRID_NODES, repeat=2):
+        path = nx.shortest_path(weighted, origin, destination,
+                                weight="minutes")
+        eta = nx.path_weight(weighted, path, weight="minutes")
+        assert app.route(origin, destination, advisories) == (path, eta)
 
 
 # ------------------------------------------------------------------- travel
