@@ -1,14 +1,16 @@
 """Same-timestamp race detection for the simulation kernel.
 
-The kernel dispatches every event sharing the earliest timestamp as one
-batch, in tie-break order.  A run's output must not depend on that
-order.  The sanitizer (:mod:`.sanitizer` + :mod:`.runner`) checks it:
-wired into :meth:`repro.sim.Simulator.run`'s ``pop_batch`` dispatch
-loop, it records per-event read/write sets over instrumented shared
-state for every same-timestamp batch, flags non-commutative pairs
-(write/write or read/write overlap inside one batch), and *confirms*
-each hazard by deterministically replaying the run with the flagged
-batch dispatched in flipped order and diffing the final state hashes.
+Events sharing a timestamp are dispatched in tie-break order.  A run's
+output must not depend on that order.  The sanitizer (:mod:`.sanitizer`
++ :mod:`.runner`) checks it: once installed, it makes
+:meth:`repro.sim.Simulator.run` dispatch through its batched loop,
+which pops every event sharing the earliest timestamp as one
+``pop_batch`` batch.  It records per-event read/write sets over
+instrumented shared state for every such batch, flags non-commutative
+pairs (write/write or read/write overlap inside one batch), and
+*confirms* each hazard by deterministically replaying the run with the
+flagged batch dispatched in flipped order and diffing the final state
+hashes.
 
 The heavyweight scenario runner (:func:`.runner.run_sanitize`) is
 imported lazily by the CLI so that ``python -m repro lint`` never pays

@@ -1,11 +1,13 @@
 """Same-timestamp commutativity sanitizer.
 
-The kernel dispatches every event sharing the earliest timestamp as one
-``pop_batch`` batch (see :meth:`repro.sim.Simulator.run`).  Entries in
-a batch have no intra-batch causal edges through the kernel — they were
-all scheduled before dispatch began — so their relative order is the
-kernel's tie-break, not causality.  The sanitizer asks whether the
-output depends on that tie-break: *do they commute?*
+With a sanitizer installed, the kernel dispatches every event sharing
+the earliest timestamp as one ``pop_batch`` batch (see
+:meth:`repro.sim.Simulator._run_batches`), in the order its one-entry
+loop would give them.  Entries in a batch have no intra-batch causal
+edges through the kernel — they were all scheduled before dispatch
+began — so their relative order is the kernel's tie-break, not
+causality.  The sanitizer asks whether the output depends on that
+tie-break: *do they commute?*
 
 Three pieces:
 

@@ -13,7 +13,6 @@ are reproducible.  A full transmit queue drops arriving packets
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import TYPE_CHECKING, Deque, Optional
 
 from ..obs import end_span, start_span
@@ -116,8 +115,8 @@ class LinkEnd:
             link.stats.incr("bytes_delivered", packet.size)
             # Propagation is a bare timeout with a delivery callback:
             # it arrives at exactly now + delay.
-            Timeout(self.sim, link.delay).callbacks.append(
-                partial(self._arrive, packet, span))
+            Timeout(self.sim, link.delay, (packet, span)).callbacks.append(
+                self._arrive)
         else:
             link.stats.incr("frame_errors")
             if self._attempts <= link.retry_limit:
@@ -127,7 +126,8 @@ class LinkEnd:
             end_span(self.sim, span, dropped="loss", attempts=self._attempts)
         self._take_next()
 
-    def _arrive(self, packet: Packet, span, _event) -> None:
+    def _arrive(self, event) -> None:
+        packet, span = event._value
         if self.peer_iface is not None and not self.link.is_down:
             self.peer_iface.deliver(packet)
         end_span(self.sim, span)
@@ -189,14 +189,6 @@ class Link:
     def _rewire(self) -> None:
         self.ends[0].peer_iface = self._attached[1]
         self.ends[1].peer_iface = self._attached[0]
-
-    def transmit(self, iface: "Interface", packet: Packet) -> bool:
-        """Entry point used by an attached interface."""
-        try:
-            idx = self._attached.index(iface)
-        except ValueError:
-            raise RuntimeError(f"{iface} is not attached to link {self.name}")
-        return self.ends[idx].enqueue(packet)
 
     # -- medium behaviour (overridden by wireless links) -----------------
     def request_airtime(self):

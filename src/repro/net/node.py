@@ -17,7 +17,7 @@ from typing import Callable, Deque, Optional
 
 from ..sim import Counter, Simulator, Trace
 from .addressing import AddressAllocator, IPAddress, Subnet
-from .link import Link
+from .link import Link, LinkEnd
 from .packet import PROTO_IPIP, Packet
 from .routing import Route, RoutingTable, compute_static_routes
 
@@ -37,13 +37,15 @@ class Interface:
         self.address = address
         self.subnet = subnet
         self.link: Optional[Link] = None
+        # The link end this interface transmits into (set by attach).
+        self._tx: Optional[LinkEnd] = None
         self.is_up = True
 
     def attach(self, link: Link) -> None:
         if self.link is not None:
             raise RuntimeError(f"interface {self} already attached")
         self.link = link
-        link.attach(self)
+        self._tx = link.ends[link.attach(self)]
 
     def detach(self) -> None:
         """Administratively detach (used for handoff simulations)."""
@@ -57,10 +59,10 @@ class Interface:
 
     def send(self, packet: Packet) -> bool:
         """Hand a packet to the attached medium."""
-        if not self.is_up or self.link is None:
+        if not self.is_up or self._tx is None:
             self.node.stats.incr("iface_down_drops")
             return False
-        return self.link.transmit(self, packet)
+        return self._tx.enqueue(packet)
 
     def deliver(self, packet: Packet) -> None:
         """Called by the medium when a packet arrives here."""
@@ -176,10 +178,11 @@ class Node:
         if self.trace.enabled:
             self.trace.log(self.sim.now, "rx", node=self.name,
                            pkt=packet.packet_id, proto=packet.proto)
-        for tap in list(self.rx_taps):
-            if tap(packet, iface):
-                return
-        if self.owns_address(packet.dst):
+        if self.rx_taps:
+            for tap in list(self.rx_taps):
+                if tap(packet, iface):
+                    return
+        if packet.dst.value in self._owned_values:
             self._deliver_local(packet)
         elif self.forwarding:
             self.forward(packet)

@@ -44,7 +44,7 @@ class Packet:
     payload_size: int = 0
     size: int = 0
     ttl: int = 64
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     # Bookkeeping for traces and for Mobile IP decapsulation checks.
     hops: list[str] = field(default_factory=list)
     created_at: float = 0.0

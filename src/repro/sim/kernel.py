@@ -151,6 +151,7 @@ class Event:
 _PROCESSED = Event.PROCESSED
 _TRIGGERED = Event.TRIGGERED
 _new_event = object.__new__
+_INF = float("inf")
 
 
 class Timeout(Event):
@@ -181,7 +182,7 @@ class Timeout(Event):
         if delay == 0.0:
             sim._lane_append((sim.now, 1, next(sim._seq), self))
         else:
-            sim._push(sim.now + delay, 1, next(sim._seq), self)
+            sim._heappush((sim.now + delay, 1, next(sim._seq), self))
 
     def cancel(self) -> None:
         """Revoke the timeout before it fires.
@@ -245,7 +246,7 @@ class Process(Event):
             target.cancel()
         self._target = None
         sim = self.sim
-        sim._push(sim.now, 0, next(sim._seq), err)
+        sim._sched.push(sim.now, 0, next(sim._seq), err)
 
     def _resume(self, event: Event) -> None:
         profiler = self.sim._profiler
@@ -401,12 +402,12 @@ class Simulator:
         self.now: float = 0.0
         self.strict = strict
         self._sched = HeapScheduler()
-        # Bound-method caches for the two push entry points: triggering
-        # is the kernel's hottest path.  A same-instant priority-1 entry
-        # goes straight onto the scheduler's lane (HeapScheduler.push_now
-        # without the call).
+        # Bound caches for the two priority-1 push paths: triggering is
+        # the kernel's hottest path.  A same-instant entry goes straight
+        # onto the scheduler's lane (HeapScheduler.push_now without the
+        # call), a future one straight into its heap.
         self._lane_append = self._sched._lane.append
-        self._push = self._sched.push
+        self._heappush = self._sched._heappush
         self._seq = itertools.count()
         # Observability attachment points (duck-typed so the kernel never
         # imports repro.obs): a repro.obs Tracer and KernelProfiler hang
@@ -415,10 +416,11 @@ class Simulator:
         self.tracer: Any = None
         self._profiler: Any = None
         # Same duck-typed pattern for the commutativity sanitizer
-        # (repro.analysis.races.BatchSanitizer): when installed it sees
-        # every popped batch (and may reorder it for flip replays) plus
-        # every dispatched entry.  None by default; the disabled path
-        # costs one hoisted attribute check per run().
+        # (repro.analysis.races.BatchSanitizer): when installed, run()
+        # dispatches through _run_batches, which shows it every popped
+        # batch (it may reorder one for a flip replay) plus every
+        # dispatched entry.  None by default; the disabled path costs
+        # one attribute check per run().
         self._sanitizer: Any = None
         # Number of events processed so far; doubles as the processing
         # index stamped onto each event (a plain int so callers can read
@@ -503,10 +505,83 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or ``until`` is reached.
 
-        Dispatch is batched: the scheduler hands over every event
-        sharing the earliest timestamp in one ``pop_batch`` call and
-        the loop drains the batch without re-entering the queue
-        structure.  Two rare cases re-involve the scheduler mid-batch:
+        Dispatch takes one entry at a time, in ``(time, priority, seq)``
+        order, straight from the scheduler's lane and heap: the next
+        entry is the lane head unless the heap's head compares lower as
+        a tuple.  That is the order a heap alone would give, with
+        nothing to requeue: every lane entry has ``time == now``,
+        priority 1 and a seq above every entry already popped, so only
+        a heap entry at ``now`` with a lower seq, or an interrupt
+        (priority 0), can come first, and the tuple compare finds
+        either.  A cancelled entry is dropped where it is met, with the
+        tombstone count rebalanced.
+
+        The observable sequence of state changes per event (time check,
+        ``now`` advance, order stamp, profiler hook, callback drain) is
+        exactly :meth:`step`'s, so single-stepping and running are
+        indistinguishable to everything above the kernel.  An exception
+        that escapes a callback leaves every other pending entry in
+        place for the next :meth:`run` or :meth:`step`.
+
+        With a race sanitizer installed, dispatch goes through
+        :meth:`_run_batches` instead.
+        """
+        if until is not None and until < self.now:
+            raise SimulationError(f"until={until} is in the past (now={self.now})")
+        if self._sanitizer is not None:
+            self._run_batches(until)
+        else:
+            self._run_entries(_INF if until is None else until)
+        if until is not None:
+            self.now = until
+
+    def _run_entries(self, until: float) -> None:
+        """The one-entry loop behind :meth:`run`."""
+        sched = self._sched
+        heap = sched._heap
+        heappop = sched._heappop
+        lane = sched._lane
+        lane_pop = lane.popleft
+        while True:
+            if lane:
+                entry = lane[0]
+                if heap and heap[0] < entry:
+                    entry = heappop()
+                else:
+                    lane_pop()
+            elif heap and heap[0][0] <= until:
+                entry = heappop()
+            else:
+                break
+            time, _, _, event = entry
+            if event._cancelled:
+                # Rebalance the count Timeout.cancel() charged.
+                sched.tombstones -= 1
+                continue
+            if time < self.now:
+                raise SimulationError("time went backwards")
+            self.now = time
+            event._order = self.events_processed
+            self.events_processed += 1
+            if self._profiler is not None:
+                self._profiler.on_event(
+                    time, event, len(heap) + len(lane) - sched.tombstones)
+            callbacks = event.callbacks
+            event.callbacks = []
+            event._state = _PROCESSED
+            for callback in callbacks:
+                callback(event)
+
+    def _run_batches(self, until: Optional[float]) -> None:
+        """The race sanitizer's driver: :meth:`run` with a sanitizer
+        installed.
+
+        The scheduler hands over every event sharing the earliest
+        timestamp in one ``pop_batch`` call.  The sanitizer needs that
+        batch as a unit: it closes read/write sets per batch, and a
+        flip replay reorders a whole batch before any of it runs.  The
+        dispatch order is the one-entry loop's; two cases re-involve
+        the scheduler mid-batch:
 
         * an *interrupt* (priority 0) scheduled by a batch callback
           sorts before the remaining priority-1 batch entries, so the
@@ -515,13 +590,9 @@ class Simulator:
         * an entry *cancelled* by an earlier batch callback is skipped
           where it lies, with the tombstone count rebalanced.
 
-        The observable sequence of state changes per event (time check,
-        ``now`` advance, order stamp, profiler hook, callback drain) is
-        exactly :meth:`step`'s, so single-stepping and running are
-        indistinguishable to everything above the kernel.
+        If a callback raises, the unconsumed tail is requeued, so no
+        pending event is lost.
         """
-        if until is not None and until < self.now:
-            raise SimulationError(f"until={until} is in the past (now={self.now})")
         sched = self._sched
         pop_batch = sched.pop_batch
         sanitizer = self._sanitizer
@@ -533,37 +604,35 @@ class Simulator:
             if time < self.now:
                 raise SimulationError("time went backwards")
             self.now = time
-            if sanitizer is not None:
-                # The sanitizer closes the previous batch's read/write
-                # sets and may return a reordered batch (flip replay).
-                batch = sanitizer.on_batch(time, batch)
+            # The sanitizer closes the previous batch's read/write sets
+            # and may return a reordered batch (flip replay).
+            batch = sanitizer.on_batch(time, batch)
             index = 0
             size = len(batch)
-            while index < size:
-                entry = batch[index]
-                if sched.urgent_pending and entry[1] >= 1:
-                    # An interrupt arrived mid-batch; it outranks every
-                    # unconsumed priority-1 entry at this timestamp.
-                    sched.requeue(batch[index:])
-                    break
-                index += 1
-                event = entry[3]
-                if event._cancelled:
-                    # Cancelled after extraction; rebalance the count
-                    # Timeout.cancel() charged to the scheduler.
-                    sched.tombstones -= 1
-                    continue
-                if sanitizer is not None:
+            try:
+                while index < size:
+                    entry = batch[index]
+                    if sched.urgent_pending and entry[1] >= 1:
+                        # An interrupt arrived mid-batch; it outranks
+                        # every unconsumed priority-1 entry here.
+                        break
+                    index += 1
+                    event = entry[3]
+                    if event._cancelled:
+                        # Cancelled after extraction; rebalance the
+                        # count Timeout.cancel() charged.
+                        sched.tombstones -= 1
+                        continue
                     sanitizer.on_event(entry)
-                event._order = self.events_processed
-                self.events_processed += 1
-                if self._profiler is not None:
-                    self._profiler.on_event(
-                        time, event, sched.live_count() + (size - index))
-                callbacks = event.callbacks
-                event.callbacks = []
-                event._state = _PROCESSED
-                for callback in callbacks:
-                    callback(event)
-        if until is not None:
-            self.now = until
+                    event._order = self.events_processed
+                    self.events_processed += 1
+                    if self._profiler is not None:
+                        self._profiler.on_event(
+                            time, event, sched.live_count() + (size - index))
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    event._state = _PROCESSED
+                    for callback in callbacks:
+                        callback(event)
+            finally:
+                sched.requeue(batch[index:])

@@ -5,8 +5,11 @@ The kernel's total order over scheduled events is the tuple
 interrupts, 1 for everything else), then a global monotonic sequence
 number that makes every key unique and same-time dispatch FIFO.
 :class:`HeapScheduler` stores ``(time, priority, seq, event)`` entries
-in a flat ``heapq``, keeps same-instant pushes in a list beside it,
-and hands both back in exactly that order.
+in a flat ``heapq`` and keeps same-instant pushes in a FIFO beside it.
+:meth:`repro.sim.Simulator.run` reads both directly, one entry at a
+time; :meth:`HeapScheduler.pop_one` and :meth:`HeapScheduler.pop_batch`
+hand them back in the same order for ``step()`` and for the race
+sanitizer's batched loop.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 # The one sanctioned heapq import site for event scheduling — see the
 # direct-heapq lint rule in repro.analysis.rules.perf.
 import heapq
+from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Optional
 
 __all__ = ["HeapScheduler", "scheduler_override"]
@@ -24,7 +29,7 @@ _INF = float("inf")
 
 class HeapScheduler:
     """Binary heap of ``(time, priority, seq, event)`` entries, plus a
-    lane: a plain list that :meth:`push_now` appends to.
+    lane: a FIFO that :meth:`push_now` appends to.
 
     Every lane entry has the current time, priority 1 and a seq above
     any entry already popped (callers push at ``now`` with increasing
@@ -39,36 +44,37 @@ class HeapScheduler:
       without running callbacks — the moment any pop or peek reaches
       them, so :meth:`live_count` and :meth:`peek_time` describe only
       events that will fire.
-    * **``urgent_pending``.**  Set whenever a priority != 1 entry is
-      pushed, so :meth:`Simulator.run` notices mid-batch that an
-      interrupt arrived and must preempt the rest of the same-time
-      batch (it hands the tail back through :meth:`requeue`); the next
-      :meth:`pop_batch` or :meth:`pop_one` clears it.
-    * **The batch.**  :meth:`pop_batch` returns every live entry sharing
-      the earliest time, in order.  When no heap entry shares the
-      lane's time, the lane is the batch; otherwise (a same-time
-      :meth:`push` or :meth:`requeue`) it is merged into the heap
-      first.  Either way the batch, and where it ends, is the one a
-      heap alone would give.  The entries have no intra-batch causal
-      edge through the kernel, which makes the batch the race
-      sanitizer's unit (``repro.analysis.races``): it records per-entry
-      read/write sets right after this call and, on replay, hands the
-      batch back in flipped order to prove or refute a flagged hazard.
-
-    The lane list is emptied in place, never replaced, so the kernel
-    holds its bound ``append`` as the push-now fast path.
+    * **Direct access.**  ``Simulator.run`` reads ``_heap`` and
+      ``_lane`` itself: the next entry is the lane head unless
+      ``_heap[0]`` compares lower, and it pops through ``_heappop`` or
+      the lane's ``popleft``.  ``_heappush`` and ``_heappop`` are
+      ``heapq`` calls bound to the heap, so neither adds a Python frame.
+      The lane is emptied in place, never replaced, so the kernel holds
+      its bound ``append`` as the push-now fast path.
+    * **The batch**, for the race sanitizer's loop only.
+      :meth:`pop_batch` returns every live entry sharing the earliest
+      time, in order.  When no heap entry shares the lane's time, the
+      lane is the batch; otherwise (a same-time :meth:`push` or
+      :meth:`requeue`) it is merged into the heap first.  Either way
+      the batch, and where it ends, is the one a heap alone would give.
+      ``urgent_pending`` is set whenever a priority != 1 entry is
+      pushed, so that loop notices an interrupt that arrives mid-batch
+      and hands the unconsumed tail back through :meth:`requeue`; the
+      next :meth:`pop_batch` or :meth:`pop_one` clears it.
     """
 
     def __init__(self):
         self._heap: list = []
-        self._lane: list = []
+        self._lane: deque = deque()
+        self._heappush = partial(heapq.heappush, self._heap)
+        self._heappop = partial(heapq.heappop, self._heap)
         #: Cancelled-but-not-yet-dropped entries (see Timeout.cancel).
         self.tombstones = 0
         self.urgent_pending = False
 
     def push(self, time: float, priority: int, seq: int, event: Any) -> None:
         """Insert a general entry (any priority, any future time)."""
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        self._heappush((time, priority, seq, event))
         if priority != 1:
             self.urgent_pending = True
 
@@ -78,9 +84,8 @@ class HeapScheduler:
 
     def _merge_lane(self) -> None:
         """Move the lane into the heap (rare: see the batch contract)."""
-        heap = self._heap
         for entry in self._lane:
-            heapq.heappush(heap, entry)
+            self._heappush(entry)
         self._lane.clear()
 
     def pop_batch(self, until: Optional[float]) -> list:
@@ -99,7 +104,7 @@ class HeapScheduler:
             elif until is not None and time > until:
                 return []
             else:
-                batch = lane[:]
+                batch = list(lane)
                 lane.clear()
                 for entry in batch:
                     if entry[3]._cancelled:
@@ -108,18 +113,18 @@ class HeapScheduler:
                         self.tombstones -= len(batch) - len(live)
                         return live or self.pop_batch(until)
                 return batch
-        heappop = heapq.heappop
+        heappop = self._heappop
         while heap:
             if heap[0][3]._cancelled:
-                heappop(heap)
+                heappop()
                 self.tombstones -= 1
                 continue
             time = heap[0][0]
             if until is not None and time > until:
                 return []
-            batch = [heappop(heap)]
+            batch = [heappop()]
             while heap and heap[0][0] == time:
-                entry = heappop(heap)
+                entry = heappop()
                 if entry[3]._cancelled:
                     self.tombstones -= 1
                 else:
@@ -134,7 +139,7 @@ class HeapScheduler:
             self._merge_lane()
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
+            entry = self._heappop()
             if entry[3]._cancelled:
                 self.tombstones -= 1
                 continue
@@ -142,9 +147,10 @@ class HeapScheduler:
         return None
 
     def requeue(self, entries: list) -> None:
-        """Put back the unconsumed tail of a batch (urgent preemption)."""
+        """Put back the unconsumed tail of a batch (urgent preemption,
+        or an exception escaping the batch)."""
         for entry in entries:
-            heapq.heappush(self._heap, entry)
+            self._heappush(entry)
 
     def peek_time(self) -> float:
         """Earliest live entry's time, or +inf; drops leading tombstones."""
@@ -153,7 +159,7 @@ class HeapScheduler:
         heap = self._heap
         while heap:
             if heap[0][3]._cancelled:
-                heapq.heappop(heap)
+                self._heappop()
                 self.tombstones -= 1
                 continue
             return heap[0][0]

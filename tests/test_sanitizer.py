@@ -237,7 +237,8 @@ def test_unknown_scenario_raises():
 
 
 def test_instrumented_bench_is_byte_identical_to_plain():
-    # The tracked containers must not change any deterministic output.
+    # Neither the tracked containers nor the sanitizer's batched
+    # dispatch loop may change any deterministic output.
     from repro.analysis.races.sanitizer import (
         instrument_system,
         null_recorder,
@@ -246,14 +247,23 @@ def test_instrumented_bench_is_byte_identical_to_plain():
 
     kwargs = dict(users=5, seed=7, transactions_per_user=2,
                   horizon=60.0, trace=False)
-    plain = run_bench(**kwargs)
+    plain = json.dumps(run_bench(**kwargs)["deterministic"], sort_keys=True)
 
-    def post_build(system, engine):
+    def instrumented(system, engine):
         instrument_system(system, null_recorder(), engine)
 
-    instrumented = run_bench(post_build=post_build, **kwargs)
-    assert json.dumps(plain["deterministic"], sort_keys=True) == \
-        json.dumps(instrumented["deterministic"], sort_keys=True)
+    sanitizers = []
+
+    def sanitized(system, engine):
+        instrument_system(system, null_recorder(), engine)
+        sanitizers.append(install_sanitizer(
+            system.sim, BatchSanitizer(null_recorder())))
+
+    for post_build in (instrumented, sanitized):
+        report = run_bench(post_build=post_build, **kwargs)
+        assert json.dumps(report["deterministic"], sort_keys=True) == plain
+    # The sanitized run really dispatched through the batched loop.
+    assert sanitizers[0].events_seen == report["deterministic"]["kernel_events"]
 
 
 # -- helpers -----------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.races import BatchSanitizer, install_sanitizer
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -544,25 +548,166 @@ def _lane_beside_heap_mid_batch(sim, log):
             ("zero", 1.0)]
 
 
+# The three ways to drive a simulator; each must dispatch the same
+# events in the same order.
+DRIVERS = ("run", "sanitized-run", "step")
+
+
+def _simulator(driver):
+    sim = Simulator()
+    if driver == "sanitized-run":
+        # A sanitizer switches run() to its batched loop.
+        install_sanitizer(sim, BatchSanitizer())
+    return sim
+
+
+def _drive(sim, driver):
+    if driver == "step":
+        while sim.peek() != float("inf"):
+            sim.step()
+    else:
+        sim.run()
+
+
 @pytest.mark.parametrize("scenario", [_interrupt_mid_batch,
                                       _cancel_mid_batch,
                                       _lane_beside_heap_mid_batch],
                          ids=["interrupt", "cancel", "lane-beside-heap"])
 def test_mid_batch_escapes_match_single_stepping(scenario):
-    """run() drains a same-time batch in one go; an interrupt raised or
-    a timeout cancelled inside the batch must still act exactly as it
-    does under step()."""
+    """run() takes entries one at a time and the sanitizer's loop drains
+    a same-time batch in one go; an interrupt raised or a timeout
+    cancelled inside the batch must act exactly as it does under
+    step()."""
     logs = []
-    for whole in (True, False):
-        sim = Simulator()
+    for driver in DRIVERS:
+        sim = _simulator(driver)
         log = []
         expected = scenario(sim, log)
-        if whole:
-            sim.run()
-        else:
-            while sim.peek() != float("inf"):
-                sim.step()
+        _drive(sim, driver)
         assert log == expected
         assert sim.queue_depth() == 0
         logs.append((log, sim.events_processed))
-    assert logs[0] == logs[1]
+    assert logs[0] == logs[1] == logs[2]
+
+
+@pytest.mark.parametrize("kind", ["heap", "lane"])
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_escaped_exception_keeps_the_rest_of_its_batch(driver, kind):
+    """Three events share t=1 (three timeouts in the heap, or three
+    succeed() entries in the lane) and the first callback raises.  The
+    other two must stay pending and run on the next drive."""
+    sim = _simulator(driver)
+    if kind == "heap":
+        events = [sim.timeout(1.0) for _ in range(3)]
+    else:
+        sim.run(until=1.0)
+        events = [sim.event() for _ in range(3)]
+    log = []
+
+    def boom(ev):
+        raise RuntimeError("boom")
+
+    events[0].callbacks.append(boom)
+    for name, event in zip("abc", events):
+        event.callbacks.append(lambda ev, n=name: log.append((n, sim.now)))
+    if kind == "lane":
+        for event in events:
+            event.succeed()
+    with pytest.raises(RuntimeError, match="boom"):
+        _drive(sim, driver)
+    assert sim.events_processed == 1
+    assert sim.queue_depth() == 2
+    _drive(sim, driver)
+    assert log == [("b", 1.0), ("c", 1.0)]
+    assert sim.events_processed == 3
+    assert sim.queue_depth() == 0
+
+
+# ------------------------------------- one order under every driver
+class _DepthLog:
+    """Duck-typed kernel profiler that records what the kernel passes."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, now, event, queue_depth):
+        self.seen.append((event._order, now, queue_depth))
+
+    def on_resume(self, process):
+        self.seen.append(("resume", process.name))
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("timeout"),
+              st.one_of(st.just(0.0), st.just(1e-18),
+                        st.floats(min_value=1e-3, max_value=5.0))),
+    st.tuples(st.just("succeed"), st.just(0)),
+    st.tuples(st.just("sleep"), st.floats(min_value=0.0, max_value=5.0)),
+    st.tuples(st.just("interrupt"), st.integers(0, 7)),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+)
+
+
+def _replay(tape, driver):
+    """Build and drive a schedule from ``tape``: the n-th callback to
+    fire performs ``tape[n]``'s ops (``tape[0]`` runs before the
+    drive).  The tape is consumed in dispatch order, so two drivers
+    that dispatch alike build the same schedule."""
+    sim = _simulator(driver)
+    profile = sim._profiler = _DepthLog()
+    log = []
+    timers, spawned, sleeping = [], {}, []
+    names = itertools.count()
+    fired = [0]
+
+    def on_fire(name):
+        def callback(event):
+            log.append((name, sim.now, event._order))
+            fired[0] += 1
+            if fired[0] < len(tape):
+                perform(tape[fired[0]])
+        return callback
+
+    def sleeper(env, name, delay):
+        # Interruptible only once started, and only once.
+        sleeping.append(spawned[name])
+        try:
+            yield env.timeout(delay)
+            log.append((name, "woke", env.now))
+        except Interrupt:
+            log.append((name, "interrupted", env.now))
+
+    def perform(ops):
+        for op, arg in ops:
+            name = f"e{next(names)}"
+            if op == "timeout":
+                timer = sim.timeout(arg)
+                timer.callbacks.append(on_fire(name))
+                timers.append(timer)
+            elif op == "succeed":
+                event = sim.event()
+                event.callbacks.append(on_fire(name))
+                event.succeed()
+            elif op == "sleep":
+                spawned[name] = sim.spawn(sleeper(sim, name, arg), name=name)
+            elif op == "interrupt" and sleeping:
+                sleeping.pop(arg % len(sleeping)).interrupt(name)
+            elif op == "cancel" and timers:
+                timers[-1 - arg % len(timers)].cancel()
+
+    perform(tape[0])
+    _drive(sim, driver)
+    return log, sim.events_processed, profile.seen, sim.queue_depth()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tape=st.lists(st.lists(_OPS, max_size=4), min_size=1, max_size=40))
+def test_run_sanitized_run_and_step_dispatch_alike(tape):
+    """Random schedules mixing zero, rounding-to-now and random delays,
+    succeed() chains fired from callbacks, interrupts and cancellations
+    of lane and heap entries: the dispatch log, the order stamps, the
+    event count and the queue depth the profiler sees are the same
+    under run(), sanitized run() and step()."""
+    runs = [_replay(tape, driver) for driver in DRIVERS]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][3] == 0
