@@ -8,13 +8,11 @@ cellular standard and two Table 4 WLAN standards and reports the
 end-to-end latency series — the usability curve behind those claims.
 """
 
-import pytest
-
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.wireless import DataNotSupportedError
 
-from helpers import emit, emit_table, run_transaction
+from helpers import run_transaction
 
 BEARERS = [
     ("cellular", "AMPS"),
@@ -49,8 +47,8 @@ def measure_all():
     return {name: measure_bearer((kind, name)) for kind, name in BEARERS}
 
 
-def test_ablation_bearers(benchmark):
-    measured = benchmark.pedantic(measure_all, rounds=1, iterations=1)
+def test_ablation_bearers(golden):
+    measured = measure_all()
     rows = []
     for (kind, name) in BEARERS:
         data = measured[name]
@@ -62,7 +60,7 @@ def test_ablation_bearers(benchmark):
             f"{data['latency']:.2f} s" if data["ok"] else "FAILED",
             f"{data['bytes']} B",
         ])
-    emit_table(
+    golden.table(
         "Bearer sweep - the same WAP purchase on every bearer "
         "(3-page browse-and-buy)",
         ["Bearer", "Kind", "Transaction latency", "Bytes delivered"],
@@ -82,3 +80,5 @@ def test_ablation_bearers(benchmark):
     # are interactive (<1 s).
     assert measured["GSM"]["latency"] > 3 * measured["WCDMA"]["latency"]
     assert measured["WCDMA"]["latency"] < 1.0
+
+    golden.check()

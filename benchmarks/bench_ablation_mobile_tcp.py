@@ -10,13 +10,10 @@ sender-visible loss events — the cited papers' qualitative result
 (each enhancement beats plain TCP in its target regime) must hold.
 """
 
-import pytest
-
 from repro.net import Network, Subnet, TCPStack
 from repro.net.mobile import HandoffNotifier, SnoopAgent, SplitRelay
 from repro.sim import SeedBank, Simulator
 
-from helpers import emit, emit_table
 
 PAYLOAD = 60_000
 LOSS_RATE = 0.08
@@ -171,19 +168,18 @@ def run_handoff_regime() -> list[list]:
     ]
 
 
-def test_ablation_mobile_tcp(benchmark):
-    loss_rows, handoff_rows = benchmark.pedantic(
-        lambda: (run_loss_regime(), run_handoff_regime()),
-        rounds=1, iterations=1)
+def test_ablation_mobile_tcp(golden):
+    loss_rows = run_loss_regime()
+    handoff_rows = run_handoff_regime()
 
-    emit_table(
+    golden.table(
         f"S5.2 ablation A - {PAYLOAD} B to the mobile over "
         f"{LOSS_RATE * 100:.0f}% wireless loss",
         ["Variant", "Completion (s)", "Sender loss events",
          "Sender retransmissions"],
         loss_rows,
     )
-    emit_table(
+    golden.table(
         "S5.2 ablation B - same transfer through a 1.5 s handoff blackout",
         ["Variant", "Completion (s)", "Sender loss events",
          "Sender retransmissions"],
@@ -203,3 +199,5 @@ def test_ablation_mobile_tcp(benchmark):
     plain_handoff = float(handoff_rows[0][1])
     fast_handoff = float(handoff_rows[1][1])
     assert fast_handoff < plain_handoff  # signalling resumes before RTO
+
+    golden.check()

@@ -11,8 +11,6 @@ that roams across three subnets, with and without Mobile IP
 (connection survival + completion time).
 """
 
-import pytest
-
 from repro.net import (
     IPAddress,
     Network,
@@ -25,7 +23,6 @@ from repro.net.mobile import ForeignAgent, HomeAgent, MobileIPClient, \
     RoamingManager
 from repro.sim import Simulator
 
-from helpers import emit, emit_table
 
 PAYLOAD = 80_000
 
@@ -135,12 +132,12 @@ def run_all():
     }
 
 
-def test_ablation_mobileip(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_ablation_mobileip(golden):
+    results = run_all()
 
     pw, po = results["ping_with"], results["ping_without"]
     tw, to = results["tcp_with"], results["tcp_without"]
-    emit_table(
+    golden.table(
         "S5.2 ablation - Mobile IP vs no mobility support "
         "(mobile roams home -> visited1 -> visited2)",
         ["Scenario", "Without Mobile IP", "With Mobile IP"],
@@ -162,3 +159,5 @@ def test_ablation_mobileip(benchmark):
     assert tw["done_at"] is not None
     assert tw["received"] == PAYLOAD
     assert to["done_at"] is None  # never completes without Mobile IP
+
+    golden.check()

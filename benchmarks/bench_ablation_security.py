@@ -9,8 +9,6 @@ replayed against both — eavesdropping, tampering, replay — and the
 detection outcomes tabulated.
 """
 
-import pytest
-
 from repro.net import Network, Subnet, TCPStack
 from repro.security import (
     PaymentError,
@@ -21,7 +19,6 @@ from repro.security import (
 )
 from repro.sim import SeedBank, Simulator
 
-from helpers import emit, emit_table
 
 EXCHANGES = 10
 ORDER_TEXT = b"PAY account=ann merchant=acme amount=4999 nonce=%d"
@@ -157,12 +154,12 @@ def run_all():
     }
 
 
-def test_ablation_security(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_ablation_security(golden):
+    results = run_all()
     plain, secure = results["plain"], results["secure"]
     overhead = (secure["elapsed"] - plain["elapsed"]) / plain["elapsed"]
 
-    emit_table(
+    golden.table(
         f"S8 ablation - {EXCHANGES} payment exchanges, plaintext vs "
         "WTLS-style channel",
         ["Metric", "Plaintext TCP", "SecureChannel"],
@@ -177,10 +174,10 @@ def test_ablation_security(benchmark):
         ],
     )
     attacks = results["attacks"]
-    emit("Active attacks against the payment processor:")
-    emit(f"  replayed order:  {attacks['replay']}")
-    emit(f"  tampered amount: {attacks['tamper']}")
-    emit("")
+    golden.emit("Active attacks against the payment processor:")
+    golden.emit(f"  replayed order:  {attacks['replay']}")
+    golden.emit(f"  tampered amount: {attacks['tamper']}")
+    golden.emit("")
 
     # Confidentiality: the sniffer reads plaintext only without the layer.
     assert plain["plaintext_visible"] is True
@@ -191,3 +188,5 @@ def test_ablation_security(benchmark):
     # Integrity and replay protection hold.
     assert attacks["replay"].startswith("rejected")
     assert attacks["tamper"].startswith("rejected")
+
+    golden.check()

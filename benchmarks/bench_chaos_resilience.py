@@ -12,7 +12,6 @@ reproduces byte-for-byte.
 
 from repro.faults import run_chaos
 
-from helpers import emit, emit_table
 
 SEED = 7
 INTENSITIES = [0.25, 0.5, 0.75]
@@ -30,8 +29,8 @@ def run_matrix():
     return rows
 
 
-def test_chaos_resilience(benchmark):
-    rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+def test_chaos_resilience(golden):
+    rows = run_matrix()
 
     table = []
     for row in rows:
@@ -45,7 +44,7 @@ def test_chaos_resilience(benchmark):
             f"{off['latency']['p95']:.3f}s",
             f"{on['latency']['p95']:.3f}s",
         ])
-    emit_table(
+    golden.table(
         f"Robustness ablation - '{SCENARIO}' chaos scenario, seed {SEED}, "
         f"{COMMON['stations']}x{COMMON['transactions_per_station']} "
         "transactions",
@@ -54,9 +53,9 @@ def test_chaos_resilience(benchmark):
         table,
     )
     worst_off = min(r["off"]["success_rate"] for r in rows)
-    emit(f"Policies off: worst-case success {worst_off:.3f}; "
-         "policies on hold >= 0.9 at every intensity.")
-    emit("")
+    golden.emit(f"Policies off: worst-case success {worst_off:.3f}; "
+                "policies on hold >= 0.9 at every intensity.")
+    golden.emit("")
 
     # Acceptance: at moderate intensity the policied system succeeds at
     # >= 0.9 and strictly beats the unprotected baseline.
@@ -70,3 +69,5 @@ def test_chaos_resilience(benchmark):
     # Policies never hurt: at every intensity ON >= OFF.
     for row in rows:
         assert row["on"]["success_rate"] >= row["off"]["success_rate"]
+
+    golden.check()

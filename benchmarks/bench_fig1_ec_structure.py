@@ -1,20 +1,20 @@
 """Figure 1 — An e-commerce system structure.
 
 Builds the four-component EC system with the library's composition
-layer, validates the topology against the figure (components, edges,
-users -> client computers -> wired networks -> host computers flow),
+layer, model-checks the topology against the figure's claims
+(components, edges, users -> client computers -> wired networks -> host
+computers flow),
 renders the structure, and runs a desktop purchase through it to show
 the data/control-flow edges carry real traffic.
 """
 
-import pytest
-
+from repro.analysis import ModelChecker, Verdict
 from repro.apps import CommerceApp
 from repro.core import ECSystemBuilder, TransactionEngine, render_structure
 from repro.core.model import EC_FLOW_CHAIN
 from repro.core.render import render_flow_chain
 
-from helpers import emit, run_transaction
+from helpers import run_transaction
 
 
 def build_and_run():
@@ -29,26 +29,25 @@ def build_and_run():
     return system, record
 
 
-def test_fig1_ec_structure(benchmark):
-    system, record = benchmark.pedantic(build_and_run, rounds=1,
-                                        iterations=1)
-    report = system.model.validate_ec()
+def test_fig1_ec_structure(golden):
+    system, record = build_and_run()
+    report = ModelChecker.for_system(system, figure="ec").run()
 
-    emit("")
-    emit(render_structure(system.model,
-                          title="Figure 1 - An EC system structure "
-                                "(as built)"))
-    emit("")
-    emit("User request path: "
-         + render_flow_chain(system.model, EC_FLOW_CHAIN))
-    emit(f"Validation against Figure 1: "
-         f"{'OK' if report.valid else report.violations}")
-    emit(f"Desktop purchase through the structure: "
-         f"{'OK' if record.ok else record.error} "
-         f"({record.requests} requests, {record.latency:.3f}s)")
-    emit("")
+    golden.emit("")
+    golden.emit(render_structure(system.model,
+                                 title="Figure 1 - An EC system structure "
+                                       "(as built)"))
+    golden.emit("")
+    golden.emit("User request path: "
+                + render_flow_chain(system.model, EC_FLOW_CHAIN))
+    golden.emit(f"Model check against Figure 1: {report.verdict.name} "
+                f"({len(report.results)} claims)")
+    golden.emit(f"Desktop purchase through the structure: "
+                f"{'OK' if record.ok else record.error} "
+                f"({record.requests} requests, {record.latency:.3f}s)")
+    golden.emit("")
 
-    assert report.valid, report.violations
+    assert report.verdict is Verdict.PASS, report.render_text()
     assert record.ok, record.error
     # Figure 1 has exactly four top-level components; no wireless parts.
     from repro.core import ComponentKind
@@ -61,3 +60,5 @@ def test_fig1_ec_structure(benchmark):
     assert system.model.has_kind(ComponentKind.WEB_SERVERS)
     assert system.model.has_kind(ComponentKind.DATABASE_SERVERS)
     assert system.model.has_kind(ComponentKind.APPLICATION_PROGRAMS)
+
+    golden.check()

@@ -2,13 +2,12 @@
 
 Builds the six-component MC system exactly as the figure's example
 implementation describes it — mobile handheld device, WAP middleware,
-wireless LAN, wired LAN/WAN, host computers — validates the topology
-against the figure, renders it, and drives one purchase through every
+wireless LAN, wired LAN/WAN, host computers — model-checks the topology
+against the figure's claims, renders it, and drives one purchase through every
 component, verifying each was actually touched.
 """
 
-import pytest
-
+from repro.analysis import ModelChecker, Verdict
 from repro.apps import CommerceApp
 from repro.core import (
     ComponentKind,
@@ -19,7 +18,7 @@ from repro.core import (
 from repro.core.model import MC_FLOW_CHAIN
 from repro.core.render import render_flow_chain
 
-from helpers import emit, run_transaction
+from helpers import run_transaction
 
 
 def build_and_run():
@@ -37,28 +36,27 @@ def build_and_run():
     return system, handle, record
 
 
-def test_fig2_mc_structure(benchmark):
-    system, handle, record = benchmark.pedantic(build_and_run, rounds=1,
-                                                iterations=1)
-    report = system.model.validate_mc()
+def test_fig2_mc_structure(golden):
+    system, handle, record = build_and_run()
+    report = ModelChecker.for_system(system, figure="mc").run()
 
-    emit("")
-    emit(render_structure(
+    golden.emit("")
+    golden.emit(render_structure(
         system.model,
         title="Figure 2 - An MC system structure (as built: "
-              "iPAQ + WAP + wireless LAN + wired + host)"))
-    emit("")
-    emit("User request path: "
-         + render_flow_chain(system.model, MC_FLOW_CHAIN))
-    emit(f"Validation against Figure 2: "
-         f"{'OK' if report.valid else report.violations}")
-    emit(f"Mobile purchase through the structure: "
-         f"{'OK' if record.ok else record.error} "
-         f"({record.requests} requests, {record.latency:.3f}s, "
-         f"{record.render_seconds * 1000:.1f} ms device render)")
-    emit("")
+                     "iPAQ + WAP + wireless LAN + wired + host)"))
+    golden.emit("")
+    golden.emit("User request path: "
+                + render_flow_chain(system.model, MC_FLOW_CHAIN))
+    golden.emit(f"Model check against Figure 2: {report.verdict.name} "
+                f"({len(report.results)} claims)")
+    golden.emit(f"Mobile purchase through the structure: "
+                f"{'OK' if record.ok else record.error} "
+                f"({record.requests} requests, {record.latency:.3f}s, "
+                f"{record.render_seconds * 1000:.1f} ms device render)")
+    golden.emit("")
 
-    assert report.valid, report.violations
+    assert report.verdict is Verdict.PASS, report.render_text()
     assert record.ok, record.error
 
     # Every one of the six components exists and was exercised:
@@ -82,3 +80,5 @@ def test_fig2_mc_structure(benchmark):
     # (vi) host computers — web server requests hit the database server.
     assert system.host.web_server.stats.get("requests") == 3
     assert system.host.db_server.stats.get("queries") >= 3
+
+    golden.check()

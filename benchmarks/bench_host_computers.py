@@ -10,14 +10,10 @@ measures the host tier itself:
 * CGI program invocation overhead vs static pages.
 """
 
-import pytest
-
 from repro.db import DatabaseClient, DatabaseServer, execute
 from repro.net import Network, Subnet
 from repro.sim import Simulator, StatSummary
 from repro.web import HTTPClient, HTTPResponse, WebServer
-
-from helpers import emit, emit_table
 
 
 def build_host_world(n_clients=4):
@@ -126,9 +122,9 @@ def measure():
     }
 
 
-def test_host_computers(benchmark):
-    measured = benchmark.pedantic(measure, rounds=1, iterations=1)
-    emit_table(
+def test_host_computers(golden):
+    measured = measure()
+    golden.table(
         "Host computers (S7) - web + database tier microbenchmarks",
         ["Metric", "Value"],
         [
@@ -149,3 +145,5 @@ def test_host_computers(benchmark):
     assert measured["static"].p50 < measured["by_id"].p50
     assert measured["throughput_rps"] > 100
     assert measured["access_log_entries"] == 200
+
+    golden.check()

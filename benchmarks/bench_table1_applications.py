@@ -7,13 +7,11 @@ demonstrated, the clients column from the paper, and the measured
 transaction outcome.
 """
 
-import pytest
-
 from repro.apps import ALL_CATEGORIES
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.obs import format_breakdown, install_tracer, layer_breakdown
 
-from helpers import emit, emit_table, run_transaction
+from helpers import run_transaction
 
 # Paper's "Major Applications" and "Clients" columns, keyed by category.
 PAPER_ROWS = {
@@ -84,9 +82,8 @@ def component_latency(tracer, record):
     return format_breakdown(breakdown)
 
 
-def test_table1_applications(benchmark):
-    outcomes, tracer = benchmark.pedantic(run_all_categories, rounds=1,
-                                          iterations=1)
+def test_table1_applications(golden):
+    outcomes, tracer = run_all_categories()
     rows = []
     for category, (major, clients) in PAPER_ROWS.items():
         record = outcomes[category]
@@ -96,7 +93,7 @@ def test_table1_applications(benchmark):
             f"{record.requests} req", f"{record.latency:.2f}s",
             component_latency(tracer, record), status,
         ])
-    emit_table(
+    golden.table(
         "Table 1 - Major mobile commerce applications "
         "(paper columns + measured run)",
         ["Category", "Major application (paper)", "Clients (paper)",
@@ -106,3 +103,5 @@ def test_table1_applications(benchmark):
     failed = [c for c, r in outcomes.items() if not r.ok]
     assert not failed, f"categories failed end-to-end: {failed}"
     assert set(outcomes) == set(ALL_CATEGORIES)
+
+    golden.check()

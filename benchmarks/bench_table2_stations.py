@@ -7,8 +7,6 @@ columns are printed beside the measured render times; the shape check
 is that render time ordering follows (inverse) CPU clock x OS overhead.
 """
 
-import pytest
-
 from repro.devices import (
     Microbrowser,
     OS_PROFILES,
@@ -18,7 +16,6 @@ from repro.devices import (
 from repro.net import IPAddress
 from repro.sim import Simulator
 
-from helpers import emit, emit_table
 
 REFERENCE_DECK = (b"<wml><card id='c0' title='Catalog'><p>"
                   + b"Special offer on phones and cases today! " * 60
@@ -50,8 +47,8 @@ def measure_all() -> dict:
     return {name: measure_device(name) for name in TABLE2_DEVICES}
 
 
-def test_table2_stations(benchmark):
-    measured = benchmark.pedantic(measure_all, rounds=1, iterations=1)
+def test_table2_stations(golden):
+    measured = measure_all()
     rows = []
     for name, data in measured.items():
         spec = data["spec"]
@@ -63,7 +60,7 @@ def test_table2_stations(benchmark):
             f"{data['render_ms']:.1f} ms",
             f"{data['compute_ms']:.1f} ms",
         ])
-    emit_table(
+    golden.table(
         "Table 2 - Some major mobile stations "
         "(paper spec columns + measured device model)",
         ["Vendor & Device", "Operating System", "Processor",
@@ -94,3 +91,5 @@ def test_table2_stations(benchmark):
     # the fastest — by an order of magnitude, as the clocks suggest.
     assert measured["Palm i705"]["render_ms"] > \
         8 * measured["Toshiba E740"]["render_ms"]
+
+    golden.check()

@@ -12,13 +12,11 @@ page to the same device over the same bearer:
 * plus delivered byte counts and request latencies.
 """
 
-import pytest
-
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.middleware import CHTML_CONTENT_TYPE, WMLC_CONTENT_TYPE
 
-from helpers import emit, emit_table, run_transaction
+from helpers import run_transaction
 
 
 def run_stack(middleware: str) -> dict:
@@ -61,8 +59,8 @@ def run_both():
     return {name: run_stack(name) for name in ("WAP", "i-mode")}
 
 
-def test_table3_middleware(benchmark):
-    measured = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_table3_middleware(golden):
+    measured = run_both()
     wap, imode = measured["WAP"], measured["i-mode"]
 
     rows = [
@@ -89,9 +87,9 @@ def test_table3_middleware(benchmark):
         ["2-fetch latency (measured)",
          f"{wap['record'].latency:.3f}s", f"{imode['record'].latency:.3f}s"],
     ]
-    emit_table("Table 3 - Two major kinds of mobile middleware "
-               "(paper rows + measured)",
-               ["", "WAP", "i-mode"], rows)
+    golden.table("Table 3 - Two major kinds of mobile middleware "
+                 "(paper rows + measured)",
+                 ["", "WAP", "i-mode"], rows)
 
     # Host languages are what the paper says they are.
     assert wap["result"]["content_type"] == WMLC_CONTENT_TYPE
@@ -106,3 +104,5 @@ def test_table3_middleware(benchmark):
     assert wap["result"]["bytes"] < wap["result"]["origin_bytes"]
     # The binary-encoded WML deck is smaller than the cHTML page.
     assert wap["result"]["bytes"] < imode["result"]["bytes"]
+
+    golden.check()

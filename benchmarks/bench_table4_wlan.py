@@ -8,8 +8,6 @@ and a distance sweep shows the rate ladder degrading to zero — the
 "figure" behind the table.
 """
 
-import pytest
-
 from repro.net import IPAddress, Network, Subnet, TCPStack
 from repro.sim import Simulator
 from repro.wireless import (
@@ -21,7 +19,6 @@ from repro.wireless import (
     wlan_standard,
 )
 
-from helpers import emit, emit_table
 
 DOWNLOAD_BYTES = {
     "Bluetooth": 150_000,
@@ -92,8 +89,8 @@ def measure_all() -> dict:
     return measured
 
 
-def test_table4_wlan(benchmark):
-    measured = benchmark.pedantic(measure_all, rounds=1, iterations=1)
+def test_table4_wlan(golden):
+    measured = measure_all()
     rows = []
     for name, data in measured.items():
         std = data["std"]
@@ -106,7 +103,7 @@ def test_table4_wlan(benchmark):
             f"{data['range_m']:.0f}",
             f"{std.modulation} / {std.band_ghz}",
         ])
-    emit_table(
+    golden.table(
         "Table 4 - Major WLAN standards (paper columns + measured model)",
         ["Standard", "Rated Mbps", "Measured Mbps @5m",
          "Paper range (m)", "Measured range (m)",
@@ -126,9 +123,9 @@ def test_table4_wlan(benchmark):
             f"{budget.rate_bps / 1e6:.1f}",
             f"{budget.success_probability:.2f}",
         ])
-    emit_table("802.11b rate vs distance (channel-model sweep)",
-               ["Distance (m)", "SNR (dB)", "PHY rate (Mbps)",
-                "Frame success p"], sweep_rows)
+    golden.table("802.11b rate vs distance (channel-model sweep)",
+                 ["Distance (m)", "SNR (dB)", "PHY rate (Mbps)",
+                  "Frame success p"], sweep_rows)
 
     # Shape checks against the paper.
     for name, data in measured.items():
@@ -146,3 +143,5 @@ def test_table4_wlan(benchmark):
     assert g["802.11b"] > 3 * g["Bluetooth"]
     # Who wins on range: HiperLAN2 > 802.11g > 802.11b ~ 802.11a > Bluetooth.
     assert r["HiperLAN2"] > r["802.11g"] > r["802.11b"] > r["Bluetooth"]
+
+    golden.check()

@@ -7,8 +7,6 @@ column is demonstrated behaviourally — circuit-switched cells *block*
 excess calls while packet-switched cells *degrade* under load.
 """
 
-import pytest
-
 from repro.net import IPAddress, Network, Subnet, TCPStack
 from repro.sim import Simulator
 from repro.wireless import (
@@ -20,7 +18,6 @@ from repro.wireless import (
     cellular_standard,
 )
 
-from helpers import emit, emit_table
 
 DOWNLOAD_BYTES = {
     "GSM": 6_000, "TDMA": 6_000, "CDMA": 8_000,
@@ -110,8 +107,8 @@ def measure_all():
             "switching": demonstrate_switching()}
 
 
-def test_table5_cellular(benchmark):
-    measured = benchmark.pedantic(measure_all, rounds=1, iterations=1)
+def test_table5_cellular(golden):
+    measured = measure_all()
     throughput = measured["throughput"]
 
     rows = []
@@ -127,7 +124,7 @@ def test_table5_cellular(benchmark):
             else "voice only",
             f"{bps / 1000:.1f}" if bps else "no data service",
         ])
-    emit_table(
+    golden.table(
         "Table 5 - Major cellular wireless networks "
         "(paper columns + measured)",
         ["Generation", "Radio channels", "Switching", "Standard",
@@ -136,14 +133,14 @@ def test_table5_cellular(benchmark):
     )
 
     switching = measured["switching"]
-    emit("Switching technique, demonstrated:")
-    emit(f"  circuit (GSM): {switching['circuit']['carried']} calls "
-         f"carried, {switching['circuit']['blocked']} blocked "
-         "(Erlang-B blocking)")
-    emit(f"  packet (GPRS): {switching['packet']['attached']} data "
-         f"sessions attached, {switching['packet']['refused']} refused "
-         "(always-on, shared capacity)")
-    emit("")
+    golden.emit("Switching technique, demonstrated:")
+    golden.emit(f"  circuit (GSM): {switching['circuit']['carried']} calls "
+                f"carried, {switching['circuit']['blocked']} blocked "
+                "(Erlang-B blocking)")
+    golden.emit(f"  packet (GPRS): {switching['packet']['attached']} data "
+                f"sessions attached, {switching['packet']['refused']} refused "
+                "(always-on, shared capacity)")
+    golden.emit("")
 
     # Shape checks.
     assert throughput["AMPS"] == 0.0 and throughput["TACS"] == 0.0
@@ -159,3 +156,5 @@ def test_table5_cellular(benchmark):
     assert switching["circuit"]["blocked"] == 10
     assert switching["circuit"]["carried"] == 30
     assert switching["packet"]["refused"] == 0
+
+    golden.check()

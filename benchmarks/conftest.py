@@ -1,23 +1,20 @@
 """Benchmark-suite plumbing.
 
 Puts this directory on sys.path (so benches share ``helpers``) and
-prints every reproduced paper table in the terminal summary, where
-pytest's capture cannot swallow it.
+gives every benchmark its ``golden`` fixture: the text it reproduces,
+compared with ``golden/<test name>.txt`` by ``golden.check()``.
 """
 
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
 
+from helpers import Golden  # importable only after the insert above
 
-def pytest_terminal_summary(terminalreporter):
-    from helpers import REPRODUCTION_OUTPUT
 
-    if not REPRODUCTION_OUTPUT:
-        return
-    terminalreporter.write_line("")
-    terminalreporter.write_sep(
-        "=", "reproduced paper tables and figures")
-    for line in REPRODUCTION_OUTPUT:
-        terminalreporter.write_line(line)
+@pytest.fixture
+def golden(request):
+    return Golden(request.node.name)

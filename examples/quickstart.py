@@ -3,10 +3,11 @@
 Run:  python examples/quickstart.py
 
 Builds the full six-component stack (Toshiba E740 on GPRS, WAP gateway,
-web + database host), validates the structure against the paper's
+web + database host), model-checks the structure against the paper's
 Figure 2, runs one end-to-end purchase and prints the ledger.
 """
 
+from repro.analysis import ModelChecker
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine, render_structure
 from repro.core.model import MC_FLOW_CHAIN
@@ -29,14 +30,13 @@ def main() -> None:
     # 3. Provision a Table 2 device and attach it to the bearer.
     handle = system.add_station("Toshiba E740")
 
-    # 4. The model mirrors the paper's Figure 2 — validate it.
-    report = system.model.validate_mc()
+    # 4. The model mirrors the paper's Figure 2 — check every claim.
+    report = ModelChecker.for_system(system).run()
     print(render_structure(system.model, title="MC system (Figure 2)"))
     print()
     print("Request path:",
           render_flow_chain(system.model, MC_FLOW_CHAIN))
-    print(f"Figure 2 validation: "
-          f"{'OK' if report.valid else report.violations}")
+    print(f"Figure 2 model check: {report.verdict.name}")
     print()
 
     # 5. Run one end-to-end transaction and report.

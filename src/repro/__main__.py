@@ -6,8 +6,6 @@ Commands:
 * ``trace`` — run one application scenario with the span tracer
   installed and print the per-layer latency breakdown (optionally
   exporting the full trace as JSON);
-* ``validate`` — build both figures' systems and print their
-  validation reports and structure diagrams;
 * ``lint`` — run the sim-safety linter over the given paths (defaults
   to the repo's own sources) and exit nonzero on findings;
 * ``check`` — statically model-check the Figure 1/2 reference builds,
@@ -133,29 +131,6 @@ def _cmd_trace(args) -> int:
         for name, count in profiler.top_resumed(8):
             print(f"  {count:6d} resumes  {name}")
     return 0 if record.ok else 1
-
-
-def _cmd_validate(args) -> int:
-    from repro.core import ECSystemBuilder, MCSystemBuilder, render_structure
-
-    from repro.apps import CommerceApp
-
-    mc = MCSystemBuilder().build()
-    mc.mount_application(CommerceApp())
-    mc.add_station("Toshiba E740")
-    ec = ECSystemBuilder().build()
-    ec.mount_application(CommerceApp())
-    ec.add_client()
-    failures = 0
-    for label, system, report in [
-        ("Figure 1 (EC)", ec, ec.model.validate_ec()),
-        ("Figure 2 (MC)", mc, mc.model.validate_mc()),
-    ]:
-        print(render_structure(system.model, title=label))
-        verdict = "VALID" if report.valid else f"INVALID: {report.violations}"
-        print(f"\n{label}: {verdict}\n")
-        failures += 0 if report.valid else 1
-    return failures
 
 
 def _default_lint_paths() -> list[str]:
@@ -461,10 +436,6 @@ def main(argv=None) -> int:
     trace.add_argument("--profile", action="store_true",
                        help="print kernel profiling summary")
     trace.set_defaults(func=_cmd_trace)
-
-    validate = sub.add_parser("validate",
-                              help="validate both figures' structures")
-    validate.set_defaults(func=_cmd_validate)
 
     lint = sub.add_parser(
         "lint", help="run the sim-safety linter (nonzero exit on findings)")

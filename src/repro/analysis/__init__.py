@@ -11,7 +11,8 @@ Two engines guard the model *before* anything runs:
 * the **model checker** (:mod:`repro.analysis.model_check`) renders
   verdicts (``PASS``/``FAIL``/``INCONCLUSIVE``) over a built-but-not-run
   :class:`~repro.core.model.SystemModel`, mapping every Figure 1/2 and
-  Table 3 claim from :mod:`repro.core.requirements` to a machine check.
+  Table 3 claim from :mod:`repro.core.requirements` to a machine check
+  (the claim, verdict and report types live there too).
 
 One guards it while it runs: the **race sanitizer**
 (:mod:`repro.analysis.races`) flags same-timestamp read/write
@@ -21,13 +22,8 @@ deterministic flipped-order replay.
 
 from .findings import Finding, SEVERITY_ERROR, SEVERITY_WARNING
 from .linter import LintReport, Linter, lint_paths
-from .model_check import (
-    CheckResult,
-    ModelChecker,
-    ModelCheckReport,
-    Verdict,
-    check_reference_systems,
-)
+from ..core.requirements import CheckResult, ModelCheckReport, Verdict
+from .model_check import ModelChecker, check_reference_systems
 from .races import (
     BatchSanitizer,
     install_sanitizer,

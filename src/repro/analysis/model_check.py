@@ -6,32 +6,32 @@ a :class:`~repro.core.model.SystemModel` *before* simulation: dangling
 edges, missing components, middleware/bearer incompatibilities (a WAP
 deployment without a hosted gateway, an i-mode centre that cannot adapt
 to cHTML), unreachable components, applications mounted without a host,
-and stations with no attachable bearer.  Verdict semantics follow the
-claim/verdict style of security-model checkers: ``PASS`` (claim holds),
+and stations with no attachable bearer.  The verdicts are the claim
+vocabulary of :mod:`repro.core.requirements`: ``PASS`` (claim holds),
 ``FAIL`` (claim demonstrably violated), ``INCONCLUSIVE`` (the graph
 does not yet contain enough structure to decide).
 """
 
 from __future__ import annotations
 
-import enum
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..core.components import (
     ComponentKind,
     EC_COMPONENTS,
-    EDGE_ASSOCIATION,
     EDGE_DATA_FLOW,
     MC_COMPONENTS,
     MC_OPTIONAL_COMPONENTS,
 )
 from ..core.model import EC_FLOW_CHAIN, MC_FLOW_CHAIN, SystemModel
-from ..core.requirements import Claim, claims_for_figure, structural_claim
+from ..core.requirements import (
+    CheckResult,
+    ModelCheckReport,
+    Verdict,
+    claims_for_figure,
+)
 
-__all__ = ["Verdict", "CheckResult", "ModelCheckReport", "ModelChecker",
-           "check_reference_systems"]
+__all__ = ["ModelChecker", "check_reference_systems"]
 
 # Table 3 families: middleware kind -> expected gateway class name.
 MIDDLEWARE_GATEWAYS = {
@@ -39,90 +39,6 @@ MIDDLEWARE_GATEWAYS = {
     "i-mode": "IModeCenter",
     "Palm": "WebClippingProxy",
 }
-
-
-class Verdict(enum.Enum):
-    """Outcome of one claim check."""
-
-    PASS = "pass"
-    FAIL = "fail"
-    INCONCLUSIVE = "inconclusive"
-
-    @staticmethod
-    def aggregate(verdicts: Iterable["Verdict"]) -> "Verdict":
-        """FAIL dominates, then INCONCLUSIVE; empty aggregates to PASS."""
-        worst = Verdict.PASS
-        for verdict in verdicts:
-            if verdict is Verdict.FAIL:
-                return Verdict.FAIL
-            if verdict is Verdict.INCONCLUSIVE:
-                worst = Verdict.INCONCLUSIVE
-        return worst
-
-
-@dataclass
-class CheckResult:
-    """One claim's verdict with human-readable evidence."""
-
-    claim: Claim
-    verdict: Verdict
-    evidence: str
-
-    def render(self) -> str:
-        return (f"[{self.verdict.name:12s}] {self.claim.claim_id} "
-                f"({self.claim.reference}): {self.claim.description}\n"
-                f"               {self.evidence}")
-
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim.claim_id,
-            "reference": self.claim.reference,
-            "description": self.claim.description,
-            "verdict": self.verdict.value,
-            "evidence": self.evidence,
-        }
-
-
-@dataclass
-class ModelCheckReport:
-    """All claim verdicts for one model."""
-
-    figure: str
-    model_name: str
-    results: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.aggregate(r.verdict for r in self.results)
-
-    @property
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if r.verdict is Verdict.FAIL]
-
-    def result(self, claim_id: str) -> CheckResult:
-        for r in self.results:
-            if r.claim.claim_id == claim_id:
-                return r
-        raise KeyError(f"no claim {claim_id!r} in this report")
-
-    def render_text(self) -> str:
-        lines = [f"Model check: {self.model_name} "
-                 f"({self.figure.upper()} reference structure)"]
-        lines.extend(r.render() for r in self.results)
-        lines.append(f"overall: {self.verdict.name} "
-                     f"({len(self.failures)} failing claim(s))")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "figure": self.figure,
-            "model": self.model_name,
-            "verdict": self.verdict.value,
-            "results": [r.to_dict() for r in self.results],
-        }
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 class ModelChecker:

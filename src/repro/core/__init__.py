@@ -2,8 +2,9 @@
 
 Taxonomy and graph (:mod:`components`, :mod:`model`), executable
 builders for Figures 1 and 2 (:mod:`builder`), the end-to-end
-transaction engine (:mod:`transaction`), the §1.1 requirements checker
-(:mod:`requirements`) and figure rendering (:mod:`render`).
+transaction engine (:mod:`transaction`), the paper's claims with the
+§1.1 requirements checker (:mod:`requirements`) and figure rendering
+(:mod:`render`).
 """
 
 from .builder import (
@@ -24,15 +25,9 @@ from .components import (
     EDGE_DATA_FLOW,
     MC_COMPONENTS,
 )
-from .model import EC_FLOW_CHAIN, Edge, MC_FLOW_CHAIN, SystemModel, ValidationReport
+from .model import EC_FLOW_CHAIN, Edge, MC_FLOW_CHAIN, SystemModel
 from .render import render_flow_chain, render_structure
-from .requirements import (
-    REQUIREMENT_DESCRIPTIONS,
-    RequirementResult,
-    RequirementsReport,
-    check_requirements,
-    run_interoperability_matrix,
-)
+from .requirements import check_requirements
 from .transaction import TransactionContext, TransactionEngine, TransactionRecord
 
 __all__ = [
@@ -54,14 +49,9 @@ __all__ = [
     "Edge",
     "MC_FLOW_CHAIN",
     "SystemModel",
-    "ValidationReport",
     "render_flow_chain",
     "render_structure",
-    "REQUIREMENT_DESCRIPTIONS",
-    "RequirementResult",
-    "RequirementsReport",
     "check_requirements",
-    "run_interoperability_matrix",
     "TransactionContext",
     "TransactionEngine",
     "TransactionRecord",

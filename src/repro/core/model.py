@@ -1,28 +1,20 @@
-"""The system-model graph and its validation against Figures 1 and 2.
+"""The system-model graph of Figures 1 and 2.
 
 A :class:`SystemModel` holds instantiated components and typed edges
-(association / bidirectional data-control flow).  ``validate_ec()`` and
-``validate_mc()`` check a model against the reference topologies the
-paper draws: which components must exist, which are optional, and which
-data-flow chain must connect users to host computers.
+(association / bidirectional data-control flow), and answers the graph
+queries (neighbours, reachability, flow paths along the figures' chains)
+that :class:`repro.analysis.model_check.ModelChecker` decides the
+paper's structural claims with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from .components import (
-    Component,
-    ComponentKind,
-    EC_COMPONENTS,
-    EDGE_ASSOCIATION,
-    EDGE_DATA_FLOW,
-    MC_COMPONENTS,
-    MC_OPTIONAL_COMPONENTS,
-)
+from .components import Component, ComponentKind, EDGE_ASSOCIATION, EDGE_DATA_FLOW
 
-__all__ = ["Edge", "SystemModel", "ValidationReport"]
+__all__ = ["Edge", "SystemModel"]
 
 
 @dataclass(frozen=True)
@@ -34,21 +26,6 @@ class Edge:
     def __post_init__(self):
         if self.kind not in (EDGE_ASSOCIATION, EDGE_DATA_FLOW):
             raise ValueError(f"unknown edge kind {self.kind!r}")
-
-
-@dataclass
-class ValidationReport:
-    """The outcome of validating a model against a reference figure."""
-
-    figure: str
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 # The data/control-flow chains of the two figures, expressed as the
@@ -161,65 +138,3 @@ class SystemModel:
                 return False
             frontier = next_frontier
         return True
-
-    # -- validation -----------------------------------------------------------
-    def validate_ec(self) -> ValidationReport:
-        """Check this model against Figure 1's EC reference structure."""
-        report = ValidationReport(figure="Figure 1 (EC system structure)")
-        self._check_kinds(report, EC_COMPONENTS, optional=frozenset())
-        self._check_host_internals(report)
-        if self.has_kind(ComponentKind.WIRELESS_NETWORKS):
-            report.violations.append(
-                "EC systems have no wireless networks component"
-            )
-        if not self.flow_path_exists(EC_FLOW_CHAIN):
-            report.violations.append(
-                "no data/control-flow path users -> client computers -> "
-                "wired networks -> host computers"
-            )
-        return report
-
-    def validate_mc(self) -> ValidationReport:
-        """Check this model against Figure 2's MC reference structure."""
-        report = ValidationReport(figure="Figure 2 (MC system structure)")
-        self._check_kinds(report, MC_COMPONENTS,
-                          optional=MC_OPTIONAL_COMPONENTS)
-        self._check_host_internals(report)
-        if not self.flow_path_exists(MC_FLOW_CHAIN):
-            report.violations.append(
-                "no data/control-flow path users -> mobile stations -> "
-                "wireless networks -> wired networks -> host computers"
-            )
-        # Applications associate with both ends of the system (Figure 2
-        # draws MC applications above, associated with stations and hosts).
-        for app in self.components(ComponentKind.APPLICATIONS):
-            linked_kinds = {
-                self._components[n].kind
-                for n in self.neighbours(app.name)
-            }
-            if ComponentKind.HOST_COMPUTERS not in linked_kinds:
-                report.violations.append(
-                    f"application {app.name!r} is not associated with any "
-                    "host computer"
-                )
-        return report
-
-    def _check_kinds(self, report: ValidationReport, required: tuple,
-                     optional: frozenset) -> None:
-        for kind in required:
-            if kind in optional:
-                continue
-            if not self.has_kind(kind):
-                report.violations.append(f"missing component kind: {kind}")
-
-    def _check_host_internals(self, report: ValidationReport) -> None:
-        """Hosts must contain web servers, DB servers and app programs (§7)."""
-        if not self.has_kind(ComponentKind.HOST_COMPUTERS):
-            return
-        for kind in (ComponentKind.WEB_SERVERS,
-                     ComponentKind.DATABASE_SERVERS,
-                     ComponentKind.APPLICATION_PROGRAMS):
-            if not self.has_kind(kind):
-                report.violations.append(
-                    f"host computers lack required part: {kind}"
-                )

@@ -1,56 +1,144 @@
-"""Checker for the five mobile-commerce system requirements (§1.1).
+"""The paper's claims and the one vocabulary that decides them.
 
-Each requirement becomes a concrete, falsifiable check against a built
-system and its transaction ledger:
+Every claim the paper makes is a :class:`Claim`.  Deciding one yields a
+:class:`CheckResult` (claim, :class:`Verdict`, evidence), and a
+:class:`ModelCheckReport` holds the results for one system.  There are
+two sets of claims:
 
-1. *Transactions easily, timely, ubiquitously* — every started
-   transaction completed, within a latency budget, from every station.
-2. *Personalization on request* — at least one application served
-   content adapted to the requesting user.
-3. *Wide application range* — the Table 1 categories actually mounted.
-4. *Maximum interoperability* — every device x middleware x bearer
-   combination in the tested matrix worked.
-5. *Program/data independence* — the same application flow produced
-   the same business outcome on different component stacks.
+* :data:`STRUCTURAL_CLAIMS` — the Figure 1/2 structures and Table 3's
+  middleware families, decided statically over a built-but-not-run
+  graph by :class:`repro.analysis.model_check.ModelChecker`;
+* ``R1``…``R5`` — the five system requirements of §1.1, decided by
+  :func:`check_requirements` against a built system and its
+  transaction ledger:
+
+  1. *Transactions easily, timely, ubiquitously* — every started
+     transaction completed, within a latency budget, from every station.
+  2. *Personalization on request* — at least one application served
+     content adapted to the requesting user.
+  3. *Wide application range* — all eight Table 1 categories mounted.
+  4. *Maximum interoperability* — every device x middleware x bearer
+     combination in the tested matrix worked.
+  5. *Program/data independence* — the same application flow produced
+     the same business outcome on different component stacks.
 """
 
 from __future__ import annotations
 
+import enum
+import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Iterable, Optional
 
+from ..apps import ALL_CATEGORIES
 from ..sim import StatSummary
 
-__all__ = ["RequirementResult", "RequirementsReport", "check_requirements",
-           "run_interoperability_matrix", "REQUIREMENT_DESCRIPTIONS",
-           "Claim", "STRUCTURAL_CLAIMS", "structural_claim",
-           "claims_for_figure"]
+__all__ = ["Verdict", "Claim", "CheckResult", "ModelCheckReport",
+           "STRUCTURAL_CLAIMS", "claims_for_figure",
+           "R1", "R2", "R3", "R4", "R5", "check_requirements"]
 
-REQUIREMENT_DESCRIPTIONS = {
-    1: "end users can perform transactions easily, timely, ubiquitously",
-    2: "products can be personalized or customized upon request",
-    3: "a wide range of mobile commerce applications is supported",
-    4: "maximum interoperability across technologies",
-    5: "program/data independence under component change",
-}
+
+class Verdict(enum.Enum):
+    """Outcome of one claim check.
+
+    ``INCONCLUSIVE`` means the evidence needed to decide the claim is
+    absent: an absent check is not a passed check.
+    """
+
+    PASS = "pass"
+    FAIL = "fail"
+    INCONCLUSIVE = "inconclusive"
+
+    @staticmethod
+    def aggregate(verdicts: Iterable["Verdict"]) -> "Verdict":
+        """FAIL dominates, then INCONCLUSIVE; empty aggregates to PASS."""
+        worst = Verdict.PASS
+        for verdict in verdicts:
+            if verdict is Verdict.FAIL:
+                return Verdict.FAIL
+            if verdict is Verdict.INCONCLUSIVE:
+                worst = Verdict.INCONCLUSIVE
+        return worst
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One falsifiable structural claim the paper's figures/tables make.
+    """One falsifiable claim the paper's figures, tables or text make.
 
-    Claims are *static*: each is decided by
-    :class:`repro.analysis.model_check.ModelChecker` over a
-    built-but-not-run system graph, complementing the five *runtime*
-    requirements below (which need a transaction ledger).  ``figures``
-    names the reference structures the claim applies to (``"ec"``,
-    ``"mc"`` or both).
+    ``figures`` names the reference structures a structural claim
+    applies to (``"ec"``, ``"mc"`` or both); the §1.1 requirements
+    apply to no static structure and leave it empty.
     """
 
     claim_id: str
     reference: str          # where the paper makes the claim
     description: str
     figures: tuple[str, ...] = ("ec", "mc")
+
+
+@dataclass
+class CheckResult:
+    """One claim's verdict with human-readable evidence."""
+
+    claim: Claim
+    verdict: Verdict
+    evidence: str
+
+    def render(self) -> str:
+        return (f"[{self.verdict.name:12s}] {self.claim.claim_id} "
+                f"({self.claim.reference}): {self.claim.description}\n"
+                f"               {self.evidence}")
+
+    def to_dict(self) -> dict:
+        return {
+            "claim_id": self.claim.claim_id,
+            "reference": self.claim.reference,
+            "description": self.claim.description,
+            "verdict": self.verdict.value,
+            "evidence": self.evidence,
+        }
+
+
+@dataclass
+class ModelCheckReport:
+    """All claim verdicts for one model."""
+
+    figure: str
+    model_name: str
+    results: list[CheckResult] = field(default_factory=list)
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.aggregate(r.verdict for r in self.results)
+
+    @property
+    def failures(self) -> list[CheckResult]:
+        return [r for r in self.results if r.verdict is Verdict.FAIL]
+
+    def result(self, claim_id: str) -> CheckResult:
+        for r in self.results:
+            if r.claim.claim_id == claim_id:
+                return r
+        raise KeyError(f"no claim {claim_id!r} in this report")
+
+    def render_text(self) -> str:
+        lines = [f"Model check: {self.model_name} "
+                 f"({self.figure.upper()} reference structure)"]
+        lines.extend(r.render() for r in self.results)
+        lines.append(f"overall: {self.verdict.name} "
+                     f"({len(self.failures)} failing claim(s))")
+        return "\n".join(lines)
+
+    def to_dict(self) -> dict:
+        return {
+            "figure": self.figure,
+            "model": self.model_name,
+            "verdict": self.verdict.value,
+            "results": [r.to_dict() for r in self.results],
+        }
+
+    def render_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # The static claim matrix: every Figure 1/2 and Table 3 structural
@@ -95,12 +183,6 @@ STRUCTURAL_CLAIMS: tuple[Claim, ...] = (
           "every component is reachable from the users component"),
 )
 
-_CLAIMS_BY_ID = {c.claim_id: c for c in STRUCTURAL_CLAIMS}
-
-
-def structural_claim(claim_id: str) -> Claim:
-    return _CLAIMS_BY_ID[claim_id]
-
 
 def claims_for_figure(figure: str) -> list[Claim]:
     """The claims applying to ``"ec"`` or ``"mc"`` reference structures."""
@@ -109,35 +191,21 @@ def claims_for_figure(figure: str) -> list[Claim]:
     return [c for c in STRUCTURAL_CLAIMS if figure in c.figures]
 
 
-@dataclass
-class RequirementResult:
-    number: int
-    description: str
-    satisfied: bool
-    evidence: str
+# The five mobile-commerce system requirements of §1.1.
+R1 = Claim("R1", "§1.1", "end users can perform transactions easily, "
+           "timely, ubiquitously", ())
+R2 = Claim("R2", "§1.1", "products can be personalized or customized "
+           "upon request", ())
+R3 = Claim("R3", "§1.1", "a wide range of mobile commerce applications "
+           "is supported", ())
+R4 = Claim("R4", "§1.1", "maximum interoperability across technologies",
+           ())
+R5 = Claim("R5", "§1.1", "program/data independence under component "
+           "change", ())
 
 
-@dataclass
-class RequirementsReport:
-    results: list[RequirementResult] = field(default_factory=list)
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.results)
-
-    def result(self, number: int) -> RequirementResult:
-        for r in self.results:
-            if r.number == number:
-                return r
-        raise KeyError(f"no requirement {number}")
-
-    def summary(self) -> str:
-        lines = ["Requirements (paper §1.1):"]
-        for r in sorted(self.results, key=lambda x: x.number):
-            mark = "PASS" if r.satisfied else "FAIL"
-            lines.append(f"  [{mark}] R{r.number}: {r.description}")
-            lines.append(f"         {r.evidence}")
-        return "\n".join(lines)
+def _decided(holds: bool) -> Verdict:
+    return Verdict.PASS if holds else Verdict.FAIL
 
 
 def check_requirements(
@@ -146,17 +214,15 @@ def check_requirements(
     latency_budget: float = 10.0,
     interop_matrix: Optional[dict] = None,
     independence_outcomes: Optional[dict] = None,
-    expected_categories: Optional[set] = None,
-) -> RequirementsReport:
-    """Evaluate all five requirements.
+) -> ModelCheckReport:
+    """Decide R1-R5 for ``system`` and the ledger of ``engine``.
 
-    ``interop_matrix`` maps (device, middleware, bearer) -> bool (run it
-    with :func:`run_interoperability_matrix`); ``independence_outcomes``
-    maps a stack label -> the business outcome of the reference flow.
-    Checks without supplied evidence are reported unsatisfied with an
-    explanatory message rather than silently passing.
+    ``interop_matrix`` maps (device, middleware, bearer) -> bool;
+    ``independence_outcomes`` maps a stack label -> the business outcome
+    of the reference flow.  R4 and R5 without that evidence are
+    INCONCLUSIVE, not passed.
     """
-    report = RequirementsReport()
+    report = ModelCheckReport(figure="mc", model_name=system.model.name)
 
     # R1 — timely + ubiquitous transactions.
     completed = engine.completed
@@ -168,8 +234,8 @@ def check_requirements(
           and latencies.p95 <= latency_budget
           and all(getattr(h.station, "name", "") in used_clients
                   for h in stations))
-    report.results.append(RequirementResult(
-        1, REQUIREMENT_DESCRIPTIONS[1], r1,
+    report.results.append(CheckResult(
+        R1, _decided(r1),
         f"{len(ok)}/{len(completed)} transactions succeeded, "
         f"p95 latency {latencies.p95:.2f}s (budget {latency_budget}s), "
         f"{len(used_clients)} client(s) exercised",
@@ -178,19 +244,18 @@ def check_requirements(
     # R2 — personalization.
     personalized = [app for app in system.applications
                     if getattr(app, "personalization_used", False)]
-    report.results.append(RequirementResult(
-        2, REQUIREMENT_DESCRIPTIONS[2], bool(personalized),
+    report.results.append(CheckResult(
+        R2, _decided(bool(personalized)),
         (f"personalized content served by: "
          f"{', '.join(a.category for a in personalized)}"
          if personalized else "no application served personalized content"),
     ))
 
-    # R3 — breadth of applications.
+    # R3 — breadth of applications: every Table 1 category.
     mounted = {app.category for app in system.applications}
-    expected = expected_categories or mounted
-    missing = expected - mounted
-    report.results.append(RequirementResult(
-        3, REQUIREMENT_DESCRIPTIONS[3], bool(mounted) and not missing,
+    missing = set(ALL_CATEGORIES) - mounted
+    report.results.append(CheckResult(
+        R3, _decided(not missing),
         f"mounted categories: {sorted(mounted)}"
         + (f"; missing: {sorted(missing)}" if missing else ""),
     ))
@@ -198,57 +263,31 @@ def check_requirements(
     # R4 — interoperability.
     if interop_matrix:
         failures = [k for k, worked in interop_matrix.items() if not worked]
-        report.results.append(RequirementResult(
-            4, REQUIREMENT_DESCRIPTIONS[4], not failures,
+        report.results.append(CheckResult(
+            R4, _decided(not failures),
             f"{len(interop_matrix) - len(failures)}/{len(interop_matrix)} "
             f"device x middleware x bearer combinations worked"
             + (f"; failing: {failures}" if failures else ""),
         ))
     else:
-        report.results.append(RequirementResult(
-            4, REQUIREMENT_DESCRIPTIONS[4], False,
-            "no interoperability matrix supplied "
-            "(run run_interoperability_matrix)",
+        report.results.append(CheckResult(
+            R4, Verdict.INCONCLUSIVE,
+            "no interoperability matrix supplied",
         ))
 
     # R5 — program/data independence.
     if independence_outcomes and len(independence_outcomes) >= 2:
         outcomes = list(independence_outcomes.values())
         identical = all(o == outcomes[0] for o in outcomes[1:])
-        report.results.append(RequirementResult(
-            5, REQUIREMENT_DESCRIPTIONS[5], identical,
+        report.results.append(CheckResult(
+            R5, _decided(identical),
             f"same flow on {sorted(independence_outcomes)} produced "
             + ("identical outcomes" if identical else
                f"different outcomes: {independence_outcomes}"),
         ))
     else:
-        report.results.append(RequirementResult(
-            5, REQUIREMENT_DESCRIPTIONS[5], False,
+        report.results.append(CheckResult(
+            R5, Verdict.INCONCLUSIVE,
             "need outcomes from at least two component stacks",
         ))
     return report
-
-
-def run_interoperability_matrix(
-    devices: list[str],
-    middlewares: list[str],
-    bearers: list[tuple[str, str]],
-    scenario: Callable,
-    seed: int = 0,
-) -> dict:
-    """Run ``scenario(builder_kwargs, device)`` over the full matrix.
-
-    ``scenario`` must build a system (from the given kwargs), add the
-    named device, run one transaction and return True/False.  Returns
-    {(device, middleware, bearer_name): bool}.
-    """
-    matrix: dict = {}
-    for device in devices:
-        for middleware in middlewares:
-            for bearer in bearers:
-                worked = scenario(
-                    dict(seed=seed, middleware=middleware, bearer=bearer),
-                    device,
-                )
-                matrix[(device, middleware, bearer[1])] = bool(worked)
-    return matrix

@@ -21,9 +21,13 @@ from repro.core import (
     SystemModel,
 )
 from repro.core.requirements import (
+    R1,
+    R2,
+    R3,
+    R4,
+    R5,
     STRUCTURAL_CLAIMS,
     claims_for_figure,
-    structural_claim,
 )
 
 
@@ -185,27 +189,33 @@ def test_figure_inference():
 
 
 def test_claim_matrix_lookup():
-    assert structural_claim("MC-FLOW").reference == "Figure 2"
     assert {c.claim_id for c in STRUCTURAL_CLAIMS} >= {
         "EC-COMPONENTS", "MC-COMPONENTS", "MC-MIDDLEWARE-COMPAT",
         "HOST-INTERNALS", "EDGES-RESOLVED", "REACHABLE",
     }
     with pytest.raises(ValueError):
         claims_for_figure("figure-3")
-    with pytest.raises(KeyError):
-        structural_claim("NO-SUCH-CLAIM")
+
+
+def test_claim_ids_are_unique():
+    """One claim list, one check per claim: a reused id would let one
+    check answer for two claims in ``ModelCheckReport.result``."""
+    ids = [c.claim_id for c in STRUCTURAL_CLAIMS + (R1, R2, R3, R4, R5)]
+    assert len(ids) == len(set(ids)), ids
+    assert all(c.reference == "§1.1" and not c.figures
+               for c in (R1, R2, R3, R4, R5))
 
 
 def test_report_json_roundtrip():
-    report = ModelChecker.for_system(build_mc()).run()
-    payload = json.loads(report.render_json())
-    assert payload["figure"] == "mc"
-    assert payload["verdict"] == "pass"
-    assert {r["claim_id"] for r in payload["results"]} == \
-        {c.claim_id for c in claims_for_figure("mc")}
-    for row in payload["results"]:
-        assert set(row) == {"claim_id", "reference", "description",
-                            "verdict", "evidence"}
+    for figure, report in check_reference_systems().items():
+        payload = json.loads(report.render_json())
+        assert payload["figure"] == figure
+        assert payload["verdict"] == "pass"
+        assert [r["claim_id"] for r in payload["results"]] == \
+            [c.claim_id for c in claims_for_figure(figure)]
+        for row in payload["results"]:
+            assert set(row) == {"claim_id", "reference", "description",
+                                "verdict", "evidence"}
 
 
 def test_report_unknown_claim_raises():

@@ -32,13 +32,6 @@ def test_cli_tables(capsys):
     assert "commerce" in out
 
 
-def test_cli_validate(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "Figure 1 (EC): VALID" in out
-    assert "Figure 2 (MC): VALID" in out
-
-
 def test_cli_quickstart_default(capsys):
     assert main(["quickstart"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,9 @@
-"""Tests for the component taxonomy, system-model graph and validation."""
+"""Tests for the component taxonomy, system-model graph and the
+structural claims decided on hand-built graphs."""
 
 import pytest
 
+from repro.analysis import ModelChecker, Verdict
 from repro.core import (
     Component,
     ComponentKind,
@@ -12,6 +14,25 @@ from repro.core import (
     render_structure,
 )
 from repro.core.model import EC_FLOW_CHAIN, MC_FLOW_CHAIN
+
+# The claims a hand-built graph can decide: presence, host internals,
+# the flow chain and (MC) application hosting or (EC) no wireless part.
+# The graphs below carry no middleware implementation and no host-part
+# edges, so REACHABLE and MC-MIDDLEWARE-COMPAT are out of their scope.
+FIGURE_CLAIMS = {
+    "mc": ("MC-COMPONENTS", "MC-FLOW", "MC-APP-HOSTED", "HOST-INTERNALS"),
+    "ec": ("EC-COMPONENTS", "EC-FLOW", "EC-NO-WIRELESS", "HOST-INTERNALS"),
+}
+
+
+def check(model, figure):
+    """Claim id -> CheckResult for the figure's graph-level claims."""
+    report = ModelChecker(model, figure=figure).run()
+    return {cid: report.result(cid) for cid in FIGURE_CLAIMS[figure]}
+
+
+def failing(results):
+    return {cid for cid, r in results.items() if r.verdict is not Verdict.PASS}
 
 
 def minimal_mc_model():
@@ -63,8 +84,8 @@ def test_edge_kind_validated():
 
 
 def test_valid_mc_model_passes():
-    report = minimal_mc_model().validate_mc()
-    assert report.valid, report.violations
+    results = check(minimal_mc_model(), "mc")
+    assert not failing(results), results
 
 
 def test_missing_component_detected():
@@ -72,17 +93,18 @@ def test_missing_component_detected():
     model._components.pop("wlan")
     model._edges = [e for e in model._edges
                     if "wlan" not in (e.source, e.target)]
-    report = model.validate_mc()
-    assert not report.valid
-    assert any("wireless_networks" in v for v in report.violations)
+    results = check(model, "mc")
+    assert "MC-COMPONENTS" in failing(results)
+    assert "wireless_networks" in results["MC-COMPONENTS"].evidence
 
 
 def test_broken_flow_chain_detected():
     model = minimal_mc_model()
     model._edges = [e for e in model._edges
                     if not (e.source == "wlan" and e.target == "internet")]
-    report = model.validate_mc()
-    assert any("data/control-flow path" in v for v in report.violations)
+    results = check(model, "mc")
+    assert failing(results) == {"MC-FLOW"}
+    assert results["MC-FLOW"].verdict is Verdict.FAIL
 
 
 def test_middleware_is_optional_in_mc():
@@ -90,15 +112,16 @@ def test_middleware_is_optional_in_mc():
     model._components.pop("gateway")
     model._edges = [e for e in model._edges
                     if "gateway" not in (e.source, e.target)]
-    report = model.validate_mc()
-    assert report.valid, report.violations
+    results = check(model, "mc")
+    assert not failing(results), results
 
 
 def test_application_must_reach_host():
     model = minimal_mc_model()
     model._edges = [e for e in model._edges if e.source != "app:shop"]
-    report = model.validate_mc()
-    assert any("app:shop" in v for v in report.violations)
+    results = check(model, "mc")
+    assert failing(results) == {"MC-APP-HOSTED"}
+    assert "app:shop" in results["MC-APP-HOSTED"].evidence
 
 
 def test_ec_validation_rejects_wireless():
@@ -117,11 +140,13 @@ def test_ec_validation_rejects_wireless():
     model.connect("users", "desktops", EDGE_DATA_FLOW)
     model.connect("desktops", "internet", EDGE_DATA_FLOW)
     model.connect("internet", "host-computers", EDGE_DATA_FLOW)
-    assert model.validate_ec().valid
+    assert not failing(check(model, "ec"))
 
     model.add(Component(ComponentKind.WIRELESS_NETWORKS, "rogue-wlan"))
-    report = model.validate_ec()
-    assert any("wireless" in v for v in report.violations)
+    results = check(model, "ec")
+    assert failing(results) == {"EC-NO-WIRELESS"}
+    assert results["EC-NO-WIRELESS"].verdict is Verdict.FAIL
+    assert "rogue-wlan" in results["EC-NO-WIRELESS"].evidence
 
 
 def test_neighbours_and_flow_path():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import ModelChecker, Verdict
 from repro.apps import ALL_CATEGORIES, CommerceApp
 from repro.core import (
     ECSystemBuilder,
@@ -33,8 +34,8 @@ def run_one_purchase(system, app, handle):
 def test_mc_system_validates_against_figure2():
     system, app = build_mc()
     system.add_station("Palm i705")
-    report = system.model.validate_mc()
-    assert report.valid, report.violations
+    report = ModelChecker.for_system(system, figure="mc").run()
+    assert report.verdict is Verdict.PASS, report.render_text()
     assert system.model.flow_path_exists(MC_FLOW_CHAIN)
 
 
@@ -43,8 +44,8 @@ def test_ec_system_validates_against_figure1():
     app = CommerceApp()
     system.mount_application(app)
     system.add_client()
-    report = system.model.validate_ec()
-    assert report.valid, report.violations
+    report = ModelChecker.for_system(system, figure="ec").run()
+    assert report.verdict is Verdict.PASS, report.render_text()
     assert system.model.flow_path_exists(EC_FLOW_CHAIN)
 
 
@@ -173,6 +174,9 @@ def test_all_eight_categories_mount_and_run():
 
 def test_requirements_report():
     system, app = build_mc()
+    for name, cls in ALL_CATEGORIES.items():
+        if name != "commerce":  # mounted by build_mc
+            system.mount_application(cls())
     handle = system.add_station("Toshiba E740")
     engine = TransactionEngine(system)
     done = engine.run_flow(
@@ -186,19 +190,31 @@ def test_requirements_report():
         system, engine,
         interop_matrix=interop,
         independence_outcomes=outcomes,
-        expected_categories={"commerce"},
     )
-    assert report.all_satisfied, report.summary()
-    assert "PASS" in report.summary()
+    assert report.verdict is Verdict.PASS, report.render_text()
+    assert [r.claim.claim_id for r in report.results] == \
+        ["R1", "R2", "R3", "R4", "R5"]
 
 
 def test_requirements_fail_without_evidence():
     system, app = build_mc()
     engine = TransactionEngine(system)
     report = check_requirements(system, engine)
-    assert not report.result(1).satisfied  # no transactions ran
-    assert not report.result(4).satisfied  # no matrix supplied
-    assert not report.result(5).satisfied  # no outcomes supplied
+    assert report.result("R1").verdict is Verdict.FAIL  # no transactions
+    # An absent check is not a passed check.
+    assert report.result("R4").verdict is Verdict.INCONCLUSIVE  # no matrix
+    assert report.result("R5").verdict is Verdict.INCONCLUSIVE  # no stacks
+    assert report.verdict is Verdict.FAIL
+
+
+def test_r3_fails_with_one_category_mounted():
+    system, app = build_mc()
+    report = check_requirements(system, TransactionEngine(system))
+    r3 = report.result("R3")
+    assert r3.verdict is Verdict.FAIL
+    missing = sorted(set(ALL_CATEGORIES) - {"commerce"})
+    assert len(missing) == 7
+    assert f"missing: {missing}" in r3.evidence
 
 
 def test_builder_rejects_bad_config():

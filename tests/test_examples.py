@@ -23,7 +23,7 @@ def run_example(name: str, capsys) -> str:
 
 def test_quickstart_example(capsys):
     out = run_example("quickstart", capsys)
-    assert "Figure 2 validation: OK" in out
+    assert "Figure 2 model check: PASS" in out
     assert "outcome: OK" in out
     assert "account balance now $801.00" in out
 

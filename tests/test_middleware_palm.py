@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import ModelChecker, Verdict
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.middleware import (
@@ -98,7 +99,8 @@ def test_palm_middleware_in_full_mc_system():
     system.run(until=600)
     record = done.value
     assert record.ok, record.error
-    assert system.model.validate_mc().valid
+    report = ModelChecker.for_system(system).run()
+    assert report.verdict is Verdict.PASS, report.render_text()
     # The pages arrived as clippings and were rendered on the device.
     assert handle.browser.pages_rendered == 3
 
