@@ -303,7 +303,7 @@ class BatchSanitizer:
         index = len(self._batch_entries)
         self._batch_entries.append(entry)
         if self.recorder is not None:
-            self._descriptions[index] = _describe(entry[3])
+            self._descriptions[index] = _describe(entry)
             self.recorder.begin_event(index)
 
     def finalize(self) -> None:
@@ -386,10 +386,19 @@ class BatchSanitizer:
         return f"{label} (seq {seq})"
 
 
-def _describe(event: Any) -> str:
-    """Human-readable identity of a dispatched event."""
+def _describe(entry: tuple) -> str:
+    """Human-readable identity of a dispatched entry: an event, or a
+    scheduled call (named by its function, or as the event resuming a
+    process that its bootstrap and relay calls stand for)."""
     from ...sim import Process, Timeout
 
+    _, _, _, fn, event = entry
+    if fn is not None:
+        owner = getattr(fn, "__self__", None)
+        if isinstance(owner, Process) and \
+                getattr(fn, "__func__", None) is Process._resume:
+            return f"event resuming {owner.name!r}"
+        return getattr(fn, "__qualname__", repr(fn))
     if isinstance(event, Process):
         return f"process {event.name!r}"
     resumed = [cb.__self__.name for cb in event.callbacks

@@ -32,9 +32,14 @@ BASE_SERVICE_TIME = 0.000_5
 PER_ROW_SERVICE_TIME = 0.000_01
 
 
+# One encoder for every message: json.dumps with non-default
+# separators would build a fresh JSONEncoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_message(obj: dict) -> bytes:
     """Length-prefixed JSON framing."""
-    body = json.dumps(obj, separators=(",", ":")).encode()
+    body = _encode_json(obj).encode()
     return struct.pack(">I", len(body)) + body
 
 

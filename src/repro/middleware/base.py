@@ -136,23 +136,27 @@ def split_url(url: str) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------- framing
+def _unencodable(value):
+    raise TypeError(f"unencodable {type(value).__name__}")
+
+
+# One encoder for every frame, built once instead of per call.
+_encode_json = json.JSONEncoder(separators=(",", ":"),
+                                default=_unencodable).encode
+
+
 def encode_obj(obj: dict) -> bytes:
     """JSON with bytes values as {"__b64__": ...} (no length prefix).
 
     Used directly over record-preserving transports (WTLS records);
     :func:`encode_frame` adds the length prefix for byte streams.
     """
-
-    def default(value):
-        raise TypeError(f"unencodable {type(value).__name__}")
-
     prepared = {
         key: ({"__b64__": base64.b64encode(value).decode()}
               if isinstance(value, bytes) else value)
         for key, value in obj.items()
     }
-    return json.dumps(prepared, separators=(",", ":"),
-                      default=default).encode()
+    return _encode_json(prepared).encode()
 
 
 def decode_obj(data: bytes) -> dict:

@@ -16,7 +16,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
 from ..obs import end_span, start_span
-from ..sim import Counter, RandomStream, Simulator, Timeout
+from ..sim import Counter, RandomStream, Simulator
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,11 +28,14 @@ __all__ = ["Link", "LinkEnd"]
 class LinkEnd:
     """One direction of a link: a bounded FIFO and its transmitter.
 
-    The transmitter is a chain of callbacks, not a process: a wakeup
-    event starts a packet, an airtime grant (shared media only) and the
-    serialization timeout follow, and :meth:`_sent` settles the frame
-    and takes the next packet.  The events, and the order they are
-    pushed in, are those of a process looping get → grant → timeout.
+    The transmitter is a chain of scheduled calls, not a process: a
+    wakeup call starts a packet, an airtime grant (shared media only)
+    and the serialization delay follow, and :meth:`_sent` settles the
+    frame and takes the next packet.  The kernel entries, and the order
+    they are pushed in, are those of a process looping get → grant →
+    timeout.  A frame that survives serialization propagates for the
+    link's delay and counts as delivered only when :meth:`_arrive`
+    hands it to the peer.
     """
 
     def __init__(self, link: "Link", sim: Simulator, queue_capacity: int):
@@ -51,13 +54,13 @@ class LinkEnd:
         self._span = self._grant = None
         self._attempts = 0
         self._frame_s = 0.0
-        sim._wake(self._take_next)
+        sim._call(self._take_next)
 
     def enqueue(self, packet: Packet) -> bool:
         """Queue a packet for transmission; False if tail-dropped."""
         if self._idle:
             self._idle = False
-            self.sim._wake(self._begin, packet)
+            self.sim._call(self._begin, packet)
         elif len(self.queue) >= self.capacity:
             self.link.stats.incr("queue_drops")
             return False
@@ -65,15 +68,15 @@ class LinkEnd:
             self.queue.append(packet)
         return True
 
-    def _take_next(self, _event=None) -> None:
+    def _take_next(self, _=None) -> None:
         self._packet = self._span = self._grant = None
         if self.queue:
-            self.sim._wake(self._begin, self.queue.popleft())
+            self.sim._call(self._begin, self.queue.popleft())
         else:
             self._idle = True
 
-    def _begin(self, event) -> None:
-        packet = self._packet = event._value
+    def _begin(self, packet: Packet) -> None:
+        self._packet = packet
         # Only packets that carry a TraceContext get a span; untraced
         # traffic must not seed root traces of its own.
         if packet.trace is not None:
@@ -100,37 +103,55 @@ class LinkEnd:
             self._grant.callbacks.append(self._serialize)
 
     def _serialize(self, _grant=None) -> None:
-        Timeout(self.sim, self._frame_s).callbacks.append(self._sent)
+        self.sim._call_after(self._frame_s, self._sent)
 
-    def _sent(self, _event) -> None:
+    def _sent(self, _=None) -> None:
         link = self.link
+        sim = self.sim
         packet, span = self._packet, self._span
         if self._grant is not None:
             link.airtime.release(self._grant)
         if link.is_down:
             link.stats.incr("down_drops")
-            end_span(self.sim, span, dropped="down")
+            end_span(sim, span, dropped="down")
         elif link.frame_delivered(self, packet):
-            link.stats.incr("delivered")
-            link.stats.incr("bytes_delivered", packet.size)
-            # Propagation is a bare timeout with a delivery callback:
-            # it arrives at exactly now + delay.
-            Timeout(self.sim, link.delay, (packet, span)).callbacks.append(
-                self._arrive)
+            # Propagation is a call at exactly now + delay.
+            sim._call_after(link.delay, self._arrive, (packet, span))
         else:
             link.stats.incr("frame_errors")
             if self._attempts <= link.retry_limit:
                 self._attempt()
                 return
             link.stats.incr("loss_drops")
-            end_span(self.sim, span, dropped="loss", attempts=self._attempts)
-        self._take_next()
+            end_span(sim, span, dropped="loss", attempts=self._attempts)
+        # Take the next packet: _take_next, inlined to save a frame
+        # on every hop.
+        self._packet = self._span = self._grant = None
+        if self.queue:
+            sim._call(self._begin, self.queue.popleft())
+        else:
+            self._idle = True
 
-    def _arrive(self, event) -> None:
-        packet, span = event._value
-        if self.peer_iface is not None and not self.link.is_down:
-            self.peer_iface.deliver(packet)
-        end_span(self.sim, span)
+    def _arrive(self, hop: tuple) -> None:
+        """The frame reaches the far end: the peer interface's node
+        takes it, or it is counted where it is lost."""
+        packet, span = hop
+        link = self.link
+        if link.is_down:
+            # The link went down while the frame propagated.
+            link.stats.incr("down_drops")
+            end_span(self.sim, span, dropped="down")
+            return
+        iface = self.peer_iface
+        if iface is not None and iface.is_up:
+            link.stats.incr("delivered")
+            link.stats.incr("bytes_delivered", packet.size)
+            iface.node.enqueue_rx(packet, iface)
+        elif iface is not None:
+            # The receiving interface was detached.
+            iface.node.stats.incr("iface_down_drops")
+        if span is not None:  # skips a call on every untraced hop
+            end_span(self.sim, span)
 
 
 class Link:

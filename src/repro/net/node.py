@@ -64,11 +64,6 @@ class Interface:
             return False
         return self._tx.enqueue(packet)
 
-    def deliver(self, packet: Packet) -> None:
-        """Called by the medium when a packet arrives here."""
-        if self.is_up:
-            self.node.enqueue_rx(packet, self)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Interface {self.node.name}:{self.name} {self.address}>"
 
@@ -95,14 +90,14 @@ class Node:
         self._owned_values: set[int] = set()
         self._handlers: dict[str, ProtocolHandler] = {}
         # Received (packet, iface) pairs waiting their turn; the receiver
-        # takes one per wakeup event (see _on_rx).
+        # takes one per wakeup call (see _on_rx).
         self._rx: Deque[tuple[Packet, Interface]] = deque()
         self._rx_idle = False
         # Hooks that see every packet before normal processing; used by
         # snoop agents and foreign agents.  A hook returning True consumes
         # the packet.
         self.rx_taps: list[Callable[[Packet, Interface], bool]] = []
-        sim._wake(self._take_next_rx)
+        sim._call(self._take_next_rx)
 
     # -- configuration -----------------------------------------------------
     def add_interface(self, name: str, address: Optional[IPAddress] = None,
@@ -156,22 +151,28 @@ class Node:
 
     # -- data path -----------------------------------------------------------
     def enqueue_rx(self, packet: Packet, iface: Interface) -> None:
+        """Called by the medium when a packet arrives on ``iface``."""
         if self._rx_idle:
             self._rx_idle = False
-            self.sim._wake(self._on_rx, (packet, iface))
+            self.sim._call(self._on_rx, (packet, iface))
         else:
             self._rx.append((packet, iface))
 
-    def _take_next_rx(self, _event=None) -> None:
+    def _take_next_rx(self, _=None) -> None:
         if self._rx:
-            self.sim._wake(self._on_rx, self._rx.popleft())
+            self.sim._call(self._on_rx, self._rx.popleft())
         else:
             self._rx_idle = True
 
-    def _on_rx(self, event) -> None:
-        # One wakeup event per packet, as a receive loop would take.
-        self._receive(*event._value)
-        self._take_next_rx()
+    def _on_rx(self, received: tuple) -> None:
+        # One wakeup call per packet, as a receive loop would take.
+        self._receive(*received)
+        # Take the next packet: _take_next_rx, inlined to save a frame
+        # on every hop.
+        if self._rx:
+            self.sim._call(self._on_rx, self._rx.popleft())
+        else:
+            self._rx_idle = True
 
     def _receive(self, packet: Packet, iface: Interface) -> None:
         packet.record_hop(self.name)

@@ -71,13 +71,13 @@ class TCPSegment:
         )
 
 
-def _segment_flags(*names: str) -> frozenset:
-    return frozenset(names)
-
-
-# Hot-path constant: _emit ORs this in per segment; building the
-# frozenset each time is measurable at load-test scale.
+# Hot-path constants: every emitted segment takes one of these (and
+# _emit ORs in the ACK); building a frozenset per segment is
+# measurable at load-test scale.
 _ACK_FLAGS = frozenset(("ACK",))
+_SYN_FLAGS = frozenset(("SYN",))
+_SYN_ACK_FLAGS = frozenset(("SYN", "ACK"))
+_FIN_ACK_FLAGS = frozenset(("FIN", "ACK"))
 
 
 @dataclass(slots=True)
@@ -181,7 +181,6 @@ class TCPConnection:
         if not data:
             return
         self._send_queue.append(bytes(data))
-        self.stats.incr("bytes_queued", len(data))
         self._pump()
 
     def recv(self) -> Event:
@@ -227,7 +226,7 @@ class TCPConnection:
                 yield wake
             if self.state in (TCPConnection.ESTABLISHED, TCPConnection.CLOSE_WAIT):
                 self.state = TCPConnection.FIN_SENT
-                self._emit(flags=_segment_flags("FIN", "ACK"))
+                self._emit(flags=_FIN_ACK_FLAGS)
                 self.snd_nxt += 1  # FIN consumes a sequence number
 
         self.sim.spawn(closer(self.sim), name="tcp-close")
@@ -239,7 +238,7 @@ class TCPConnection:
         self.snd_una = self.iss
         self.snd_nxt = self.iss + 1
         self.state = TCPConnection.SYN_SENT
-        self._emit(flags=_segment_flags("SYN"), seq=self.iss)
+        self._emit(flags=_SYN_FLAGS, seq=self.iss)
         self._arm_timer()
 
     def open_passive_reply(self, syn_segment: TCPSegment) -> None:
@@ -250,7 +249,7 @@ class TCPConnection:
         self.snd_una = self.iss
         self.snd_nxt = self.iss + 1
         self.state = TCPConnection.SYN_RCVD
-        self._emit(flags=_segment_flags("SYN", "ACK"), seq=self.iss)
+        self._emit(flags=_SYN_ACK_FLAGS, seq=self.iss)
         self._arm_timer()
 
     # ------------------------------------------------------------- segment I/O
@@ -283,27 +282,26 @@ class TCPConnection:
 
     def handle_segment(self, segment: TCPSegment, packet: Packet) -> None:
         """Demultiplexed inbound segment processing."""
-        self.stats.incr("segments_received")
         if segment.data and packet.trace is not None:
             # Adopt the sender's trace context: the peer's spans (and our
             # replies) stitch to the same transaction without spending a
             # single wire byte on it.  Data segments only — a straggling
             # ACK from a previous request must not revert the context.
             self.trace = packet.trace
-        if segment.syn and segment.is_ack:
-            self._on_synack(segment)
+        flags = segment.flags
+        if "SYN" in flags:
+            if "ACK" in flags:
+                self._on_synack(segment)
+            # A bare SYN: simultaneous open is out of scope.
             return
-        if segment.syn:
-            # Simultaneous open is out of scope; re-ACK our SYN|ACK.
-            return
-        if self.state == TCPConnection.SYN_RCVD and segment.is_ack and \
-                segment.ack == self.snd_nxt:
-            self._become_established()
-        if segment.is_ack:
+        if "ACK" in flags:
+            if self.state == TCPConnection.SYN_RCVD and \
+                    segment.ack == self.snd_nxt:
+                self._become_established()
             self._on_ack(segment)
         if segment.data:
             self._on_data(segment)
-        if segment.fin:
+        if "FIN" in flags:
             self._on_fin(segment)
 
     def _on_synack(self, segment: TCPSegment) -> None:
@@ -315,7 +313,7 @@ class TCPConnection:
         self.rcv_nxt = segment.seq + 1
         self.snd_una = segment.ack
         self._become_established()
-        self._emit(flags=_segment_flags("ACK"))
+        self._emit(flags=_ACK_FLAGS)
 
     def _become_established(self) -> None:
         self.state = TCPConnection.ESTABLISHED
@@ -349,9 +347,8 @@ class TCPConnection:
             entry = _SendBufferEntry(seq=self.snd_nxt, data=data,
                                      sent_at=self.sim.now)
             self._inflight.append(entry)
-            self._emit(flags=_segment_flags("ACK"), seq=entry.seq, data=data)
+            self._emit(flags=_ACK_FLAGS, seq=entry.seq, data=data)
             self.snd_nxt += len(data)
-            self.stats.incr("bytes_sent", len(data))
             sent_any = True
         if sent_any:
             self._arm_timer()
@@ -391,7 +388,6 @@ class TCPConnection:
             else:
                 remaining.append(entry)
         self._inflight = remaining
-        self.stats.incr("bytes_acked", acked_bytes)
 
         if ack < self._recovery_point and self._inflight:
             # Partial ACK during loss recovery: the next hole is now at
@@ -439,7 +435,7 @@ class TCPConnection:
         entry = self._inflight[0]
         entry.retransmitted = True
         entry.sent_at = self.sim.now
-        self._emit(flags=_segment_flags("ACK"), seq=entry.seq, data=entry.data)
+        self._emit(flags=_ACK_FLAGS, seq=entry.seq, data=entry.data)
         self.stats.incr("retransmitted_segments")
         self._arm_timer()
 
@@ -501,19 +497,19 @@ class TCPConnection:
         """Retransmission timeout: collapse the window, resend, back off."""
         if self.state == TCPConnection.SYN_SENT:
             self.stats.incr("syn_retransmits")
-            self._emit(flags=_segment_flags("SYN"), seq=self.iss)
+            self._emit(flags=_SYN_FLAGS, seq=self.iss)
             self.rto = min(MAX_RTO, self.rto * 2)
             self._arm_timer()
             return
         if self.state == TCPConnection.SYN_RCVD:
-            self._emit(flags=_segment_flags("SYN", "ACK"), seq=self.iss)
+            self._emit(flags=_SYN_ACK_FLAGS, seq=self.iss)
             self.rto = min(MAX_RTO, self.rto * 2)
             self._arm_timer()
             return
         if self.state == TCPConnection.FIN_SENT and not self._inflight:
             # Our FIN was lost; resend it.
             self.stats.incr("fin_retransmits")
-            self._emit(flags=_segment_flags("FIN", "ACK"), seq=self.snd_nxt - 1)
+            self._emit(flags=_FIN_ACK_FLAGS, seq=self.snd_nxt - 1)
             self.rto = min(MAX_RTO, self.rto * 2)
             self._arm_timer()
             return
@@ -534,32 +530,28 @@ class TCPConnection:
         seq, data = segment.seq, segment.data
         if seq == self.rcv_nxt:
             self.rcv_nxt += len(data)
-            self._deliver(data)
+            self._rx_stream.try_put(data)
             # Drain contiguous out-of-order segments.
             while self.rcv_nxt in self._reorder:
                 buffered = self._reorder.pop(self.rcv_nxt)
                 self.rcv_nxt += len(buffered)
-                self._deliver(buffered)
+                self._rx_stream.try_put(buffered)
         elif seq > self.rcv_nxt:
             self._reorder[seq] = data
             self.stats.incr("out_of_order")
         else:
             self.stats.incr("duplicate_data")
         # ACK everything (no delayed ACK): dupacks flow naturally on gaps.
-        self._emit(flags=_segment_flags("ACK"))
-
-    def _deliver(self, data: bytes) -> None:
-        self.stats.incr("bytes_delivered", len(data))
-        self._rx_stream.try_put(data)
+        self._emit(flags=_ACK_FLAGS)
 
     def _on_fin(self, segment: TCPSegment) -> None:
         if self.fin_received:
-            self._emit(flags=_segment_flags("ACK"))
+            self._emit(flags=_ACK_FLAGS)
             return
         self.fin_received = True
         self.rcv_nxt = segment.seq + len(segment.data) + 1
         self._rx_stream.try_put(b"")  # EOF marker for readers
-        self._emit(flags=_segment_flags("ACK"))
+        self._emit(flags=_ACK_FLAGS)
         if self.state == TCPConnection.ESTABLISHED:
             self.state = TCPConnection.CLOSE_WAIT
         elif self.state == TCPConnection.FIN_SENT:
@@ -581,7 +573,7 @@ class TCPConnection:
         immediately instead of idling until its (backed-off) RTO fires.
         """
         for _ in range(DUPACK_THRESHOLD):
-            self._emit(flags=_segment_flags("ACK"))
+            self._emit(flags=_ACK_FLAGS)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -641,13 +633,15 @@ class TCPStack:
         conn = TCPConnection(
             self, local_port, remote_addr, remote_port, mss=mss or self.mss
         )
-        key = (remote_addr, remote_port, local_port)
+        key = (remote_addr.value, remote_port, local_port)
         self._connections[key] = conn
         conn.open_active()
         return conn
 
     def _key_for(self, packet: Packet, segment: TCPSegment) -> tuple:
-        return (packet.src, segment.src_port, segment.dst_port)
+        # Keyed by the address's int: hashing the IPAddress dataclass
+        # runs a Python-level __hash__ on every segment.
+        return (packet.src.value, segment.src_port, segment.dst_port)
 
     def _on_packet(self, node: Node, packet: Packet) -> None:
         segment = packet.payload
@@ -680,7 +674,7 @@ class TCPStack:
         node.stats.incr("tcp_no_connection")
 
     def _forget(self, conn: TCPConnection) -> None:
-        key = (conn.remote_addr, conn.remote_port, conn.local_port)
+        key = (conn.remote_addr.value, conn.remote_port, conn.local_port)
         self._connections.pop(key, None)
 
 

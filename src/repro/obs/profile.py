@@ -1,6 +1,6 @@
 """Kernel profiling: what the event loop itself is doing.
 
-A :class:`KernelProfiler` hooks :meth:`Simulator.step` (events
+A :class:`KernelProfiler` hooks the kernel's dispatch (entries
 processed, queue depth over time) and :meth:`Process._resume`
 (per-process-name resume counts).  The hooks are behind a nil-cost
 default: the kernel carries a ``_profiler`` attribute that is ``None``
@@ -25,14 +25,12 @@ class KernelProfiler:
         self.events_processed = 0
         self.queue_depth = TimeSeries("kernel.queue_depth")
         self.resumes: dict[str, int] = {}
-        self.events_by_type: dict[str, int] = {}
 
     # -- kernel hooks ----------------------------------------------------
-    def on_event(self, now: float, event, queue_depth: int) -> None:
-        """Called by Simulator.step() for every processed event."""
+    def on_event(self, now: float, queue_depth: int) -> None:
+        """Called by the kernel for every dispatched entry (event or
+        scheduled call), with the live entries still pending."""
         self.events_processed += 1
-        kind = type(event).__name__
-        self.events_by_type[kind] = self.events_by_type.get(kind, 0) + 1
         if self.events_processed % self.queue_sample_every == 0:
             self.queue_depth.record(now, float(queue_depth))
 
@@ -49,7 +47,6 @@ class KernelProfiler:
     def summary(self) -> dict:
         return {
             "events_processed": self.events_processed,
-            "events_by_type": dict(sorted(self.events_by_type.items())),
             "mean_queue_depth": self.queue_depth.time_weighted_mean(),
             "max_queue_depth": max(self.queue_depth.values, default=0.0),
             "process_resumes": dict(sorted(self.resumes.items())),

@@ -65,9 +65,9 @@ class Event:
     or *failed* with an exception, and once processed resumes every
     process that was waiting on it.
 
-    ``__slots__`` matters here: events are the single most-allocated
-    object in any run (every timeout, packet delivery and process wakeup
-    is one), and dropping the per-instance ``__dict__`` is a measurable
+    ``__slots__`` matters here: events are among the most-allocated
+    objects in any run (every timeout, triggered event and process is
+    one), and dropping the per-instance ``__dict__`` is a measurable
     slice of total wall-clock.  Subclasses outside the kernel that need
     ad-hoc attributes (e.g. :class:`repro.sim.resources.Request` with
     its priority tag) simply omit ``__slots__`` and regain a dict.
@@ -123,7 +123,7 @@ class Event:
         self._state = Event.TRIGGERED
         # A same-instant push: the single hottest call site in any run.
         sim = self.sim
-        sim._lane_append((sim.now, 1, next(sim._seq), self))
+        sim._lane_append((sim.now, 1, next(sim._seq), None, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -136,7 +136,7 @@ class Event:
         self._value = exception
         self._state = Event.TRIGGERED
         sim = self.sim
-        sim._lane_append((sim.now, 1, next(sim._seq), self))
+        sim._lane_append((sim.now, 1, next(sim._seq), None, self))
         return self
 
     def _mark_processed(self) -> None:
@@ -146,12 +146,24 @@ class Event:
         return f"<{type(self).__name__} {self._state} at t={self.sim.now}>"
 
 
-# Module-level alias so the run() hot loop marks events processed
-# without re-resolving the class attribute per event.
+# Module-level aliases so the hot paths compare and write states
+# without re-resolving the class attribute each time.
+_PENDING = Event.PENDING
 _PROCESSED = Event.PROCESSED
-_TRIGGERED = Event.TRIGGERED
-_new_event = object.__new__
 _INF = float("inf")
+
+
+class _Started:
+    """What a process's bootstrap call hands :meth:`Process._resume`:
+    a success carrying no value, so the generator starts with
+    ``send(None)``."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
 
 
 class Timeout(Event):
@@ -180,9 +192,9 @@ class Timeout(Event):
         self._order = None
         self._cancelled = False
         if delay == 0.0:
-            sim._lane_append((sim.now, 1, next(sim._seq), self))
+            sim._lane_append((sim.now, 1, next(sim._seq), None, self))
         else:
-            sim._heappush((sim.now + delay, 1, next(sim._seq), self))
+            sim._heappush((sim.now + delay, 1, next(sim._seq), None, self))
 
     def cancel(self) -> None:
         """Revoke the timeout before it fires.
@@ -210,14 +222,22 @@ class Process(Event):
     __slots__ = ("generator", "name", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        super().__init__(sim)
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator")
+        # Every slot written once, as in Timeout.__init__.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._state = _PENDING
+        self._order = None
+        self._cancelled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        # Bootstrap: resume the process at the current time.
-        sim._wake(self._resume)
+        # Bootstrap: a scheduled call that resumes the process at the
+        # current time (Simulator._call, inlined).
+        sim._lane_append((sim.now, 1, next(sim._seq), self._resume, _STARTED))
 
     @property
     def is_alive(self) -> bool:
@@ -249,6 +269,8 @@ class Process(Event):
         sim._sched.push(sim.now, 0, next(sim._seq), err)
 
     def _resume(self, event: Event) -> None:
+        # ``event`` is the event waited on, or _STARTED for the first
+        # resume; only its _ok and _value are read.
         profiler = self.sim._profiler
         if profiler is not None:
             profiler.on_resume(self)
@@ -259,13 +281,13 @@ class Process(Event):
             else:
                 result = self.generator.throw(event._value)
         except StopIteration as stop:
-            if not self.triggered:
+            if self._state == _PENDING:
                 self.succeed(stop.value)
             return
         except BaseException as exc:  # repro: noqa[broad-except] kernel trampoline
             # The process trampoline is the one place every escaped
             # exception must be routed into Event.fail / strict re-raise.
-            if not self.triggered:
+            if self._state == _PENDING:
                 if self.sim.strict:
                     raise
                 self.fail(exc)
@@ -278,9 +300,10 @@ class Process(Event):
         if result.sim is not self.sim:
             raise SimulationError("process yielded an event from another simulator")
         self._target = result
-        if result._state == Event.PROCESSED:
-            # Already-processed events resume the process immediately.
-            self.sim._wake(self._resume, result._value, result._ok)
+        if result._state == _PROCESSED:
+            # Already-processed events resume the process at once, by a
+            # scheduled call that hands it the event itself.
+            self.sim._call(self._resume, result)
         else:
             result.callbacks.append(self._resume)
 
@@ -348,7 +371,7 @@ class AllOf(_Condition):
         return False
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
@@ -381,7 +404,7 @@ class AnyOf(_Condition):
         return False
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != _PENDING:
             return
         if event._ok:
             self.succeed(self._collect())
@@ -391,7 +414,16 @@ class AnyOf(_Condition):
 
 class Simulator:
     """The event loop over a :class:`~repro.sim.sched.HeapScheduler` of
-    (time, priority, seq, event) entries.
+    ``(time, priority, seq, fn, arg)`` entries.
+
+    An entry is one of two kinds.  An *event entry* has ``fn`` None and
+    the :class:`Event` as ``arg``: dispatching it stamps its order,
+    marks it processed and runs its callbacks.  A *scheduled call*
+    (:meth:`_call`, :meth:`_call_after`) runs ``fn(arg)`` and nothing
+    else: no event is allocated for a waiter that is known when the
+    entry is pushed.  Both kinds take the next ``seq`` and count as one
+    processed event, so the two are interchangeable to everything that
+    reads the order or the count.
 
     ``strict`` controls error propagation from processes nobody waits
     on: when True (the default) an uncaught exception inside a process
@@ -422,10 +454,11 @@ class Simulator:
         # dispatched entry.  None by default; the disabled path costs
         # one attribute check per run().
         self._sanitizer: Any = None
-        # Number of events processed so far; doubles as the processing
-        # index stamped onto each event (a plain int so callers can read
-        # it without a profiler installed).  Tombstoned (cancelled)
-        # entries are dropped without touching this counter.
+        # Number of entries (events and scheduled calls) dispatched so
+        # far; doubles as the processing index stamped onto each event
+        # (a plain int so callers can read it without a profiler
+        # installed).  Tombstoned (cancelled) entries are dropped
+        # without touching this counter.
         self.events_processed: int = 0
 
     # -- factories ---------------------------------------------------------
@@ -449,25 +482,32 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _wake(self, callback: Callable[[Event], None], value: Any = None,
-              ok: bool = True) -> None:
-        """Run ``callback`` at the current instant, as the one waiter of
-        an event already triggered with ``value``: a process bootstrap
-        or relay, or the wakeup of a link transmitter or node receiver.
+    def _call(self, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``fn(arg)`` at the current instant, after every entry
+        already pending for it: a process bootstrap or relay, or the
+        wakeup of a link transmitter or node receiver.
+
+        A scheduled call is the entry an event with ``fn`` as its only
+        callback would take, without the event.  It cannot be
+        cancelled.
         """
-        # Every slot written once, as in Timeout.__init__.
-        event = _new_event(Event)
-        event.sim = self
-        event.callbacks = [callback]
-        event._value = value
-        event._ok = ok
-        event._state = _TRIGGERED
-        event._order = None
-        event._cancelled = False
-        self._lane_append((self.now, 1, next(self._seq), event))
+        self._lane_append((self.now, 1, next(self._seq), fn, arg))
+
+    def _call_after(self, delay: float, fn: Callable[[Any], None],
+                    arg: Any = None) -> None:
+        """Run ``fn(arg)`` ``delay`` seconds from now: the entry a
+        :class:`Timeout` with ``fn`` as its only callback would take,
+        without the event (a zero delay goes on the lane, as there)."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        delay = float(delay)
+        if delay == 0.0:
+            self._lane_append((self.now, 1, next(self._seq), fn, arg))
+        else:
+            self._heappush((self.now + delay, 1, next(self._seq), fn, arg))
 
     def peek(self) -> float:
-        """Time of the next *live* scheduled event, or +inf if none.
+        """Time of the next *live* scheduled entry, or +inf if none.
 
         Tombstoned (cancelled) entries are dropped on the way, so the
         answer is the time :meth:`step` would actually advance to.
@@ -475,15 +515,15 @@ class Simulator:
         return self._sched.peek_time()
 
     def queue_depth(self) -> int:
-        """Number of live (non-tombstoned) pending events."""
+        """Number of live (non-tombstoned) pending entries."""
         return self._sched.live_count()
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one entry: an event or a scheduled call."""
         entry = self._sched.pop_one()
         if entry is None:
             raise SimulationError("step() on an empty schedule")
-        time, _, _, event = entry
+        time, _, _, fn, arg = entry
         if time < self.now:
             raise SimulationError("time went backwards")
         self.now = time
@@ -492,15 +532,18 @@ class Simulator:
             # batch ordinals aligned with run()-driven dispatch.
             self._sanitizer.on_batch(time, [entry])
             self._sanitizer.on_event(entry)
-        event._order = self.events_processed
-        self.events_processed += 1
+        order = self.events_processed
+        self.events_processed = order + 1
         if self._profiler is not None:
-            self._profiler.on_event(self.now, event,
-                                    self._sched.live_count())
-        callbacks, event.callbacks = event.callbacks, []
-        event._mark_processed()
+            self._profiler.on_event(self.now, self._sched.live_count())
+        if fn is not None:
+            fn(arg)
+            return
+        arg._order = order
+        callbacks, arg.callbacks = arg.callbacks, []
+        arg._mark_processed()
         for callback in callbacks:
-            callback(event)
+            callback(arg)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or ``until`` is reached.
@@ -513,15 +556,17 @@ class Simulator:
         priority 1 and a seq above every entry already popped, so only
         a heap entry at ``now`` with a lower seq, or an interrupt
         (priority 0), can come first, and the tuple compare finds
-        either.  A cancelled entry is dropped where it is met, with the
-        tombstone count rebalanced.
+        either (``(time, priority, seq)`` is unique, so it never
+        reaches ``fn``).  A cancelled event's entry is dropped where it
+        is met, with the tombstone count rebalanced.
 
-        The observable sequence of state changes per event (time check,
-        ``now`` advance, order stamp, profiler hook, callback drain) is
-        exactly :meth:`step`'s, so single-stepping and running are
-        indistinguishable to everything above the kernel.  An exception
-        that escapes a callback leaves every other pending entry in
-        place for the next :meth:`run` or :meth:`step`.
+        The observable sequence of state changes per entry (time check,
+        ``now`` advance, count and order stamp, profiler hook, callback
+        drain or call) is exactly :meth:`step`'s, so single-stepping
+        and running are indistinguishable to everything above the
+        kernel.  An exception that escapes a callback or a call leaves
+        every other pending entry in place for the next :meth:`run` or
+        :meth:`step`.
 
         With a race sanitizer installed, dispatch goes through
         :meth:`_run_batches` instead.
@@ -553,30 +598,34 @@ class Simulator:
                 entry = heappop()
             else:
                 break
-            time, _, _, event = entry
-            if event._cancelled:
+            time, _, _, fn, arg = entry
+            if fn is None and arg._cancelled:
                 # Rebalance the count Timeout.cancel() charged.
                 sched.tombstones -= 1
                 continue
             if time < self.now:
                 raise SimulationError("time went backwards")
             self.now = time
-            event._order = self.events_processed
-            self.events_processed += 1
+            order = self.events_processed
+            self.events_processed = order + 1
             if self._profiler is not None:
                 self._profiler.on_event(
-                    time, event, len(heap) + len(lane) - sched.tombstones)
-            callbacks = event.callbacks
-            event.callbacks = []
-            event._state = _PROCESSED
+                    time, len(heap) + len(lane) - sched.tombstones)
+            if fn is not None:
+                fn(arg)
+                continue
+            arg._order = order
+            callbacks = arg.callbacks
+            arg.callbacks = []
+            arg._state = _PROCESSED
             for callback in callbacks:
-                callback(event)
+                callback(arg)
 
     def _run_batches(self, until: Optional[float]) -> None:
         """The race sanitizer's driver: :meth:`run` with a sanitizer
         installed.
 
-        The scheduler hands over every event sharing the earliest
+        The scheduler hands over every entry sharing the earliest
         timestamp in one ``pop_batch`` call.  The sanitizer needs that
         batch as a unit: it closes read/write sets per batch, and a
         flip replay reorders a whole batch before any of it runs.  The
@@ -587,11 +636,11 @@ class Simulator:
           sorts before the remaining priority-1 batch entries, so the
           loop watches the scheduler's ``urgent_pending`` flag and
           requeues the unconsumed tail when it trips;
-        * an entry *cancelled* by an earlier batch callback is skipped
+        * an event *cancelled* by an earlier batch callback is skipped
           where it lies, with the tombstone count rebalanced.
 
-        If a callback raises, the unconsumed tail is requeued, so no
-        pending event is lost.
+        If a callback or a call raises, the unconsumed tail is
+        requeued, so no pending entry is lost.
         """
         sched = self._sched
         pop_batch = sched.pop_batch
@@ -617,22 +666,26 @@ class Simulator:
                         # every unconsumed priority-1 entry here.
                         break
                     index += 1
-                    event = entry[3]
-                    if event._cancelled:
+                    _, _, _, fn, arg = entry
+                    if fn is None and arg._cancelled:
                         # Cancelled after extraction; rebalance the
                         # count Timeout.cancel() charged.
                         sched.tombstones -= 1
                         continue
                     sanitizer.on_event(entry)
-                    event._order = self.events_processed
-                    self.events_processed += 1
+                    order = self.events_processed
+                    self.events_processed = order + 1
                     if self._profiler is not None:
                         self._profiler.on_event(
-                            time, event, sched.live_count() + (size - index))
-                    callbacks = event.callbacks
-                    event.callbacks = []
-                    event._state = _PROCESSED
+                            time, sched.live_count() + (size - index))
+                    if fn is not None:
+                        fn(arg)
+                        continue
+                    arg._order = order
+                    callbacks = arg.callbacks
+                    arg.callbacks = []
+                    arg._state = _PROCESSED
                     for callback in callbacks:
-                        callback(event)
+                        callback(arg)
             finally:
                 sched.requeue(batch[index:])

@@ -4,8 +4,10 @@ The kernel's total order over scheduled events is the tuple
 ``(time, priority, seq)``: virtual time first, then priority (0 for
 interrupts, 1 for everything else), then a global monotonic sequence
 number that makes every key unique and same-time dispatch FIFO.
-:class:`HeapScheduler` stores ``(time, priority, seq, event)`` entries
-in a flat ``heapq`` and keeps same-instant pushes in a FIFO beside it.
+:class:`HeapScheduler` stores ``(time, priority, seq, fn, arg)``
+entries in a flat ``heapq`` and keeps same-instant pushes in a FIFO
+beside it.  An event's entry has ``fn`` None and the event as ``arg``;
+a scheduled call's entry holds the function and its one argument.
 :meth:`repro.sim.Simulator.run` reads both directly, one entry at a
 time; :meth:`HeapScheduler.pop_one` and :meth:`HeapScheduler.pop_batch`
 hand them back in the same order for ``step()`` and for the race
@@ -27,23 +29,30 @@ __all__ = ["HeapScheduler", "scheduler_override"]
 _INF = float("inf")
 
 
+def _dead(entry: tuple) -> bool:
+    """Whether ``entry`` is a cancelled event's (a tombstone)."""
+    return entry[3] is None and entry[4]._cancelled
+
+
 class HeapScheduler:
-    """Binary heap of ``(time, priority, seq, event)`` entries, plus a
+    """Binary heap of ``(time, priority, seq, fn, arg)`` entries, plus a
     lane: a FIFO that :meth:`push_now` appends to.
 
     Every lane entry has the current time, priority 1 and a seq above
     any entry already popped (callers push at ``now`` with increasing
     seqs), so the lane is sorted as it stands.  The heap stays the only
-    structure for future times.  The scheduler never inspects an event
-    beyond its ``_cancelled`` flag.  Three parts of the contract matter
-    to the kernel:
+    structure for future times.  ``(time, priority, seq)`` is unique,
+    so no comparison reaches ``fn``.  The scheduler never inspects an
+    entry beyond an event's ``_cancelled`` flag; a scheduled call
+    (``fn`` not None) cannot be cancelled.  Three parts of the contract
+    matter to the kernel:
 
     * **Tombstones.**  :meth:`repro.sim.kernel.Timeout.cancel` marks the
       event and bumps ``tombstones`` instead of hunting the entry down.
       Dead entries, in the heap or the lane, are dropped — uncounted,
       without running callbacks — the moment any pop or peek reaches
       them, so :meth:`live_count` and :meth:`peek_time` describe only
-      events that will fire.
+      entries that will fire.
     * **Direct access.**  ``Simulator.run`` reads ``_heap`` and
       ``_lane`` itself: the next entry is the lane head unless
       ``_heap[0]`` compares lower, and it pops through ``_heappop`` or
@@ -73,14 +82,14 @@ class HeapScheduler:
         self.urgent_pending = False
 
     def push(self, time: float, priority: int, seq: int, event: Any) -> None:
-        """Insert a general entry (any priority, any future time)."""
-        self._heappush((time, priority, seq, event))
+        """Insert a general event entry (any priority, any future time)."""
+        self._heappush((time, priority, seq, None, event))
         if priority != 1:
             self.urgent_pending = True
 
     def push_now(self, time: float, seq: int, event: Any) -> None:
-        """Fast path: priority-1 entry at the current instant."""
-        self._lane.append((time, 1, seq, event))
+        """Fast path: priority-1 event entry at the current instant."""
+        self._lane.append((time, 1, seq, None, event))
 
     def _merge_lane(self) -> None:
         """Move the lane into the heap (rare: see the batch contract)."""
@@ -107,15 +116,15 @@ class HeapScheduler:
                 batch = list(lane)
                 lane.clear()
                 for entry in batch:
-                    if entry[3]._cancelled:
+                    if _dead(entry):
                         live = [entry for entry in batch
-                                if not entry[3]._cancelled]
+                                if not _dead(entry)]
                         self.tombstones -= len(batch) - len(live)
                         return live or self.pop_batch(until)
                 return batch
         heappop = self._heappop
         while heap:
-            if heap[0][3]._cancelled:
+            if _dead(heap[0]):
                 heappop()
                 self.tombstones -= 1
                 continue
@@ -125,7 +134,7 @@ class HeapScheduler:
             batch = [heappop()]
             while heap and heap[0][0] == time:
                 entry = heappop()
-                if entry[3]._cancelled:
+                if _dead(entry):
                     self.tombstones -= 1
                 else:
                     batch.append(entry)
@@ -140,7 +149,7 @@ class HeapScheduler:
         heap = self._heap
         while heap:
             entry = self._heappop()
-            if entry[3]._cancelled:
+            if _dead(entry):
                 self.tombstones -= 1
                 continue
             return entry
@@ -158,7 +167,7 @@ class HeapScheduler:
             self._merge_lane()
         heap = self._heap
         while heap:
-            if heap[0][3]._cancelled:
+            if _dead(heap[0]):
                 self._heappop()
                 self.tombstones -= 1
                 continue

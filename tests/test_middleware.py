@@ -1,5 +1,8 @@
 """Tests for mobile middleware: WML/WMLC, cHTML, adaptation, WAP, i-mode."""
 
+import base64
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +18,9 @@ from repro.middleware import (
     WML_CONTENT_TYPE,
     WMLC_CONTENT_TYPE,
     CHTML_CONTENT_TYPE,
+    decode_obj,
     decode_wmlc,
+    encode_obj,
     encode_wmlc,
     html_to_wml,
     is_compact,
@@ -140,6 +145,20 @@ def test_personalize_applies_rules():
         return html.upper()
 
     assert personalize("<p>hi</p>", {}, rules=[shout]) == "<P>HI</P>"
+
+
+def test_encode_obj_bytes_are_compact_json():
+    """The shared encoder gives exactly what json.dumps gave, bytes
+    values travel as base64 and anything else unencodable is refused."""
+    obj = {"status": 200, "body": b"\x00\xffwml", "headers": {"x": "\u00e9"},
+           "list": [1, 2.5, None, True], "inf": float("inf")}
+    prepared = dict(obj, body={"__b64__": base64.b64encode(obj["body"])
+                               .decode()})
+    expected = json.dumps(prepared, separators=(",", ":")).encode()
+    assert encode_obj(obj) == expected
+    assert decode_obj(encode_obj(obj)) == obj
+    with pytest.raises(TypeError, match="unencodable set"):
+        encode_obj({"bad": {1}})
 
 
 def test_split_url():

@@ -151,6 +151,34 @@ def test_link_down_blackholes():
     assert len(got) == 1
 
 
+def test_losses_on_arrival_are_counted():
+    """A frame that leaves the wire but meets a link gone down during
+    propagation, or a detached interface, is a drop, not a delivery."""
+    sim = Simulator()
+    # 100-byte packets: 0.8 ms serialization, then 10 ms propagation.
+    net, a, b = two_host_net(sim, bandwidth_bps=1_000_000, delay=0.010)
+    link = net.links[0]
+    got = []
+    b.register_protocol("test", lambda n, p: got.append(p))
+
+    def send():
+        a.send_ip(Packet(src=a.primary_address, dst=b.primary_address,
+                         proto="test", payload_size=80))
+
+    send()
+    sim.run(until=0.005)
+    link.take_down()
+    sim.run(until=0.02)
+    link.bring_up()
+    assert link.stats.as_dict() == {"down_drops": 1}
+    b.interfaces[0].detach()
+    send()
+    sim.run()
+    assert got == []
+    assert link.stats.as_dict() == {"down_drops": 1}
+    assert b.stats.as_dict() == {"iface_down_drops": 1}
+
+
 def test_queue_tail_drop():
     sim = Simulator()
     net, a, b = two_host_net(sim, bandwidth_bps=1000.0, queue_capacity=2)

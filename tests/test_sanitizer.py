@@ -132,6 +132,31 @@ def test_read_read_is_not_a_hazard():
     assert sanitizer.hazards == []
 
 
+def _poke(shared):
+    shared["k"] = "call"
+
+
+def test_hazard_names_scheduled_calls():
+    """A process bootstrap (a scheduled call) reads as the event
+    resuming that process; any other call by its function's name."""
+    recorder = AccessRecorder()
+    sanitizer = BatchSanitizer(recorder)
+    sim = Simulator()
+    install_sanitizer(sim, sanitizer)
+    shared = TrackedDict({}, recorder, "shared")
+
+    def writer(env):
+        shared["k"] = "process"
+        yield env.timeout(1.0)
+
+    sim.spawn(writer(sim), name="w")
+    sim._call(_poke, shared)
+    sim.run()
+    sanitizer.finalize()
+    (hazard,) = sanitizer.hazards
+    assert hazard["events"] == ["event resuming 'w' (seq 0)", "_poke (seq 1)"]
+
+
 def test_flip_directive_transposes_the_pair():
     baseline_sanitizer, baseline = _run_pair()
     seq_a, seq_b = baseline_sanitizer.hazards[0]["flip_seqs"]

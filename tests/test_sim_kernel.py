@@ -37,6 +37,33 @@ def test_negative_timeout_rejected():
         sim.timeout(-1)
 
 
+def test_negative_call_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim._call_after(-1, print)
+    assert sim.queue_depth() == 0
+
+
+def test_scheduled_calls_take_their_place_in_the_event_order():
+    """A scheduled call takes the next seq and counts as one processed
+    event, so calls and events interleave in push order at each
+    instant, and a zero-delay call goes on the lane as a zero timeout
+    does."""
+    sim = Simulator()
+    log = []
+    sim.timeout(1.0).callbacks.append(lambda ev: log.append(("t", ev._order)))
+    sim._call_after(1.0, log.append, "c1")
+    sim._call(log.append, "c0")
+    event = sim.event()
+    event.callbacks.append(lambda ev: log.append(("e", ev._order)))
+    event.succeed()
+    sim._call_after(0, log.append, "z")
+    sim.run()
+    assert log == ["c0", ("e", 1), "z", ("t", 3), "c1"]
+    assert sim.events_processed == 5
+    assert sim.now == 1.0
+
+
 def test_timeout_carries_value():
     sim = Simulator()
     got = []
@@ -590,29 +617,41 @@ def test_mid_batch_escapes_match_single_stepping(scenario):
     assert logs[0] == logs[1] == logs[2]
 
 
-@pytest.mark.parametrize("kind", ["heap", "lane"])
+@pytest.mark.parametrize("kind", ["heap", "lane", "call-heap", "call-lane"])
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_escaped_exception_keeps_the_rest_of_its_batch(driver, kind):
-    """Three events share t=1 (three timeouts in the heap, or three
-    succeed() entries in the lane) and the first callback raises.  The
-    other two must stay pending and run on the next drive."""
+    """Three entries share t=1 (three timeouts in the heap, three
+    succeed() entries in the lane, or three scheduled calls in either)
+    and the first callback or call raises.  The other two must stay
+    pending and run on the next drive."""
     sim = _simulator(driver)
-    if kind == "heap":
-        events = [sim.timeout(1.0) for _ in range(3)]
-    else:
-        sim.run(until=1.0)
-        events = [sim.event() for _ in range(3)]
     log = []
 
-    def boom(ev):
+    def boom(_):
         raise RuntimeError("boom")
 
-    events[0].callbacks.append(boom)
-    for name, event in zip("abc", events):
-        event.callbacks.append(lambda ev, n=name: log.append((n, sim.now)))
-    if kind == "lane":
-        for event in events:
-            event.succeed()
+    def note(name):
+        return lambda _: log.append((name, sim.now))
+
+    if kind.endswith("lane"):
+        sim.run(until=1.0)
+    if kind.startswith("call"):
+        for fn in (boom, note("b"), note("c")):
+            if kind == "call-heap":
+                sim._call_after(1.0, fn)
+            else:
+                sim._call(fn)
+    else:
+        if kind == "heap":
+            events = [sim.timeout(1.0) for _ in range(3)]
+        else:
+            events = [sim.event() for _ in range(3)]
+        events[0].callbacks.append(boom)
+        for name, event in zip("abc", events):
+            event.callbacks.append(note(name))
+        if kind == "lane":
+            for event in events:
+                event.succeed()
     with pytest.raises(RuntimeError, match="boom"):
         _drive(sim, driver)
     assert sim.events_processed == 1
@@ -625,23 +664,29 @@ def test_escaped_exception_keeps_the_rest_of_its_batch(driver, kind):
 
 # ------------------------------------- one order under every driver
 class _DepthLog:
-    """Duck-typed kernel profiler that records what the kernel passes."""
+    """Duck-typed kernel profiler that records what the kernel passes,
+    with the index of the entry being dispatched (a scheduled call
+    carries no order stamp of its own)."""
 
-    def __init__(self):
+    def __init__(self, sim):
+        self.sim = sim
         self.seen = []
 
-    def on_event(self, now, event, queue_depth):
-        self.seen.append((event._order, now, queue_depth))
+    def on_event(self, now, queue_depth):
+        self.seen.append((self.sim.events_processed - 1, now, queue_depth))
 
     def on_resume(self, process):
         self.seen.append(("resume", process.name))
 
 
+_DELAYS = st.one_of(st.just(0.0), st.just(1e-18),
+                    st.floats(min_value=1e-3, max_value=5.0))
+
 _OPS = st.one_of(
-    st.tuples(st.just("timeout"),
-              st.one_of(st.just(0.0), st.just(1e-18),
-                        st.floats(min_value=1e-3, max_value=5.0))),
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.tuples(st.just("call_after"), _DELAYS),
     st.tuples(st.just("succeed"), st.just(0)),
+    st.tuples(st.just("call"), st.just(0)),
     st.tuples(st.just("sleep"), st.floats(min_value=0.0, max_value=5.0)),
     st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("cancel"), st.integers(0, 7)),
@@ -654,7 +699,7 @@ def _replay(tape, driver):
     drive).  The tape is consumed in dispatch order, so two drivers
     that dispatch alike build the same schedule."""
     sim = _simulator(driver)
-    profile = sim._profiler = _DepthLog()
+    profile = sim._profiler = _DepthLog(sim)
     log = []
     timers, spawned, sleeping = [], {}, []
     names = itertools.count()
@@ -662,7 +707,11 @@ def _replay(tape, driver):
 
     def on_fire(name):
         def callback(event):
-            log.append((name, sim.now, event._order))
+            # A scheduled call passes None and has no order stamp: it
+            # is the entry just counted.
+            order = (sim.events_processed - 1 if event is None
+                     else event._order)
+            log.append((name, sim.now, order))
             fired[0] += 1
             if fired[0] < len(tape):
                 perform(tape[fired[0]])
@@ -684,10 +733,14 @@ def _replay(tape, driver):
                 timer = sim.timeout(arg)
                 timer.callbacks.append(on_fire(name))
                 timers.append(timer)
+            elif op == "call_after":
+                sim._call_after(arg, on_fire(name))
             elif op == "succeed":
                 event = sim.event()
                 event.callbacks.append(on_fire(name))
                 event.succeed()
+            elif op == "call":
+                sim._call(on_fire(name))
             elif op == "sleep":
                 spawned[name] = sim.spawn(sleeper(sim, name, arg), name=name)
             elif op == "interrupt" and sleeping:
@@ -703,11 +756,12 @@ def _replay(tape, driver):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tape=st.lists(st.lists(_OPS, max_size=4), min_size=1, max_size=40))
 def test_run_sanitized_run_and_step_dispatch_alike(tape):
-    """Random schedules mixing zero, rounding-to-now and random delays,
-    succeed() chains fired from callbacks, interrupts and cancellations
-    of lane and heap entries: the dispatch log, the order stamps, the
-    event count and the queue depth the profiler sees are the same
-    under run(), sanitized run() and step()."""
+    """Random schedules mixing zero, rounding-to-now and random delays
+    of timeouts and scheduled calls, succeed() and call chains fired
+    from callbacks, interrupts and cancellations of lane and heap
+    entries: the dispatch log, the order stamps, the event count and
+    the queue depth the profiler sees are the same under run(),
+    sanitized run() and step()."""
     runs = [_replay(tape, driver) for driver in DRIVERS]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][3] == 0
