@@ -404,6 +404,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -474,7 +482,7 @@ def main(argv=None) -> int:
                             "default to 4)")
     chaos.add_argument("--transactions", type=_positive_int, default=8,
                        help="transactions per station")
-    chaos.add_argument("--horizon", type=float, default=240.0,
+    chaos.add_argument("--horizon", type=_positive_float, default=240.0,
                        help="sim-seconds to run")
     chaos.add_argument("--middleware", default="WAP",
                        choices=["WAP", "i-mode", "Palm"])
@@ -507,7 +515,7 @@ def main(argv=None) -> int:
                           help="chaos scenarios: stations")
     sanitize.add_argument("--transactions", type=_positive_int, default=3,
                           help="transactions per user/station")
-    sanitize.add_argument("--horizon", type=float, default=120.0,
+    sanitize.add_argument("--horizon", type=_positive_float, default=120.0,
                           help="sim-seconds to run (default 120)")
     sanitize.add_argument("--intensity", type=float, default=0.5,
                           help="chaos scenarios: fault intensity")
@@ -529,7 +537,7 @@ def main(argv=None) -> int:
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument("--transactions", type=_positive_int, default=4,
                        help="transactions per user (default 4)")
-    bench.add_argument("--horizon", type=float, default=240.0,
+    bench.add_argument("--horizon", type=_positive_float, default=240.0,
                        help="sim-seconds to run (default 240)")
     repeat = bench.add_mutually_exclusive_group()
     repeat.add_argument("--sweep", default=None, metavar="N,N,...",

@@ -2,11 +2,10 @@
 
 Events sharing a timestamp are dispatched in tie-break order.  A run's
 output must not depend on that order.  The sanitizer (:mod:`.sanitizer`
-+ :mod:`.runner`) checks it: once installed, it makes
-:meth:`repro.sim.Simulator.run` dispatch through its batched loop,
-which pops every event sharing the earliest timestamp as one
-``pop_batch`` batch.  It records per-event read/write sets over
-instrumented shared state for every such batch, flags non-commutative
++ :mod:`.runner`) checks it: once installed, it sees every entry the
+kernel dispatches and groups the entries sharing a timestamp into
+batches.  It records per-event read/write sets over instrumented
+shared state for every batch, flags non-commutative
 pairs (write/write or read/write overlap inside one batch), and
 *confirms* each hazard by deterministically replaying the run with the
 flagged batch dispatched in flipped order and diffing the final state

@@ -4,7 +4,8 @@ One :func:`run_sanitize` call is two-phase:
 
 1. **Detection run** — the scenario executes once with its shared
    state swapped for tracked containers and a :class:`BatchSanitizer`
-   installed on the kernel.  Every same-timestamp batch's per-event
+   installed on the kernel, which forms the same-timestamp batches
+   from the entries the kernel dispatches.  Every batch's per-event
    read/write sets are scanned for write/write or read/write overlap;
    each overlapping batch becomes one *hazard*.  The run's canonical
    deterministic output (the bench report's ``deterministic`` section,

@@ -1,11 +1,11 @@
 """Same-timestamp commutativity sanitizer.
 
-With a sanitizer installed, the kernel dispatches every event sharing
-the earliest timestamp as one ``pop_batch`` batch (see
-:meth:`repro.sim.Simulator._run_batches`), in the order its one-entry
-loop would give them.  Entries in a batch have no intra-batch causal
-edges through the kernel — they were all scheduled before dispatch
-began — so their relative order is the kernel's tie-break, not
+Entries sharing a timestamp are dispatched in the kernel's tie-break
+order, ``(priority, seq)``.  The sanitizer groups them into *batches*
+as the kernel hands them over (the batch rule is stated once, in
+:class:`BatchSanitizer`).  Entries in one batch were all pending
+before its first one ran, so they have no causal edges through the
+kernel between them: their relative order is the tie-break, not
 causality.  The sanitizer asks whether the output depends on that
 tie-break: *do they commute?*
 
@@ -21,9 +21,10 @@ Three pieces:
   computes byte-identical results.
 * :class:`BatchSanitizer` — the kernel hook (installed via
   :func:`install_sanitizer`, duck-typed like the tracer/profiler).
-  For every batch it closes per-event read/write sets and flags
-  *hazards*: two events in one batch whose sets overlap on a key with
-  at least one write (write/write, or read/write in either order).
+  It forms the batches, closes each one's per-event read/write sets
+  and flags *hazards*: two events in one batch whose sets overlap on a
+  key with at least one write (write/write, or read/write in either
+  order).
 * :class:`FlipDirective` — the confirmation tool.  A hazard is only a
   *candidate*; the proof is behavioural.  A second, fully
   deterministic run replays the scenario with the flagged batch
@@ -43,6 +44,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
+
+from ...sim.sched import _dead
 
 __all__ = [
     "AccessRecorder",
@@ -223,7 +226,7 @@ class TrackedList(list):
 class FlipDirective:
     """Replay instruction: flip one batch's dispatch order.
 
-    ``ordinal`` counts ``pop_batch`` calls from run start; the replay
+    ``ordinal`` counts batches from run start; the replay
     is byte-identical to the baseline up to that batch, so the ordinal
     (and the recorded sequence numbers) identify the same batch in
     both runs.  ``mode`` is ``"pair"`` (transpose the two conflicting
@@ -258,53 +261,108 @@ class FlipDirective:
 
 
 # ------------------------------------------------------------- the hook
+#: Hazards kept per run; the scan stops once this many are flagged.
+_MAX_HAZARDS = 64
+
+
 class BatchSanitizer:
     """Kernel dispatch hook: batch accounting, hazard flagging, flips.
 
     Installed on a :class:`~repro.sim.Simulator` via
-    :func:`install_sanitizer`; the kernel calls :meth:`on_batch` with
-    every popped batch (the return value replaces the batch, which is
-    how flips happen) and :meth:`on_event` right before dispatching
-    each live entry.  Call :meth:`finalize` after the run to close the
-    last batch.
+    :func:`install_sanitizer`; ``run()`` and ``step()`` hand
+    :meth:`on_entry` every live entry before dispatching it, and
+    dispatch the entry it returns.  Call :meth:`finalize` after the
+    run to close the last batch.
+
+    A *batch* is every live entry at one time that is pending when the
+    batch's first entry is taken.  So an entry opens a new batch when
+    its time differs from the open batch's, or when its seq is above
+    every seq in the open batch (it was pushed after that batch
+    began).  Opening a batch reads the scheduler's lane and the heap
+    entries at that time without changing them, except at the
+    :class:`FlipDirective`'s ordinal: there the batch is taken out of
+    the scheduler, flipped, and handed the batch's sorted
+    ``(time, priority, seq)`` keys in its flipped order, so the kernel
+    dispatches it flipped.
     """
 
     def __init__(self, recorder: Optional[AccessRecorder] = None,
-                 flip: Optional[FlipDirective] = None,
-                 max_hazards: int = 64):
+                 flip: Optional[FlipDirective] = None):
         self.recorder = recorder
         self.flip = flip
-        self.max_hazards = max_hazards
         self.hazards: list[dict] = []
         self.batches = 0
         self.multi_event_batches = 0
         self.events_seen = 0
+        self._sched: Any = None  # set by install_sanitizer
         self._ordinal = -1
         self._batch_time = 0.0
+        self._batch_max_seq = -1
         self._batch_entries: list[tuple] = []
         self._descriptions: dict[int, str] = {}
 
     # -- kernel-facing ----------------------------------------------------
-    def on_batch(self, time: float, batch: list) -> list:
-        self._close_batch()
-        self._ordinal += 1
-        self.batches += 1
-        if len(batch) > 1:
-            self.multi_event_batches += 1
-        if self.flip is not None and self._ordinal == self.flip.ordinal:
-            batch = self.flip.apply(batch)
-        self._batch_time = time
-        self._batch_entries = []
-        self._descriptions = {}
-        return batch
-
-    def on_event(self, entry: tuple) -> None:
+    def on_entry(self, entry: tuple) -> tuple:
+        """Note ``entry``, opening a batch first if it starts one;
+        returns the entry to dispatch in its place."""
+        if entry[0] != self._batch_time or entry[2] > self._batch_max_seq:
+            entry = self._open_batch(entry)
         self.events_seen += 1
         index = len(self._batch_entries)
         self._batch_entries.append(entry)
         if self.recorder is not None:
             self._descriptions[index] = _describe(entry)
             self.recorder.begin_event(index)
+        return entry
+
+    def _open_batch(self, entry: tuple) -> tuple:
+        self._close_batch()
+        self._ordinal += 1
+        self.batches += 1
+        time = entry[0]
+        rest = self._pending_at(time)
+        if rest:
+            self.multi_event_batches += 1
+        self._batch_max_seq = max([entry[2]] + [e[2] for e in rest])
+        self._batch_time = time
+        self._batch_entries = []
+        self._descriptions = {}
+        if self.flip is not None and self._ordinal == self.flip.ordinal:
+            entry = self._flip_batch(entry)
+        return entry
+
+    def _pending_at(self, time: float) -> list:
+        """The live entries at ``time`` still in the scheduler: the
+        whole lane (it holds only the current instant) and the heap's
+        entries at ``time``, which form a subtree under its root."""
+        heap = self._sched._heap
+        found = [e for e in self._sched._lane if not _dead(e)]
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            if index < len(heap) and heap[index][0] == time:
+                if not _dead(heap[index]):
+                    found.append(heap[index])
+                stack += (2 * index + 1, 2 * index + 2)
+        return found
+
+    def _flip_batch(self, entry: tuple) -> tuple:
+        """Take the open batch out of the scheduler, flip it, and re-key
+        it so its entries dispatch in flipped order; returns the first
+        and pushes the rest back into the heap."""
+        sched = self._sched
+        heap = sched._heap
+        taken = [entry] + list(sched._lane)
+        sched._lane.clear()
+        while heap and heap[0][0] == entry[0]:
+            taken.append(sched._heappop())
+        batch = sorted(e for e in taken if not _dead(e))
+        sched.tombstones -= len(taken) - len(batch)
+        flipped = self.flip.apply(batch)
+        rekeyed = [old[:3] + new[3:] for old, new in zip(batch, flipped)]
+        for later in rekeyed[1:]:
+            sched._heappush(later)
+        return rekeyed[0]
 
     def finalize(self) -> None:
         self._close_batch()
@@ -322,7 +380,7 @@ class BatchSanitizer:
             reads.clear()
             writes.clear()
             return
-        if len(self.hazards) < self.max_hazards:
+        if len(self.hazards) < _MAX_HAZARDS:
             self._scan_conflicts(entries, reads, writes)
         reads.clear()
         writes.clear()
@@ -414,6 +472,7 @@ def _describe(entry: tuple) -> str:
 # ----------------------------------------------------------- installation
 def install_sanitizer(sim, sanitizer: BatchSanitizer) -> BatchSanitizer:
     """Attach ``sanitizer`` to ``sim`` (duck-typed, like the tracer)."""
+    sanitizer._sched = sim._sched
     sim._sanitizer = sanitizer
     return sanitizer
 

@@ -127,9 +127,6 @@ class CanaryController:
                                      reason="canary-promote")
             self.fleet.add_member(version="v2", handicap=self.handicap,
                                   cell_index=member.cell_index)
-        # Members added after promotion are v2 builds too.
-        self.fleet.default_version = "v2"
-        self.fleet.default_handicap = self.handicap
         self.state = CanaryController.PROMOTED
         self.stats.incr("promotions")
 

@@ -98,25 +98,17 @@ class GatewayFleet:
         self._make_gateway = make_gateway
         self.members: dict[str, FleetMember] = {}
         self.stats = Counter()
-        self.default_version = "v1"
-        self.default_handicap = 0.0
         self._next_index = 0
 
     # -- membership --------------------------------------------------------
-    def add_member(self, version: Optional[str] = None,
-                   handicap: Optional[float] = None,
+    def add_member(self, version: str = "v1", handicap: float = 0.0,
                    cell_index: Optional[int] = None) -> FleetMember:
         # Membership changes come only from the phase-offset monitor
         # loops (health 0.111 / canary 0.333), so no two writers ever
-        # share a same-timestamp kernel batch; the dynamic sanitizer
+        # share a same-timestamp batch; the dynamic sanitizer
         # confirms this over the fleet scenarios.
         index = self._next_index
         self._next_index += 1
-        if version is None:
-            version = self.default_version
-        if handicap is None:
-            handicap = (self.default_handicap
-                        if version == self.default_version else 0.0)
         if cell_index is None:
             cell_index = index % self.n_cells
         port = self.base_port + index * self.port_stride

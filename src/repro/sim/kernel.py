@@ -266,7 +266,7 @@ class Process(Event):
             target.cancel()
         self._target = None
         sim = self.sim
-        sim._sched.push(sim.now, 0, next(sim._seq), err)
+        sim._heappush((sim.now, 0, next(sim._seq), None, err))
 
     def _resume(self, event: Event) -> None:
         # ``event`` is the event waited on, or _STARTED for the first
@@ -434,10 +434,10 @@ class Simulator:
         self.now: float = 0.0
         self.strict = strict
         self._sched = HeapScheduler()
-        # Bound caches for the two priority-1 push paths: triggering is
-        # the kernel's hottest path.  A same-instant entry goes straight
-        # onto the scheduler's lane (HeapScheduler.push_now without the
-        # call), a future one straight into its heap.
+        # Bound caches for the two push paths: triggering is the
+        # kernel's hottest path.  A same-instant priority-1 entry goes
+        # straight onto the scheduler's lane, any other one straight
+        # into its heap.
         self._lane_append = self._sched._lane.append
         self._heappush = self._sched._heappush
         self._seq = itertools.count()
@@ -449,10 +449,10 @@ class Simulator:
         self._profiler: Any = None
         # Same duck-typed pattern for the commutativity sanitizer
         # (repro.analysis.races.BatchSanitizer): when installed, run()
-        # dispatches through _run_batches, which shows it every popped
-        # batch (it may reorder one for a flip replay) plus every
-        # dispatched entry.  None by default; the disabled path costs
-        # one attribute check per run().
+        # and step() hand it every live entry before dispatching it and
+        # dispatch the entry it returns (a flip replay swaps in another
+        # entry of the same batch).  None by default; the disabled path
+        # costs one local check per entry.
         self._sanitizer: Any = None
         # Number of entries (events and scheduled calls) dispatched so
         # far; doubles as the processing index stamped onto each event
@@ -523,15 +523,12 @@ class Simulator:
         entry = self._sched.pop_one()
         if entry is None:
             raise SimulationError("step() on an empty schedule")
+        if self._sanitizer is not None:
+            entry = self._sanitizer.on_entry(entry)
         time, _, _, fn, arg = entry
         if time < self.now:
             raise SimulationError("time went backwards")
         self.now = time
-        if self._sanitizer is not None:
-            # A single step is a batch of one; keeps the sanitizer's
-            # batch ordinals aligned with run()-driven dispatch.
-            self._sanitizer.on_batch(time, [entry])
-            self._sanitizer.on_event(entry)
         order = self.events_processed
         self.events_processed = order + 1
         if self._profiler is not None:
@@ -551,14 +548,14 @@ class Simulator:
         Dispatch takes one entry at a time, in ``(time, priority, seq)``
         order, straight from the scheduler's lane and heap: the next
         entry is the lane head unless the heap's head compares lower as
-        a tuple.  That is the order a heap alone would give, with
-        nothing to requeue: every lane entry has ``time == now``,
-        priority 1 and a seq above every entry already popped, so only
-        a heap entry at ``now`` with a lower seq, or an interrupt
-        (priority 0), can come first, and the tuple compare finds
-        either (``(time, priority, seq)`` is unique, so it never
-        reaches ``fn``).  A cancelled event's entry is dropped where it
-        is met, with the tombstone count rebalanced.
+        a tuple.  That is the order a heap alone would give: every
+        lane entry has ``time == now``, priority 1 and a seq above
+        every entry already popped, so only a heap entry at ``now``
+        with a lower seq, or an interrupt (priority 0), can come first,
+        and the tuple compare finds either (``(time, priority, seq)``
+        is unique, so it never reaches ``fn``).  A cancelled event's
+        entry is dropped where it is met, with the tombstone count
+        rebalanced.
 
         The observable sequence of state changes per entry (time check,
         ``now`` advance, count and order stamp, profiler hook, callback
@@ -568,25 +565,22 @@ class Simulator:
         every other pending entry in place for the next :meth:`run` or
         :meth:`step`.
 
-        With a race sanitizer installed, dispatch goes through
-        :meth:`_run_batches` instead.
+        An installed race sanitizer sees each live entry before it is
+        dispatched, and the entry it returns is dispatched in its place
+        (see :class:`repro.analysis.races.BatchSanitizer`).
         """
-        if until is not None and until < self.now:
+        if until is None:
+            stop = _INF
+        elif until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
-        if self._sanitizer is not None:
-            self._run_batches(until)
         else:
-            self._run_entries(_INF if until is None else until)
-        if until is not None:
-            self.now = until
-
-    def _run_entries(self, until: float) -> None:
-        """The one-entry loop behind :meth:`run`."""
+            stop = until
         sched = self._sched
         heap = sched._heap
         heappop = sched._heappop
         lane = sched._lane
         lane_pop = lane.popleft
+        sanitizer = self._sanitizer
         while True:
             if lane:
                 entry = lane[0]
@@ -594,7 +588,7 @@ class Simulator:
                     entry = heappop()
                 else:
                     lane_pop()
-            elif heap and heap[0][0] <= until:
+            elif heap and heap[0][0] <= stop:
                 entry = heappop()
             else:
                 break
@@ -603,6 +597,8 @@ class Simulator:
                 # Rebalance the count Timeout.cancel() charged.
                 sched.tombstones -= 1
                 continue
+            if sanitizer is not None:
+                time, _, _, fn, arg = sanitizer.on_entry(entry)
             if time < self.now:
                 raise SimulationError("time went backwards")
             self.now = time
@@ -620,72 +616,5 @@ class Simulator:
             arg._state = _PROCESSED
             for callback in callbacks:
                 callback(arg)
-
-    def _run_batches(self, until: Optional[float]) -> None:
-        """The race sanitizer's driver: :meth:`run` with a sanitizer
-        installed.
-
-        The scheduler hands over every entry sharing the earliest
-        timestamp in one ``pop_batch`` call.  The sanitizer needs that
-        batch as a unit: it closes read/write sets per batch, and a
-        flip replay reorders a whole batch before any of it runs.  The
-        dispatch order is the one-entry loop's; two cases re-involve
-        the scheduler mid-batch:
-
-        * an *interrupt* (priority 0) scheduled by a batch callback
-          sorts before the remaining priority-1 batch entries, so the
-          loop watches the scheduler's ``urgent_pending`` flag and
-          requeues the unconsumed tail when it trips;
-        * an event *cancelled* by an earlier batch callback is skipped
-          where it lies, with the tombstone count rebalanced.
-
-        If a callback or a call raises, the unconsumed tail is
-        requeued, so no pending entry is lost.
-        """
-        sched = self._sched
-        pop_batch = sched.pop_batch
-        sanitizer = self._sanitizer
-        while True:
-            batch = pop_batch(until)
-            if not batch:
-                break
-            time = batch[0][0]
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            # The sanitizer closes the previous batch's read/write sets
-            # and may return a reordered batch (flip replay).
-            batch = sanitizer.on_batch(time, batch)
-            index = 0
-            size = len(batch)
-            try:
-                while index < size:
-                    entry = batch[index]
-                    if sched.urgent_pending and entry[1] >= 1:
-                        # An interrupt arrived mid-batch; it outranks
-                        # every unconsumed priority-1 entry here.
-                        break
-                    index += 1
-                    _, _, _, fn, arg = entry
-                    if fn is None and arg._cancelled:
-                        # Cancelled after extraction; rebalance the
-                        # count Timeout.cancel() charged.
-                        sched.tombstones -= 1
-                        continue
-                    sanitizer.on_event(entry)
-                    order = self.events_processed
-                    self.events_processed = order + 1
-                    if self._profiler is not None:
-                        self._profiler.on_event(
-                            time, sched.live_count() + (size - index))
-                    if fn is not None:
-                        fn(arg)
-                        continue
-                    arg._order = order
-                    callbacks = arg.callbacks
-                    arg.callbacks = []
-                    arg._state = _PROCESSED
-                    for callback in callbacks:
-                        callback(arg)
-            finally:
-                sched.requeue(batch[index:])
+        if until is not None:
+            self.now = until

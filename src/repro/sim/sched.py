@@ -9,9 +9,8 @@ entries in a flat ``heapq`` and keeps same-instant pushes in a FIFO
 beside it.  An event's entry has ``fn`` None and the event as ``arg``;
 a scheduled call's entry holds the function and its one argument.
 :meth:`repro.sim.Simulator.run` reads both directly, one entry at a
-time; :meth:`HeapScheduler.pop_one` and :meth:`HeapScheduler.pop_batch`
-hand them back in the same order for ``step()`` and for the race
-sanitizer's batched loop.
+time; :meth:`HeapScheduler.pop_one` hands them back in the same order
+for ``step()``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import heapq
 from collections import deque
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Optional
+from typing import Optional
 
 __all__ = ["HeapScheduler", "scheduler_override"]
 
@@ -36,16 +35,17 @@ def _dead(entry: tuple) -> bool:
 
 class HeapScheduler:
     """Binary heap of ``(time, priority, seq, fn, arg)`` entries, plus a
-    lane: a FIFO that :meth:`push_now` appends to.
+    lane: a FIFO of priority-1 entries pushed for the current instant.
 
     Every lane entry has the current time, priority 1 and a seq above
     any entry already popped (callers push at ``now`` with increasing
-    seqs), so the lane is sorted as it stands.  The heap stays the only
-    structure for future times.  ``(time, priority, seq)`` is unique,
-    so no comparison reaches ``fn``.  The scheduler never inspects an
-    entry beyond an event's ``_cancelled`` flag; a scheduled call
-    (``fn`` not None) cannot be cancelled.  Three parts of the contract
-    matter to the kernel:
+    seqs), so the lane is sorted as it stands.  The heap holds every
+    other entry: future times, interrupts (priority 0), and delays
+    that round to ``now``.  ``(time, priority, seq)`` is unique, so no
+    comparison reaches ``fn``.  The scheduler never inspects an entry
+    beyond an event's ``_cancelled`` flag; a scheduled call (``fn``
+    not None) cannot be cancelled.  Two parts of the contract matter
+    to the kernel:
 
     * **Tombstones.**  :meth:`repro.sim.kernel.Timeout.cancel` marks the
       event and bumps ``tombstones`` instead of hunting the entry down.
@@ -53,23 +53,14 @@ class HeapScheduler:
       without running callbacks — the moment any pop or peek reaches
       them, so :meth:`live_count` and :meth:`peek_time` describe only
       entries that will fire.
-    * **Direct access.**  ``Simulator.run`` reads ``_heap`` and
-      ``_lane`` itself: the next entry is the lane head unless
-      ``_heap[0]`` compares lower, and it pops through ``_heappop`` or
-      the lane's ``popleft``.  ``_heappush`` and ``_heappop`` are
-      ``heapq`` calls bound to the heap, so neither adds a Python frame.
-      The lane is emptied in place, never replaced, so the kernel holds
+    * **One next-entry rule.**  The next entry is the lane head unless
+      ``_heap[0]`` compares lower.  ``Simulator.run`` applies it to
+      ``_heap`` and ``_lane`` itself, popping through ``_heappop`` or
+      the lane's ``popleft``; :meth:`pop_one` and :meth:`peek_time`
+      apply it here.  ``_heappush`` and ``_heappop`` are ``heapq``
+      calls bound to the heap, so neither adds a Python frame.  The
+      lane is emptied in place, never replaced, so the kernel holds
       its bound ``append`` as the push-now fast path.
-    * **The batch**, for the race sanitizer's loop only.
-      :meth:`pop_batch` returns every live entry sharing the earliest
-      time, in order.  When no heap entry shares the lane's time, the
-      lane is the batch; otherwise (a same-time :meth:`push` or
-      :meth:`requeue`) it is merged into the heap first.  Either way
-      the batch, and where it ends, is the one a heap alone would give.
-      ``urgent_pending`` is set whenever a priority != 1 entry is
-      pushed, so that loop notices an interrupt that arrives mid-batch
-      and hands the unconsumed tail back through :meth:`requeue`; the
-      next :meth:`pop_batch` or :meth:`pop_one` clears it.
     """
 
     def __init__(self):
@@ -79,100 +70,34 @@ class HeapScheduler:
         self._heappop = partial(heapq.heappop, self._heap)
         #: Cancelled-but-not-yet-dropped entries (see Timeout.cancel).
         self.tombstones = 0
-        self.urgent_pending = False
 
-    def push(self, time: float, priority: int, seq: int, event: Any) -> None:
-        """Insert a general event entry (any priority, any future time)."""
-        self._heappush((time, priority, seq, None, event))
-        if priority != 1:
-            self.urgent_pending = True
-
-    def push_now(self, time: float, seq: int, event: Any) -> None:
-        """Fast path: priority-1 event entry at the current instant."""
-        self._lane.append((time, 1, seq, None, event))
-
-    def _merge_lane(self) -> None:
-        """Move the lane into the heap (rare: see the batch contract)."""
-        for entry in self._lane:
-            self._heappush(entry)
-        self._lane.clear()
-
-    def pop_batch(self, until: Optional[float]) -> list:
-        """All live entries sharing the earliest time, in order.
-
-        Returns ``[]`` when nothing is pending or the earliest live
-        entry lies beyond ``until``.
-        """
-        self.urgent_pending = False
+    def _head(self) -> tuple:
+        """The next live entry and the callable that removes it, or
+        ``(None, None)``; drops the tombstones met on the way."""
         heap = self._heap
         lane = self._lane
-        if lane:
-            time = lane[0][0]
-            if heap and heap[0][0] <= time:
-                self._merge_lane()
-            elif until is not None and time > until:
-                return []
+        while lane or heap:
+            if lane and not (heap and heap[0] < lane[0]):
+                entry, take = lane[0], lane.popleft
             else:
-                batch = list(lane)
-                lane.clear()
-                for entry in batch:
-                    if _dead(entry):
-                        live = [entry for entry in batch
-                                if not _dead(entry)]
-                        self.tombstones -= len(batch) - len(live)
-                        return live or self.pop_batch(until)
-                return batch
-        heappop = self._heappop
-        while heap:
-            if _dead(heap[0]):
-                heappop()
-                self.tombstones -= 1
-                continue
-            time = heap[0][0]
-            if until is not None and time > until:
-                return []
-            batch = [heappop()]
-            while heap and heap[0][0] == time:
-                entry = heappop()
-                if _dead(entry):
-                    self.tombstones -= 1
-                else:
-                    batch.append(entry)
-            return batch
-        return []
+                entry, take = heap[0], self._heappop
+            if not _dead(entry):
+                return entry, take
+            take()
+            self.tombstones -= 1
+        return None, None
 
     def pop_one(self) -> Optional[tuple]:
         """The single earliest live entry, or None when empty."""
-        self.urgent_pending = False
-        if self._lane:
-            self._merge_lane()
-        heap = self._heap
-        while heap:
-            entry = self._heappop()
-            if _dead(entry):
-                self.tombstones -= 1
-                continue
-            return entry
-        return None
-
-    def requeue(self, entries: list) -> None:
-        """Put back the unconsumed tail of a batch (urgent preemption,
-        or an exception escaping the batch)."""
-        for entry in entries:
-            self._heappush(entry)
+        entry, take = self._head()
+        if entry is not None:
+            take()
+        return entry
 
     def peek_time(self) -> float:
         """Earliest live entry's time, or +inf; drops leading tombstones."""
-        if self._lane:
-            self._merge_lane()
-        heap = self._heap
-        while heap:
-            if _dead(heap[0]):
-                self._heappop()
-                self.tombstones -= 1
-                continue
-            return heap[0][0]
-        return _INF
+        entry, _ = self._head()
+        return _INF if entry is None else entry[0]
 
     def __len__(self) -> int:
         """Raw entry count, tombstones included."""

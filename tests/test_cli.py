@@ -98,25 +98,44 @@ def test_cli_bench_fails_naming_a_divergent_row(tmp_path, monkeypatch,
     assert report["equivalence"]["checks"]["planted-divergence"] is False
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["bench", "--users", "0"], id="--users"),
-    pytest.param(["bench", "--transactions", "0"], id="--transactions"),
-    pytest.param(["chaos", "storm", "--stations", "-2"],
+COUNT = "must be >= 1"
+SPAN = "must be finite and > 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["bench", "--users", "0"], COUNT, id="--users"),
+    pytest.param(["bench", "--transactions", "0"], COUNT,
+                 id="--transactions"),
+    pytest.param(["chaos", "storm", "--stations", "-2"], COUNT,
                  id="chaos--stations"),
-    pytest.param(["chaos", "storm", "--transactions", "0"],
+    pytest.param(["chaos", "storm", "--transactions", "0"], COUNT,
                  id="chaos--transactions"),
-    pytest.param(["sanitize", "bench", "--users", "0"],
+    pytest.param(["sanitize", "bench", "--users", "0"], COUNT,
                  id="sanitize--users"),
-    pytest.param(["sanitize", "storm", "--stations", "-1"],
+    pytest.param(["sanitize", "storm", "--stations", "-1"], COUNT,
                  id="sanitize--stations"),
-    pytest.param(["sanitize", "storm", "--transactions", "0"],
+    pytest.param(["sanitize", "storm", "--transactions", "0"], COUNT,
                  id="sanitize--transactions"),
+    # Once a traceback, an empty report or a run that never returns.
+    pytest.param(["bench", "--horizon", "-5"], SPAN, id="--horizon-neg"),
+    pytest.param(["bench", "--horizon", "0"], SPAN, id="--horizon-zero"),
+    pytest.param(["bench", "--horizon", "inf"], SPAN, id="--horizon-inf"),
+    pytest.param(["chaos", "storm", "--horizon", "nan"], SPAN,
+                 id="chaos--horizon-nan"),
+    pytest.param(["chaos", "storm", "--horizon", "inf"], SPAN,
+                 id="chaos--horizon-inf"),
+    pytest.param(["chaos", "storm", "--horizon", "-5"], SPAN,
+                 id="chaos--horizon-neg"),
+    pytest.param(["sanitize", "storm", "--horizon", "-5"], SPAN,
+                 id="sanitize--horizon-neg"),
+    pytest.param(["sanitize", "bench", "--horizon", "nan"], SPAN,
+                 id="sanitize--horizon-nan"),
 ])
-def test_cli_bench_rejects_non_positive_counts(argv, capsys):
+def test_cli_bench_rejects_non_positive_counts(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_bench_rejects_non_positive_sweep(capsys):

@@ -575,25 +575,35 @@ def _lane_beside_heap_mid_batch(sim, log):
             ("zero", 1.0)]
 
 
-# The three ways to drive a simulator; each must dispatch the same
+# The four ways to drive a simulator; each must dispatch the same
 # events in the same order.
-DRIVERS = ("run", "sanitized-run", "step")
+DRIVERS = ("run", "sanitized-run", "step", "sanitized-step")
 
 
 def _simulator(driver):
     sim = Simulator()
-    if driver == "sanitized-run":
-        # A sanitizer switches run() to its batched loop.
+    if driver.startswith("sanitized"):
+        # The sanitizer sees every entry and forms its own batches.
         install_sanitizer(sim, BatchSanitizer())
     return sim
 
 
 def _drive(sim, driver):
-    if driver == "step":
+    if driver.endswith("step"):
         while sim.peek() != float("inf"):
             sim.step()
     else:
         sim.run()
+
+
+def _batches(sim):
+    """What an installed sanitizer counted, or None without one."""
+    sanitizer = sim._sanitizer
+    if sanitizer is None:
+        return None
+    sanitizer.finalize()
+    return (sanitizer.batches, sanitizer.multi_event_batches,
+            sanitizer.events_seen)
 
 
 @pytest.mark.parametrize("scenario", [_interrupt_mid_batch,
@@ -601,11 +611,12 @@ def _drive(sim, driver):
                                       _lane_beside_heap_mid_batch],
                          ids=["interrupt", "cancel", "lane-beside-heap"])
 def test_mid_batch_escapes_match_single_stepping(scenario):
-    """run() takes entries one at a time and the sanitizer's loop drains
-    a same-time batch in one go; an interrupt raised or a timeout
-    cancelled inside the batch must act exactly as it does under
-    step()."""
+    """An interrupt raised or a timeout cancelled while other entries
+    of its time are pending acts the same under run() and step(), with
+    or without a sanitizer, and the sanitizer forms the same batches
+    under both."""
     logs = []
+    batches = []
     for driver in DRIVERS:
         sim = _simulator(driver)
         log = []
@@ -614,7 +625,9 @@ def test_mid_batch_escapes_match_single_stepping(scenario):
         assert log == expected
         assert sim.queue_depth() == 0
         logs.append((log, sim.events_processed))
-    assert logs[0] == logs[1] == logs[2]
+        batches.append(_batches(sim))
+    assert logs[0] == logs[1] == logs[2] == logs[3]
+    assert batches[1] == batches[3]
 
 
 @pytest.mark.parametrize("kind", ["heap", "lane", "call-heap", "call-lane"])
@@ -750,7 +763,8 @@ def _replay(tape, driver):
 
     perform(tape[0])
     _drive(sim, driver)
-    return log, sim.events_processed, profile.seen, sim.queue_depth()
+    return (log, sim.events_processed, profile.seen,
+            sim.queue_depth()), _batches(sim)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -760,8 +774,10 @@ def test_run_sanitized_run_and_step_dispatch_alike(tape):
     of timeouts and scheduled calls, succeed() and call chains fired
     from callbacks, interrupts and cancellations of lane and heap
     entries: the dispatch log, the order stamps, the event count and
-    the queue depth the profiler sees are the same under run(),
-    sanitized run() and step()."""
-    runs = [_replay(tape, driver) for driver in DRIVERS]
-    assert runs[0] == runs[1] == runs[2]
+    the queue depth the profiler sees are the same under run() and
+    step(), with or without a sanitizer, and the sanitizer counts the
+    same batches under both."""
+    runs, batches = zip(*(_replay(tape, driver) for driver in DRIVERS))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
     assert runs[0][3] == 0
+    assert batches[1] == batches[3]

@@ -19,33 +19,29 @@ def drain(sched):
     """Every live entry, in dispatch order."""
     order = []
     while True:
-        batch = sched.pop_batch(None)
-        if not batch:
+        entry = sched.pop_one()
+        if entry is None:
             return order
-        order.extend(batch)
+        order.append(entry)
 
 
 # ----------------------------------------------- same-timestamp ordering
-def test_same_timestamp_batch_is_seq_ordered():
+def test_same_timestamp_entries_pop_in_seq_order():
     sched = HeapScheduler()
-    # One timestamp, pushed out of seq order through both entry points.
-    sched.push(5.0, 1, 30, FakeEvent())
-    sched.push_now(5.0, 10, FakeEvent())
-    sched.push(5.0, 1, 20, FakeEvent())
-    batch = sched.pop_batch(None)
-    assert [entry[2] for entry in batch] == [10, 20, 30]
+    # One timestamp, pushed out of seq order into the heap and the lane.
+    sched._heappush((5.0, 1, 30, None, FakeEvent()))
+    sched._lane.append((5.0, 1, 10, None, FakeEvent()))
+    sched._heappush((5.0, 1, 20, None, FakeEvent()))
+    assert [entry[2] for entry in drain(sched)] == [10, 20, 30]
 
 
-def test_urgent_push_flags_until_next_pop():
+def test_interrupt_outranks_an_earlier_lane_entry():
     sched = HeapScheduler()
-    sched.push_now(1.0, 2, FakeEvent())
-    assert not sched.urgent_pending
-    sched.push(1.0, 0, 3, FakeEvent())
-    assert sched.urgent_pending
-    batch = sched.pop_batch(None)
-    assert not sched.urgent_pending
+    sched._lane.append((1.0, 1, 2, None, FakeEvent()))
+    sched._heappush((1.0, 0, 3, None, FakeEvent()))
+    assert sched.peek_time() == 1.0
     # The interrupt outranks the earlier-pushed priority-1 entry.
-    assert [entry[2] for entry in batch] == [3, 2]
+    assert [entry[2] for entry in drain(sched)] == [3, 2]
 
 
 # -------------------------------------------------- tombstones / cancels
@@ -72,8 +68,8 @@ def test_mass_timeout_cancellation():
 def test_peek_skips_cancelled_head():
     sched = HeapScheduler()
     dead = FakeEvent()
-    sched.push(1.0, 1, 1, dead)
-    sched.push(2.0, 1, 2, FakeEvent())
+    sched._heappush((1.0, 1, 1, None, dead))
+    sched._heappush((2.0, 1, 2, None, FakeEvent()))
     dead._cancelled = True
     sched.tombstones += 1
     assert sched.peek_time() == 2.0
@@ -83,27 +79,43 @@ def test_peek_skips_cancelled_head():
 def test_empty_peek_and_pop():
     sched = HeapScheduler()
     assert sched.peek_time() == float("inf")
-    assert sched.pop_batch(None) == []
     assert sched.pop_one() is None
     assert len(sched) == 0 and sched.live_count() == 0
-    sched.push(1e6, 1, 1, FakeEvent())
+    sched._heappush((1e6, 1, 1, None, FakeEvent()))
     assert sched.peek_time() == 1e6
 
 
 def test_until_excludes_later_entries():
+    """run(until) dispatches an entry at exactly ``until``, none after."""
+    sim = Simulator()
+    fired = []
+    for delay in (5.0, 5.5):
+        sim.timeout(delay).callbacks.append(lambda ev: fired.append(sim.now))
+    sim.run(until=4.0)
+    assert fired == [] and sim.now == 4.0
+    sim.run(until=5.0)
+    assert fired == [5.0] and sim.queue_depth() == 1
+
+
+def test_cancelled_lane_head_is_dropped_and_rebalanced():
     sched = HeapScheduler()
-    sched.push(5.0, 1, 1, FakeEvent())
-    assert sched.pop_batch(4.0) == []
-    assert sched.pop_batch(5.0)[0][2] == 1
+    dead = FakeEvent()
+    sched._lane.append((1.0, 1, 1, None, dead))
+    sched._lane.append((1.0, 1, 2, None, FakeEvent()))
+    sched._heappush((3.0, 1, 0, None, FakeEvent()))
+    dead._cancelled = True
+    sched.tombstones += 1
+    assert sched.peek_time() == 1.0
+    assert sched.tombstones == 0 and len(sched) == 2
+    assert [entry[2] for entry in drain(sched)] == [2, 0]
 
 
 # --------------------------------------------------------------- oracle
 def test_heap_matches_sorted_oracle_property():
     """Random push/pop/peek/cancel interleavings dispatch exactly what a
-    sort of the live entries says, batch by batch and one by one.
-    Same-instant entries go through ``push_now`` or, as a same-time
-    ``push`` at priority 1 or 0, straight beside them; cancellations hit
-    either kind."""
+    sort of the live entries says.  Same-instant entries go on the lane
+    or, as a same-time heap push at priority 1 or 0, straight beside
+    it; cancellations hit either kind."""
     def key(entry):
         return entry[:3]
 
@@ -120,21 +132,21 @@ def test_heap_matches_sorted_oracle_property():
                 delay = rng.choice([0.0, 0.0, rng.uniform(0.0, 0.2),
                                     rng.uniform(0.0, 50.0)])
                 priority = 0 if rng.random() < 0.08 else 1
-                entry = (now + delay, priority, seq, FakeEvent())
+                entry = (now + delay, priority, seq, None, FakeEvent())
                 if delay == 0.0 and priority == 1 and rng.random() < 0.8:
-                    sched.push_now(now, seq, entry[3])
+                    sched._lane.append(entry)
                 else:
-                    sched.push(*entry)
+                    sched._heappush(entry)
                 live.append(entry)
             elif action < 0.6 and live:
                 entry = live.pop(rng.randrange(len(live)))
-                entry[3]._cancelled = True
+                entry[4]._cancelled = True
                 sched.tombstones += 1
-            elif action < 0.68:
+            elif action < 0.7:
                 live.sort(key=key)
                 assert sched.peek_time() == (live[0][0] if live
                                              else float("inf"))
-            elif action < 0.8:
+            else:
                 entry = sched.pop_one()
                 live.sort(key=key)
                 if live:
@@ -142,19 +154,11 @@ def test_heap_matches_sorted_oracle_property():
                     now = entry[0]
                 else:
                     assert entry is None
-            else:
-                batch = sched.pop_batch(None)
-                live.sort(key=key)
-                expected = [entry for entry in live
-                            if entry[0] == live[0][0]] if live else []
-                assert [key(e) for e in batch] == [key(e) for e in expected]
-                del live[:len(expected)]
-                if batch:
-                    now = batch[0][0]
             assert sched.live_count() == len(live)
         live.sort(key=key)
         assert [key(e) for e in drain(sched)] == [key(e) for e in live]
         assert sched.live_count() == 0
+        assert len(sched) == 0 and sched.tombstones == 0
 
 
 # ----------------------------------------------------------------- shim
