@@ -17,12 +17,10 @@ Commands:
 * ``sanitize`` — run a scenario with the same-timestamp commutativity
   sanitizer installed; hazards are confirmed by deterministic flipped
   replay and any confirmed race fails the command;
-* ``bench`` — time N concurrent users through the full transaction
-  path, run the equivalence guard (caches on vs off, fleet-of-1 vs
-  the single gateway, fleet-of-3 run twice; any diverging row fails
-  the command), optionally sweep a goodput-vs-offered-load curve, and
-  write ``BENCH_PERF.json`` (``--replications R`` instead replicates
-  the plain run over R seeds);
+* ``bench`` — run N concurrent users through the full transaction
+  path, optionally sweep a goodput-vs-offered-load curve, and write
+  ``BENCH_PERF.json`` (``--replications R`` instead replicates the
+  run over R seeds);
 * ``tables`` — print the paper's five tables as reproduced from the
   model registries (specs only — run ``pytest benchmarks/`` for the
   measured versions);
@@ -280,7 +278,7 @@ def _cmd_bench(args) -> int:
     import os
 
     from repro.core.shoppers import canonical_json
-    from repro.perf import full_bench
+    from repro.perf import replicate, run_bench, sweep_bench
 
     sweep = None
     if args.sweep:
@@ -292,19 +290,18 @@ def _cmd_bench(args) -> int:
             print(f"--sweep expects comma-separated user counts >= 1, "
                   f"got {args.sweep!r}", file=sys.stderr)
             return 2
+    scenario = {"users": args.users, "seed": args.seed,
+                "transactions_per_user": args.transactions,
+                "horizon": args.horizon, "fleet": args.fleet}
     if args.replications > 1:
-        from repro.perf import replicate, run_bench
-
-        report = replicate(run_bench, args.replications, seed=args.seed,
-                           users=args.users,
-                           transactions_per_user=args.transactions,
-                           horizon=args.horizon, fleet=args.fleet)
+        report = replicate(run_bench, args.replications, **scenario)
     else:
-        report = full_bench(users=args.users, seed=args.seed,
-                            transactions_per_user=args.transactions,
-                            horizon=args.horizon,
-                            sweep=sweep,
-                            fleet=args.fleet)
+        report = {"scenario": scenario, **run_bench(**scenario)}
+        if sweep is not None:
+            report["sweep"] = sweep_bench(
+                sweep, seed=args.seed,
+                transactions_per_user=args.transactions,
+                horizon=args.horizon, fleet=args.fleet)
     text = canonical_json(report)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -316,7 +313,7 @@ def _cmd_bench(args) -> int:
         _print_replications(report)
         print(f"report written to {args.out}", file=sys.stderr)
         return 0
-    det = report["optimized"]["deterministic"]
+    det = report["deterministic"]
     summary = (
         f"bench users={args.users} seed={args.seed}"
         + (f" fleet={args.fleet}" if args.fleet else "")
@@ -336,23 +333,6 @@ def _cmd_bench(args) -> int:
                   f"goodput {point['goodput_tps']:.3f} tx/s, "
                   f"p95 {point['latency_p95']:.3f}s", file=sys.stderr)
     print(f"report written to {args.out}", file=sys.stderr)
-    failures = []
-    if sweep is not None:
-        curve = report["sweep"]["deterministic"]["curve"]
-        if not curve["monotone"]:
-            failures.append(
-                "capacity curve has a cliff: goodput regressed at "
-                + ", ".join(f"users={r['users']}"
-                            for r in curve["regressions"]))
-    checks = report["equivalence"]["checks"]
-    failures += [f"equivalence row {name} diverged"
-                 for name, ok in checks.items() if not ok]
-    if failures:
-        for failure in failures:
-            print(f"BENCH FAILURE: {failure}", file=sys.stderr)
-        return 1
-    print(f"equivalence: {len(checks)} rows byte-identical "
-          f"({', '.join(checks)})", file=sys.stderr)
     return 0
 
 
@@ -401,6 +381,21 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _intensity(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -468,15 +463,16 @@ def main(argv=None) -> int:
                             "dns-blackout, storm, fleet-outage, or "
                             "canary-regression")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--intensity", type=float, default=0.5,
-                       help="fault intensity in [0, 1] (default 0.5)")
+    chaos.add_argument("--intensity", type=_intensity, default=0.5,
+                       help="fault intensity; scales the fault rate "
+                            "(default 0.5)")
     chaos.add_argument("--policies", default="on", choices=["on", "off"],
                        help="resilience policies (retry, breaker, "
                             "failover, shedding)")
     chaos.add_argument("--stations", type=_positive_int, default=None,
                        help="shopper stations (default: 4, or 12 for "
                             "fleet scenarios)")
-    chaos.add_argument("--fleet", type=int, default=0,
+    chaos.add_argument("--fleet", type=_nonnegative_int, default=0,
                        help="gateway fleet size (0 = scenario default; "
                             "fleet-outage and canary-regression "
                             "default to 4)")
@@ -517,7 +513,7 @@ def main(argv=None) -> int:
                           help="transactions per user/station")
     sanitize.add_argument("--horizon", type=_positive_float, default=120.0,
                           help="sim-seconds to run (default 120)")
-    sanitize.add_argument("--intensity", type=float, default=0.5,
+    sanitize.add_argument("--intensity", type=_intensity, default=0.5,
                           help="chaos scenarios: fault intensity")
     sanitize.add_argument("--max-replays", type=int, default=8,
                           help="cap on flip-replay confirmations "
@@ -545,11 +541,11 @@ def main(argv=None) -> int:
                              "at these user counts (e.g. 50,100,200,500)")
     repeat.add_argument("--replications", type=_positive_int, default=1,
                         metavar="R",
-                        help="instead of the equivalence guard, run the "
-                             "plain scenario at seeds SEED..SEED+R-1 and "
+                        help="instead of one run, run the "
+                             "scenario at seeds SEED..SEED+R-1 and "
                              "report a 95%% confidence interval per "
                              "metric (default 1)")
-    bench.add_argument("--fleet", type=int, default=0,
+    bench.add_argument("--fleet", type=_nonnegative_int, default=0,
                        help="run the middleware tier as an N-member "
                             "gateway fleet behind the consistent-hash "
                             "balancer (default 0 = single gateway)")

@@ -13,6 +13,7 @@ come from the wall clock or the module-level ``random`` — the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
@@ -150,8 +151,9 @@ class FaultPlan:
         """
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
+        if not 0 <= intensity < math.inf:  # also false for nan
+            raise ValueError(
+                f"intensity must be finite and >= 0, got {intensity}")
         kinds = tuple(kinds) if kinds else DEFAULT_RANDOM_KINDS
         plan = cls()
         if intensity == 0:

@@ -6,10 +6,10 @@ translation, a cHTML adaptation, a clipping compression) and the SQL
 parse cache.  Turning those flags off changes how much host CPU a run
 burns, never what the simulation computes: same seed, same virtual
 timeline, byte-identical chaos reports / traces / benchmark tables.
-That guarantee is not taken on faith — the caches rows of
-``repro.perf.equivalence_check`` (run by every ``repro bench`` and
-asserted in CI) run fixed scenarios with the caches forced on and
-forced off and compare the outputs bit for bit.
+That guarantee is not taken on faith — the caches rows of the
+tier-1 transparency table (``tests/test_perf_bench.py``) run fixed
+scenarios with the caches on and off and compare the outputs byte
+for byte.
 
 ``dns_cache`` is different.  It guards :class:`repro.net.DNSResolver`'s
 answer cache, and with the flag off a repeat ``resolve()`` sends a UDP

@@ -10,8 +10,8 @@ per-layer spans, so the report can break virtual latency down by layer.
 
 The report's ``deterministic`` section holds everything derived from
 the virtual run (counts, latency percentiles, per-layer seconds, kernel
-event totals): same seed, same bytes, and the equivalence guard
-(:mod:`repro.perf.determinism`) byte-compares exactly this section.
+event totals): same seed, same bytes, and the transparency tests in
+``tests/test_perf_bench.py`` byte-compare exactly this section.
 The report carries no host timing; ``python -m bench`` is the timer
 (median and IQR over interleaved repeats).
 """
@@ -142,8 +142,8 @@ def run_bench(users: int = 50, seed: int = 7,
     specific capacity knobs); the default with ``policies=True`` is
     :func:`bench_resilience`.  ``fleet`` > 0 runs the middleware tier
     as an N-member gateway fleet behind the consistent-hash balancer
-    (requires policies); a fleet of 1 is the transparency case the
-    equivalence guard byte-compares against the single-gateway build.
+    (requires policies); a fleet of 1 is transparent: its report is
+    byte-identical to the single-gateway build's.
     """
     if resilience is None:
         resilience = bench_resilience() if policies else None
@@ -206,9 +206,9 @@ def run_bench(users: int = 50, seed: int = 7,
     admission["sheds"] = (admission["watermark_sheds"]
                           + admission["pressure_sheds"])
     deterministic["gateway_admission"] = admission
-    # Only a *real* fleet (>= 2 members) adds its section: the fleet-of-1
-    # equivalence row byte-compares against the single-gateway build,
-    # so the degenerate case must not change the report shape.
+    # Only a *real* fleet (>= 2 members) adds its section: a fleet of 1
+    # must give the single-gateway build's bytes, so the degenerate case
+    # must not change the report shape.
     if system.fleet is not None and resilience.fleet_size >= 2:
         deterministic["fleet"] = fleet_report(system)
     if trace:

@@ -3,6 +3,8 @@ composed admission control, RAN backpressure and honest goodput
 accounting — the machinery that removes the 500-user overload cliff."""
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -259,6 +261,17 @@ def test_check_capacity_curve_flags_the_overload_cliff():
     assert verdict["monotone"] is False
     assert verdict["regressions"][0]["users"] == 500
     assert verdict["regressions"][0]["previous_best"] == 0.8
+
+
+def test_committed_capacity_curve_is_monotone():
+    # BENCH_PERF_50.json holds `repro bench --users 50 --seed 7 --sweep
+    # 50,150,300`, and CI cmp's a fresh run against it; its curve must
+    # be the verdict on its own points, with no cliff.
+    sweep = json.loads((pathlib.Path(__file__).parent.parent
+                        / "BENCH_PERF_50.json").read_text())["sweep"]
+    curve = check_capacity_curve(sweep["deterministic"]["points"])
+    assert curve == sweep["deterministic"]["curve"]
+    assert curve["monotone"], curve["regressions"]
 
 
 # ------------------------------------------------------- bench integration

@@ -1,19 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import functools
 import json
 
 import pytest
 
 from repro.__main__ import main
-from repro.perf import report as bench_report
+from repro.perf import run_bench
 
 TINY_BENCH = ["bench", "--users", "3", "--transactions", "1",
               "--horizon", "30"]
-EQUIVALENCE_ROWS = {"caches-bench-timed", "caches-bench",
-                    "caches-chaos-gateway-outage",
-                    "caches-chaos-dns-blackout", "fleet-of-1-vs-single",
-                    "fleet-of-3-repeat"}
 
 
 def test_cli_info(capsys):
@@ -50,56 +45,26 @@ def test_cli_rejects_unknown_command():
         main(["frobnicate"])
 
 
-def _counting(monkeypatch, name, calls):
-    real = getattr(bench_report, name)
-
-    @functools.wraps(real)
-    def produce(*args, **kwargs):
-        calls.append((name, args, kwargs))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(bench_report, name, produce)
-
-
-def test_cli_bench_writes_the_equivalence_rows(tmp_path, monkeypatch,
-                                               capsys):
-    calls = []
-    _counting(monkeypatch, "bench_bytes", calls)
-    _counting(monkeypatch, "chaos_bytes", calls)
+def test_cli_bench_writes_the_plain_report(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    assert main(TINY_BENCH + ["--out", str(out)]) == 0
+    assert main(TINY_BENCH + ["--sweep", "2,3", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    equivalence = report["equivalence"]
-    assert equivalence["identical"] is True
-    assert set(equivalence["checks"]) == EQUIVALENCE_ROWS
-    assert {"determinism", "fleet_determinism", "caches_off",
-            "identical_results_caches_on_vs_off",
-            "speedup_caches_on_vs_off"}.isdisjoint(report)
-    # Twelve arms, eleven executions: besides the timed run, the
-    # single-gateway run the caches and fleet-of-1 rows share executes
-    # once, and the fleet-of-3 run twice.
-    assert sum(name == "bench_bytes" for name, _, _ in calls) == 6
-    assert sum(name == "chaos_bytes" for name, _, _ in calls) == 4
-    assert "6 rows byte-identical" in capsys.readouterr().err
-
-
-def test_cli_bench_fails_naming_a_divergent_row(tmp_path, monkeypatch,
-                                                capsys):
-    real = bench_report.equivalence_check
-    planted = ("planted-divergence", lambda: "a", lambda: "b")
-    monkeypatch.setattr(bench_report, "equivalence_check",
-                        lambda rows, **scenario: real(rows + [planted],
-                                                      **scenario))
-    out = tmp_path / "bench.json"
-    assert main(TINY_BENCH + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "equivalence row planted-divergence diverged" in err
-    report = json.loads(out.read_text())
-    assert report["equivalence"]["identical"] is False
-    assert report["equivalence"]["checks"]["planted-divergence"] is False
+    scenario = {"users": 3, "seed": 7, "transactions_per_user": 1,
+                "horizon": 30.0, "fleet": 0}
+    assert report["scenario"] == scenario
+    assert {key: report[key] for key in ("deterministic", "optimizations")} \
+        == run_bench(**scenario)
+    assert [point["users"] for point in
+            report["sweep"]["deterministic"]["points"]] == [2, 3]
+    assert sorted(report) == ["deterministic", "optimizations", "scenario",
+                              "sweep"]
+    assert f"report written to {out}" in capsys.readouterr().err
 
 
 COUNT = "must be >= 1"
 SPAN = "must be finite and > 0"
+INTENSITY = "must be finite and >= 0"
+FLEET = "must be >= 0"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -130,6 +95,24 @@ SPAN = "must be finite and > 0"
                  id="sanitize--horizon-neg"),
     pytest.param(["sanitize", "bench", "--horizon", "nan"], SPAN,
                  id="sanitize--horizon-nan"),
+    # Once a chaos run with no faults, a traceback, or (inf on storm) a
+    # fault plan that is never finished.
+    pytest.param(["chaos", "storm", "--intensity", "nan"], INTENSITY,
+                 id="chaos--intensity-nan"),
+    pytest.param(["chaos", "storm", "--intensity", "inf"], INTENSITY,
+                 id="chaos--intensity-inf"),
+    pytest.param(["chaos", "storm", "--intensity", "-1"], INTENSITY,
+                 id="chaos--intensity-neg"),
+    pytest.param(["sanitize", "storm", "--intensity", "nan"], INTENSITY,
+                 id="sanitize--intensity-nan"),
+    pytest.param(["sanitize", "storm", "--intensity", "inf"], INTENSITY,
+                 id="sanitize--intensity-inf"),
+    pytest.param(["sanitize", "storm", "--intensity", "-1"], INTENSITY,
+                 id="sanitize--intensity-neg"),
+    # Once silently run as --fleet 0.
+    pytest.param(["chaos", "gateway-outage", "--fleet", "-1"], FLEET,
+                 id="chaos--fleet-neg"),
+    pytest.param(["bench", "--fleet", "-1"], FLEET, id="--fleet-neg"),
 ])
 def test_cli_bench_rejects_non_positive_counts(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:

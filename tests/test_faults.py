@@ -45,6 +45,15 @@ def test_random_plan_respects_horizon_and_kinds():
                                 intensity=0.0)) == 0
 
 
+@pytest.mark.parametrize("intensity", [-1.0, float("nan"), float("inf")])
+def test_random_plan_rejects_a_non_finite_or_negative_intensity(intensity):
+    # inf once looped forever: expovariate(inf) is 0.0, so the arrival
+    # time never reached the horizon.
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        FaultPlan.random(SeedBank(3).stream("chaos"), horizon=100.0,
+                         intensity=intensity)
+
+
 def test_plan_json_roundtrip():
     plan = FaultPlan()
     plan.add("gateway_crash", at=12.0, duration=5.0)

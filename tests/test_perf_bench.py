@@ -1,7 +1,8 @@
 """Tests for repro.perf: the load benchmark, the optimization flags,
-and the table-driven equivalence guard."""
+and the rows that hold the caches and the fleet wiring transparent."""
 
 import json
+import pathlib
 from functools import partial
 
 import pytest
@@ -13,13 +14,10 @@ from repro.opt import (
     optimizations_disabled,
 )
 from repro.core.shoppers import canonical_json
-from repro.perf import (
-    equivalence_check,
-    run_bench,
-    sweep_bench,
-)
-from repro.perf.determinism import bench_bytes, chaos_bytes
+from repro.faults.chaos import run_chaos
+from repro.perf import run_bench, sweep_bench
 
+ROOT = pathlib.Path(__file__).parent.parent
 SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0)
 
 
@@ -100,63 +98,93 @@ def test_bench_json_is_canonical():
     assert text == canonical_json(json.loads(text))
 
 
-# ------------------------------------------------------ equivalence guard
-def test_caches_on_and_off_give_identical_bench_results():
-    """The tentpole invariant: every optimization is transparent."""
-    cached = run_bench(**SMALL)
-    with optimizations_disabled():
-        uncached = run_bench(**SMALL)
-    assert json.dumps(cached["deterministic"], sort_keys=True) == \
-        json.dumps(uncached["deterministic"], sort_keys=True)
-    # The runs really did take different code paths.
-    assert cached["optimizations"] != uncached["optimizations"]
+# ------------------------------------------------------ transparency rows
+# The hot-path caches (repro.opt) and the gateway-fleet wiring claim to
+# be transparent: they change host work, never what the simulation
+# computes.  Each row runs two arms and compares their canonical JSON
+# byte for byte: bench rows the ``deterministic`` section, chaos rows
+# the whole report.  The timed rows compare a caches-off run of a
+# committed report's scenario with that report's bytes, which CI keeps
+# current by ``cmp``-ing a fresh ``repro bench`` against them.
+
+def bench_bytes(users, seed=7, transactions_per_user=3, horizon=120.0,
+                fleet=0):
+    report = run_bench(users=users, seed=seed, horizon=horizon,
+                       transactions_per_user=transactions_per_user,
+                       fleet=fleet)
+    return canonical_json(report["deterministic"])
 
 
-def test_determinism_check_verdict():
-    rows = [(name, partial(produce, *args),
-             partial(produce, *args, caches=False))
-            for name, produce, args in [
-                ("bench", bench_bytes, (5, 11)),
-                ("chaos-gateway-outage", chaos_bytes, ("gateway-outage", 11)),
-                ("chaos-dns-blackout", chaos_bytes, ("dns-blackout", 11))]]
-    verdict = equivalence_check(rows, users=5, seed=11)
-    assert verdict == {
-        "identical": True,
-        "checks": {"bench": True, "chaos-gateway-outage": True,
-                   "chaos-dns-blackout": True},
-        "users": 5, "seed": 11}
-    # The producers restore the flags they forced.
+def chaos_bytes(scenario):
+    return canonical_json(run_chaos(
+        scenario=scenario, seed=7, intensity=0.6, stations=3,
+        transactions_per_station=4, horizon=120.0))
+
+
+def committed_bytes(name):
+    return canonical_json(json.loads((ROOT / name).read_text())
+                          ["deterministic"])
+
+
+def committed_scenario_bytes(name):
+    return bench_bytes(**json.loads((ROOT / name).read_text())["scenario"])
+
+
+def caches_off(produce, *args, **kwargs):
+    def run():
+        with optimizations_disabled():
+            return produce(*args, **kwargs)
+    return run
+
+
+@pytest.fixture(scope="module")
+def single_gateway():
+    """The 20-user single-gateway bench two rows compare against."""
+    return bench_bytes(20)
+
+
+# An arm is a callable, or the name of a fixture holding a shared run.
+ROWS = [
+    pytest.param(partial(committed_bytes, "BENCH_PERF_50.json"),
+                 caches_off(committed_scenario_bytes, "BENCH_PERF_50.json"),
+                 id="caches-bench-timed-50"),
+    pytest.param(partial(committed_bytes, "BENCH_PERF.json"),
+                 caches_off(committed_scenario_bytes, "BENCH_PERF.json"),
+                 id="caches-bench-timed-500"),
+    pytest.param("single_gateway", caches_off(bench_bytes, 20),
+                 id="caches-bench"),
+    pytest.param(partial(bench_bytes, **SMALL),
+                 caches_off(bench_bytes, **SMALL),
+                 id="caches-bench-small"),
+    pytest.param(partial(chaos_bytes, "gateway-outage"),
+                 caches_off(chaos_bytes, "gateway-outage"),
+                 id="caches-chaos-gateway-outage"),
+    pytest.param(partial(chaos_bytes, "dns-blackout"),
+                 caches_off(chaos_bytes, "dns-blackout"),
+                 id="caches-chaos-dns-blackout"),
+    pytest.param(partial(bench_bytes, 20, fleet=1), "single_gateway",
+                 id="fleet-of-1-vs-single"),
+    pytest.param(partial(bench_bytes, 20, fleet=3),
+                 partial(bench_bytes, 20, fleet=3),
+                 id="fleet-of-3-repeat"),
+]
+
+
+@pytest.mark.parametrize("arm_a, arm_b", ROWS)
+def test_transparent_row_is_byte_identical(arm_a, arm_b, request):
+    def output(arm):
+        if isinstance(arm, str):
+            return request.getfixturevalue(arm)
+        return arm()
+    assert output(arm_a) == output(arm_b)
+    # Each arm restores the cache flags it changed.
     assert all(OPTIMIZATIONS.as_dict().values())
 
 
-def test_equivalence_check_names_a_divergent_row():
-    verdict = equivalence_check([
-        ("same", lambda: "a", lambda: "a"),
-        ("planted", lambda: "a", lambda: "b"),
-    ])
-    assert verdict == {"identical": False,
-                       "checks": {"same": True, "planted": False}}
-
-
-def test_equivalence_check_runs_a_shared_producer_once():
-    calls = []
-
-    def produce(users, seed, fleet=0, run=1):
-        calls.append((users, seed, fleet, run))
-        return f"{users}/{seed}"
-
-    verdict = equivalence_check([
-        ("fleet-of-1", partial(produce, 20, 7, fleet=1),
-         partial(produce, 20, 7)),
-        # Same arguments as above, spelled with the default filled in.
-        ("again", partial(produce, 20, 7, fleet=0),
-         partial(produce, 20, 7, fleet=1)),
-        ("repeat", partial(produce, 20, 7, fleet=3, run=1),
-         partial(produce, 20, 7, fleet=3, run=2)),
-    ])
-    assert verdict["identical"] is True
-    assert calls == [(20, 7, 1, 1), (20, 7, 0, 1), (20, 7, 3, 1),
-                     (20, 7, 3, 2)]
+def test_a_planted_divergence_fails_its_row():
+    with pytest.raises(AssertionError):
+        test_transparent_row_is_byte_identical(lambda: "a", lambda: "b",
+                                               request=None)
 
 
 # ----------------------------------------------------------------- sweep
