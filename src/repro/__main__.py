@@ -6,8 +6,8 @@ Commands:
 * ``trace`` — run one application scenario with the span tracer
   installed and print the per-layer latency breakdown (optionally
   exporting the full trace as JSON);
-* ``lint`` — run the sim-safety linter over the given paths (defaults
-  to the repo's own sources) and exit nonzero on findings;
+* ``lint`` — run the import-cycle linter over the given paths
+  (defaults to the repo's own sources) and exit nonzero on findings;
 * ``check`` — statically model-check the Figure 1/2 reference builds,
   printing a PASS/FAIL/INCONCLUSIVE verdict per structural claim;
 * ``chaos`` — run a named fault-injection scenario against the full
@@ -160,7 +160,7 @@ def _cmd_lint(args) -> int:
         print(report.render_json())
     else:
         print(report.render_text())
-    return report.exit_code(strict=args.strict)
+    return report.exit_code()
 
 
 def _cmd_check(args) -> int:
@@ -441,13 +441,11 @@ def main(argv=None) -> int:
     trace.set_defaults(func=_cmd_trace)
 
     lint = sub.add_parser(
-        "lint", help="run the sim-safety linter (nonzero exit on findings)")
+        "lint", help="run the import-cycle linter (nonzero exit on findings)")
     lint.add_argument("paths", nargs="*",
                       help="files/directories to lint "
                            "(default: the repo's own sources)")
     lint.add_argument("--format", default="text", choices=["text", "json"])
-    lint.add_argument("--strict", action="store_true",
-                      help="fail on warnings too, not only errors")
     lint.set_defaults(func=_cmd_lint)
 
     check = sub.add_parser(

@@ -1,13 +1,12 @@
-"""Analysis: simulation-safety linter, model checker, race sanitizer.
+"""Analysis: linter, model checker, race sanitizer.
 
 Two engines guard the model *before* anything runs:
 
 * the **linter** (:mod:`repro.analysis.linter`) walks Python sources
-  with an AST pass and a pluggable :class:`~repro.analysis.rules.Rule`
-  registry, flagging determinism hazards (wall-clock reads, unseeded
-  randomness, non-``Event`` yields in simulation processes) and code
-  hygiene problems (bare excepts, mutable defaults, ``__all__`` drift,
-  import cycles);
+  with an AST pass and runs :data:`repro.analysis.rules.RULES` — one
+  rule, ``import-cycle``: a runtime import cycle can import cleanly
+  from one entry module and fail from another, which no run shows
+  unless that entry module is imported first;
 * the **model checker** (:mod:`repro.analysis.model_check`) renders
   verdicts (``PASS``/``FAIL``/``INCONCLUSIVE``) over a built-but-not-run
   :class:`~repro.core.model.SystemModel`, mapping every Figure 1/2 and
@@ -20,8 +19,7 @@ conflicts over instrumented shared state and confirms them by
 deterministic flipped-order replay.
 """
 
-from .findings import Finding, SEVERITY_ERROR, SEVERITY_WARNING
-from .linter import LintReport, Linter, lint_paths
+from .linter import LintReport, lint_paths, lint_sources
 from ..core.requirements import CheckResult, ModelCheckReport, Verdict
 from .model_check import ModelChecker, check_reference_systems
 from .races import (
@@ -29,15 +27,13 @@ from .races import (
     install_sanitizer,
     instrument_system,
 )
-from .rules import Rule, RULE_REGISTRY, default_rules, register_rule
+from .rules import RULES, Finding
 
 __all__ = [
     "Finding",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
     "LintReport",
-    "Linter",
     "lint_paths",
+    "lint_sources",
     "CheckResult",
     "ModelChecker",
     "ModelCheckReport",
@@ -46,8 +42,5 @@ __all__ = [
     "BatchSanitizer",
     "install_sanitizer",
     "instrument_system",
-    "Rule",
-    "RULE_REGISTRY",
-    "default_rules",
-    "register_rule",
+    "RULES",
 ]

@@ -1,15 +1,15 @@
-"""The sim-safety linter: file discovery, suppression, reporting.
+"""The linter: file discovery, suppression, reporting.
 
 Usage::
 
     from repro.analysis import lint_paths
-    report = lint_paths(["src/repro", "benchmarks", "examples"])
+    report = lint_paths(["src/repro", "benchmarks", "examples", "tests"])
     print(report.render_text())
 
-A finding on line *N* is suppressed by an inline comment on that line::
+The rules it runs are :data:`repro.analysis.rules.RULES`.  A finding on
+line *N* is suppressed by an inline comment on that line::
 
-    t = time.time()        # repro: noqa[wall-clock] benchmarking harness
-    except Exception:      # repro: noqa[broad-except, bare-except]
+    from . import late     # repro: noqa[import-cycle] justification
     anything_at_all()      # repro: noqa
 
 ``# repro: noqa`` with no bracket suppresses every rule on the line;
@@ -24,10 +24,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .findings import Finding, SEVERITY_ERROR
-from .rules import ModuleInfo, Rule, default_rules
+from .rules import RULES, Finding, ModuleInfo
 
-__all__ = ["Linter", "LintReport", "lint_paths", "suppressed_rule_ids"]
+__all__ = ["LintReport", "lint_paths", "lint_sources", "suppressed_rule_ids"]
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\s*\[(?P<ids>[^\]]*)\])?")
 
@@ -58,23 +57,16 @@ class LintReport:
     suppressed: int = 0
     parse_errors: list[str] = field(default_factory=list)
 
-    @property
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_ERROR]
-
-    def exit_code(self, strict: bool = False) -> int:
+    def exit_code(self) -> int:
         if self.parse_errors:
             return 2
-        if strict:
-            return 1 if self.findings else 0
-        return 1 if self.errors else 0
+        return 1 if self.findings else 0
 
     def render_text(self) -> str:
         lines = [f.render() for f in self.findings]
         lines.extend(f"parse error: {msg}" for msg in self.parse_errors)
         lines.append(
-            f"{len(self.findings)} finding(s) "
-            f"({len(self.errors)} error(s)) in {self.files_checked} "
+            f"{len(self.findings)} finding(s) in {self.files_checked} "
             f"file(s); {self.suppressed} suppressed"
         )
         return "\n".join(lines)
@@ -100,7 +92,7 @@ def _infer_module(path: str) -> Optional[str]:
     while os.path.isfile(os.path.join(directory, "__init__.py")):
         directory, package = os.path.split(directory)
         # Walks a handful of package levels once per file, not a queue.
-        parts.insert(0, package)  # repro: noqa[hot-queue-pop]
+        parts.insert(0, package)
     return ".".join(parts) if parts else None
 
 
@@ -121,68 +113,51 @@ def _discover(paths: Sequence[str]) -> list[str]:
     return files
 
 
-class Linter:
-    """Runs a rule set over files and filters suppressed findings."""
+def _is_suppressed(info: ModuleInfo, finding: Finding) -> bool:
+    if not 1 <= finding.line <= len(info.lines):
+        return False
+    ids = suppressed_rule_ids(info.lines[finding.line - 1])
+    if ids is None:
+        return False
+    return not ids or finding.rule_id in ids
 
-    def __init__(self, rules: Optional[Iterable[Rule]] = None):
-        self.rules: list[Rule] = (list(rules) if rules is not None
-                                  else default_rules())
 
-    def lint_sources(self, sources: Iterable[ModuleInfo]) -> LintReport:
-        """Lint already-parsed modules (the test-fixture entry point)."""
-        report = LintReport()
-        modules = list(sources)
-        report.files_checked = len(modules)
-        raw: list[tuple[ModuleInfo, Finding]] = []
-        by_path = {info.path: info for info in modules}
-        for rule in self.rules:
-            for info in modules:
-                for finding in rule.check_module(info):
-                    raw.append((info, finding))
-            for finding in rule.check_project(modules):
-                raw.append((by_path[finding.file], finding))
-        for info, finding in raw:
-            if self._is_suppressed(info, finding):
+def lint_sources(sources: Iterable[ModuleInfo]) -> LintReport:
+    """Run :data:`RULES` over already-parsed modules and filter the
+    suppressed findings (the test-fixture entry point)."""
+    report = LintReport()
+    modules = list(sources)
+    report.files_checked = len(modules)
+    by_path = {info.path: info for info in modules}
+    for rule in RULES:
+        for finding in rule.check_project(modules):
+            if _is_suppressed(by_path[finding.file], finding):
                 report.suppressed += 1
             else:
                 report.findings.append(finding)
-        # Fully keyed sort (message included as the tiebreaker) so the
-        # rendered output is byte-stable across filesystems and rule
-        # registration order — CI baselines diff against it.
-        report.findings.sort(
-            key=lambda f: (f.file, f.line, f.rule_id, f.message))
-        return report
-
-    def lint_paths(self, paths: Sequence[str]) -> LintReport:
-        """Discover ``*.py`` files under ``paths`` and lint them."""
-        modules: list[ModuleInfo] = []
-        parse_errors: list[str] = []
-        for filename in _discover(paths):
-            with open(filename, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            display = os.path.relpath(filename)
-            try:
-                modules.append(ModuleInfo.parse(
-                    display, source, module=_infer_module(filename)))
-            except SyntaxError as exc:
-                parse_errors.append(f"{display}: {exc.msg} (line {exc.lineno})")
-        report = self.lint_sources(modules)
-        # _discover walks sorted, but keep the contract local: parse
-        # errors render in path order regardless of the input order.
-        report.parse_errors = sorted(parse_errors)
-        return report
-
-    @staticmethod
-    def _is_suppressed(info: ModuleInfo, finding: Finding) -> bool:
-        if not 1 <= finding.line <= len(info.lines):
-            return False
-        ids = suppressed_rule_ids(info.lines[finding.line - 1])
-        if ids is None:
-            return False
-        return not ids or finding.rule_id in ids
+    # Fully keyed sort (message included as the tiebreaker) so the
+    # rendered output is byte-stable across filesystems and rule
+    # order — CI baselines diff against it.
+    report.findings.sort(
+        key=lambda f: (f.file, f.line, f.rule_id, f.message))
+    return report
 
 
-def lint_paths(paths: Sequence[str],
-               rules: Optional[Iterable[Rule]] = None) -> LintReport:
-    """Convenience wrapper: lint ``paths`` with the stock rule set."""
-    return Linter(rules).lint_paths(paths)
+def lint_paths(paths: Sequence[str]) -> LintReport:
+    """Discover ``*.py`` files under ``paths`` and lint them."""
+    modules: list[ModuleInfo] = []
+    parse_errors: list[str] = []
+    for filename in _discover(paths):
+        with open(filename, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        display = os.path.relpath(filename)
+        try:
+            modules.append(ModuleInfo.parse(
+                display, source, module=_infer_module(filename)))
+        except SyntaxError as exc:
+            parse_errors.append(f"{display}: {exc.msg} (line {exc.lineno})")
+    report = lint_sources(modules)
+    # _discover walks sorted, but keep the contract local: parse
+    # errors render in path order regardless of the input order.
+    report.parse_errors = sorted(parse_errors)
+    return report

@@ -9,7 +9,7 @@ Dijkstra search over the grid's congestion-weighted edges.
 from __future__ import annotations
 
 # Dijkstra's frontier, not an event queue.
-import heapq  # repro: noqa[direct-heapq]
+import heapq
 import math
 from itertools import count
 

@@ -219,7 +219,7 @@ class TransactionEngine:
                 # Kernel control flow must not be ledgered as a mere
                 # failed transaction.
                 raise
-            except Exception as exc:  # repro: noqa[broad-except] ledger barrier
+            except Exception as exc:  # ledger barrier
                 record.ok = False
                 record.error = f"{type(exc).__name__}: {exc}"
             record.finished_at = env.now

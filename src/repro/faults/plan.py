@@ -6,8 +6,8 @@ Plans are data: they serialise to JSON, validate before running, and
 can be generated as a seeded random process
 (:meth:`FaultPlan.random`), so a chaos run is fully determined by
 ``(plan | seed, system seed)`` and nothing else.  Schedules must never
-come from the wall clock or the module-level ``random`` — the
-``fault-schedule`` lint rule enforces this.
+come from the wall clock or the module-level ``random``: the
+byte-pinned chaos reports (``tests/test_shoppers.py``) would change.
 """
 
 from __future__ import annotations

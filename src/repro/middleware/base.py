@@ -428,7 +428,7 @@ class RequestBatcher:
                 done.succeed(self.reply_factory(
                     503, "gateway interrupted", self.config.retry_floor))
             raise
-        except Exception as exc:  # repro: noqa[broad-except] batch barrier
+        except Exception as exc:  # batch barrier
             # The serve loop must never hang on a reply that will not
             # come; handler bugs become a 500, matching the CGI barrier.
             self.stats.incr("batch_item_errors")
@@ -780,7 +780,7 @@ class ClientSession(MiddlewareSession):
         expiry = self.sim.timeout(timeout)
         try:
             yield self.sim.any_of([result, expiry])
-        except Exception:  # repro: noqa[broad-except] failed result ends the watch
+        except Exception:  # a failed result ends the watch
             return
         if not result.triggered:
             proc.interrupt(RequestTimeout(

@@ -11,7 +11,7 @@ real stacks do.
 from __future__ import annotations
 
 # Dijkstra's frontier, not an event queue.
-import heapq  # repro: noqa[direct-heapq]
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 

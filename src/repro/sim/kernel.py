@@ -284,7 +284,7 @@ class Process(Event):
             if self._state == _PENDING:
                 self.succeed(stop.value)
             return
-        except BaseException as exc:  # repro: noqa[broad-except] kernel trampoline
+        except BaseException as exc:  # kernel trampoline
             # The process trampoline is the one place every escaped
             # exception must be routed into Event.fail / strict re-raise.
             if self._state == _PENDING:

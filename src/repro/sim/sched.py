@@ -15,8 +15,8 @@ for ``step()``.
 
 from __future__ import annotations
 
-# The one sanctioned heapq import site for event scheduling — see the
-# direct-heapq lint rule in repro.analysis.rules.perf.
+# The one heapq that orders events; net/routing.py and apps/traffic.py
+# use heapq only for Dijkstra's frontier.
 import heapq
 from collections import deque
 from contextlib import contextmanager

@@ -309,7 +309,7 @@ class WebServer:
             # Kernel control flow is never a CGI failure; let it
             # propagate to the event loop.
             raise
-        except Exception as exc:  # repro: noqa[broad-except] CGI barrier
+        except Exception as exc:  # CGI barrier
             # Any program error becomes a 500 for the client.
             self.stats.incr("program_errors")
             response = HTTPResponse.error(f"{type(exc).__name__}: {exc}")

@@ -309,12 +309,34 @@ def test_any_of_empty_fires_immediately():
     assert got == [{}]
 
 
-def test_yield_non_event_rejected():
+# Deliberately malformed processes: each yields something that is not
+# an Event, including an uncalled env.timeout.
+def _yields_42(env):
+    yield 42
+
+
+def _yields_bare(env):
+    yield
+
+
+def _yields_none(env):
+    yield None
+
+
+def _yields_str(env):
+    yield "x"
+
+
+def _yields_uncalled_timeout(env):
+    yield env.timeout
+
+
+@pytest.mark.parametrize("bad", [
+    _yields_42, _yields_bare, _yields_none, _yields_str,
+    _yields_uncalled_timeout,
+], ids=["42", "bare", "None", "str", "uncalled-timeout"])
+def test_yield_non_event_rejected(bad):
     sim = Simulator()
-
-    def bad(env):
-        yield 42  # repro: noqa[yield-event] deliberately malformed process
-
     sim.spawn(bad(sim))
     with pytest.raises(SimulationError):
         sim.run()

@@ -1,7 +1,7 @@
 """Tests for repro.sim.sched: the kernel's binary-heap event queue."""
 
 # Seeded local Random instances only — never the module-level RNG.
-import random  # repro: noqa[module-random] seeded property-test streams
+import random
 
 import pytest
 
