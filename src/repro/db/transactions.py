@@ -109,7 +109,8 @@ class TransactionManager:
         return result
 
     def release_all(self, txn: "Transaction") -> None:
-        for table_name in txn._held:
+        # Sorted: a set of names iterates in hash-seed order.
+        for table_name in sorted(txn._held):
             lock = self._locks.get(table_name)
             if lock is None:
                 continue

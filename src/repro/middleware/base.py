@@ -706,7 +706,7 @@ class ClientSession(MiddlewareSession):
         self._conn: Optional[TCPConnection] = None
         self._link = None
         self._reader = self._decoder()
-        self._replies: Deque = deque()
+        self._replies: list = []
         self._mutex = Resource(self.sim, capacity=1)
 
     def get(self, url: str, trace=None,
@@ -756,7 +756,7 @@ class ClientSession(MiddlewareSession):
                         ConnectionError(f"{self.protocol} session closed"))
                     return
                 self._replies.extend(self._reader.feed(chunk))
-            result.succeed(self._response(self._replies.popleft()))
+            result.succeed(self._response(self._replies.pop(0)))
         except self._failures as exc:
             result.fail(exc)
         except Interrupt as exc:

@@ -12,8 +12,7 @@ are reproducible.  A full transmit queue drops arriving packets
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..obs import end_span, start_span
 from ..sim import Counter, RandomStream, Simulator
@@ -44,7 +43,7 @@ class LinkEnd:
         self.link = link
         self.sim = sim
         self.capacity = queue_capacity
-        self.queue: Deque[Packet] = deque()
+        self.queue: list[Packet] = []
         self.peer_iface: Optional["Interface"] = None
         # Idle: no packet in flight or waking, so enqueue wakes the
         # transmitter.  Then the in-flight packet, its span, attempt
@@ -71,7 +70,7 @@ class LinkEnd:
     def _take_next(self, _=None) -> None:
         self._packet = self._span = self._grant = None
         if self.queue:
-            self.sim._call(self._begin, self.queue.popleft())
+            self.sim._call(self._begin, self.queue.pop(0))
         else:
             self._idle = True
 
@@ -128,7 +127,7 @@ class LinkEnd:
         # on every hop.
         self._packet = self._span = self._grant = None
         if self.queue:
-            sim._call(self._begin, self.queue.popleft())
+            sim._call(self._begin, self.queue.pop(0))
         else:
             self._idle = True
 

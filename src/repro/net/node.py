@@ -12,8 +12,7 @@ allocates addresses, and recomputes static routes.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Optional
 
 from ..sim import Counter, Simulator, Trace
 from .addressing import AddressAllocator, IPAddress, Subnet
@@ -91,7 +90,7 @@ class Node:
         self._handlers: dict[str, ProtocolHandler] = {}
         # Received (packet, iface) pairs waiting their turn; the receiver
         # takes one per wakeup call (see _on_rx).
-        self._rx: Deque[tuple[Packet, Interface]] = deque()
+        self._rx: list[tuple[Packet, Interface]] = []
         self._rx_idle = False
         # Hooks that see every packet before normal processing; used by
         # snoop agents and foreign agents.  A hook returning True consumes
@@ -160,7 +159,7 @@ class Node:
 
     def _take_next_rx(self, _=None) -> None:
         if self._rx:
-            self.sim._call(self._on_rx, self._rx.popleft())
+            self.sim._call(self._on_rx, self._rx.pop(0))
         else:
             self._rx_idle = True
 
@@ -170,7 +169,7 @@ class Node:
         # Take the next packet: _take_next_rx, inlined to save a frame
         # on every hop.
         if self._rx:
-            self.sim._call(self._on_rx, self._rx.popleft())
+            self.sim._call(self._on_rx, self._rx.pop(0))
         else:
             self._rx_idle = True
 

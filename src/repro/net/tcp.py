@@ -18,9 +18,8 @@ close (FIN/ACK without TIME_WAIT).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Optional
+from typing import Any, Optional
 
 from ..sim import Counter, Event, Simulator, Store, Timeout
 from .addressing import IPAddress
@@ -91,6 +90,18 @@ class _SendBufferEntry:
 class TCPConnection:
     """One endpoint of an established (or establishing) connection."""
 
+    # Slotted: a gateway fleet keeps a thousand connections alive at
+    # once.  __weakref__ lets a weak reference watch one being freed.
+    __slots__ = (
+        "stack", "sim", "local_port", "remote_addr", "remote_port", "mss",
+        "state", "snd_una", "snd_nxt", "iss", "cwnd", "ssthresh",
+        "peer_window", "_send_queue", "_inflight", "_dupacks",
+        "_in_fast_recovery", "_recovery_point", "_send_wakeup", "rcv_nxt",
+        "irs", "_reorder", "_rx_stream", "_rx_buffer", "fin_received",
+        "srtt", "rttvar", "rto", "_timer", "_rto_deadline",
+        "_timer_fires_at", "established_event", "closed_event", "stats",
+        "trace", "__weakref__")
+
     # Connection states.
     CLOSED = "CLOSED"
     LISTEN = "LISTEN"
@@ -123,9 +134,9 @@ class TCPConnection:
         self.cwnd = float(mss)    # congestion window (bytes)
         self.ssthresh = float(DEFAULT_RWND)
         self.peer_window = DEFAULT_RWND
-        # App data not yet segmented: deque, because _pump() consumes
-        # from the head chunk by chunk and list.pop(0) is O(n).
-        self._send_queue: Deque[bytes] = deque()
+        # App data not yet segmented; _pump() consumes it head first.
+        # A list: it holds a chunk or two, and is usually empty.
+        self._send_queue: list[bytes] = []
         self._inflight: list[_SendBufferEntry] = []
         self._dupacks = 0
         self._in_fast_recovery = False
@@ -343,7 +354,7 @@ class TCPConnection:
             if rest:
                 self._send_queue[0] = rest
             else:
-                self._send_queue.popleft()
+                self._send_queue.pop(0)
             entry = _SendBufferEntry(seq=self.snd_nxt, data=data,
                                      sent_at=self.sim.now)
             self._inflight.append(entry)

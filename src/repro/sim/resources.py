@@ -10,8 +10,7 @@ Two primitives cover everything the stack needs:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque
+from typing import Any
 
 from .kernel import Event, Simulator, SimulationError
 
@@ -51,10 +50,10 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.in_use = 0
-        # Deque so the FIFO grant in release() is O(1); cancel() still
-        # removes from the middle (deque.remove raises ValueError like
-        # list.remove, which cancel() already expects).
-        self._waiting: Deque[Request] = deque()
+        # A list (one per resource, usually empty, far smaller than a
+        # deque): it holds only waiters beyond capacity, so pop(0) is
+        # cheap.  cancel() relies on remove()'s ValueError.
+        self._waiting: list[Request] = []
 
     @property
     def available(self) -> int:
@@ -86,7 +85,7 @@ class Resource:
                 "(never granted, or already released)")
         request.holds_slot = False
         if self._waiting:
-            self._grant(self._waiting.popleft())
+            self._grant(self._waiting.pop(0))
         else:
             self.in_use -= 1
 
@@ -98,28 +97,18 @@ class PriorityResource(Resource):
     (priority 0) gets airtime ahead of background transfers.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        super().__init__(sim, capacity=capacity)
-        self._seq = 0
-
     def request(self, priority: int = 10) -> Request:
         req = Request(self)
         req.priority = priority
-        self._seq += 1
-        req._seq = self._seq
         if self.in_use < self.capacity:
             self.in_use += 1
             self._grant(req)
         else:
             self._waiting.append(req)
-            # Deques have no sort(); rebuild.  The queue is short (it
-            # only holds waiters beyond capacity) and sorted() is stable,
-            # so the (priority, arrival-seq) order is preserved exactly.
-            self._waiting = deque(sorted(
-                self._waiting,
-                key=lambda r: (getattr(r, "priority", 10),
-                               getattr(r, "_seq", 0)),
-            ))
+            # The queue is already in (priority, arrival) order and
+            # list.sort() is stable, so the newcomer lands after every
+            # earlier waiter of its priority.
+            self._waiting.sort(key=lambda r: r.priority)
         return req
 
 
@@ -129,8 +118,8 @@ class Store:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self.items: list[Any] = []
+        self._getters: list[Event] = []
 
     def __len__(self) -> int:
         return len(self.items)
@@ -138,7 +127,7 @@ class Store:
     def try_put(self, item: Any) -> None:
         """Insert ``item`` (never blocks: the store is unbounded)."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.pop(0).succeed(item)
         else:
             self.items.append(item)
 
@@ -146,7 +135,7 @@ class Store:
         """Remove and return the oldest item (event value)."""
         ev = Event(self.sim)
         if self.items:
-            ev.succeed(self.items.popleft())
+            ev.succeed(self.items.pop(0))
         else:
             self._getters.append(ev)
         return ev

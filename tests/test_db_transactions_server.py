@@ -1,7 +1,10 @@
 """Tests for transactions (locking, rollback) and the TCP database server."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +166,54 @@ def test_lock_timeout_raises_deadlock_error():
     sim.spawn(victim(sim))
     sim.run(until=60)
     assert len(errors) == 1
+
+
+# One transaction holds X locks on four tables, taken out of name
+# order; each table has one waiter.  Prints the order the waiters get
+# their locks once the holder commits.
+_RELEASE_ORDER_PROBE = """
+from repro.db import Database, TransactionManager, execute
+from repro.sim import Simulator
+
+sim, db = Simulator(), Database()
+tables = ["tab2", "tab0", "tab3", "tab1"]
+for name in tables:
+    execute(db, f"CREATE TABLE {name} (id INTEGER PRIMARY KEY)")
+mgr = TransactionManager(sim, db)
+granted = []
+
+def holder(env):
+    txn = mgr.begin()
+    for name in tables:
+        yield mgr.acquire(txn, name, exclusive=True)
+    yield env.timeout(1.0)
+    txn.commit()
+
+def waiter(env, name):
+    yield env.timeout(0.5)
+    yield mgr.acquire(mgr.begin(), name, exclusive=True)
+    granted.append(name)
+
+sim.spawn(holder(sim))
+for name in tables:
+    sim.spawn(waiter(sim, name))
+sim.run(until=10)
+print(",".join(granted))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])
+def test_release_grants_waiters_in_table_name_order(hash_seed):
+    """Commit wakes each table's waiters in table-name order, whatever
+    the string hash seed: the grant order must not follow set order."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", _RELEASE_ORDER_PROBE],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "tab0,tab1,tab2,tab3"
 
 
 def test_finished_transaction_rejects_use():

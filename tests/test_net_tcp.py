@@ -424,3 +424,32 @@ def test_closed_connection_is_freed_without_cyclic_gc():
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
+
+
+def test_established_connection_pair_footprint():
+    """Memory an idle, established client/server pair holds.  A gateway
+    fleet keeps about a thousand connections open at once, so each one
+    must stay small: its wait queues are plain lists and the connection
+    is slotted."""
+    import gc
+    import tracemalloc
+
+    sim = Simulator()
+    net, a, b = build_pair(sim)
+    tcp_c = TCPStack(a)
+    tcp_s = TCPStack(b)
+    tcp_s.listen(80)
+    pairs = 200
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        conns = [tcp_c.connect(b.primary_address, 80) for _ in range(pairs)]
+        sim.run(until=30)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(conn.state == "ESTABLISHED" for conn in conns)
+    assert len(tcp_s._connections) == pairs
+    assert held / pairs <= 5_000, f"{held / pairs:.0f} B per pair"

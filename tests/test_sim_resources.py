@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store
+from repro.sim import (PriorityResource, Resource, SimulationError,
+                       Simulator, Store)
 
 
 # ---------------------------------------------------------------- Resource
@@ -72,6 +73,47 @@ def test_request_cancel_leaves_queue():
     assert res.queue_length == 0
     res.release(held)
     assert not waiting.triggered  # cancelled requests are never granted
+
+
+def test_cancel_of_middle_waiter_keeps_fifo_for_the_rest():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    held = res.request()
+    first, middle, last = res.request(), res.request(), res.request()
+    middle.cancel()
+    assert res.queue_length == 2
+    res.release(held)
+    assert first.triggered and not last.triggered
+    res.release(first)
+    assert last.triggered and not middle.triggered
+    assert res.queue_length == 0
+
+
+def _grant_order(res, requests):
+    """Release the holder of the single slot until no one waits; return
+    the tags in the order their requests were granted."""
+    order = []
+    while True:
+        holder = next((tag for tag, req in requests.items()
+                       if req.holds_slot), None)
+        if holder is None:
+            return order
+        order.append(holder)
+        res.release(requests.pop(holder))
+
+
+def test_priority_resource_grants_by_priority_then_arrival():
+    sim = Simulator()
+    res = PriorityResource(sim, capacity=1)
+    requests = {"holder": res.request()}
+    for tag, priority in [("a5", 5), ("b1", 1), ("c5", 5), ("d1", 1)]:
+        requests[tag] = res.request(priority=priority)
+    res.release(requests.pop("holder"))
+    assert requests["b1"].holds_slot
+    # An equal-priority request arriving late queues behind d1, ahead
+    # of every lower-priority (higher value) waiter.
+    requests["late1"] = res.request(priority=1)
+    assert _grant_order(res, requests) == ["b1", "d1", "late1", "a5", "c5"]
 
 
 def test_release_of_ungranted_request_is_refused():
