@@ -12,6 +12,7 @@ end-to-end latency — the consistency property the trace CLI asserts.
 
 from __future__ import annotations
 
+import heapq
 import json
 from typing import Iterable, Optional
 
@@ -111,15 +112,23 @@ def layer_breakdown(tracer_or_spans, trace_id: Optional[int] = None,
 
     boundaries = sorted({t for start, end, _, _ in clipped
                          for t in (start, end)})
+    clipped.sort(key=lambda item: item[0])
+    # Sweep the elementary intervals left to right.  A span joins the
+    # heap when the sweep reaches its start and is dropped lazily once
+    # it ends; the heap top is the winner.  Deepest wins; ties go to
+    # the latest-started (unclipped start), then newest span.
+    active: list[tuple] = []
+    joined = 0
     totals: dict[str, float] = {}
     for left, right in zip(boundaries, boundaries[1:]):
-        covering = [
-            (depth, span.start, span.span_id, span)
-            for start, end, depth, span in clipped
-            if start <= left and end >= right
-        ]
-        # Deepest wins; ties go to the latest-started, then newest span.
-        _, _, _, winner = max(covering)
+        while joined < len(clipped) and clipped[joined][0] <= left:
+            _, end, depth, span = clipped[joined]
+            heapq.heappush(active, (-depth, -span.start, -span.span_id,
+                                    end, span))
+            joined += 1
+        while active[0][3] <= left:
+            heapq.heappop(active)
+        winner = active[0][4]
         totals[winner.layer] = totals.get(winner.layer, 0.0) + (right - left)
     return totals
 

@@ -8,6 +8,7 @@ always-on i-mode path).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import parse_qsl, quote, unquote, urlsplit
@@ -46,7 +47,9 @@ class HTTPRequest:
     trace: object = None
 
     def __post_init__(self):
-        self.method = self.method.upper()
+        # Interned: the access log keeps one method string per verb,
+        # not one per request.
+        self.method = sys.intern(self.method.upper())
         self.headers = {k.lower(): v for k, v in self.headers.items()}
 
     @property

@@ -57,7 +57,8 @@ class WebServer:
         self.services: dict = {}
         self.stats = Counter()
         # Apache-style access log: (time, client, method, path, status,
-        # response bytes).
+        # response bytes).  The client is the connection's IPAddress,
+        # one object per host shared by all its entries.
         self.access_log: list[tuple] = []
         self.workers = Resource(self.sim, capacity=workers)
         # path -> list of (content_type, body) variants, in registration
@@ -244,7 +245,7 @@ class WebServer:
                 self.stats.incr("requests")
                 self.stats.incr(f"status_{response.status}")
                 self.access_log.append((
-                    self.sim.now, str(conn.remote_addr), request.method,
+                    self.sim.now, conn.remote_addr, request.method,
                     request.path, response.status, len(response.body),
                 ))
                 if not keep_alive:

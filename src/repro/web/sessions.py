@@ -3,6 +3,13 @@
 "Most of the mobile commerce application programs reside in this
 component, except for some client-side programs such as cookies" — the
 host keeps the state, the device carries only the session cookie.
+
+A session is kept only once a program writes to it.  Every request
+without a live cookie gets a new session and a ``Set-Cookie``, but the
+store registers that session only if the CGI program put something in
+its ``data``; a cookie naming a session that was never written gets a
+fresh session, as one naming an expired session does.  So a client
+that never sends its cookie back costs the store nothing.
 """
 
 from __future__ import annotations
@@ -60,13 +67,12 @@ class SessionStore:
         return hashlib.sha256(seed.encode()).hexdigest()[:16]
 
     def create(self) -> Session:
-        session = Session(
+        """A new session with a fresh id, not yet kept (see attach)."""
+        return Session(
             session_id=self._new_id(),
             created_at=self.sim.now,
             last_seen=self.sim.now,
         )
-        self._sessions[session.session_id] = session
-        return session
 
     def get(self, session_id: str) -> Optional[Session]:
         session = self._sessions.get(session_id)
@@ -89,4 +95,7 @@ class SessionStore:
         return self.create(), True
 
     def attach(self, response: HTTPResponse, session: Session) -> None:
+        """Set the new session's cookie; keep the session if written."""
         response.set_cookie(SESSION_COOKIE, session.session_id)
+        if session.data:
+            self._sessions[session.session_id] = session

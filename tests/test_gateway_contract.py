@@ -16,6 +16,7 @@ from repro.middleware import (
     WebClippingProxy,
     encode_frame,
 )
+from repro.middleware.base import TRANSLATION_MEMO_SIZE
 from repro.net import NameRegistry, Network, Subnet
 from repro.net.tcp import tcp_stack
 from repro.sim import Simulator
@@ -214,3 +215,24 @@ def test_repeated_page_is_one_cache_hit(kind):
     assert world.gateway.translation_cache_hits == 0
     assert world.get("http://shop.example.com/") == first
     assert world.gateway.translation_cache_hits == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_memo_is_bounded_and_keeps_a_hot_body(kind):
+    gateway = World(kind).gateway
+
+    def transform(body):
+        return (body.upper(),)
+
+    hot = b"catalog deck"
+    cold = 0
+    for _ in range(8):
+        assert gateway._memo(transform, hot) == (hot.upper(),)
+        for _ in range(TRANSLATION_MEMO_SIZE // 2):
+            cold += 1
+            gateway._memo(transform, b"order %d" % cold)
+            assert len(gateway._translations) <= TRANSLATION_MEMO_SIZE
+    # 4 * TRANSLATION_MEMO_SIZE distinct cold bodies went by, and the hot
+    # body hit on every visit after its first.
+    assert len(gateway._translations) == TRANSLATION_MEMO_SIZE
+    assert gateway.translation_cache_hits == 7

@@ -8,6 +8,7 @@ kernel profiler are off (and cost nothing) by default.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine
@@ -24,6 +25,7 @@ from repro.obs import (
     render_breakdown_table,
     trace_to_dict,
 )
+from repro.obs.report import _span_depths
 from repro.sim import Simulator
 
 
@@ -222,6 +224,60 @@ def test_layer_breakdown_clips_open_spans():
     breakdown = layer_breakdown(spans)
     assert breakdown == {"app": pytest.approx(4.0),
                          "web": pytest.approx(2.0)}
+
+
+def scan_breakdown(spans):
+    """The quadratic reference: rescan every span per interval."""
+    root = next(s for s in spans if s.parent_id is None)
+    lo, hi = root.start, root.end
+    if hi <= lo:
+        return {root.layer: 0.0}
+    depths = _span_depths(spans)
+    clipped = []
+    for span in spans:
+        start = max(span.start, lo)
+        end = min(span.end if span.end is not None else hi, hi)
+        if end > start:
+            clipped.append((start, end, depths[span.span_id], span))
+    boundaries = sorted({t for start, end, _, _ in clipped
+                         for t in (start, end)})
+    totals = {}
+    for left, right in zip(boundaries, boundaries[1:]):
+        covering = [
+            (depth, span.start, span.span_id, span)
+            for start, end, depth, span in clipped
+            if start <= left and end >= right
+        ]
+        _, _, _, winner = max(covering)
+        totals[winner.layer] = totals.get(winner.layer, 0.0) + (right - left)
+    return totals
+
+
+# Times on a coarse grid, so starts, ends and depths tie often.
+_times = st.integers(0, 12).map(lambda t: t * 0.75)
+
+
+@st.composite
+def span_trees(draw):
+    ids = draw(st.permutations(range(1, draw(st.integers(1, 14)) + 1)))
+    root_start = draw(_times)
+    spans = [make_span(ids[0], draw(st.sampled_from(LAYER_ORDER)),
+                       root_start, root_start + draw(_times))]
+    for span_id in ids[1:]:
+        start = draw(_times)
+        end = draw(st.one_of(st.none(), _times.map(lambda t: start + t)))
+        spans.append(make_span(
+            span_id, draw(st.sampled_from(LAYER_ORDER)), start, end,
+            parent_id=draw(st.sampled_from(spans)).span_id))
+    return draw(st.permutations(spans))
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_trees())
+def test_layer_breakdown_sweep_equals_scan(spans):
+    # Same winners in the same order, so the float sums are identical.
+    assert list(layer_breakdown(spans).items()) == \
+        list(scan_breakdown(spans).items())
 
 
 def test_layer_breakdown_requires_finished_root():

@@ -15,6 +15,7 @@ from repro.opt import (
 )
 from repro.core.shoppers import canonical_json
 from repro.faults.chaos import run_chaos
+from repro.middleware.base import TRANSLATION_MEMO_SIZE
 from repro.perf import run_bench, sweep_bench
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -185,6 +186,28 @@ def test_a_planted_divergence_fails_its_row():
     with pytest.raises(AssertionError):
         test_transparent_row_is_byte_identical(lambda: "a", lambda: "b",
                                                request=None)
+
+
+# ------------------------------------------------------------- retention
+def test_bench_keeps_no_per_request_state():
+    """Host and gateway keep nothing per request that nobody reads."""
+    scenario = json.loads(
+        (ROOT / "BENCH_PERF_50.json").read_text())["scenario"]
+    built = []
+    run_bench(trace=False, post_build=lambda system, engine:
+              built.append(system), **scenario)
+    (system,) = built
+    server = system.host.web_server
+    # No CGI program writes a session, so none is kept.
+    assert len(server.sessions) == 0
+    gateways = [gw for gw in (system.gateway, system.standby_gateway)
+                if gw is not None]
+    assert all(len(gw._translations) <= TRANSLATION_MEMO_SIZE
+               for gw in gateways)
+    # One address object per client host, shared by all its entries.
+    clients = [entry[1] for entry in server.access_log]
+    assert len(clients) == server.stats.get("requests") > 0
+    assert len({id(addr) for addr in clients}) == len(set(clients))
 
 
 # ----------------------------------------------------------------- sweep

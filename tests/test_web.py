@@ -233,10 +233,32 @@ def test_session_cookie_issued_and_reused():
     cookie = first.headers.get("set-cookie")
     assert cookie and "msid=" in cookie
     name_value = cookie.split(";")[0]
+    assert len(server.sessions) == 1  # written, so kept
     second = fetch(sim, client, host, "/count",
                    headers={"cookie": name_value})
     assert second.body == b"2"
+    assert "set-cookie" not in second.headers
     assert visits == [1, 2]
+    assert len(server.sessions) == 1
+
+
+def test_unwritten_session_is_not_kept():
+    sim, host, server, client = web_world()
+
+    def whoami(ctx):
+        return HTTPResponse.ok(ctx.session.session_id, "text/plain")
+
+    server.mount("/id", whoami)
+    first = fetch(sim, client, host, "/id")
+    cookie = first.headers["set-cookie"].split(";")[0]
+    assert cookie == "msid=" + first.body.decode()
+    assert len(server.sessions) == 0
+    # Its cookie names no kept session: a fresh one, with a new cookie.
+    second = fetch(sim, client, host, "/id", headers={"cookie": cookie})
+    assert second.body != first.body
+    assert second.headers["set-cookie"].split(";")[0] == (
+        "msid=" + second.body.decode())
+    assert len(server.sessions) == 0
 
 
 def test_session_expires_after_ttl():
@@ -360,9 +382,12 @@ def test_access_log_records_requests():
     fetch(sim, client, host, "/missing")
     assert len(server.access_log) == 2
     t1, client_addr, method, path, status, size = server.access_log[0]
+    assert client_addr == client.node.primary_address
     assert method == "GET" and path == "/a" and status == 200
     assert size == len(b"alpha")
     assert server.access_log[1][4] == 404
+    # One client, one shared address object across its entries.
+    assert server.access_log[1][1] is client_addr
 
 
 def test_session_ids_deterministic_across_stores():
