@@ -118,7 +118,7 @@ def measure():
         "static": StatSummary.of(local["static"]),
         "by_id": StatSummary.of(local["by_id"]),
         "by_cat": StatSummary.of(local["by_cat"]),
-        "access_log_entries": len(server.access_log),
+        "access_log_entries": server.stats.get("requests"),
     }
 
 

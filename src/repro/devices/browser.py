@@ -11,6 +11,7 @@ a Toshiba E740, which is what the Table 2 benchmark measures.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -146,19 +147,13 @@ class Microbrowser:
         return lines[:limit], truncated
 
 
+# A tag up to, not including, its ">"; each ">" then becomes a space.
+_TAG_BODY = re.compile(r"<[^>]*")
+
+
 def _strip_markup(text: str) -> str:
     """Remove tags, normalise entities and whitespace (crude but fair)."""
-    out: list[str] = []
-    in_tag = False
-    for ch in text:
-        if ch == "<":
-            in_tag = True
-        elif ch == ">":
-            in_tag = False
-            out.append(" ")
-        elif not in_tag:
-            out.append(ch)
-    plain = "".join(out)
+    plain = _TAG_BODY.sub("", text).replace(">", " ")
     for entity, char in [("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"),
                          ("&nbsp;", " "), ("&quot;", '"')]:
         plain = plain.replace(entity, char)

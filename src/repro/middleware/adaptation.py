@@ -13,6 +13,7 @@ The two directions implemented here:
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Optional
 
 from .wml import WMLCard, WMLDocument
@@ -23,31 +24,21 @@ __all__ = ["html_to_wml", "extract_title", "extract_links", "strip_tags",
 CARD_TEXT_LIMIT = 500  # characters of body text per card
 
 
+# A <script> or <style> element, dropped whole: from its opening "<"
+# to the first ">" after the first "</" (or the end of the page).
+_SCRIPT_OR_STYLE = re.compile(r"<(?:script|style)(?:.*?</[^>]*>|.*)",
+                              re.ASCII | re.IGNORECASE | re.DOTALL)
+# A tag up to, not including, its ">"; each ">" then becomes a space.
+_TAG_BODY = re.compile(r"<[^>]*")
+_ENTITIES = (("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"),
+             ("&nbsp;", " "), ("&quot;", '"'))
+
+
 def strip_tags(html: str) -> str:
     """Plain text of an HTML document (whitespace-normalised)."""
-    out: list[str] = []
-    in_tag = False
-    skip_depth = 0
-    pos = 0
-    while pos < len(html):
-        ch = html[pos]
-        if ch == "<":
-            lowered = html[pos:pos + 8].lower()
-            if lowered.startswith("<script") or lowered.startswith("<style"):
-                close = html.lower().find("</", pos + 1)
-                end = html.find(">", close) if close >= 0 else -1
-                pos = end + 1 if end >= 0 else len(html)
-                continue
-            in_tag = True
-        elif ch == ">":
-            in_tag = False
-            out.append(" ")
-        elif not in_tag:
-            out.append(ch)
-        pos += 1
-    text = "".join(out)
-    for entity, char in [("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"),
-                         ("&nbsp;", " "), ("&quot;", '"')]:
+    text = _SCRIPT_OR_STYLE.sub("", html)
+    text = _TAG_BODY.sub("", text).replace(">", " ")
+    for entity, char in _ENTITIES:
         text = text.replace(entity, char)
     return " ".join(text.split())
 

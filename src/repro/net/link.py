@@ -88,20 +88,24 @@ class LinkEnd:
 
     def _attempt(self) -> None:
         self._attempts += 1
-        rate = self.link.transmit_rate(self)
+        link = self.link
+        rate = link.transmit_rate(self)
         if rate <= 0:
-            self.link.stats.incr("no_signal_drops")
+            link.stats.incr("no_signal_drops")
             end_span(self.sim, self._span, dropped="no_signal")
             self._take_next()
             return
-        self._frame_s = self._packet.size * 8 / rate
-        self._grant = self.link.request_airtime()
-        if self._grant is None:
-            self._serialize()
+        frame_s = self._packet.size * 8 / rate
+        if link.airtime is None:
+            # A dedicated medium: serialize at once.
+            self.sim._call_after(frame_s, self._sent)
         else:
+            self._frame_s = frame_s
+            self._grant = link.request_airtime()
             self._grant.callbacks.append(self._serialize)
 
-    def _serialize(self, _grant=None) -> None:
+    def _serialize(self, _grant) -> None:
+        """The airtime grant came: serialize the frame."""
         self.sim._call_after(self._frame_s, self._sent)
 
     def _sent(self, _=None) -> None:
@@ -143,8 +147,12 @@ class LinkEnd:
             return
         iface = self.peer_iface
         if iface is not None and iface.is_up:
-            link.stats.incr("delivered")
-            link.stats.incr("bytes_delivered", packet.size)
+            # Bumped in place, not through Counter.incr; the dict is
+            # read here, not kept (the race sanitizer may swap it).
+            counts = link.stats._counts
+            counts["delivered"] = counts.get("delivered", 0) + 1
+            counts["bytes_delivered"] = \
+                counts.get("bytes_delivered", 0) + packet.size
             iface.node.enqueue_rx(packet, iface)
         elif iface is not None:
             # The receiving interface was detached.
@@ -212,12 +220,10 @@ class Link:
 
     # -- medium behaviour (overridden by wireless links) -----------------
     def request_airtime(self):
-        """Acquire the shared medium, if any (None = dedicated medium).
+        """Request the shared medium (only links with ``airtime`` do).
 
         Wireless subclasses with QoS override this to pass a priority.
         """
-        if self.airtime is None:
-            return None
         return self.airtime.request()
 
     def transmit_rate(self, end: LinkEnd) -> float:

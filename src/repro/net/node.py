@@ -165,7 +165,19 @@ class Node:
 
     def _on_rx(self, received: tuple) -> None:
         # One wakeup call per packet, as a receive loop would take.
-        self._receive(*received)
+        packet, iface = received
+        packet.hops.append(self.name)
+        if self.trace.enabled:
+            self.trace.log(self.sim.now, "rx", node=self.name,
+                           pkt=packet.packet_id, proto=packet.proto)
+        if self.rx_taps and self._tapped(packet, iface):
+            pass  # a tap consumed the packet
+        elif packet.dst.value in self._owned_values:
+            self._deliver_local(packet)
+        elif self.forwarding:
+            self.forward(packet)
+        else:
+            self.stats.incr("not_for_me_drops")
         # Take the next packet: _take_next_rx, inlined to save a frame
         # on every hop.
         if self._rx:
@@ -173,43 +185,39 @@ class Node:
         else:
             self._rx_idle = True
 
-    def _receive(self, packet: Packet, iface: Interface) -> None:
-        packet.record_hop(self.name)
-        if self.trace.enabled:
-            self.trace.log(self.sim.now, "rx", node=self.name,
-                           pkt=packet.packet_id, proto=packet.proto)
-        if self.rx_taps:
-            for tap in list(self.rx_taps):
-                if tap(packet, iface):
-                    return
-        if packet.dst.value in self._owned_values:
-            self._deliver_local(packet)
-        elif self.forwarding:
-            self.forward(packet)
-        else:
-            self.stats.incr("not_for_me_drops")
+    def _tapped(self, packet: Packet, iface: Interface) -> bool:
+        """Whether an rx tap consumed the packet."""
+        for tap in list(self.rx_taps):
+            if tap(packet, iface):
+                return True
+        return False
 
     def _deliver_local(self, packet: Packet) -> None:
-        if packet.proto == PROTO_IPIP:
+        proto = packet.proto
+        if proto == PROTO_IPIP:
             inner = packet.decapsulate()
             self.stats.incr("decapsulated")
             # Re-process the inner datagram as if it had just arrived.
-            if self.owns_address(inner.dst):
+            if inner.dst.value in self._owned_values:
                 self._deliver_local(inner)
             else:
                 self.forward(inner, force=True)
             return
-        handler = self._handlers.get(packet.proto)
+        handler = self._handlers.get(proto)
         if handler is None:
             self.stats.incr("no_handler_drops")
             return
-        self.stats.incr("delivered_local")
+        # The per-packet counters are bumped in place, not through
+        # Counter.incr.  The dict is read here, not kept: the race
+        # sanitizer swaps it for a tracked one.
+        counts = self.stats._counts
+        counts["delivered_local"] = counts.get("delivered_local", 0) + 1
         handler(self, packet)
 
     def send_ip(self, packet: Packet) -> bool:
         """Originate a datagram from this node."""
         packet.created_at = packet.created_at or self.sim.now
-        if self.owns_address(packet.dst):
+        if packet.dst.value in self._owned_values:
             # Loopback delivery.
             self._deliver_local(packet)
             return True
@@ -219,7 +227,8 @@ class Node:
                 force: bool = False) -> bool:
         """Route a packet toward its destination."""
         if not originating and not force:
-            if not packet.decrement_ttl():
+            packet.ttl -= 1
+            if packet.ttl <= 0:
                 self.stats.incr("ttl_drops")
                 return False
         route = self.routing_table.lookup(packet.dst)
@@ -230,12 +239,17 @@ class Node:
         if self.trace.enabled:
             self.trace.log(self.sim.now, "tx", node=self.name,
                            pkt=packet.packet_id, via=iface.name)
-        ok = iface.send(packet)
-        if ok:
-            self.stats.incr("forwarded")
-        else:
-            self.stats.incr("tx_drops")
-        return ok
+        # Interface.send, inlined: a downed or unattached interface
+        # drops the packet.
+        tx = iface._tx
+        if not iface.is_up or tx is None:
+            self.stats.incr("iface_down_drops")
+        elif tx.enqueue(packet):
+            counts = self.stats._counts
+            counts["forwarded"] = counts.get("forwarded", 0) + 1
+            return True
+        self.stats.incr("tx_drops")
+        return False
 
 
 class Network:

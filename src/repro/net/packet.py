@@ -61,14 +61,6 @@ class Packet:
         if self.ttl <= 0:
             raise ValueError(f"packet born dead: ttl={self.ttl}")
 
-    def decrement_ttl(self) -> bool:
-        """Consume one hop; returns False when the packet must be dropped."""
-        self.ttl -= 1
-        return self.ttl > 0
-
-    def record_hop(self, node_name: str) -> None:
-        self.hops.append(node_name)
-
     def encapsulate(self, outer_src: IPAddress, outer_dst: IPAddress) -> "Packet":
         """Wrap this packet in an IP-in-IP tunnel packet."""
         return Packet(

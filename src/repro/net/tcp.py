@@ -70,9 +70,9 @@ class TCPSegment:
         )
 
 
-# Hot-path constants: every emitted segment takes one of these (and
-# _emit ORs in the ACK); building a frozenset per segment is
-# measurable at load-test scale.
+# Hot-path constants: every emitted segment takes one of these, so
+# _emit builds no frozenset of its own (only a SYN sent after the
+# handshake gains an ACK).
 _ACK_FLAGS = frozenset(("ACK",))
 _SYN_FLAGS = frozenset(("SYN",))
 _SYN_ACK_FLAGS = frozenset(("SYN", "ACK"))
@@ -94,6 +94,7 @@ class TCPConnection:
     # once.  __weakref__ lets a weak reference watch one being freed.
     __slots__ = (
         "stack", "sim", "local_port", "remote_addr", "remote_port", "mss",
+        "_src",
         "state", "snd_una", "snd_nxt", "iss", "cwnd", "ssthresh",
         "peer_window", "_send_queue", "_inflight", "_dupacks",
         "_in_fast_recovery", "_recovery_point", "_send_wakeup", "rcv_nxt",
@@ -125,6 +126,9 @@ class TCPConnection:
         self.remote_addr = remote_addr
         self.remote_port = remote_port
         self.mss = mss
+        # Source of every emitted packet: a node's primary address is
+        # fixed once it has one.
+        self._src = stack.node.primary_address
         self.state = TCPConnection.CLOSED
 
         # --- send side -----------------------------------------------------
@@ -266,34 +270,28 @@ class TCPConnection:
     # ------------------------------------------------------------- segment I/O
     def _emit(
         self,
-        flags: frozenset = frozenset(),
+        flags: frozenset,
         seq: Optional[int] = None,
         data: bytes = b"",
     ) -> None:
-        segment = TCPSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=self.snd_nxt if seq is None else seq,
-            ack=self.rcv_nxt,
-            flags=flags | _ACK_FLAGS if self.state not in (
-                TCPConnection.SYN_SENT,) else flags,
-            data=data,
-            window=DEFAULT_RWND,
-        )
+        if "ACK" not in flags and self.state != TCPConnection.SYN_SENT:
+            flags = flags | _ACK_FLAGS
         packet = Packet(
-            src=self.stack.node.primary_address,
-            dst=self.remote_addr,
-            proto=PROTO_TCP,
-            payload=segment,
-            payload_size=len(data) + TCP_HEADER_BYTES,
+            self._src, self.remote_addr, PROTO_TCP,
+            TCPSegment(self.local_port, self.remote_port,
+                       self.snd_nxt if seq is None else seq, self.rcv_nxt,
+                       flags, data),
+            len(data) + TCP_HEADER_BYTES,
             trace=self.trace,
         )
-        self.stats.incr("segments_sent")
+        counts = self.stats._counts
+        counts["segments_sent"] = counts.get("segments_sent", 0) + 1
         self.stack.node.send_ip(packet)
 
     def handle_segment(self, segment: TCPSegment, packet: Packet) -> None:
         """Demultiplexed inbound segment processing."""
-        if segment.data and packet.trace is not None:
+        data = segment.data
+        if data and packet.trace is not None:
             # Adopt the sender's trace context: the peer's spans (and our
             # replies) stitch to the same transaction without spending a
             # single wire byte on it.  Data segments only — a straggling
@@ -306,11 +304,24 @@ class TCPConnection:
             # A bare SYN: simultaneous open is out of scope.
             return
         if "ACK" in flags:
-            if self.state == TCPConnection.SYN_RCVD and \
-                    segment.ack == self.snd_nxt:
+            ack = segment.ack
+            if self.state == TCPConnection.SYN_RCVD and ack == self.snd_nxt:
                 self._become_established()
-            self._on_ack(segment)
-        if segment.data:
+            # The ACK path: a new ACK slides the window, a bare repeat is
+            # a duplicate; either may let queued data out and wakes a
+            # closer waiting for the queue to drain.
+            self.peer_window = segment.window
+            if ack > self.snd_una:
+                self._on_new_ack(ack)
+            elif ack == self.snd_una and self._inflight and not data \
+                    and "FIN" not in flags:
+                self._on_dupack()
+            if self._send_queue:
+                self._pump()
+            wakeup = self._send_wakeup
+            if wakeup is not None and not wakeup.triggered:
+                wakeup.succeed()
+        if data:
             self._on_data(segment)
         if "FIN" in flags:
             self._on_fin(segment)
@@ -337,28 +348,32 @@ class TCPConnection:
         self._pump()
 
     # -------------------------------------------------------------- send engine
-    def _usable_window(self) -> int:
-        window = min(self.cwnd, float(self.peer_window))
-        outstanding = self.snd_nxt - self.snd_una
-        return max(0, int(window) - outstanding)
-
     def _pump(self) -> None:
         """Transmit as much queued data as the window allows."""
-        if self.state not in (TCPConnection.ESTABLISHED, TCPConnection.CLOSE_WAIT):
+        state = self.state
+        if state != TCPConnection.ESTABLISHED and \
+                state != TCPConnection.CLOSE_WAIT:
             return
+        queue = self._send_queue
         sent_any = False
-        while self._send_queue and self._usable_window() >= 1:
-            chunk = self._send_queue[0]
-            take = min(len(chunk), self.mss, max(self._usable_window(), 1))
-            data, rest = chunk[:take], chunk[take:]
-            if rest:
-                self._send_queue[0] = rest
+        while queue:
+            # The usable window, read afresh per segment: a loopback
+            # ACK can move it while _emit runs.
+            usable = int(min(self.cwnd, float(self.peer_window))) - \
+                (self.snd_nxt - self.snd_una)
+            if usable < 1:
+                break
+            chunk = queue[0]
+            take = min(len(chunk), self.mss, usable)
+            if take < len(chunk):
+                data = chunk[:take]
+                queue[0] = chunk[take:]
             else:
-                self._send_queue.pop(0)
-            entry = _SendBufferEntry(seq=self.snd_nxt, data=data,
-                                     sent_at=self.sim.now)
-            self._inflight.append(entry)
-            self._emit(flags=_ACK_FLAGS, seq=entry.seq, data=data)
+                data = chunk
+                queue.pop(0)
+            seq = self.snd_nxt
+            self._inflight.append(_SendBufferEntry(seq, data, self.sim.now))
+            self._emit(_ACK_FLAGS, seq, data)
             self.snd_nxt += len(data)
             sent_any = True
         if sent_any:
@@ -369,33 +384,19 @@ class TCPConnection:
             self._send_wakeup = self.sim.event()
         return self._send_wakeup
 
-    def _fire_wakeup(self) -> None:
-        if self._send_wakeup is not None and not self._send_wakeup.triggered:
-            self._send_wakeup.succeed()
-
     # ---------------------------------------------------------------- ACK path
-    def _on_ack(self, segment: TCPSegment) -> None:
-        self.peer_window = segment.window
-        ack = segment.ack
-        if ack > self.snd_una:
-            self._on_new_ack(ack, segment)
-        elif ack == self.snd_una and self._inflight and not segment.data \
-                and not segment.fin:
-            self._on_dupack()
-        self._pump()
-        self._fire_wakeup()
-
-    def _on_new_ack(self, ack: int, segment: TCPSegment) -> None:
+    def _on_new_ack(self, ack: int) -> None:
         acked_bytes = ack - self.snd_una
         self.snd_una = ack
         self._dupacks = 0
 
         # RTT sampling (Karn: skip retransmitted segments).
+        now = self.sim.now
         remaining: list[_SendBufferEntry] = []
         for entry in self._inflight:
             if entry.seq + len(entry.data) <= ack:
                 if not entry.retransmitted:
-                    self._update_rtt(self.sim.now - entry.sent_at)
+                    self._update_rtt(now - entry.sent_at)
             else:
                 remaining.append(entry)
         self._inflight = remaining
@@ -649,17 +650,14 @@ class TCPStack:
         conn.open_active()
         return conn
 
-    def _key_for(self, packet: Packet, segment: TCPSegment) -> tuple:
-        # Keyed by the address's int: hashing the IPAddress dataclass
-        # runs a Python-level __hash__ on every segment.
-        return (packet.src.value, segment.src_port, segment.dst_port)
-
     def _on_packet(self, node: Node, packet: Packet) -> None:
         segment = packet.payload
         if not isinstance(segment, TCPSegment):
             node.stats.incr("tcp_malformed")
             return
-        key = self._key_for(packet, segment)
+        # Keyed by the address's int: hashing the IPAddress dataclass
+        # runs a Python-level __hash__ on every segment.
+        key = (packet.src.value, segment.src_port, segment.dst_port)
         conn = self._connections.get(key)
         if conn is not None:
             conn.handle_segment(segment, packet)

@@ -15,7 +15,11 @@ __all__ = ["Counter", "TimeSeries", "StatSummary", "LatencyRecorder", "Trace",
 
 
 class Counter:
-    """A monotonically growing named counter set."""
+    """A monotonically growing named counter set.
+
+    The per-packet counters of ``repro.net`` (node, link and TCP) are
+    bumped in ``_counts`` directly, without a call per increment.
+    """
 
     def __init__(self):
         self._counts: dict[str, int] = {}

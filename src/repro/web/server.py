@@ -26,10 +26,13 @@ from .cgi import CGIContext, CGIRegistry
 from .http import HTTPParseError, HTTPRequest, HTTPResponse, RequestParser
 from .sessions import SessionStore
 
-__all__ = ["WebServer", "DEFAULT_HTTP_PORT"]
+__all__ = ["WebServer", "DEFAULT_HTTP_PORT", "ACCESS_LOG_SIZE"]
 
 DEFAULT_HTTP_PORT = 80
 REQUEST_SERVICE_TIME = 0.001  # static-content handling cost
+# The access log keeps the most recent entries only; ``stats`` counts
+# every request.
+ACCESS_LOG_SIZE = 256
 
 
 class WebServer:
@@ -57,8 +60,11 @@ class WebServer:
         self.services: dict = {}
         self.stats = Counter()
         # Apache-style access log: (time, client, method, path, status,
-        # response bytes).  The client is the connection's IPAddress,
-        # one object per host shared by all its entries.
+        # response bytes), the last ACCESS_LOG_SIZE requests.  The
+        # client is the connection's IPAddress, one object per host
+        # shared by all its entries.  A list, not a bounded deque: the
+        # race sanitizer tracks list attributes, and its pinned reports
+        # name this one.
         self.access_log: list[tuple] = []
         self.workers = Resource(self.sim, capacity=workers)
         # path -> list of (content_type, body) variants, in registration
@@ -244,7 +250,10 @@ class WebServer:
                 conn.send(self._finalize(response).encode())
                 self.stats.incr("requests")
                 self.stats.incr(f"status_{response.status}")
-                self.access_log.append((
+                log = self.access_log
+                if len(log) >= ACCESS_LOG_SIZE:
+                    log.pop(0)
+                log.append((
                     self.sim.now, conn.remote_addr, request.method,
                     request.path, response.status, len(response.body),
                 ))

@@ -12,6 +12,7 @@ Values are HTML/WML-escaped by default; suffix the expression with
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 __all__ = ["render", "TemplateError"]
@@ -23,10 +24,18 @@ class TemplateError(Exception):
 
 def render(template: str, context: dict) -> str:
     """Render ``template`` against ``context``."""
+    return "".join(_emit(node, context) for node in _parsed(template))
+
+
+@lru_cache(maxsize=64)
+def _parsed(template: str) -> list:
+    """The template's node list.  The handlers render a few module
+    constants, so each is parsed once; a malformed template raises on
+    every call (an exception is not cached)."""
     nodes, remainder = _parse(template, 0, end_tag=None)
     if remainder != len(template):
         raise TemplateError("unexpected trailing endfor")
-    return "".join(_emit(node, context) for node in nodes)
+    return nodes
 
 
 def _escape(value: str) -> str:

@@ -80,8 +80,6 @@ class _CellLink(Link):
         self.retry_limit = 2
 
     def request_airtime(self):
-        if self.airtime is None:
-            return None
         if isinstance(self.airtime, PriorityResource):
             return self.airtime.request(priority=self.qos_priority)
         return self.airtime.request()

@@ -17,6 +17,7 @@ from repro.core.shoppers import canonical_json
 from repro.faults.chaos import run_chaos
 from repro.middleware.base import TRANSLATION_MEMO_SIZE
 from repro.perf import run_bench, sweep_bench
+from repro.web.server import ACCESS_LOG_SIZE
 
 ROOT = pathlib.Path(__file__).parent.parent
 SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0)
@@ -189,14 +190,21 @@ def test_a_planted_divergence_fails_its_row():
 
 
 # ------------------------------------------------------------- retention
-def test_bench_keeps_no_per_request_state():
-    """Host and gateway keep nothing per request that nobody reads."""
+@pytest.fixture(scope="module")
+def bench50_system():
+    """The system of the committed 50-user bench, after its run."""
     scenario = json.loads(
         (ROOT / "BENCH_PERF_50.json").read_text())["scenario"]
     built = []
     run_bench(trace=False, post_build=lambda system, engine:
               built.append(system), **scenario)
     (system,) = built
+    return system
+
+
+def test_bench_keeps_no_per_request_state(bench50_system):
+    """Host and gateway keep nothing per request that nobody reads."""
+    system = bench50_system
     server = system.host.web_server
     # No CGI program writes a session, so none is kept.
     assert len(server.sessions) == 0
@@ -204,10 +212,29 @@ def test_bench_keeps_no_per_request_state():
                 if gw is not None]
     assert all(len(gw._translations) <= TRANSLATION_MEMO_SIZE
                for gw in gateways)
-    # One address object per client host, shared by all its entries.
+    # The access log keeps only its last ACCESS_LOG_SIZE entries, and
+    # one address object per client host, shared by all its entries.
     clients = [entry[1] for entry in server.access_log]
-    assert len(clients) == server.stats.get("requests") > 0
+    assert server.stats.get("requests") > len(clients) == ACCESS_LOG_SIZE
     assert len({id(addr) for addr in clients}) == len(set(clients))
+
+
+def test_hop_counters_at_bench_scale(bench50_system):
+    """Every hop of the 50-user bench, counted once: node ``forwarded``
+    (what ``net.packets_forwarded`` sums) and ``delivered_local``, and
+    link ``delivered``/``bytes_delivered`` over every attached link,
+    radio links included.  No frame is lost in this run, so every
+    forward is delivered."""
+    nodes = bench50_system.network.nodes
+    links = list({id(iface.link): iface.link for node in nodes
+                  for iface in node.interfaces
+                  if iface.link is not None}.values())
+    assert {key: sum(node.stats.get(key) for node in nodes)
+            for key in ("forwarded", "delivered_local")} == \
+        {"forwarded": 22307, "delivered_local": 13155}
+    assert {key: sum(link.stats.get(key) for link in links)
+            for key in ("delivered", "bytes_delivered")} == \
+        {"delivered": 22307, "bytes_delivered": 2103558}
 
 
 # ----------------------------------------------------------------- sweep

@@ -117,6 +117,22 @@ def test_template_errors():
         render("{% endfor %}", {})
 
 
+def test_template_parsed_once_and_malformed_raises_every_call():
+    from repro.web.templates import _parsed
+
+    template = "{% for i in xs %}<{{ i }}>{% endfor %}!"
+    assert render(template, {"xs": [1, 2]}) == "<1><2>!"
+    misses = _parsed.cache_info().misses
+    assert render(template, {"xs": ["&"]}) == "<&amp;>!"
+    assert _parsed.cache_info().misses == misses
+    # Nothing is memoized for a malformed template: it raises each time.
+    for bad in ("{% for x %}{% endfor %}", "{% for x in xs %}no end",
+                "{{ unclosed", "{% endfor %}", "{% if x %}"):
+        for _ in range(3):
+            with pytest.raises(TemplateError):
+                render(bad, {})
+
+
 # ----------------------------------------------------------------- server
 def web_world(**server_kwargs):
     sim = Simulator()
@@ -388,6 +404,25 @@ def test_access_log_records_requests():
     assert server.access_log[1][4] == 404
     # One client, one shared address object across its entries.
     assert server.access_log[1][1] is client_addr
+
+
+def test_access_log_keeps_the_last_entries():
+    """Past its bound the log drops its oldest entries; stats still
+    count every request."""
+    from repro.web.server import ACCESS_LOG_SIZE
+
+    sim, host, server, client = web_world()
+    total = ACCESS_LOG_SIZE + 5
+
+    def go(env):
+        for i in range(total):
+            yield client.get(host.primary_address, f"/p{i}")
+
+    sim.spawn(go(sim))
+    sim.run()
+    assert server.stats.get("requests") == total
+    assert [entry[3] for entry in server.access_log] == \
+        [f"/p{i}" for i in range(5, total)]
 
 
 def test_session_ids_deterministic_across_stores():
