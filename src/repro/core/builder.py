@@ -33,7 +33,6 @@ from ..middleware import (
     WTLS_PORT,
 )
 from ..net import AddressAllocator, NameRegistry, Network, Node, Subnet
-from ..obs import MetricsRegistry
 from ..resilience import CircuitBreaker, ResilienceConfig, ResilientSession
 from ..security import PaymentProcessor, TokenIssuer, UserStore
 from ..sim import SeedBank, Simulator
@@ -173,10 +172,8 @@ class MCSystem(_BaseSystem):
         self.resilience: Optional[ResilienceConfig] = None
         self.retry_policy = None
         self.request_timeout: Optional[float] = None
-        # Observability + fleet control plane (populated by the
-        # builder; all None/empty for the classic single-gateway
-        # topology except ``metrics``, which always exists).
-        self.metrics = None
+        # Fleet control plane (populated by the builder; all None for
+        # the classic single-gateway topology).
         self.fleet = None
         self.balancer = None
         self.health_monitor = None
@@ -316,9 +313,9 @@ class MCSystemBuilder:
         return (self.middleware_port
                 or _MIDDLEWARE[self.middleware][0].default_port)
 
-    def _make_gateway(self, sim, seeds, registry, node, res, metrics, *,
-                      suffix: str, port: int, metric_name: str,
-                      air_pressure, handicap: float = 0.0):
+    def _make_gateway(self, sim, seeds, registry, node, res, *,
+                      suffix: str, port: int, air_pressure,
+                      handicap: float = 0.0):
         """One middleware server plus its device-session factory.
 
         ``suffix`` is "" for the primary, "-standby" for the standby and
@@ -347,8 +344,7 @@ class MCSystemBuilder:
                     batch_stream=seeds.stream(f"gateway-admission{suffix}"))
         gateway = gateway_cls(
             node, registry, port=port, air_pressure=air_pressure,
-            handicap=handicap, metrics=metrics, metric_name=metric_name,
-            **options)
+            handicap=handicap, **options)
         service = f"middleware{suffix}"
         registry.register_service(service, node.primary_address,
                                   gateway.port)
@@ -369,8 +365,7 @@ class MCSystemBuilder:
         return gateway, make_session
 
     def _build_fleet_middleware(self, sim, seeds, registry,
-                                middleware_node, res, cells,
-                                metrics) -> dict:
+                                middleware_node, res, cells) -> dict:
         """Gateway fleet tier: pool + balancer + monitors (DESIGN §14).
 
         Member 0 reuses the classic port, seed-stream names and the
@@ -387,9 +382,8 @@ class MCSystemBuilder:
 
         def make_gateway(index, port, version, handicap, cell_index):
             return self._make_gateway(
-                sim, seeds, registry, middleware_node, res, metrics,
+                sim, seeds, registry, middleware_node, res,
                 suffix="" if index == 0 else f"-m{index}", port=port,
-                metric_name=f"gateway.gw-{index}",
                 air_pressure=(cells[cell_index % len(cells)].air_backlog
                               if cells else None),
                 handicap=handicap)
@@ -418,7 +412,7 @@ class MCSystemBuilder:
 
         health = canary = None
         if res.fleet_size >= 2:
-            health = HealthMonitor(sim, fleet, metrics=metrics)
+            health = HealthMonitor(sim, fleet)
             health.start()
         if res.canary is not None:
             canary = CanaryController(sim, fleet, balancer, **res.canary)
@@ -439,7 +433,6 @@ class MCSystemBuilder:
         network = Network(sim)
         registry = NameRegistry()
         model = SystemModel(name="mc-system")
-        metrics = MetricsRegistry()
         fleet_size = (self.resilience.fleet_size
                       if self.resilience is not None else 0)
         if fleet_size < 0:
@@ -501,7 +494,7 @@ class MCSystemBuilder:
         fleet_parts = None
         if fleet_size > 0:
             fleet_parts = self._build_fleet_middleware(
-                sim, seeds, registry, middleware_node, res, cells, metrics)
+                sim, seeds, registry, middleware_node, res, cells)
             gateway = fleet_parts["gateway"]
             make_session = fleet_parts["make_session"]
             if cellnet is not None:
@@ -516,17 +509,17 @@ class MCSystemBuilder:
                                            cell=cell)
         else:
             gateway, make_session = self._make_gateway(
-                sim, seeds, registry, middleware_node, res, metrics,
+                sim, seeds, registry, middleware_node, res,
                 suffix="", port=self._primary_port(),
-                metric_name="gateway.primary", air_pressure=air_pressure)
+                air_pressure=air_pressure)
             # The fleet replaces the single-standby scheme wholesale (its
             # ring supplies the ordered failover candidates instead).
             if res is not None and res.standby_gateway:
                 standby_gateway, make_standby_session = self._make_gateway(
-                    sim, seeds, registry, middleware_node, res, metrics,
+                    sim, seeds, registry, middleware_node, res,
                     suffix="-standby",
                     port=gateway.port + STANDBY_PORT_OFFSET,
-                    metric_name="gateway.standby", air_pressure=air_pressure)
+                    air_pressure=air_pressure)
 
         if res is not None and fleet_parts is None:
             make_primary_session = make_session
@@ -578,7 +571,6 @@ class MCSystemBuilder:
         system.gateway = gateway
         system.standby_gateway = standby_gateway
         system.resilience = res
-        system.metrics = metrics
         if fleet_parts is not None:
             system.fleet = fleet_parts["fleet"]
             system.balancer = fleet_parts["balancer"]

@@ -20,10 +20,9 @@ __all__ = ["FaultEngine"]
 class FaultEngine:
     """Schedules and executes a fault plan on a built system."""
 
-    def __init__(self, system, plan: FaultPlan, metrics=None):
+    def __init__(self, system, plan: FaultPlan):
         self.system = system
         self.plan = plan
-        self.metrics = metrics
         self.stats = Counter()
         self._started = False
 
@@ -51,8 +50,6 @@ class FaultEngine:
         # Counter increments commute across driver processes.
         self.stats.incr("injected")
         self.stats.incr(f"injected_{spec.kind}")
-        if self.metrics is not None:
-            self.metrics.incr("faults_injected", spec.kind)
         try:
             yield from INJECTORS[spec.kind](self.system, spec)
         finally:

@@ -32,7 +32,7 @@ class HealthMonitor:
                  unhealthy_threshold: int = 3,
                  recovery_threshold: int = 2,
                  probe_cost: float = 0.005,
-                 phase: float = 0.111, metrics=None):
+                 phase: float = 0.111):
         if unhealthy_threshold < 1 or recovery_threshold < 1:
             raise ValueError("health thresholds must be >= 1")
         self.sim = sim
@@ -45,7 +45,6 @@ class HealthMonitor:
         # Distinct phase offset: monitor writes land in their own
         # kernel batches, never sharing one with the canary's.
         self.phase = phase
-        self.metrics = metrics
         self.stats = Counter()
         self._started = False
 
@@ -104,7 +103,6 @@ class HealthMonitor:
         member.probe_failures = 0
         self.fleet.ring.remove(member.name)
         self.stats.incr("ejections")
-        self._record_pool_size()
 
     def _readmit(self, member: FleetMember) -> None:
         member.health = "healthy"
@@ -112,9 +110,3 @@ class HealthMonitor:
         if member.state == "active":
             self.fleet.ring.add(member.name)
         self.stats.incr("readmissions")
-        self._record_pool_size()
-
-    def _record_pool_size(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("fleet.serving_members").set(
-                float(len(self.fleet.ring)))

@@ -300,8 +300,7 @@ class RequestBatcher:
                  handler: Callable, reply_factory: Callable,
                  stream=None, stats: Optional[Counter] = None,
                  name: str = "gw-batcher",
-                 pressure: Optional[Callable[[], int]] = None,
-                 metrics=None, metric_name: Optional[str] = None):
+                 pressure: Optional[Callable[[], int]] = None):
         self.sim = sim
         self.config = config
         self.handler = handler
@@ -311,17 +310,6 @@ class RequestBatcher:
         # submit when the config sets a pressure_threshold.
         self.pressure = pressure
         self.stats = stats if stats is not None else Counter()
-        # Optional live export through repro.obs.metrics: queue depth as
-        # a first-class gauge (updated on every enqueue/dequeue) and the
-        # shed counters mirrored into a registry counter, so a monitor
-        # can read current values instead of poking batcher internals.  Purely observational — never consulted by
-        # the batcher itself, so wiring it changes no virtual behaviour.
-        self.depth_gauge = None
-        self.shed_counter = None
-        if metrics is not None:
-            prefix = metric_name or name
-            self.depth_gauge = metrics.gauge(f"{prefix}.queue_depth")
-            self.shed_counter = metrics.counter(f"{prefix}.sheds")
         self._queue: Deque[tuple] = deque()
         self._wakeup: Optional[Event] = None
         self._last_flush: Optional[float] = None
@@ -335,18 +323,12 @@ class RequestBatcher:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def _sync_depth(self) -> None:
-        if self.depth_gauge is not None:
-            self.depth_gauge.set(len(self._queue))
-
     def submit(self, request, parent=None) -> Event:
         """Enqueue (or shed) a request; event yields the reply."""
         done = self.sim.event()
         cfg = self.config
         if cfg.watermark and len(self._queue) >= cfg.watermark:
             self.stats.incr("admission_sheds")
-            if self.shed_counter is not None:
-                self.shed_counter.incr("admission")
             done.succeed(self.reply_factory(
                 503, "gateway overloaded", self._reserve_slot()))
             return done
@@ -356,13 +338,10 @@ class RequestBatcher:
             # reply would queue behind the very congestion the client
             # is suffering.  Park the client on a reservation instead.
             self.stats.incr("pressure_sheds")
-            if self.shed_counter is not None:
-                self.shed_counter.incr("pressure")
             done.succeed(self.reply_factory(
                 503, "air interface congested", self._reserve_slot()))
             return done
         self._queue.append((request, parent, done))
-        self._sync_depth()
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed(None)
         return done
@@ -375,7 +354,6 @@ class RequestBatcher:
             if not done.triggered:
                 done.succeed(self.reply_factory(
                     503, message, self.config.retry_floor))
-        self._sync_depth()
 
     def _reserve_slot(self) -> float:
         cfg = self.config
@@ -401,7 +379,6 @@ class RequestBatcher:
                     yield sim.timeout(wait)
             batch = [self._queue.popleft()
                      for _ in range(min(cfg.max_batch, len(self._queue)))]
-            self._sync_depth()
             if not batch:
                 # Drained while pacing (crash hook): nothing to flush.
                 continue
@@ -480,8 +457,7 @@ class GatewayServer:
                  breaker=None, origin_timeout: float = 30.0,
                  batching: Optional[BatchConfig] = None,
                  batch_stream: Optional[RandomStream] = None,
-                 air_pressure=None, handicap: float = 0.0,
-                 metrics=None, metric_name: Optional[str] = None):
+                 air_pressure=None, handicap: float = 0.0):
         if handicap < 0:
             raise ValueError(f"handicap must be >= 0, got {handicap}")
         self.node = node
@@ -512,8 +488,7 @@ class GatewayServer:
                 self.sim, batching, handler=self._handle,
                 reply_factory=self._reply, stream=batch_stream,
                 stats=self.stats, name=f"{self.role}-batch@{node.name}",
-                pressure=air_pressure, metrics=metrics,
-                metric_name=metric_name)
+                pressure=air_pressure)
         self.is_down = False
         self._conns: list[TCPConnection] = []
         self._listen(self.port, self._serve, "sessions")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..sim import Counter, Simulator, Trace
+from ..sim import Counter, Simulator
 from .addressing import AddressAllocator, IPAddress, Subnet
 from .link import Link, LinkEnd
 from .packet import PROTO_IPIP, Packet
@@ -82,7 +82,6 @@ class Node:
         # point's wireless subnet); propagated by compute_static_routes.
         self.announced_subnets: list[Subnet] = []
         self.stats = Counter()
-        self.trace = Trace(enabled=False)
         # Integer values of every owned address; kept in sync by
         # add_interface (interfaces are never removed and an interface
         # address never changes after construction).
@@ -167,9 +166,6 @@ class Node:
         # One wakeup call per packet, as a receive loop would take.
         packet, iface = received
         packet.hops.append(self.name)
-        if self.trace.enabled:
-            self.trace.log(self.sim.now, "rx", node=self.name,
-                           pkt=packet.packet_id, proto=packet.proto)
         if self.rx_taps and self._tapped(packet, iface):
             pass  # a tap consumed the packet
         elif packet.dst.value in self._owned_values:
@@ -236,9 +232,6 @@ class Node:
             self.stats.incr("no_route_drops")
             return False
         iface = self._iface_by_name[route.iface_name]
-        if self.trace.enabled:
-            self.trace.log(self.sim.now, "tx", node=self.name,
-                           pkt=packet.packet_id, via=iface.name)
         # Interface.send, inlined: a downed or unattached interface
         # drops the packet.
         tx = iface._tx

@@ -1,14 +1,13 @@
 """Observability for the m-commerce simulator.
 
-Three pieces, all zero-cost until installed:
+Two pieces, both zero-cost until installed:
 
 * **Spans** (:mod:`repro.obs.span`): hierarchical timed operations over
   the simulation clock, stitched across components by an explicit
   :class:`TraceContext` carried on connections and packets.
-* **Metrics** (:mod:`repro.obs.metrics`): a named registry subsuming
-  the :mod:`repro.sim.monitor` collectors.
-* **Kernel profiling** (:mod:`repro.obs.profile`): event-loop counters
-  behind a nil-cost default.
+* **Kernel profiling** (:mod:`repro.obs.profile`): event-loop counts,
+  the time-weighted mean and maximum queue depth, behind a nil-cost
+  default.
 
 :mod:`repro.obs.report` turns a trace into a per-layer latency
 breakdown whose sum equals the end-to-end latency exactly.
@@ -17,15 +16,6 @@ breakdown whose sum equals the end-to-end latency exactly.
 from __future__ import annotations
 
 from .context import TraceContext
-from .metrics import (
-    Counter,
-    Gauge,
-    LatencyRecorder,
-    MetricsRegistry,
-    StatSummary,
-    TimeSeries,
-    Trace,
-)
 from .profile import KernelProfiler, install_profiler
 from .report import (
     LAYER_ORDER,
@@ -45,13 +35,6 @@ __all__ = [
     "start_span",
     "end_span",
     "ctx_of",
-    "MetricsRegistry",
-    "Gauge",
-    "Counter",
-    "LatencyRecorder",
-    "StatSummary",
-    "TimeSeries",
-    "Trace",
     "KernelProfiler",
     "install_profiler",
     "LAYER_ORDER",

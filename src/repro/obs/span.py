@@ -54,12 +54,6 @@ class Span:
     def finished(self) -> bool:
         return self.end is not None
 
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ValueError(f"span {self.name!r} is still open")
-        return self.end - self.start
-
     def context(self) -> TraceContext:
         """The context a child (possibly in another component) parents to."""
         return TraceContext(self.trace_id, self.span_id)
@@ -126,12 +120,6 @@ class Tracer:
     # -- queries ---------------------------------------------------------
     def for_trace(self, trace_id: int) -> list[Span]:
         return [s for s in self.spans if s.trace_id == trace_id]
-
-    def roots(self) -> list[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
-    def find(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
 
     def __len__(self) -> int:
         return len(self.spans)

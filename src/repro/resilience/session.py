@@ -36,8 +36,9 @@ class ResilientSession(MiddlewareSession):
     primary -> standby -> direct chain) or a zero-argument callable
     returning the *current* ordered candidate list — which is how a
     fleet load balancer supplies ring-derived alternates that change as
-    members are ejected, re-admitted or canaried.  With a
-    static list the behaviour is bit-for-bit the pre-fleet one.
+    members are ejected, re-admitted or canaried.  Either way the
+    route that last answered is sticky by session identity, so a
+    changing candidate list never re-targets a different member.
 
     ``observer(session, ok, elapsed)``, when given, is called once per
     route attempt with the per-attempt virtual latency — the balancer
@@ -69,29 +70,23 @@ class ResilientSession(MiddlewareSession):
         self.timeout = timeout
         self.observer = observer
         self.stats = Counter()
-        self._active = 0
-        # Provider mode tracks stickiness by session identity: the
-        # candidate list changes under churn, so a positional index
-        # would silently re-target a different member.
-        self._sticky = None
+        # The route that last answered; a fixed chain starts on its
+        # first route, a provider on whatever it ranks first.
+        self._sticky = self.routes[0] if self.routes else None
 
     @property
     def active_route(self) -> Optional[MiddlewareSession]:
-        if self._provider is not None:
-            return self._sticky
-        return self.routes[self._active]
+        return self._sticky
 
     def _route_list(self) -> list:
-        if self._provider is not None:
-            routes = list(self._provider())
-            if not routes:
-                raise ConnectionError("no middleware route available")
-            return routes
-        return self.routes
+        if self._provider is None:
+            return self.routes
+        routes = list(self._provider())
+        if not routes:
+            raise ConnectionError("no middleware route available")
+        return routes
 
     def _start_index(self, routes: list) -> int:
-        if self._provider is None:
-            return self._active
         sticky = self._sticky
         if sticky is not None:
             for index, session in enumerate(routes):
@@ -122,15 +117,7 @@ class ResilientSession(MiddlewareSession):
             start = self._start_index(routes)
             last_exc = None
             for step in range(len(routes)):
-                if self._provider is None:
-                    # Read _active fresh each attempt: a concurrent
-                    # in-flight call may have advanced it, and the
-                    # pre-fleet behaviour (which these stats tests pin
-                    # bit-for-bit) did exactly this.
-                    index = (self._active + step) % len(routes)
-                else:
-                    index = (start + step) % len(routes)
-                session = routes[index]
+                session = routes[(start + step) % len(routes)]
                 began = env.now
                 try:
                     if method == "get":
@@ -147,14 +134,10 @@ class ResilientSession(MiddlewareSession):
                     if step < len(routes) - 1:
                         self.stats.incr("failovers")
                     continue
-                if self._provider is not None:
-                    if session is not self._sticky:
-                        if self._sticky is not None:
-                            self.stats.incr("route_switches")
-                        self._sticky = session
-                elif index != self._active:
-                    self._active = index
-                    self.stats.incr("route_switches")
+                if session is not self._sticky:
+                    if self._sticky is not None:
+                        self.stats.incr("route_switches")
+                    self._sticky = session
                 self.stats.incr("requests")
                 if self.observer is not None:
                     self.observer(session, True, env.now - began)

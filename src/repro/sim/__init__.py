@@ -1,8 +1,9 @@
 """Discrete-event simulation substrate.
 
 Public surface: :class:`Simulator` (the event loop), process/event
-primitives, shared resources, seeded random streams and measurement
-collectors.  Everything else in :mod:`repro` is built on this package.
+primitives, shared resources, seeded random streams, named counters
+and summary statistics.  Everything else in :mod:`repro` is built on
+this package.
 """
 
 from .kernel import (
@@ -15,14 +16,7 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .monitor import (
-    Counter,
-    LatencyRecorder,
-    StatSummary,
-    TimeSeries,
-    Trace,
-    percentile,
-)
+from .monitor import Counter, StatSummary, percentile
 from .random import RandomStream, SeedBank
 from .resources import PriorityResource, Request, Resource, Store
 from .sched import HeapScheduler, scheduler_override
@@ -39,10 +33,7 @@ __all__ = [
     "Simulator",
     "Timeout",
     "Counter",
-    "LatencyRecorder",
     "StatSummary",
-    "TimeSeries",
-    "Trace",
     "percentile",
     "RandomStream",
     "SeedBank",

@@ -58,7 +58,7 @@ class ChannelModel:
         self.path_loss_exponent = path_loss_exponent
         self.noise_floor_dbm = noise_floor_dbm
         # Observability hook: when set, called with every computed
-        # LinkBudget (e.g. to record SNR into a MetricsRegistry series).
+        # LinkBudget.
         self.observer = None
 
     # -- math -----------------------------------------------------------

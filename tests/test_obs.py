@@ -1,21 +1,21 @@
-"""Tests for repro.obs: tracing, metrics, profiling, breakdowns.
+"""Tests for repro.obs: tracing, profiling, breakdowns.
 
 Covers the tentpole acceptance properties: spans nest across the full
 device -> host transaction, context propagation survives middleware
 re-encoding and TCP segmentation, the per-layer breakdown sums exactly
-to the root duration, metrics aggregate, and both the tracer and the
+to the root duration, the profiler's running queue-depth totals equal
+the per-sample series they replaced, and both the tracer and the
 kernel profiler are off (and cost nothing) by default.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import CommerceApp
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.obs import (
     LAYER_ORDER,
     KernelProfiler,
-    MetricsRegistry,
     Span,
     Tracer,
     format_breakdown,
@@ -317,30 +317,6 @@ def test_tracer_max_spans_bound():
     assert tracer.dropped == 3
 
 
-# ------------------------------------------------------------- metrics
-def test_metrics_registry_aggregation():
-    registry = MetricsRegistry()
-    registry.incr("http", "requests")
-    registry.incr("http", "requests", 2)
-    assert registry.counter("http").get("requests") == 3
-    recorder = registry.latency("rtt")
-    recorder.start("a", 0.0)
-    recorder.stop("a", 1.0)
-    recorder.start("b", 1.0)
-    recorder.stop("b", 4.0)
-    summary = registry.summary("rtt")
-    assert summary.count == 2
-    assert summary.mean == pytest.approx(2.0)
-    assert registry.summary("unknown") is None
-    registry.record("queue", 0.0, 5.0)
-    assert registry.counter("http") is registry.counter("http")
-    assert registry.names() == ["http", "queue", "rtt"]
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["http"]["requests"] == 3
-    assert snapshot["latencies"]["rtt"]["count"] == 2
-    assert snapshot["series"]["queue"]["count"] == 1
-
-
 # ------------------------------------------------------------ profiling
 def test_profiler_counts_events_and_resumes():
     sim = Simulator()
@@ -369,3 +345,58 @@ def test_profiler_off_means_no_bookkeeping():
     sim.spawn(worker(sim), name="worker")
     sim.run()
     assert sim._profiler is None  # nothing installed, nothing recorded
+
+
+def _series_depth_summary(samples):
+    """Mean and max queue depth as the profiler once computed them from
+    a stored ``(time, depth)`` series: the time-weighted mean of the
+    step function, the plain mean when it spans no time."""
+    times = [time for time, _ in samples]
+    values = [float(depth) for _, depth in samples]
+
+    def mean():
+        if not values:
+            return 0.0
+        return sum(values) / len(values)
+
+    if len(times) < 2:
+        weighted = mean()
+    else:
+        area = 0.0
+        for i in range(len(times) - 1):
+            area += values[i] * (times[i + 1] - times[i])
+        span = times[-1] - times[0]
+        weighted = area / span if span > 0 else mean()
+    return weighted, max(values, default=0.0)
+
+
+_time_steps = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False,
+              allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                       allow_infinity=False),
+       steps=st.lists(st.tuples(_time_steps,
+                                st.integers(min_value=0, max_value=10**6)),
+                      max_size=60))
+@example(start=0.0, steps=[])
+@example(start=3.0, steps=[(0.0, 7)])
+@example(start=1.0, steps=[(0.0, 4), (0.0, 9), (0.0, 2)])
+@example(start=0.0, steps=[(0.0, 0), (10.0, 10), (10.0, 0)])
+def test_profiler_running_totals_equal_the_old_series(start, steps):
+    samples, time = [], start
+    for step, depth in steps:
+        time += step
+        samples.append((time, depth))
+    profiler = KernelProfiler()
+    for time, depth in samples:
+        profiler.on_event(time, depth)
+    summary = profiler.summary()
+    weighted, peak = _series_depth_summary(samples)
+    assert summary["mean_queue_depth"] == weighted
+    assert summary["max_queue_depth"] == peak
+    assert type(summary["mean_queue_depth"]) is float
+    assert type(summary["max_queue_depth"]) is float

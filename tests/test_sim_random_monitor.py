@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counter, LatencyRecorder, SeedBank, StatSummary, TimeSeries, Trace
+from repro.sim import Counter, SeedBank, StatSummary
 
 
 # ------------------------------------------------------------- SeedBank
@@ -73,37 +73,6 @@ def test_counter_incr_and_get():
     assert c.as_dict() == {"tx": 5}
 
 
-# ------------------------------------------------------------ TimeSeries
-def test_timeseries_mean_and_rate():
-    ts = TimeSeries("bytes")
-    ts.record(0.0, 100)
-    ts.record(5.0, 100)
-    ts.record(10.0, 100)
-    assert ts.mean() == 100
-    assert ts.rate() == pytest.approx(30.0)  # 300 over 10s
-
-
-def test_timeseries_rejects_time_regression():
-    ts = TimeSeries()
-    ts.record(5.0, 1)
-    with pytest.raises(ValueError):
-        ts.record(4.0, 1)
-
-
-def test_timeseries_time_weighted_mean():
-    ts = TimeSeries()
-    ts.record(0.0, 0)   # value 0 during [0, 10)
-    ts.record(10.0, 10)  # value 10 during [10, 20)
-    ts.record(20.0, 0)
-    assert ts.time_weighted_mean() == pytest.approx(5.0)
-
-
-def test_timeseries_empty():
-    ts = TimeSeries()
-    assert ts.mean() == 0.0
-    assert ts.rate() == 0.0
-
-
 # ----------------------------------------------------------- StatSummary
 def test_stat_summary_basics():
     s = StatSummary.of([1.0, 2.0, 3.0, 4.0])
@@ -131,34 +100,6 @@ def test_stat_summary_invariants(samples):
             or math.isclose(s.mean, s.maximum, rel_tol=1e-9))
 
 
-# ------------------------------------------------------- LatencyRecorder
-def test_latency_recorder_round_trip():
-    rec = LatencyRecorder()
-    rec.start("req1", 10.0)
-    rec.start("req2", 11.0)
-    assert rec.in_flight == 2
-    assert rec.stop("req1", 13.0) == pytest.approx(3.0)
-    assert rec.in_flight == 1
-    assert rec.stop("unknown", 14.0) is None
-    assert rec.summary().count == 1
-
-
-# ----------------------------------------------------------------- Trace
-def test_trace_records_and_filters():
-    tr = Trace()
-    tr.log(1.0, "send", size=100)
-    tr.log(2.0, "recv", size=100)
-    tr.log(3.0, "send", size=50)
-    assert len(tr) == 3
-    assert [e[0] for e in tr.of_kind("send")] == [1.0, 3.0]
-
-
-def test_trace_disabled_drops_entries():
-    tr = Trace(enabled=False)
-    tr.log(1.0, "send")
-    assert len(tr) == 0
-
-
 def test_stat_summary_sample_variance():
     import math
     # Bessel-corrected (n-1) variance: for [2, 4, 4, 4, 5, 5, 7, 9] the
@@ -171,20 +112,3 @@ def test_stat_summary_single_sample_stdev_zero():
     s = StatSummary.of([42.0])
     assert s.count == 1
     assert s.stdev == 0.0
-
-
-def test_trace_bounded_drops_oldest():
-    tr = Trace(max_entries=3)
-    for i in range(5):
-        tr.log(float(i), "tick", n=i)
-    assert len(tr) == 3
-    assert [e[0] for e in tr.entries] == [2.0, 3.0, 4.0]
-    assert tr.dropped == 2
-
-
-def test_trace_unbounded_by_default():
-    tr = Trace()
-    for i in range(1000):
-        tr.log(float(i), "tick")
-    assert len(tr) == 1000
-    assert tr.dropped == 0
