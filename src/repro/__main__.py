@@ -6,8 +6,6 @@ Commands:
 * ``trace`` — run one application scenario with the span tracer
   installed and print the per-layer latency breakdown (optionally
   exporting the full trace as JSON);
-* ``lint`` — run the import-cycle linter over the given paths
-  (defaults to the repo's own sources) and exit nonzero on findings;
 * ``check`` — statically model-check the Figure 1/2 reference builds,
   printing a PASS/FAIL/INCONCLUSIVE verdict per structural claim;
 * ``chaos`` — run a named fault-injection scenario against the full
@@ -129,38 +127,6 @@ def _cmd_trace(args) -> int:
         for name, count in profiler.top_resumed(8):
             print(f"  {count:6d} resumes  {name}")
     return 0 if record.ok else 1
-
-
-def _default_lint_paths() -> list[str]:
-    """The repo's own lint targets when they exist, else the package."""
-    import os
-
-    import repro
-
-    package_dir = os.path.dirname(os.path.abspath(repro.__file__))
-    repo_root = os.path.dirname(os.path.dirname(package_dir))
-    paths = [package_dir]
-    for extra in ("benchmarks", "examples", "tests"):
-        candidate = os.path.join(repo_root, extra)
-        if os.path.isdir(candidate):
-            paths.append(candidate)
-    return paths
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis import lint_paths
-
-    paths = args.paths or _default_lint_paths()
-    try:
-        report = lint_paths(paths)
-    except FileNotFoundError as exc:
-        print(f"python -m repro lint: error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return report.exit_code()
 
 
 def _cmd_check(args) -> int:
@@ -439,14 +405,6 @@ def main(argv=None) -> int:
     trace.add_argument("--profile", action="store_true",
                        help="print kernel profiling summary")
     trace.set_defaults(func=_cmd_trace)
-
-    lint = sub.add_parser(
-        "lint", help="run the import-cycle linter (nonzero exit on findings)")
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories to lint "
-                           "(default: the repo's own sources)")
-    lint.add_argument("--format", default="text", choices=["text", "json"])
-    lint.set_defaults(func=_cmd_lint)
 
     check = sub.add_parser(
         "check", help="static model check of the reference builds")

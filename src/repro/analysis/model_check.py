@@ -295,8 +295,8 @@ class ModelChecker:
 def check_reference_systems(seed: int = 0) -> dict[str, ModelCheckReport]:
     """Build the Figure 1 and Figure 2 reference systems and check both.
 
-    Imports the builders lazily so ``repro lint`` does not pay for the
-    whole stack.
+    Imports the builders lazily so importing :mod:`repro.analysis` does
+    not pay for the whole stack.
     """
     from ..apps import CommerceApp
     from ..core import ECSystemBuilder, MCSystemBuilder

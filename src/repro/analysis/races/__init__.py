@@ -12,8 +12,8 @@ flagged batch dispatched in flipped order and diffing the final state
 hashes.
 
 The heavyweight scenario runner (:func:`.runner.run_sanitize`) is
-imported lazily by the CLI so that ``python -m repro lint`` never pays
-for the full system stack.
+imported lazily by the CLI so that importing :mod:`repro.analysis`
+never pays for the full system stack.
 """
 
 from .sanitizer import (

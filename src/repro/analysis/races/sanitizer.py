@@ -89,11 +89,6 @@ class AccessRecorder:
     def begin_event(self, index: int) -> None:
         self.current = index
 
-    def reset(self) -> None:
-        self.current = None
-        self.reads.clear()
-        self.writes.clear()
-
 
 class _NullRecorder(AccessRecorder):
     """Recorder that keeps tracked containers alive but records nothing

@@ -1,4 +1,4 @@
-"""Wired-network substrate: addressing, links, IP forwarding, UDP/TCP, DNS.
+"""Wired-network substrate: addressing, links, IP forwarding, UDP/TCP, names.
 
 This package implements component (v) of the paper's model — the wired
 network an MC system shares with an EC system — plus the transport
@@ -6,7 +6,7 @@ machinery that the mobile extensions in :mod:`repro.net.mobile` modify.
 """
 
 from .addressing import AddressAllocator, IPAddress, Subnet
-from .dns import DNS_PORT, DNSResolver, DNSServer, NameRegistry, ServiceEndpoint
+from .dns import NameRegistry, ServiceEndpoint
 from .ip import EchoReply, install_echo_responder, ping
 from .link import Link
 from .node import Interface, Network, Node
@@ -19,9 +19,6 @@ __all__ = [
     "AddressAllocator",
     "IPAddress",
     "Subnet",
-    "DNS_PORT",
-    "DNSResolver",
-    "DNSServer",
     "NameRegistry",
     "ServiceEndpoint",
     "EchoReply",

@@ -133,10 +133,6 @@ class Node:
         """Install the upper-layer handler for a protocol tag."""
         self._handlers[proto] = handler
 
-    @property
-    def addresses(self) -> list[IPAddress]:
-        return [i.address for i in self.interfaces if i.address is not None]
-
     def owns_address(self, address: IPAddress) -> bool:
         return address.value in self._owned_values
 

@@ -58,10 +58,6 @@ class TCPSegment:
     def is_ack(self) -> bool:
         return "ACK" in self.flags
 
-    @property
-    def fin(self) -> bool:
-        return "FIN" in self.flags
-
     def __repr__(self) -> str:  # pragma: no cover
         flags = "|".join(sorted(self.flags)) or "-"
         return (

@@ -1,6 +1,6 @@
 """Global toggles for the hot-path caches (the perf optimization pass).
 
-Two of the three flagged caches are *transparent*: each memoizes a pure
+Both flagged caches are *transparent*: each memoizes a pure
 function of its inputs — the gateway core's content memo (an HTML->WML
 translation, a cHTML adaptation, a clipping compression) and the SQL
 parse cache.  Turning those flags off changes how much host CPU a run
@@ -10,14 +10,6 @@ That guarantee is not taken on faith — the caches rows of the
 tier-1 transparency table (``tests/test_perf_bench.py``) run fixed
 scenarios with the caches on and off and compare the outputs byte
 for byte.
-
-``dns_cache`` is different.  It guards :class:`repro.net.DNSResolver`'s
-answer cache, and with the flag off a repeat ``resolve()`` sends a UDP
-query and takes virtual time, so it is *not* transparent.  No built
-system creates a resolver (gateways read the name registry directly),
-so the caches rows never exercise it; ``tests/test_net_udp_dns.py``
-pins both of its behaviours.  The flag stays because the ``caches-off``
-arm of ``bench/worker.py`` passes its name.
 
 The default is everything on.  ``optimizations_disabled()`` is the
 scoped way to turn caches off; mutating :data:`OPTIMIZATIONS` directly
@@ -31,11 +23,13 @@ from contextlib import contextmanager
 __all__ = ["OptimizationFlags", "OPTIMIZATIONS", "optimizations_disabled"]
 
 # The individual flags; each name is an OptimizationFlags slot.
-FLAG_NAMES = ("dns_cache", "translation_cache", "sql_cache")
+FLAG_NAMES = ("translation_cache", "sql_cache")
 
-# Kept for bench/worker.py, whose ``gc-off`` ablation arm disables it:
-# a retired flag that optimizations_disabled accepts as a no-op.
-_RETIRED = "gc_isolation"
+# Retired flags that optimizations_disabled accepts as no-ops, because
+# bench/worker.py still disables them by name: ``gc_isolation`` in its
+# ``gc-off`` ablation arm, ``dns_cache`` (the answer cache of a DNS
+# resolver no system built) in its ``caches-off`` arm.
+_RETIRED = ("gc_isolation", "dns_cache")
 
 
 class OptimizationFlags:
@@ -43,16 +37,10 @@ class OptimizationFlags:
 
     __slots__ = FLAG_NAMES
 
-    def __init__(self, dns_cache: bool = True,
-                 translation_cache: bool = True,
+    def __init__(self, translation_cache: bool = True,
                  sql_cache: bool = True):
-        self.dns_cache = dns_cache
         self.translation_cache = translation_cache
         self.sql_cache = sql_cache
-
-    def set_all(self, enabled: bool) -> None:
-        for name in FLAG_NAMES:
-            setattr(self, name, enabled)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in FLAG_NAMES}
@@ -71,7 +59,7 @@ def optimizations_disabled(*names: str):
     """Disable the named cache flags (all of them when none given) for
     the duration of the ``with`` block, restoring the previous state —
     including on error — afterwards."""
-    targets = [name for name in names or FLAG_NAMES if name != _RETIRED]
+    targets = [name for name in names or FLAG_NAMES if name not in _RETIRED]
     unknown = set(targets) - set(FLAG_NAMES)
     if unknown:
         raise ValueError(f"unknown optimization flag(s): {sorted(unknown)}")

@@ -57,9 +57,6 @@ class ChannelModel:
         self.fading = fading_stream
         self.path_loss_exponent = path_loss_exponent
         self.noise_floor_dbm = noise_floor_dbm
-        # Observability hook: when set, called with every computed
-        # LinkBudget.
-        self.observer = None
 
     # -- math -----------------------------------------------------------
     def reference_loss(self, band_ghz: float) -> float:
@@ -92,16 +89,13 @@ class ChannelModel:
             p_success = 1.0 / (1.0 + math.exp(-margin / EDGE_SOFTNESS_DB))
         else:
             p_success = 0.0
-        result = LinkBudget(
+        return LinkBudget(
             distance_m=distance,
             path_loss_db=self.path_loss_db(distance, standard.band_ghz),
             snr_db=snr,
             rate_bps=rate,
             success_probability=p_success,
         )
-        if self.observer is not None:
-            self.observer(result)
-        return result
 
     def max_range_m(self, standard: WLANStandard,
                     resolution_m: float = 1.0,

@@ -237,53 +237,6 @@ def test_zero_fault_plan_is_equivalent_to_no_engine():
 
 
 # ------------------------------------------- cache correctness under chaos
-def test_dns_cache_not_stale_across_blackout():
-    """A cached resolver answer must die with the blackout window.
-
-    The resolver caches positive answers under the registry generation;
-    ``dns_blackout`` edits the registry (bumping the generation), so a
-    mid-window resolve must go back to the wire and learn the truth
-    (no record) rather than serve the cached address.
-    """
-    from repro.net import DNSResolver, DNSServer, Subnet
-
-    system, _, handles = _world()
-    name = next(iter(system.registry._records))
-    expected = system.registry.lookup(name)
-    net = system.network
-    client_node = net.add_node("dns-probe-client")
-    server_node = net.add_node("dns-probe-server")
-    net.connect(client_node, server_node, Subnet.parse("10.99.0.0/24"),
-                delay=0.002)
-    net.build_routes()
-    DNSServer(server_node, system.registry)
-    resolver = DNSResolver(client_node, server_node.primary_address,
-                           authority=system.registry)
-
-    plan = FaultPlan()
-    plan.add("dns_blackout", at=5.0, duration=4.0)
-    FaultEngine(system, plan).start()
-
-    answers = []
-
-    def lookup_at(at):
-        def proc(env):
-            yield env.timeout(at)
-            answer = yield resolver.resolve(name)
-            answers.append((at, answer))
-        system.sim.spawn(proc(system.sim), name=f"dns-probe-{at:g}")
-
-    lookup_at(1.0)   # miss: fills the cache
-    lookup_at(2.0)   # hit: served from cache
-    lookup_at(6.0)   # mid-blackout: MUST NOT serve the stale entry
-    lookup_at(12.0)  # after restore: resolves again
-    system.run(until=20)
-
-    assert answers == [(1.0, expected), (2.0, expected),
-                       (6.0, None), (12.0, expected)]
-    assert resolver.hits == 1  # only the pre-blackout repeat was cached
-
-
 @pytest.mark.parametrize("middleware", ["WAP", "i-mode", "Palm"])
 def test_gateway_crash_flushes_translation_cache(middleware):
     """A restarted gateway must not reuse pre-crash translations."""

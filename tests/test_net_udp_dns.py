@@ -1,16 +1,13 @@
-"""Tests for UDP sockets and the DNS substrate."""
+"""Tests for UDP sockets and the name registry."""
 
 import pytest
 
 from repro.net import (
-    DNSResolver,
-    DNSServer,
     NameRegistry,
     Network,
     Subnet,
     UDPStack,
 )
-from repro.opt import optimizations_disabled
 from repro.sim import Simulator
 
 
@@ -120,63 +117,3 @@ def test_registry_rejects_empty_name():
     from repro.net import IPAddress
     with pytest.raises(ValueError):
         NameRegistry().register("", IPAddress(1))
-
-
-def test_dns_resolution_over_network():
-    sim = Simulator()
-    net, client_node, server_node = make_pair(sim)
-    registry = NameRegistry()
-    registry.register("shop.example.com", server_node.primary_address)
-    DNSServer(server_node, registry)
-    resolver = DNSResolver(client_node, server_node.primary_address)
-    result = resolver.resolve("shop.example.com")
-    sim.run()
-    assert result.value == server_node.primary_address
-
-
-def test_dns_negative_answer():
-    sim = Simulator()
-    net, client_node, server_node = make_pair(sim)
-    DNSServer(server_node, NameRegistry())
-    resolver = DNSResolver(client_node, server_node.primary_address)
-    result = resolver.resolve("missing.example.com")
-    sim.run()
-    assert result.value is None
-
-
-def test_dns_cache_hits_without_network():
-    sim = Simulator()
-    net, client_node, server_node = make_pair(sim)
-    registry = NameRegistry()
-    registry.register("shop.example.com", server_node.primary_address)
-    DNSServer(server_node, registry)
-    resolver = DNSResolver(client_node, server_node.primary_address)
-    first = resolver.resolve("shop.example.com")
-    sim.run()
-    assert first.value == server_node.primary_address
-    # Second resolution must not touch the wire: cut the link to prove it.
-    net.links[0].take_down()
-    second = resolver.resolve("shop.example.com")
-    sim.run()
-    assert second.value == server_node.primary_address
-
-
-def test_dns_cache_off_sends_every_query():
-    """With the flag off a repeat resolve goes to the wire: not transparent."""
-    sim = Simulator()
-    net, client_node, server_node = make_pair(sim)
-    registry = NameRegistry()
-    registry.register("shop.example.com", server_node.primary_address)
-    DNSServer(server_node, registry)
-    resolver = DNSResolver(client_node, server_node.primary_address)
-    with optimizations_disabled("dns_cache"):
-        first = resolver.resolve("shop.example.com")
-        sim.run()
-        assert first.value == server_node.primary_address
-        net.links[0].take_down()
-        before = sim.now
-        second = resolver.resolve("shop.example.com")
-        sim.run()
-    assert second.value is None
-    assert sim.now - before == pytest.approx(resolver.timeout)
-    assert (resolver.hits, resolver.misses) == (0, 2)

@@ -32,12 +32,12 @@ def test_flags_default_on_and_context_restores():
 
 
 def test_flags_partial_disable():
-    with optimizations_disabled("dns_cache"):
+    with optimizations_disabled("sql_cache"):
         flags = OPTIMIZATIONS.as_dict()
-        assert flags["dns_cache"] is False
-        others = {k: v for k, v in flags.items() if k != "dns_cache"}
+        assert flags["sql_cache"] is False
+        others = {k: v for k, v in flags.items() if k != "sql_cache"}
         assert all(others.values())
-    assert OPTIMIZATIONS.dns_cache is True
+    assert OPTIMIZATIONS.sql_cache is True
 
 
 def test_flags_reject_unknown_names():
@@ -48,7 +48,7 @@ def test_flags_reject_unknown_names():
 
 
 def test_flag_catalogue_matches_slots():
-    assert FLAG_NAMES == ("dns_cache", "translation_cache", "sql_cache")
+    assert FLAG_NAMES == ("translation_cache", "sql_cache")
     assert OptimizationFlags.__slots__ == FLAG_NAMES
 
 
@@ -56,6 +56,14 @@ def test_retired_gc_isolation_flag_is_a_no_op():
     # bench/worker.py's gc-off ablation arm still disables it by name.
     with optimizations_disabled("gc_isolation") as flags:
         assert flags.as_dict() == dict.fromkeys(FLAG_NAMES, True)
+    assert all(OPTIMIZATIONS.as_dict().values())
+
+
+def test_retired_dns_cache_flag_is_a_no_op():
+    # bench/worker.py's caches-off arm still disables it by name.
+    with optimizations_disabled("dns_cache", "sql_cache") as flags:
+        assert flags.as_dict() == {"translation_cache": True,
+                                   "sql_cache": False}
     assert all(OPTIMIZATIONS.as_dict().values())
 
 

@@ -23,11 +23,11 @@ CHAOS = dict(seed=11, transactions_per_station=3, horizon=120.0)
 
 PINNED = {
     "bench-traced":
-        "61b3ed37e0a5e52f79d17b9d3ccf0f2ab2cabf3d112868cc74043310e0710c29",
+        "37589b0c76c8f02c926457f0992d6972bd9361b050965c8c0b56bdca11147e0e",
     "bench-fleet3":
-        "de780b2805c0f0e474d4291b4b2038b1544910ff2dd0815b48992bb7e03ca212",
+        "5f2673959d9394203643cbcd3fc38d33a2b35d09a17ecc77c1139855324d0d0d",
     "bench-imode-untraced":
-        "20708032d3a42a84c34cb94d3090ee81deac13f3bebaf409c1eafba21edea454",
+        "13d943856871c9d87bcd4508718e67af7c52af9c316efed3111a0cd7292c5758",
     "chaos-flaky-radio":
         "5e79635ef550cb5da29a1e7ac6f5a0a85a8ac076d0545c1811b4572d5142f784",
     "chaos-gateway-outage":
