@@ -41,11 +41,10 @@ part of the kernel's ordering contract, not application-level sharing.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
-
-from ...sim.sched import _dead
 
 __all__ = [
     "AccessRecorder",
@@ -256,6 +255,11 @@ class FlipDirective:
 
 
 # ------------------------------------------------------------- the hook
+def _dead(entry: tuple) -> bool:
+    """Whether ``entry`` is a cancelled event's (a tombstone)."""
+    return entry[3] is None and entry[4]._cancelled
+
+
 #: Hazards kept per run; the scan stops once this many are flagged.
 _MAX_HAZARDS = 64
 
@@ -264,19 +268,19 @@ class BatchSanitizer:
     """Kernel dispatch hook: batch accounting, hazard flagging, flips.
 
     Installed on a :class:`~repro.sim.Simulator` via
-    :func:`install_sanitizer`; ``run()`` and ``step()`` hand
-    :meth:`on_entry` every live entry before dispatching it, and
-    dispatch the entry it returns.  Call :meth:`finalize` after the
-    run to close the last batch.
+    :func:`install_sanitizer`; ``run()`` hands :meth:`on_entry` every
+    live entry before dispatching it, and dispatches the entry it
+    returns.  Call :meth:`finalize` after the run to close the last
+    batch.
 
     A *batch* is every live entry at one time that is pending when the
     batch's first entry is taken.  So an entry opens a new batch when
     its time differs from the open batch's, or when its seq is above
     every seq in the open batch (it was pushed after that batch
-    began).  Opening a batch reads the scheduler's lane and the heap
+    began).  Opening a batch reads the simulator's lane and the heap
     entries at that time without changing them, except at the
     :class:`FlipDirective`'s ordinal: there the batch is taken out of
-    the scheduler, flipped, and handed the batch's sorted
+    the queue, flipped, and handed the batch's sorted
     ``(time, priority, seq)`` keys in its flipped order, so the kernel
     dispatches it flipped.
     """
@@ -289,7 +293,7 @@ class BatchSanitizer:
         self.batches = 0
         self.multi_event_batches = 0
         self.events_seen = 0
-        self._sched: Any = None  # set by install_sanitizer
+        self._sim: Any = None  # set by install_sanitizer
         self._ordinal = -1
         self._batch_time = 0.0
         self._batch_max_seq = -1
@@ -327,11 +331,11 @@ class BatchSanitizer:
         return entry
 
     def _pending_at(self, time: float) -> list:
-        """The live entries at ``time`` still in the scheduler: the
-        whole lane (it holds only the current instant) and the heap's
-        entries at ``time``, which form a subtree under its root."""
-        heap = self._sched._heap
-        found = [e for e in self._sched._lane if not _dead(e)]
+        """The live entries at ``time`` still queued: the whole lane
+        (it holds only the current instant) and the heap's entries at
+        ``time``, which form a subtree under its root."""
+        heap = self._sim._heap
+        found = [e for e in self._sim._lane if not _dead(e)]
         stack = [0]
         while stack:
             index = stack.pop()
@@ -342,21 +346,21 @@ class BatchSanitizer:
         return found
 
     def _flip_batch(self, entry: tuple) -> tuple:
-        """Take the open batch out of the scheduler, flip it, and re-key
-        it so its entries dispatch in flipped order; returns the first
-        and pushes the rest back into the heap."""
-        sched = self._sched
-        heap = sched._heap
-        taken = [entry] + list(sched._lane)
-        sched._lane.clear()
+        """Take the open batch out of the queue, flip it, and re-key it
+        so its entries dispatch in flipped order; returns the first and
+        pushes the rest back into the heap."""
+        sim = self._sim
+        heap = sim._heap
+        taken = [entry] + list(sim._lane)
+        sim._lane.clear()
         while heap and heap[0][0] == entry[0]:
-            taken.append(sched._heappop())
+            taken.append(heapq.heappop(heap))
         batch = sorted(e for e in taken if not _dead(e))
-        sched.tombstones -= len(taken) - len(batch)
+        sim._tombstones -= len(taken) - len(batch)
         flipped = self.flip.apply(batch)
         rekeyed = [old[:3] + new[3:] for old, new in zip(batch, flipped)]
         for later in rekeyed[1:]:
-            sched._heappush(later)
+            sim._heappush(later)
         return rekeyed[0]
 
     def finalize(self) -> None:
@@ -467,7 +471,7 @@ def _describe(entry: tuple) -> str:
 # ----------------------------------------------------------- installation
 def install_sanitizer(sim, sanitizer: BatchSanitizer) -> BatchSanitizer:
     """Attach ``sanitizer`` to ``sim`` (duck-typed, like the tracer)."""
-    sanitizer._sched = sim._sched
+    sanitizer._sim = sim
     sim._sanitizer = sanitizer
     return sanitizer
 

@@ -40,8 +40,8 @@ _LAYER_ABBREV = {"device": "dev", "middleware": "mid", "wireless": "wls",
 def _span_depths(spans: list[Span]) -> dict[int, int]:
     """Depth of every span (root = 0) via parent chains.
 
-    Spans whose parent is not in the trace (e.g. the parent was dropped
-    by a max_spans bound) are treated as depth 0.
+    Spans whose parent is not in the list (a caller passed part of a trace)
+    are treated as depth 0.
     """
     by_id = {s.span_id: s for s in spans}
     depths: dict[int, int] = {}

@@ -69,13 +69,11 @@ class Tracer:
     deterministic (no module-level counters — two identical runs produce
     identical traces)."""
 
-    def __init__(self, sim, max_spans: Optional[int] = None):
+    def __init__(self, sim):
         self.sim = sim
-        self.max_spans = max_spans
         self.spans: list[Span] = []
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-        self.dropped = 0
 
     def install(self) -> "Tracer":
         """Attach this tracer to its simulator (``sim.tracer``)."""
@@ -103,10 +101,7 @@ class Tracer:
             start=self.sim.now,
             attrs=dict(attrs),
         )
-        if self.max_spans is not None and len(self.spans) >= self.max_spans:
-            self.dropped += 1
-        else:
-            self.spans.append(span)
+        self.spans.append(span)
         return span
 
     def end(self, span: Span, **attrs: Any) -> Span:
@@ -125,9 +120,9 @@ class Tracer:
         return len(self.spans)
 
 
-def install_tracer(sim, max_spans: Optional[int] = None) -> Tracer:
+def install_tracer(sim) -> Tracer:
     """Create a :class:`Tracer` for ``sim`` and install it."""
-    return Tracer(sim, max_spans=max_spans).install()
+    return Tracer(sim).install()
 
 
 # ------------------------------------------------------- nil-cost helpers

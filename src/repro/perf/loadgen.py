@@ -127,7 +127,6 @@ def run_bench(users: int = 50, seed: int = 7,
               device: str = DEFAULT_DEVICE,
               policies: bool = True,
               trace: bool = True,
-              max_spans: int = 2_000_000,
               post_build=None,
               resilience: Optional[ResilienceConfig] = None,
               fleet: int = 0) -> dict:
@@ -154,7 +153,7 @@ def run_bench(users: int = 50, seed: int = 7,
 
     def start(system):
         if trace:
-            install_tracer(system.sim, max_spans=max_spans)
+            install_tracer(system.sim)
 
     system, engine, _ = run_shoppers(
         MCSystemBuilder(seed=seed, middleware=middleware, bearer=bearer,

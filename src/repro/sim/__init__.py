@@ -15,14 +15,13 @@ from .kernel import (
     SimulationError,
     Simulator,
     Timeout,
+    scheduler_override,
 )
 from .monitor import Counter, StatSummary, percentile
 from .random import RandomStream, SeedBank
 from .resources import PriorityResource, Request, Resource, Store
-from .sched import HeapScheduler, scheduler_override
 
 __all__ = [
-    "HeapScheduler",
     "scheduler_override",
     "AllOf",
     "AnyOf",

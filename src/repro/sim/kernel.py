@@ -25,10 +25,14 @@ Example
 
 from __future__ import annotations
 
+# The one heapq that orders events; net/routing.py and apps/traffic.py
+# use heapq only for Dijkstra's frontier.
+import heapq
 import itertools
+from collections import deque
+from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from .sched import HeapScheduler
 
 __all__ = [
     "Event",
@@ -39,6 +43,7 @@ __all__ = [
     "Simulator",
     "AllOf",
     "AnyOf",
+    "scheduler_override",
 ]
 
 
@@ -86,7 +91,7 @@ class Event:
         self._value: Any = None
         self._ok: Optional[bool] = None
         self._state = Event.PENDING
-        # Monotonic processing index stamped by Simulator.step(); None
+        # Monotonic processing index stamped by Simulator.run(); None
         # until the event is processed (or when forged in tests).
         self._order: Optional[int] = None
         # Lazy-deletion tombstone: a cancelled event's queue entry is
@@ -139,9 +144,6 @@ class Event:
         sim._lane_append((sim.now, 1, next(sim._seq), None, self))
         return self
 
-    def _mark_processed(self) -> None:
-        self._state = Event.PROCESSED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self._state} at t={self.sim.now}>"
 
@@ -180,8 +182,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        # Written so that NaN fails too: it compares False both ways.
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0: {delay}")
         self.sim = sim
         self.callbacks = []
         delay = float(delay)
@@ -200,15 +203,15 @@ class Timeout(Event):
         """Revoke the timeout before it fires.
 
         The queue entry is not hunted down; the event is tombstoned and
-        the scheduler drops the entry — without dispatching callbacks or
-        counting it as processed — whenever a pop or peek reaches it.
+        :meth:`Simulator.run` drops the entry — without dispatching
+        callbacks or counting it as processed — when it reaches it.
         Cancelling an already-processed (or already-cancelled) timeout
         is a no-op, so callers can cancel unconditionally.
         """
         if self._cancelled or self._state == Event.PROCESSED:
             return
         self._cancelled = True
-        self.sim._sched.tombstones += 1
+        self.sim._tombstones += 1
 
 
 class Process(Event):
@@ -413,8 +416,13 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """The event loop over a :class:`~repro.sim.sched.HeapScheduler` of
-    ``(time, priority, seq, fn, arg)`` entries.
+    """The event loop and its queue of ``(time, priority, seq, fn, arg)``
+    entries.
+
+    The total order is the tuple ``(time, priority, seq)``: virtual
+    time, then priority (0 for interrupts, 1 for everything else), then
+    a global sequence number that makes every key unique and same-time
+    dispatch FIFO, so no comparison reaches ``fn``.
 
     An entry is one of two kinds.  An *event entry* has ``fn`` None and
     the :class:`Event` as ``arg``: dispatching it stamps its order,
@@ -425,6 +433,16 @@ class Simulator:
     processed event, so the two are interchangeable to everything that
     reads the order or the count.
 
+    The entries live in two places.  ``_lane`` is a FIFO of priority-1
+    entries pushed for the current instant: each has ``time == now``
+    and a seq above every entry already dispatched, so the lane is
+    sorted as it stands.  ``_heap`` (a ``heapq``) holds every other
+    entry: future times, interrupts, and delays that round to ``now``.
+    :meth:`Timeout.cancel` tombstones an event instead of hunting its
+    entry down and bumps ``_tombstones``; :meth:`run` drops a dead entry,
+    uncounted, when it reaches it, so :meth:`queue_depth` counts only
+    entries that will fire.
+
     ``strict`` controls error propagation from processes nobody waits
     on: when True (the default) an uncaught exception inside a process
     aborts :meth:`run`, which is almost always what a test wants.
@@ -433,13 +451,16 @@ class Simulator:
     def __init__(self, strict: bool = True):
         self.now: float = 0.0
         self.strict = strict
-        self._sched = HeapScheduler()
+        self._heap: list = []
+        self._lane: deque = deque()
+        #: Cancelled entries not yet dropped (see Timeout.cancel).
+        self._tombstones = 0
         # Bound caches for the two push paths: triggering is the
         # kernel's hottest path.  A same-instant priority-1 entry goes
-        # straight onto the scheduler's lane, any other one straight
-        # into its heap.
-        self._lane_append = self._sched._lane.append
-        self._heappush = self._sched._heappush
+        # straight onto the lane, any other one straight into the heap.
+        # Both containers are emptied in place, never replaced.
+        self._lane_append = self._lane.append
+        self._heappush = partial(heapq.heappush, self._heap)
         self._seq = itertools.count()
         # Observability attachment points (duck-typed so the kernel never
         # imports repro.obs): a repro.obs Tracer and KernelProfiler hang
@@ -449,8 +470,8 @@ class Simulator:
         self._profiler: Any = None
         # Same duck-typed pattern for the commutativity sanitizer
         # (repro.analysis.races.BatchSanitizer): when installed, run()
-        # and step() hand it every live entry before dispatching it and
-        # dispatch the entry it returns (a flip replay swaps in another
+        # hands it every live entry before dispatching it and
+        # dispatches the entry it returns (a flip replay swaps in another
         # entry of the same batch).  None by default; the disabled path
         # costs one local check per entry.
         self._sanitizer: Any = None
@@ -471,9 +492,6 @@ class Simulator:
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    # Alias familiar to SimPy users.
-    process = spawn
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -498,72 +516,36 @@ class Simulator:
         """Run ``fn(arg)`` ``delay`` seconds from now: the entry a
         :class:`Timeout` with ``fn`` as its only callback would take,
         without the event (a zero delay goes on the lane, as there)."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0: {delay}")
         delay = float(delay)
         if delay == 0.0:
             self._lane_append((self.now, 1, next(self._seq), fn, arg))
         else:
             self._heappush((self.now + delay, 1, next(self._seq), fn, arg))
 
-    def peek(self) -> float:
-        """Time of the next *live* scheduled entry, or +inf if none.
-
-        Tombstoned (cancelled) entries are dropped on the way, so the
-        answer is the time :meth:`step` would actually advance to.
-        """
-        return self._sched.peek_time()
-
     def queue_depth(self) -> int:
         """Number of live (non-tombstoned) pending entries."""
-        return self._sched.live_count()
-
-    def step(self) -> None:
-        """Process exactly one entry: an event or a scheduled call."""
-        entry = self._sched.pop_one()
-        if entry is None:
-            raise SimulationError("step() on an empty schedule")
-        if self._sanitizer is not None:
-            entry = self._sanitizer.on_entry(entry)
-        time, _, _, fn, arg = entry
-        if time < self.now:
-            raise SimulationError("time went backwards")
-        self.now = time
-        order = self.events_processed
-        self.events_processed = order + 1
-        if self._profiler is not None:
-            self._profiler.on_event(self.now, self._sched.live_count())
-        if fn is not None:
-            fn(arg)
-            return
-        arg._order = order
-        callbacks, arg.callbacks = arg.callbacks, []
-        arg._mark_processed()
-        for callback in callbacks:
-            callback(arg)
+        return len(self._heap) + len(self._lane) - self._tombstones
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the schedule drains or ``until`` is reached.
+        """Run until the queue drains or ``until`` is reached.
 
         Dispatch takes one entry at a time, in ``(time, priority, seq)``
-        order, straight from the scheduler's lane and heap: the next
-        entry is the lane head unless the heap's head compares lower as
-        a tuple.  That is the order a heap alone would give: every
-        lane entry has ``time == now``, priority 1 and a seq above
-        every entry already popped, so only a heap entry at ``now``
-        with a lower seq, or an interrupt (priority 0), can come first,
-        and the tuple compare finds either (``(time, priority, seq)``
-        is unique, so it never reaches ``fn``).  A cancelled event's
-        entry is dropped where it is met, with the tombstone count
-        rebalanced.
+        order, straight from the lane and the heap: the next entry is
+        the lane head unless the heap's head compares lower as a tuple.
+        That is the order a heap alone would give: every lane entry has
+        ``time == now``, priority 1 and a seq above every entry already
+        popped, so only a heap entry at ``now`` with a lower seq, or an
+        interrupt (priority 0), can come first, and the tuple compare
+        finds either.  A cancelled event's entry is dropped where it is
+        met, with the tombstone count rebalanced.
 
-        The observable sequence of state changes per entry (time check,
-        ``now`` advance, count and order stamp, profiler hook, callback
-        drain or call) is exactly :meth:`step`'s, so single-stepping
-        and running are indistinguishable to everything above the
-        kernel.  An exception that escapes a callback or a call leaves
-        every other pending entry in place for the next :meth:`run` or
-        :meth:`step`.
+        Each live entry then checks the time, advances ``now``, takes
+        its count and order stamp, calls the profiler hook and drains
+        its callbacks or runs its call.  An exception that escapes a
+        callback or a call leaves every other pending entry in place
+        for the next :meth:`run`.
 
         An installed race sanitizer sees each live entry before it is
         dispatched, and the entry it returns is dispatched in its place
@@ -571,14 +553,14 @@ class Simulator:
         """
         if until is None:
             stop = _INF
-        elif until < self.now:
-            raise SimulationError(f"until={until} is in the past (now={self.now})")
+        elif not until >= self.now:  # NaN fails too
+            raise SimulationError(
+                f"until={until} is not at or after now={self.now}")
         else:
             stop = until
-        sched = self._sched
-        heap = sched._heap
-        heappop = sched._heappop
-        lane = sched._lane
+        heap = self._heap
+        heappop = partial(heapq.heappop, heap)
+        lane = self._lane
         lane_pop = lane.popleft
         sanitizer = self._sanitizer
         while True:
@@ -595,7 +577,7 @@ class Simulator:
             time, _, _, fn, arg = entry
             if fn is None and arg._cancelled:
                 # Rebalance the count Timeout.cancel() charged.
-                sched.tombstones -= 1
+                self._tombstones -= 1
                 continue
             if sanitizer is not None:
                 time, _, _, fn, arg = sanitizer.on_entry(entry)
@@ -606,7 +588,7 @@ class Simulator:
             self.events_processed = order + 1
             if self._profiler is not None:
                 self._profiler.on_event(
-                    time, len(heap) + len(lane) - sched.tombstones)
+                    time, len(heap) + len(lane) - self._tombstones)
             if fn is not None:
                 fn(arg)
                 continue
@@ -618,3 +600,12 @@ class Simulator:
                 callback(arg)
         if until is not None:
             self.now = until
+
+
+# Kept for bench/worker.py, whose ``heap`` ablation arm enters it.
+@contextmanager
+def scheduler_override(name: str):
+    """No-op context: ``"heap"`` is the only scheduler."""
+    if name != "heap":
+        raise ValueError(f"unknown scheduler {name!r} (known: heap)")
+    yield

@@ -308,15 +308,6 @@ def test_tracer_ids_are_instance_local():
     assert span_a.span_id == span_b.span_id
 
 
-def test_tracer_max_spans_bound():
-    sim = Simulator()
-    tracer = Tracer(sim, max_spans=2)
-    for _ in range(5):
-        tracer.end(tracer.start("s", "app"))
-    assert len(tracer) == 2
-    assert tracer.dropped == 3
-
-
 # ------------------------------------------------------------ profiling
 def test_profiler_counts_events_and_resumes():
     sim = Simulator()

@@ -17,6 +17,7 @@ from repro.analysis.races import (
 from repro.analysis.races.runner import run_sanitize
 from repro.analysis.races.sanitizer import first_divergence, state_hash
 from repro.core.shoppers import canonical_json
+from repro.faults.chaos import SCENARIOS
 from repro.sim import Simulator
 
 
@@ -242,10 +243,9 @@ def test_bench_scenario_reports_zero_confirmed_races():
     assert report["events"] > 1000
 
 
-@pytest.mark.parametrize("scenario", [
-    "gateway-outage", "dns-blackout", "brownout",
-    "fleet-outage", "canary-regression"])
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_chaos_scenarios_report_zero_confirmed_races(scenario):
+    """Every shipped chaos scenario sanitizes clean."""
     report = run_sanitize(scenario, stations=3, transactions=2,
                           horizon=90.0)
     assert report["verdict"] == "PASS"

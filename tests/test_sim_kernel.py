@@ -44,6 +44,41 @@ def test_negative_call_delay_rejected():
     assert sim.queue_depth() == 0
 
 
+def test_nan_timeout_rejected():
+    """A NaN delay compares False with everything, so its entry would
+    break the heap order: a process waiting on a 5 s timeout must
+    still wake at 5 after a NaN timeout was asked for."""
+    sim = Simulator()
+    woke = []
+
+    def sleeper(env):
+        yield env.timeout(5)
+        woke.append(env.now)
+
+    sim.spawn(sleeper(sim))
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    sim.run()
+    assert woke == [5.0] and sim.queue_depth() == 0
+
+
+def test_nan_call_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim._call_after(float("nan"), print)
+    assert sim.queue_depth() == 0
+
+
+def test_nan_until_rejected():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0 and sim.queue_depth() == 1
+    sim.run()
+    assert sim.now == 1.0
+
+
 def test_scheduled_calls_take_their_place_in_the_event_order():
     """A scheduled call takes the next seq and counts as one processed
     event, so calls and events interleave in push order at each
@@ -342,18 +377,6 @@ def test_yield_non_event_rejected(bad):
         sim.run()
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-
-    def proc(env):
-        yield env.timeout(7)
-
-    sim.spawn(proc(sim))
-    assert sim.peek() == 0.0  # process bootstrap event
-    sim.step()
-    assert sim.peek() == 7.0
-
-
 def test_wait_on_already_processed_event():
     sim = Simulator()
     ev = sim.event()
@@ -597,25 +620,17 @@ def _lane_beside_heap_mid_batch(sim, log):
             ("zero", 1.0)]
 
 
-# The four ways to drive a simulator; each must dispatch the same
+# The two ways to drive a simulator; both must dispatch the same
 # events in the same order.
-DRIVERS = ("run", "sanitized-run", "step", "sanitized-step")
+DRIVERS = ("run", "sanitized-run")
 
 
 def _simulator(driver):
     sim = Simulator()
-    if driver.startswith("sanitized"):
+    if driver == "sanitized-run":
         # The sanitizer sees every entry and forms its own batches.
         install_sanitizer(sim, BatchSanitizer())
     return sim
-
-
-def _drive(sim, driver):
-    if driver.endswith("step"):
-        while sim.peek() != float("inf"):
-            sim.step()
-    else:
-        sim.run()
 
 
 def _batches(sim):
@@ -634,22 +649,22 @@ def _batches(sim):
                          ids=["interrupt", "cancel", "lane-beside-heap"])
 def test_mid_batch_escapes_match_single_stepping(scenario):
     """An interrupt raised or a timeout cancelled while other entries
-    of its time are pending acts the same under run() and step(), with
-    or without a sanitizer, and the sanitizer forms the same batches
-    under both."""
+    of its time are pending acts the same under run() with or without
+    a sanitizer, and the sanitizer sees every entry run() dispatches.
+    (The name predates run() becoming the only dispatch loop.)"""
     logs = []
     batches = []
     for driver in DRIVERS:
         sim = _simulator(driver)
         log = []
         expected = scenario(sim, log)
-        _drive(sim, driver)
+        sim.run()
         assert log == expected
         assert sim.queue_depth() == 0
         logs.append((log, sim.events_processed))
         batches.append(_batches(sim))
-    assert logs[0] == logs[1] == logs[2] == logs[3]
-    assert batches[1] == batches[3]
+    assert logs[0] == logs[1]
+    assert batches[0] is None and batches[1][2] == logs[1][1]
 
 
 @pytest.mark.parametrize("kind", ["heap", "lane", "call-heap", "call-lane"])
@@ -688,10 +703,10 @@ def test_escaped_exception_keeps_the_rest_of_its_batch(driver, kind):
             for event in events:
                 event.succeed()
     with pytest.raises(RuntimeError, match="boom"):
-        _drive(sim, driver)
+        sim.run()
     assert sim.events_processed == 1
     assert sim.queue_depth() == 2
-    _drive(sim, driver)
+    sim.run()
     assert log == [("b", 1.0), ("c", 1.0)]
     assert sim.events_processed == 3
     assert sim.queue_depth() == 0
@@ -784,7 +799,7 @@ def _replay(tape, driver):
                 timers[-1 - arg % len(timers)].cancel()
 
     perform(tape[0])
-    _drive(sim, driver)
+    sim.run()
     return (log, sim.events_processed, profile.seen,
             sim.queue_depth()), _batches(sim)
 
@@ -796,10 +811,11 @@ def test_run_sanitized_run_and_step_dispatch_alike(tape):
     of timeouts and scheduled calls, succeed() and call chains fired
     from callbacks, interrupts and cancellations of lane and heap
     entries: the dispatch log, the order stamps, the event count and
-    the queue depth the profiler sees are the same under run() and
-    step(), with or without a sanitizer, and the sanitizer counts the
-    same batches under both."""
+    the queue depth the profiler sees are the same under run() with or
+    without a sanitizer, and the sanitizer sees every entry run()
+    dispatches.  (The name predates run() becoming the only dispatch
+    loop.)"""
     runs, batches = zip(*(_replay(tape, driver) for driver in DRIVERS))
-    assert runs[0] == runs[1] == runs[2] == runs[3]
+    assert runs[0] == runs[1]
     assert runs[0][3] == 0
-    assert batches[1] == batches[3]
+    assert batches[0] is None and batches[1][2] == runs[1][1]
