@@ -284,9 +284,8 @@ class MCSystemBuilder:
 
     def __init__(self, seed: int = 0, middleware: str = "WAP",
                  bearer: tuple[str, str] = ("cellular", "GPRS"),
-                 wireless_loss: float = 0.0, secure_wap: bool = False,
-                 resilience: Optional[ResilienceConfig] = None,
-                 middleware_port: Optional[int] = None):
+                 secure_wap: bool = False,
+                 resilience: Optional[ResilienceConfig] = None):
         if middleware not in _MIDDLEWARE:
             raise ValueError(f"unknown middleware {middleware!r}")
         if secure_wap and middleware != "WAP":
@@ -299,19 +298,9 @@ class MCSystemBuilder:
         self.middleware = middleware
         self.bearer_kind = bearer_kind
         self.bearer_name = bearer_name
-        self.wireless_loss = wireless_loss
         # None keeps historical behaviour bit-for-bit: no breakers, no
         # standby gateway, no retry, no shedding.
         self.resilience = resilience
-        # Primary middleware port override (None = the protocol's
-        # registered constant).  The standby endpoint is always derived
-        # from the primary's actual port and published in the name
-        # registry, so failover survives non-default layouts.
-        self.middleware_port = middleware_port
-
-    def _primary_port(self) -> int:
-        return (self.middleware_port
-                or _MIDDLEWARE[self.middleware][0].default_port)
 
     def _make_gateway(self, sim, seeds, registry, node, res, *,
                       suffix: str, port: int, air_pressure,
@@ -338,9 +327,9 @@ class MCSystemBuilder:
                 breaker=CircuitBreaker(sim, name=f"{kind}-origin{suffix}",
                                        **BREAKER),
                 origin_timeout=ORIGIN_TIMEOUT)
-            if res.batching is not None:
+            if res.batching:
                 options.update(
-                    batching=res.batching,
+                    batching=True,
                     batch_stream=seeds.stream(f"gateway-admission{suffix}"))
         gateway = gateway_cls(
             node, registry, port=port, air_pressure=air_pressure,
@@ -388,9 +377,10 @@ class MCSystemBuilder:
                               if cells else None),
                 handicap=handicap)
 
-        fleet = GatewayFleet(sim, make_gateway,
-                             base_port=self._primary_port(),
-                             n_cells=max(1, len(cells)))
+        fleet = GatewayFleet(
+            sim, make_gateway,
+            base_port=_MIDDLEWARE[self.middleware][0].default_port,
+            n_cells=max(1, len(cells)))
         for _ in range(res.fleet_size):
             fleet.add_member()
 
@@ -449,16 +439,11 @@ class MCSystemBuilder:
         # -- wireless bearer ----------------------------------------------
         station_subnet = Subnet.parse("10.200.0.0/16")
         allocator = AddressAllocator(station_subnet)
-        loss_stream = (seeds.stream("wireless-loss")
-                       if self.wireless_loss > 0 else None)
 
         if self.bearer_kind == "wlan":
             standard = wlan_standard(self.bearer_name)
-            channel = ChannelModel(
-                fading_stream=seeds.stream("fading")
-                if self.wireless_loss > 0 else None)
             ap = AccessPoint(middleware_node, Position(0.0, 0.0), standard,
-                             channel, wireless_subnet=station_subnet)
+                             ChannelModel(), wireless_subnet=station_subnet)
             air_pressure = None  # WLAN: no shared-airtime backlog probe
             bearer_impl = ap
             cells: list = []
@@ -470,7 +455,6 @@ class MCSystemBuilder:
             standard = cellular_standard(self.bearer_name)
             cellnet = CellularNetwork(
                 network, middleware_node, standard,
-                loss_rate=self.wireless_loss, loss_stream=loss_stream,
                 subscriber_subnet=str(station_subnet),
             )
             # A fleet gets one cell per member (canary replacements
@@ -510,7 +494,7 @@ class MCSystemBuilder:
         else:
             gateway, make_session = self._make_gateway(
                 sim, seeds, registry, middleware_node, res,
-                suffix="", port=self._primary_port(),
+                suffix="", port=_MIDDLEWARE[self.middleware][0].default_port,
                 air_pressure=air_pressure)
             # The fleet replaces the single-standby scheme wholesale (its
             # ring supplies the ordered failover candidates instead).

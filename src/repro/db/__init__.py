@@ -16,8 +16,6 @@ from .server import (
     DatabaseClient,
     DatabaseServer,
     DEFAULT_DB_PORT,
-    MessageReader,
-    encode_message,
 )
 from .sql import SQLSyntaxError, parse
 from .sync import DEFAULT_SYNC_PORT, SyncClient, SyncService
@@ -45,8 +43,6 @@ __all__ = [
     "DatabaseClient",
     "DatabaseServer",
     "DEFAULT_DB_PORT",
-    "MessageReader",
-    "encode_message",
     "SQLSyntaxError",
     "parse",
     "DEFAULT_SYNC_PORT",

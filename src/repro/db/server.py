@@ -9,14 +9,13 @@ so database load shows up in end-to-end transaction latency.
 
 from __future__ import annotations
 
-import json
-import struct
 from collections import deque
 from typing import Deque, Optional
 
 from ..net.addressing import IPAddress
+from ..net.framing import FrameReader, encode_frame
 from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack, tcp_stack
+from ..net.tcp import TCPConnection, tcp_stack
 from ..obs import end_span, start_span
 from ..sim import Counter, Event
 from .engine import Database, IntegrityError, SchemaError
@@ -25,42 +24,11 @@ from .sql import SQLSyntaxError
 from .transactions import DeadlockError, TransactionError, TransactionManager
 
 __all__ = ["DatabaseServer", "DatabaseClient", "TracedDatabaseClient",
-           "encode_message", "MessageReader", "DEFAULT_DB_PORT"]
+           "DEFAULT_DB_PORT"]
 
 DEFAULT_DB_PORT = 5432
 BASE_SERVICE_TIME = 0.000_5
 PER_ROW_SERVICE_TIME = 0.000_01
-
-
-# One encoder for every message: json.dumps with non-default
-# separators would build a fresh JSONEncoder per call.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def encode_message(obj: dict) -> bytes:
-    """Length-prefixed JSON framing."""
-    body = _encode_json(obj).encode()
-    return struct.pack(">I", len(body)) + body
-
-
-class MessageReader:
-    """Incremental decoder for length-prefixed JSON frames."""
-
-    def __init__(self):
-        self._buffer = b""
-
-    def feed(self, data: bytes) -> list[dict]:
-        """Add bytes; return every complete message now available."""
-        self._buffer += data
-        messages = []
-        while len(self._buffer) >= 4:
-            (length,) = struct.unpack(">I", self._buffer[:4])
-            if len(self._buffer) < 4 + length:
-                break
-            body = self._buffer[4: 4 + length]
-            self._buffer = self._buffer[4 + length:]
-            messages.append(json.loads(body.decode()))
-        return messages
 
 
 class DatabaseServer:
@@ -74,14 +42,13 @@ class DatabaseServer:
     """
 
     def __init__(self, node: Node, database: Optional[Database] = None,
-                 port: int = DEFAULT_DB_PORT,
-                 tcp: Optional[TCPStack] = None):
+                 port: int = DEFAULT_DB_PORT):
         self.node = node
         self.sim = node.sim
         self.database = database or Database()
         self.manager = TransactionManager(self.sim, self.database)
         self.port = port
-        self.tcp = tcp or tcp_stack(node)
+        self.tcp = tcp_stack(node)
         self.stats = Counter()
         self._listener = self.tcp.listen(port)
         self.sim.spawn(self._accept_loop(), name=f"dbserver@{node.name}")
@@ -93,7 +60,7 @@ class DatabaseServer:
             self.sim.spawn(self._serve(conn), name="db-session")
 
     def _serve(self, conn: TCPConnection):
-        reader = MessageReader()
+        reader = FrameReader()
         txn = None
         while True:
             chunk = yield conn.recv()
@@ -106,7 +73,7 @@ class DatabaseServer:
                 # data segments (packet metadata, zero wire bytes).
                 txn, reply = yield from self._handle(request, txn,
                                                      parent=conn.trace)
-                conn.send(encode_message(reply))
+                conn.send(encode_frame(reply))
 
     def _handle(self, request: dict, txn, parent=None):
         if request.get("begin"):
@@ -161,15 +128,14 @@ class DatabaseClient:
     """Client-side helper: one TCP connection, blocking query calls."""
 
     def __init__(self, node: Node, server_address: IPAddress,
-                 port: int = DEFAULT_DB_PORT,
-                 tcp: Optional[TCPStack] = None):
+                 port: int = DEFAULT_DB_PORT):
         self.node = node
         self.sim = node.sim
         self.server_address = server_address
         self.port = port
-        self.tcp = tcp or tcp_stack(node)
+        self.tcp = tcp_stack(node)
         self._conn: Optional[TCPConnection] = None
-        self._reader = MessageReader()
+        self._reader = FrameReader()
         self._pending: Deque[dict] = deque()
         # Serialise concurrent callers so replies match their requests.
         from ..sim import Resource
@@ -207,7 +173,7 @@ class DatabaseClient:
                     # Stamp under the mutex: a concurrent caller must
                     # not relabel segments of an in-flight request.
                     self._conn.trace = trace
-                self._conn.send(encode_message(request))
+                self._conn.send(encode_frame(request))
                 while not self._pending:
                     chunk = yield self._conn.recv()
                     if chunk == b"":

@@ -20,14 +20,13 @@ back to the device).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..devices.embedded_db import EmbeddedDatabase, Record, SyncDelta
 from ..net.addressing import IPAddress
 from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack, tcp_stack
+from ..net.framing import FrameReader, encode_frame
+from ..net.tcp import TCPConnection, tcp_stack
 from ..sim import Counter, Event
-from .server import MessageReader, encode_message
 
 __all__ = ["SyncService", "SyncClient", "DEFAULT_SYNC_PORT"]
 
@@ -91,12 +90,11 @@ class _Namespace:
 class SyncService:
     """Host-side sync endpoint over TCP."""
 
-    def __init__(self, node: Node, port: int = DEFAULT_SYNC_PORT,
-                 tcp: Optional[TCPStack] = None):
+    def __init__(self, node: Node, port: int = DEFAULT_SYNC_PORT):
         self.node = node
         self.sim = node.sim
         self.port = port
-        self.tcp = tcp or tcp_stack(node)
+        self.tcp = tcp_stack(node)
         self.namespaces: dict[str, _Namespace] = {}
         self.stats = Counter()
         self._listener = self.tcp.listen(port)
@@ -113,14 +111,14 @@ class SyncService:
             self.sim.spawn(self._serve(conn), name="sync-session")
 
     def _serve(self, conn: TCPConnection):
-        reader = MessageReader()
+        reader = FrameReader()
         while True:
             chunk = yield conn.recv()
             if chunk == b"":
                 return
             for request in reader.feed(chunk):
                 reply = self._handle(request)
-                conn.send(encode_message(reply))
+                conn.send(encode_frame(reply))
 
     def _handle(self, request: dict) -> dict:
         if request.get("op") != "sync":
@@ -155,15 +153,14 @@ class SyncClient:
     def __init__(self, database: EmbeddedDatabase,
                  service_address: IPAddress,
                  namespace: str = "default",
-                 port: int = DEFAULT_SYNC_PORT,
-                 tcp: Optional[TCPStack] = None):
+                 port: int = DEFAULT_SYNC_PORT):
         self.database = database
         self.station = database.station
         self.sim = self.station.sim
         self.service_address = service_address
         self.namespace = namespace
         self.port = port
-        self.tcp = tcp or tcp_stack(self.station)
+        self.tcp = tcp_stack(self.station)
         # Server anchor: highest server version this device has seen.
         self.server_anchor = 0
         # Push anchor: local database version at the last successful sync.
@@ -188,8 +185,8 @@ class SyncClient:
             if conn.established_event not in race:
                 result.succeed(None)
                 return
-            conn.send(encode_message(request))
-            reader = MessageReader()
+            conn.send(encode_frame(request))
+            reader = FrameReader()
             deadline = env.timeout(timeout)
             while True:
                 chunk_ev = conn.recv()

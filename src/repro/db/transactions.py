@@ -57,11 +57,12 @@ class _TableLock:
 class TransactionManager:
     """Lock table + transaction factory for one database."""
 
-    def __init__(self, sim: Simulator, database: Database,
-                 lock_timeout: float = 5.0):
+    def __init__(self, sim: Simulator, database: Database):
         self.sim = sim
         self.database = database
-        self.lock_timeout = lock_timeout
+        # Seconds a transaction waits for a table lock before it is
+        # treated as a deadlock victim.
+        self.lock_timeout = 5.0
         self._locks: dict[str, _TableLock] = {}
         self.committed = 0
         self.aborted = 0

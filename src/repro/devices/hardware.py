@@ -100,16 +100,14 @@ class DrainRates:
 class Battery:
     """A battery with per-activity drain accounting."""
 
-    def __init__(self, capacity: float = 3600.0,
-                 rates: DrainRates | None = None,
-                 efficiency: float = 1.0):
+    def __init__(self, capacity: float = 3600.0, efficiency: float = 1.0):
         if capacity <= 0:
             raise ValueError("battery capacity must be positive")
         if efficiency <= 0:
             raise ValueError("efficiency must be positive")
         self.capacity = capacity
         self.charge = capacity
-        self.rates = rates or DrainRates()
+        self.rates = DrainRates()
         # >1.0 means the platform sips power (the paper: Palm OS battery
         # life is "approximately twice that of its rivals").
         self.efficiency = efficiency

@@ -1,8 +1,9 @@
 """Active health checks with half-open re-admission.
 
-One monitor process sweeps every active member each ``interval``
-sim-seconds: a live gateway answers the probe in ``probe_cost``; a
-crashed one eats the full ``timeout`` (a connect that never answers).
+One monitor process sweeps every active member each
+``PROBE_INTERVAL`` sim-seconds: a live gateway answers the probe in
+``PROBE_COST``; a crashed one eats the full ``PROBE_TIMEOUT`` (a
+connect that never answers).
 ``unhealthy_threshold`` consecutive failures eject the member from the
 ring; ejected members keep being probed — that *is* the half-open
 state, exactly the :class:`~repro.resilience.breaker.CircuitBreaker`
@@ -23,28 +24,26 @@ from .pool import FleetMember, GatewayFleet
 
 __all__ = ["HealthMonitor"]
 
+PROBE_INTERVAL = 2.0
+PROBE_TIMEOUT = 1.5
+PROBE_COST = 0.005
+# Offset of the first sweep: monitor writes land in their own kernel
+# batches, never sharing one with the canary's.
+PROBE_PHASE = 0.111
+
 
 class HealthMonitor:
     """Periodic prober + ejection/re-admission state machine."""
 
     def __init__(self, sim: Simulator, fleet: GatewayFleet,
-                 interval: float = 2.0, timeout: float = 1.5,
                  unhealthy_threshold: int = 3,
-                 recovery_threshold: int = 2,
-                 probe_cost: float = 0.005,
-                 phase: float = 0.111):
+                 recovery_threshold: int = 2):
         if unhealthy_threshold < 1 or recovery_threshold < 1:
             raise ValueError("health thresholds must be >= 1")
         self.sim = sim
         self.fleet = fleet
-        self.interval = interval
-        self.timeout = timeout
         self.unhealthy_threshold = unhealthy_threshold
         self.recovery_threshold = recovery_threshold
-        self.probe_cost = probe_cost
-        # Distinct phase offset: monitor writes land in their own
-        # kernel batches, never sharing one with the canary's.
-        self.phase = phase
         self.stats = Counter()
         self._started = False
 
@@ -58,9 +57,9 @@ class HealthMonitor:
         self.sim.spawn(self._probe_loop(), name="fleet-health")
 
     def _probe_loop(self):
-        yield self.sim.timeout(self.phase)
+        yield self.sim.timeout(PROBE_PHASE)
         while True:
-            yield self.sim.timeout(self.interval)
+            yield self.sim.timeout(PROBE_INTERVAL)
             # Insertion-ordered dict sweep: deterministic, and members
             # added mid-run (canary replacements) join the next sweep.
             for name in list(self.fleet.members):
@@ -76,10 +75,10 @@ class HealthMonitor:
         self.stats.incr("probes")
         if member.gateway.is_down:
             # Dead listener: the probe burns its full connect timeout.
-            yield self.sim.timeout(self.timeout)
+            yield self.sim.timeout(PROBE_TIMEOUT)
             self.record_probe(member, False)
         else:
-            yield self.sim.timeout(self.probe_cost)
+            yield self.sim.timeout(PROBE_COST)
             self.record_probe(member, True)
 
     # -- pure FSM ----------------------------------------------------------

@@ -9,7 +9,6 @@ from .adaptation import (
     strip_tags,
 )
 from .base import (
-    BatchConfig,
     FrameReader,
     RequestBatcher,
     decode_obj,
@@ -49,7 +48,6 @@ __all__ = [
     "html_to_wml",
     "personalize",
     "strip_tags",
-    "BatchConfig",
     "RequestBatcher",
     "frame_reply",
     "FrameReader",

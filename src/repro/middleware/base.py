@@ -24,18 +24,16 @@ handshake).
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Optional
 from urllib.parse import urlencode, urlsplit
 
 from ..net.dns import NameRegistry
+from ..net.framing import FrameReader, decode_obj, encode_frame, encode_obj
 from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack, tcp_stack
+from ..net.tcp import TCPConnection, tcp_stack
 from ..obs import ctx_of, end_span, start_span
 from ..opt import OPTIMIZATIONS
 from ..sim import (Counter, Event, Interrupt, RandomStream, Resource,
@@ -44,7 +42,7 @@ from ..web.client import HTTPClient
 
 __all__ = ["RequestTimeout", "MiddlewareResponse", "MiddlewareSession",
            "response_from_http", "split_url", "encode_frame", "encode_obj",
-           "decode_obj", "FrameReader", "BatchConfig", "RequestBatcher",
+           "decode_obj", "FrameReader", "RequestBatcher",
            "frame_reply", "TRANSLATION_MEMO_SIZE", "GatewayServer",
            "ClientSession"]
 
@@ -136,71 +134,6 @@ def split_url(url: str) -> tuple[str, str]:
     return host, path
 
 
-# ---------------------------------------------------------------- framing
-def _unencodable(value):
-    raise TypeError(f"unencodable {type(value).__name__}")
-
-
-# One encoder for every frame, built once instead of per call.
-_encode_json = json.JSONEncoder(separators=(",", ":"),
-                                default=_unencodable).encode
-
-
-def encode_obj(obj: dict) -> bytes:
-    """JSON with bytes values as {"__b64__": ...} (no length prefix).
-
-    Used directly over record-preserving transports (WTLS records);
-    :func:`encode_frame` adds the length prefix for byte streams.
-    """
-    prepared = {
-        key: ({"__b64__": base64.b64encode(value).decode()}
-              if isinstance(value, bytes) else value)
-        for key, value in obj.items()
-    }
-    return _encode_json(prepared).encode()
-
-
-def decode_obj(data: bytes) -> dict:
-    """Inverse of :func:`encode_obj`."""
-    raw = json.loads(data.decode())
-    return {
-        key: (base64.b64decode(value["__b64__"])
-              if isinstance(value, dict) and "__b64__" in value
-              else value)
-        for key, value in raw.items()
-    }
-
-
-def encode_frame(obj: dict) -> bytes:
-    """Length-prefixed JSON; bytes values become {"__b64__": ...}."""
-    body = encode_obj(obj)
-    return struct.pack(">I", len(body)) + body
-
-
-class FrameReader:
-    """Incremental decoder for :func:`encode_frame` output."""
-
-    def __init__(self):
-        self._buffer = b""
-
-    def feed(self, data: bytes) -> list[dict]:
-        self._buffer += data
-        frames = []
-        while len(self._buffer) >= 4:
-            (length,) = struct.unpack(">I", self._buffer[:4])
-            if len(self._buffer) < 4 + length:
-                break
-            raw = json.loads(self._buffer[4: 4 + length].decode())
-            self._buffer = self._buffer[4 + length:]
-            frames.append({
-                key: (base64.b64decode(value["__b64__"])
-                      if isinstance(value, dict) and "__b64__" in value
-                      else value)
-                for key, value in raw.items()
-            })
-        return frames
-
-
 # ------------------------------------------------- batching + admission
 def frame_reply(status: int, message: str,
                 retry_after: Optional[float] = None) -> dict:
@@ -210,74 +143,37 @@ def frame_reply(status: int, message: str,
             "body": message.encode(), "meta": meta}
 
 
-@dataclass(frozen=True)
-class BatchConfig:
-    """Tuning for :class:`RequestBatcher` (DESIGN.md §13).
-
-    ``window``/``max_batch`` bound the accumulate-and-flush loop: at
-    most one flush per ``window`` virtual seconds, at most ``max_batch``
-    requests per flush, so the gateway's sustained service rate is
-    ``max_batch / window`` requests per second regardless of how many
-    subscribers are connected.  ``per_item_cost`` is the virtual CPU
-    cost charged per batched request, pipelined inside the flush (each
-    item starts one cost after the previous, so same-flush handlers
-    never resume in one kernel batch, where their order would be
-    observable).
-
-    ``watermark`` is the admission-control knob: once that many
-    requests are queued, new arrivals are shed immediately with a 503
-    whose Retry-After reserves the next free *future* service slot
-    (``reserve_factor * window / max_batch`` seconds apart, never
-    sooner than ``retry_floor``), so shed clients trickle back at the
-    rate the gateway drains instead of re-stampeding in lockstep.
-    ``reserve_factor > 1`` deliberately over-spaces reservations,
-    leaving slack for fresh arrivals between returning shed clients.
-    ``jitter`` spreads the hints (fraction of the hint, needs a seeded
-    stream).  ``watermark=0`` disables shedding; everything queues.
-
-    ``pressure_threshold`` composes an *upstream* congestion signal
-    into the same shed decision: when the batcher's ``pressure()``
-    callable (e.g. the cell's shared-airtime backlog) reports at least
-    this many waiters, new arrivals are shed exactly as if the queue
-    were over the watermark.  ``0`` disables the pressure gate.
-    """
-
-    window: float = 0.05
-    max_batch: int = 8
-    watermark: int = 0
-    retry_floor: float = 0.25
-    jitter: float = 0.2
-    per_item_cost: float = 0.0
-    reserve_factor: float = 1.0
-    pressure_threshold: int = 0
-
-    def __post_init__(self):
-        if self.window < 0:
-            raise ValueError(f"window must be >= 0, got {self.window}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.watermark < 0:
-            raise ValueError(f"watermark must be >= 0, got {self.watermark}")
-        if self.retry_floor < 0:
-            raise ValueError(
-                f"retry_floor must be >= 0, got {self.retry_floor}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.per_item_cost < 0:
-            raise ValueError(
-                f"per_item_cost must be >= 0, got {self.per_item_cost}")
-        if self.reserve_factor < 1.0:
-            raise ValueError(
-                f"reserve_factor must be >= 1, got {self.reserve_factor}")
-        if self.pressure_threshold < 0:
-            raise ValueError(
-                f"pressure_threshold must be >= 0, "
-                f"got {self.pressure_threshold}")
-
-    @property
-    def drain_gap(self) -> float:
-        """Virtual seconds one shed reservation advances the pointer."""
-        return self.reserve_factor * self.window / self.max_batch
+# Batching and admission control (DESIGN.md §13), sized to the GPRS
+# cell's 12.5 KB/s of shared airtime.  At most one flush per
+# BATCH_WINDOW virtual seconds and at most BATCH_MAX requests per flush:
+# ~18.75 req/s nominal, deliberately above what the radio sustains
+# (~620 B of airtime per served request), so the binding limit is the
+# RAN backpressure gate, which tracks the radio's true capacity.
+# Shorter windows push the cell into queueing (p50 3 s -> 30 s+).
+BATCH_WINDOW = 0.16
+BATCH_MAX = 3
+# Virtual CPU cost per batched request, pipelined inside a flush: each
+# item starts one cost after the previous, so same-flush handlers never
+# resume in one kernel batch, where their order would be observable.
+PER_ITEM_COST = 0.001
+# Once this many requests are queued, arrivals are shed at once: a shed
+# cycle costs ~400 B of airtime against ~620 B plus queueing for a
+# served request, and a parked client stops contending until its
+# Retry-After reservation matures.
+WATERMARK = 12
+# Shed replies reserve the next free *future* service slot, never
+# sooner than RETRY_FLOOR and DRAIN_GAP apart, so shed clients trickle
+# back at the rate the gateway drains instead of re-stampeding.
+# RESERVE_FACTOR over-spaces the slots 5x, leaving room for fresh
+# arrivals; SHED_JITTER spreads each hint by up to +-20% (seeded).
+RETRY_FLOOR = 1.0
+SHED_JITTER = 0.2
+RESERVE_FACTOR = 5.0
+DRAIN_GAP = RESERVE_FACTOR * BATCH_WINDOW / BATCH_MAX
+# RAN backpressure: arrivals are also shed while this many transmitters
+# wait for the cell's shared airtime (replies sent into a saturated
+# cell only deepen the collapse).
+PRESSURE_THRESHOLD = 12
 
 
 class RequestBatcher:
@@ -285,29 +181,29 @@ class RequestBatcher:
 
     Serve loops call :meth:`submit` instead of invoking the handler
     inline and yield the returned event for the reply.  One flush
-    process drains the queue in paced batches (see :class:`BatchConfig`)
-    and spawns the handler per admitted request, so middleware occupancy
-    is bounded by the batch size rather than scaling with concurrent
-    subscribers.  ``handler(request, parent=...)`` is the gateway's
-    usual per-request generator; ``reply_factory(status, message,
-    retry_after)`` builds protocol-shaped shed/error replies.
+    process drains the queue in paced batches (``BATCH_MAX`` per
+    ``BATCH_WINDOW``) and spawns the handler per admitted request, so
+    middleware occupancy is bounded by the batch size rather than
+    scaling with concurrent subscribers.  ``handler(request,
+    parent=...)`` is the gateway's usual per-request generator;
+    ``reply_factory(status, message, retry_after)`` builds
+    protocol-shaped shed/error replies.  ``stream`` seeds the shed
+    jitter and ``pressure()`` is the upstream congestion probe (the
+    cell's shared-airtime backlog); without them there is no jitter and
+    no pressure gate.
 
     Everything runs on the sim clock with seeded jitter only, so
     batched runs stay byte-identical under the determinism guards.
     """
 
-    def __init__(self, sim, config: BatchConfig,
-                 handler: Callable, reply_factory: Callable,
+    def __init__(self, sim, handler: Callable, reply_factory: Callable,
                  stream=None, stats: Optional[Counter] = None,
                  name: str = "gw-batcher",
                  pressure: Optional[Callable[[], int]] = None):
         self.sim = sim
-        self.config = config
         self.handler = handler
         self.reply_factory = reply_factory
         self.stream = stream
-        # Upstream congestion probe (RAN backpressure); consulted per
-        # submit when the config sets a pressure_threshold.
         self.pressure = pressure
         self.stats = stats if stats is not None else Counter()
         self._queue: Deque[tuple] = deque()
@@ -326,14 +222,13 @@ class RequestBatcher:
     def submit(self, request, parent=None) -> Event:
         """Enqueue (or shed) a request; event yields the reply."""
         done = self.sim.event()
-        cfg = self.config
-        if cfg.watermark and len(self._queue) >= cfg.watermark:
+        if len(self._queue) >= WATERMARK:
             self.stats.incr("admission_sheds")
             done.succeed(self.reply_factory(
                 503, "gateway overloaded", self._reserve_slot()))
             return done
-        if (cfg.pressure_threshold and self.pressure is not None
-                and self.pressure() >= cfg.pressure_threshold):
+        if (self.pressure is not None
+                and self.pressure() >= PRESSURE_THRESHOLD):
             # RAN backpressure: the radio is already backlogged, so a
             # reply would queue behind the very congestion the client
             # is suffering.  Park the client on a reservation instead.
@@ -352,33 +247,30 @@ class RequestBatcher:
         while self._queue:
             _request, _parent, done = self._queue.popleft()
             if not done.triggered:
-                done.succeed(self.reply_factory(
-                    503, message, self.config.retry_floor))
+                done.succeed(self.reply_factory(503, message, RETRY_FLOOR))
 
     def _reserve_slot(self) -> float:
-        cfg = self.config
         now = self.sim.now
-        base = max(self._next_slot, now + cfg.retry_floor)
-        self._next_slot = base + cfg.drain_gap
+        base = max(self._next_slot, now + RETRY_FLOOR)
+        self._next_slot = base + DRAIN_GAP
         hint = base - now
-        if self.stream is not None and cfg.jitter > 0:
-            hint *= 1.0 + cfg.jitter * (2.0 * self.stream.random() - 1.0)
+        if self.stream is not None:
+            hint *= 1.0 + SHED_JITTER * (2.0 * self.stream.random() - 1.0)
         return round(hint, 6)
 
     def _flush_loop(self):
         sim = self.sim
-        cfg = self.config
         while True:
             if not self._queue:
                 self._wakeup = sim.event()
                 yield self._wakeup
                 self._wakeup = None
-            if cfg.window > 0 and self._last_flush is not None:
-                wait = self._last_flush + cfg.window - sim.now
+            if self._last_flush is not None:
+                wait = self._last_flush + BATCH_WINDOW - sim.now
                 if wait > 0:
                     yield sim.timeout(wait)
             batch = [self._queue.popleft()
-                     for _ in range(min(cfg.max_batch, len(self._queue)))]
+                     for _ in range(min(BATCH_MAX, len(self._queue)))]
             if not batch:
                 # Drained while pacing (crash hook): nothing to flush.
                 continue
@@ -386,14 +278,13 @@ class RequestBatcher:
             self.stats.incr("batches")
             self.stats.incr("batched_requests", len(batch))
             for request, parent, done in batch:
-                if cfg.per_item_cost > 0:
-                    # Pipeline the per-item cost: consecutive items
-                    # start one cost apart, never in the same kernel
-                    # batch — two handlers resuming at one timestamp
-                    # both write the gateway counters, and the
-                    # commutativity sanitizer proves that order leaks
-                    # into the report (flush counts diverge on flip).
-                    yield sim.timeout(cfg.per_item_cost)
+                # Pipeline the per-item cost: consecutive items start
+                # one cost apart, never in the same kernel batch — two
+                # handlers resuming at one timestamp both write the
+                # gateway counters, and the commutativity sanitizer
+                # proves that order leaks into the report (flush counts
+                # diverge on flip).
+                yield sim.timeout(PER_ITEM_COST)
                 sim.spawn(self._run_item(request, parent, done),
                           name="gw-batch-item")
 
@@ -404,7 +295,7 @@ class RequestBatcher:
             # Kernel control flow: settle the waiter, then propagate.
             if not done.triggered:
                 done.succeed(self.reply_factory(
-                    503, "gateway interrupted", self.config.retry_floor))
+                    503, "gateway interrupted", RETRY_FLOOR))
             raise
         except Exception as exc:  # batch barrier
             # The serve loop must never hang on a reply that will not
@@ -453,9 +344,9 @@ class GatewayServer:
     _reply = staticmethod(frame_reply)
 
     def __init__(self, node: Node, registry: NameRegistry,
-                 port: Optional[int] = None, tcp: Optional[TCPStack] = None,
+                 port: Optional[int] = None,
                  breaker=None, origin_timeout: float = 30.0,
-                 batching: Optional[BatchConfig] = None,
+                 batching: bool = False,
                  batch_stream: Optional[RandomStream] = None,
                  air_pressure=None, handicap: float = 0.0):
         if handicap < 0:
@@ -464,8 +355,8 @@ class GatewayServer:
         self.sim = node.sim
         self.registry = registry
         self.port = self.default_port if port is None else port
-        self.tcp = tcp or tcp_stack(node)
-        self.http = HTTPClient(node, tcp=self.tcp)
+        self.tcp = tcp_stack(node)
+        self.http = HTTPClient(node)
         # Optional CircuitBreaker guarding gateway -> origin calls.
         self.breaker = breaker
         self.origin_timeout = origin_timeout
@@ -483,9 +374,9 @@ class GatewayServer:
         # serve loops route requests through the batcher when present
         # (None keeps the inline path).
         self.batcher = None
-        if batching is not None:
+        if batching:
             self.batcher = RequestBatcher(
-                self.sim, batching, handler=self._handle,
+                self.sim, handler=self._handle,
                 reply_factory=self._reply, stream=batch_stream,
                 stats=self.stats, name=f"{self.role}-batch@{node.name}",
                 pressure=air_pressure)
@@ -686,13 +577,12 @@ class ClientSession(MiddlewareSession):
     # Protocol errors that fail the request instead of the process.
     _failures: tuple = ()
 
-    def __init__(self, node: Node, address, port: Optional[int] = None,
-                 tcp: Optional[TCPStack] = None):
+    def __init__(self, node: Node, address, port: Optional[int] = None):
         self.node = node
         self.sim = node.sim
         self.address = address
         self.port = self.default_port if port is None else port
-        self.tcp = tcp or tcp_stack(node)
+        self.tcp = tcp_stack(node)
         self.stats = Counter()
         self._conn: Optional[TCPConnection] = None
         self._link = None

@@ -14,7 +14,6 @@ from urllib.parse import urlencode
 
 from ..net.dns import NameRegistry
 from ..net.node import Node
-from ..net.tcp import TCPStack
 from ..obs import ctx_of, end_span, start_span
 from ..sim import Counter, Event
 from ..web.client import HTTPClient
@@ -37,12 +36,11 @@ class DirectHTTPSession(MiddlewareSession):
     middleware_name = "direct-http"
     session_model = "request-response"
 
-    def __init__(self, node: Node, registry: NameRegistry,
-                 tcp: Optional[TCPStack] = None):
+    def __init__(self, node: Node, registry: NameRegistry):
         self.node = node
         self.sim = node.sim
         self.registry = registry
-        self.http = HTTPClient(node, tcp=tcp)
+        self.http = HTTPClient(node)
         self.stats = Counter()
 
     def get(self, url: str, trace=None,

@@ -31,7 +31,7 @@ from typing import Optional
 from ..net.addressing import IPAddress
 from ..net.dns import NameRegistry
 from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack
+from ..net.tcp import TCPConnection
 from ..obs import end_span, start_span
 from ..security.wtls import SecureChannel, SecurityError
 from ..sim import RandomStream
@@ -78,11 +78,11 @@ class WAPGateway(GatewayServer):
     origin_headers = {"accept": f"{WML_CONTENT_TYPE}, text/html"}
 
     def __init__(self, node: Node, registry: NameRegistry,
-                 port: Optional[int] = None, tcp: Optional[TCPStack] = None,
+                 port: Optional[int] = None,
                  entropy: Optional[RandomStream] = None,
                  wtls_port: int = WTLS_PORT,
                  cache_ttl: float = 0.0, **server):
-        super().__init__(node, registry, port, tcp=tcp, **server)
+        super().__init__(node, registry, port, **server)
         self.entropy = entropy
         self.wtls_port = wtls_port
         # Response cache for GETs (real gateways cached aggressively to
@@ -199,7 +199,6 @@ class WAPSession(ClientSession):
     def __init__(self, node: Node, gateway_address: IPAddress,
                  port: Optional[int] = None,
                  accept: str = WMLC_CONTENT_TYPE,
-                 tcp: Optional[TCPStack] = None,
                  secure: bool = False,
                  entropy: Optional[RandomStream] = None):
         if secure and entropy is None:
@@ -212,7 +211,7 @@ class WAPSession(ClientSession):
             self.default_port = WTLS_PORT
             self._encode = encode_obj
             self._decoder = _Records
-        super().__init__(node, gateway_address, port, tcp)
+        super().__init__(node, gateway_address, port)
 
     def _handshake(self):
         if self.secure:

@@ -13,7 +13,7 @@ from .node import Interface, Network, Node
 from .packet import PROTO_ICMP, PROTO_IPIP, PROTO_TCP, PROTO_UDP, Packet
 from .routing import Route, RoutingTable, compute_static_routes
 from .tcp import TCPConnection, TCPListener, TCPSegment, TCPStack, tcp_stack
-from .udp import UDPSegment, UDPSocket, UDPStack
+from .udp import UDPSegment, UDPSocket, UDPStack, udp_stack
 
 __all__ = [
     "AddressAllocator",
@@ -44,4 +44,5 @@ __all__ = [
     "UDPSocket",
     "UDPStack",
     "tcp_stack",
+    "udp_stack",
 ]

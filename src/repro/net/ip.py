@@ -19,6 +19,7 @@ from .packet import PROTO_ICMP, Packet
 __all__ = ["EchoReply", "install_echo_responder", "ping"]
 
 _echo_ids = itertools.count(1)
+ECHO_PAYLOAD_BYTES = 64
 
 
 @dataclass
@@ -62,7 +63,6 @@ def ping(
     source: Node,
     destination: IPAddress,
     timeout: float = 5.0,
-    size: int = 64,
 ) -> Event:
     """Send one echo request; the returned event yields EchoReply or None.
 
@@ -99,7 +99,7 @@ def ping(
         dst=destination,
         proto=PROTO_ICMP,
         payload=_EchoPayload(echo_id, "request", source.primary_address),
-        payload_size=size,
+        payload_size=ECHO_PAYLOAD_BYTES,
     )
     source.send_ip(request)
 

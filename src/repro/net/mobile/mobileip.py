@@ -29,7 +29,7 @@ from ..link import Link
 from ..node import Interface, Network, Node
 from ..packet import Packet
 from ..routing import Route
-from ..udp import UDPStack
+from ..udp import udp_stack
 
 __all__ = [
     "RegistrationRequest",
@@ -43,6 +43,11 @@ __all__ = [
 
 MOBILE_IP_PORT = 434
 DEFAULT_LIFETIME = 300.0
+# How long a (de)registration waits for the agent's reply.
+REGISTRATION_TIMEOUT = 3.0
+# The radio link RoamingManager brings up toward each access router.
+RADIO_BANDWIDTH_BPS = 2_000_000.0
+RADIO_DELAY = 0.004
 
 _registration_ids = itertools.count(1)
 
@@ -78,10 +83,10 @@ class _Binding:
 class HomeAgent:
     """Tunnel endpoint on the home network for roaming mobiles."""
 
-    def __init__(self, router: Node, udp: Optional[UDPStack] = None):
+    def __init__(self, router: Node):
         self.router = router
         self.sim: Simulator = router.sim
-        self.udp = udp or UDPStack(router)
+        self.udp = udp_stack(router)
         self._sock = self.udp.bind(MOBILE_IP_PORT)
         self.bindings: dict[IPAddress, _Binding] = {}
         router.rx_taps.append(self._intercept)
@@ -151,10 +156,10 @@ class HomeAgent:
 class ForeignAgent:
     """Care-of endpoint on a visited network."""
 
-    def __init__(self, router: Node, udp: Optional[UDPStack] = None):
+    def __init__(self, router: Node):
         self.router = router
         self.sim: Simulator = router.sim
-        self.udp = udp or UDPStack(router)
+        self.udp = udp_stack(router)
         self._sock = self.udp.bind(MOBILE_IP_PORT)
         # home_address -> (iface toward the visitor, pending reply events)
         self.visitors: dict[IPAddress, Interface] = {}
@@ -238,18 +243,16 @@ class MobileIPClient:
     """Registration logic living on the mobile host."""
 
     def __init__(self, mobile: Node, home_address: IPAddress,
-                 home_agent_address: IPAddress,
-                 udp: Optional[UDPStack] = None):
+                 home_agent_address: IPAddress):
         self.mobile = mobile
         self.sim: Simulator = mobile.sim
         self.home_address = home_address
         self.home_agent_address = home_agent_address
-        self.udp = udp or UDPStack(mobile)
+        self.udp = udp_stack(mobile)
         self.registered_with: Optional[IPAddress] = None
 
     def register_via(self, fa_address: IPAddress,
-                     lifetime: float = DEFAULT_LIFETIME,
-                     timeout: float = 3.0) -> Event:
+                     lifetime: float = DEFAULT_LIFETIME) -> Event:
         """Register through a foreign agent; event yields the reply or None."""
         result = self.sim.event()
 
@@ -264,7 +267,7 @@ class MobileIPClient:
             )
             try:
                 sock.sendto(request, fa_address, MOBILE_IP_PORT, data_size=32)
-                reply = yield sock.recv_with_timeout(timeout)
+                reply = yield sock.recv_with_timeout(REGISTRATION_TIMEOUT)
             finally:
                 sock.close()
             if reply is None:
@@ -278,7 +281,7 @@ class MobileIPClient:
         self.sim.spawn(register(self.sim), name="mip-register")
         return result
 
-    def deregister(self, timeout: float = 3.0) -> Event:
+    def deregister(self) -> Event:
         """Tell the home agent we are home again (lifetime 0)."""
         result = self.sim.event()
 
@@ -294,7 +297,7 @@ class MobileIPClient:
             try:
                 sock.sendto(request, self.home_agent_address,
                             MOBILE_IP_PORT, data_size=32)
-                reply = yield sock.recv_with_timeout(timeout)
+                reply = yield sock.recv_with_timeout(REGISTRATION_TIMEOUT)
             finally:
                 sock.close()
             self.registered_with = None
@@ -317,14 +320,10 @@ class RoamingManager:
     DEFAULT_NET = Subnet(IPAddress(0), 0)
 
     def __init__(self, network: Network, mobile: Node,
-                 home_address: IPAddress,
-                 bandwidth_bps: float = 2_000_000.0,
-                 delay: float = 0.004):
+                 home_address: IPAddress):
         self.network = network
         self.mobile = mobile
         self.home_address = home_address
-        self.bandwidth_bps = bandwidth_bps
-        self.delay = delay
         self.current_link: Optional[Link] = None
         self.current_iface: Optional[Interface] = None
         self.current_router: Optional[Node] = None
@@ -337,8 +336,8 @@ class RoamingManager:
         link = Link(
             self.mobile.sim,
             name=f"radio-{self.mobile.name}-{access_router.name}",
-            bandwidth_bps=self.bandwidth_bps,
-            delay=self.delay,
+            bandwidth_bps=RADIO_BANDWIDTH_BPS,
+            delay=RADIO_DELAY,
             loss_rate=loss_rate,
             loss_stream=loss_stream,
         )

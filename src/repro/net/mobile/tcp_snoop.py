@@ -26,6 +26,9 @@ from ..tcp import TCPSegment
 
 __all__ = ["SnoopAgent"]
 
+# Segments cached per flow; later ones are forwarded uncached.
+MAX_CACHED_SEGMENTS = 256
+
 # Flow key: (fixed_addr, fixed_port, mobile_addr, mobile_port)
 FlowKey = tuple
 
@@ -42,11 +45,9 @@ class _FlowState:
 class SnoopAgent:
     """Per-base-station snoop cache over TCP flows toward mobile hosts."""
 
-    def __init__(self, base_station: Node, mobile_addresses: set,
-                 max_cached_segments: int = 256):
+    def __init__(self, base_station: Node, mobile_addresses: set):
         self.node = base_station
         self.mobile_addresses = set(mobile_addresses)
-        self.max_cached_segments = max_cached_segments
         self.flows: dict[FlowKey, _FlowState] = {}
         self.stats = Counter()
         base_station.rx_taps.append(self._tap)
@@ -69,7 +70,7 @@ class SnoopAgent:
     def _on_data_toward_mobile(self, packet: Packet, segment: TCPSegment) -> None:
         key = (packet.src, segment.src_port, packet.dst, segment.dst_port)
         flow = self.flows.setdefault(key, _FlowState())
-        if len(flow.cache) < self.max_cached_segments:
+        if len(flow.cache) < MAX_CACHED_SEGMENTS:
             flow.cache[segment.seq] = packet.copy()
             self.stats.incr("cached_segments")
 

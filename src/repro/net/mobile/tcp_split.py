@@ -15,15 +15,19 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ...sim import Counter
 from ..addressing import IPAddress
 from ..node import Node
-from ..tcp import TCPConnection, TCPStack
+from ..tcp import TCPConnection, tcp_stack
 
 __all__ = ["SplitRelay"]
+
+# Segment sizes of the two halves: small on the lossy wireless hop, a
+# full Ethernet MSS on the wired one.
+WIRELESS_MSS = 512
+WIRED_MSS = 1460
 
 
 @dataclass
@@ -43,21 +47,16 @@ class SplitRelay:
         listen_port: int,
         target_address: IPAddress,
         target_port: int,
-        tcp: Optional[TCPStack] = None,
-        wireless_mss: int = 512,
-        wired_mss: int = 1460,
     ):
         self.gateway = gateway
         self.sim = gateway.sim
-        self.tcp = tcp or TCPStack(gateway)
+        self.tcp = tcp_stack(gateway)
         self.listen_port = listen_port
         self.target_address = target_address
         self.target_port = target_port
-        self.wireless_mss = wireless_mss
-        self.wired_mss = wired_mss
         self.sessions: list[_Session] = []
         self.stats = Counter()
-        self._listener = self.tcp.listen(listen_port, mss=wireless_mss)
+        self._listener = self.tcp.listen(listen_port, mss=WIRELESS_MSS)
         self.sim.spawn(self._accept_loop(), name=f"split-relay@{gateway.name}")
 
     def _accept_loop(self):
@@ -71,7 +70,7 @@ class SplitRelay:
 
     def _start_session(self, wireless_conn: TCPConnection):
         wired_conn = self.tcp.connect(
-            self.target_address, self.target_port, mss=self.wired_mss
+            self.target_address, self.target_port, mss=WIRED_MSS
         )
         yield wired_conn.established_event
         session = _Session(wireless=wireless_conn, wired=wired_conn)

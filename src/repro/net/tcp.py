@@ -683,9 +683,9 @@ class TCPStack:
         self._connections.pop(key, None)
 
 
-def tcp_stack(node: Node, mss: int = DEFAULT_MSS) -> TCPStack:
+def tcp_stack(node: Node) -> TCPStack:
     """The node's TCP stack, creating one on first use."""
     existing = getattr(node, "_tcp_stack", None)
     if existing is not None:
         return existing
-    return TCPStack(node, mss=mss)
+    return TCPStack(node)

@@ -15,7 +15,7 @@ from .addressing import IPAddress
 from .node import Node
 from .packet import PROTO_UDP, Packet
 
-__all__ = ["UDPSegment", "UDPSocket", "UDPStack"]
+__all__ = ["UDPSegment", "UDPSocket", "UDPStack", "udp_stack"]
 
 UDP_HEADER_BYTES = 8
 
@@ -117,3 +117,11 @@ class UDPStack:
             node.stats.incr("udp_port_unreachable")
             return
         sock.inbox.try_put((segment.data, packet.src, segment.src_port))
+
+
+def udp_stack(node: Node) -> UDPStack:
+    """The node's UDP stack, creating one on first use."""
+    existing = getattr(node, "_udp_stack", None)
+    if existing is not None:
+        return existing
+    return UDPStack(node)

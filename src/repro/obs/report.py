@@ -133,25 +133,22 @@ def layer_breakdown(tracer_or_spans, trace_id: Optional[int] = None,
     return totals
 
 
-def format_breakdown(breakdown: dict[str, float],
-                     precision: int = 3) -> str:
+def format_breakdown(breakdown: dict[str, float]) -> str:
     """Compact one-line rendering, e.g. for a benchmark table cell."""
     parts = []
     for layer in LAYER_ORDER:
         if layer in breakdown:
             label = _LAYER_ABBREV.get(layer, layer)
-            parts.append(f"{label}={breakdown[layer]:.{precision}f}")
+            parts.append(f"{label}={breakdown[layer]:.3f}")
     for layer in sorted(set(breakdown) - set(LAYER_ORDER)):
-        parts.append(f"{layer}={breakdown[layer]:.{precision}f}")
+        parts.append(f"{layer}={breakdown[layer]:.3f}")
     return " ".join(parts)
 
 
-def render_breakdown_table(breakdown: dict[str, float],
-                           total: Optional[float] = None,
-                           title: str = "per-layer latency breakdown") -> str:
+def render_breakdown_table(breakdown: dict[str, float]) -> str:
     """An aligned text table with per-layer share of the total."""
-    if total is None:
-        total = sum(breakdown.values())
+    title = "per-layer latency breakdown"
+    total = sum(breakdown.values())
     lines = [title, "-" * len(title),
              f"{'layer':<12}{'seconds':>10}  {'share':>6}"]
     ordered = [layer for layer in LAYER_ORDER if layer in breakdown]
@@ -160,7 +157,7 @@ def render_breakdown_table(breakdown: dict[str, float],
         seconds = breakdown[layer]
         share = (100.0 * seconds / total) if total > 0 else 0.0
         lines.append(f"{layer:<12}{seconds:>10.4f}  {share:>5.1f}%")
-    lines.append(f"{'total':<12}{sum(breakdown.values()):>10.4f}")
+    lines.append(f"{'total':<12}{total:>10.4f}")
     return "\n".join(lines)
 
 

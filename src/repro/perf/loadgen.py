@@ -24,7 +24,6 @@ from typing import Iterable, Optional
 from ..core import MCSystemBuilder
 from ..core.shoppers import DEFAULT_DEVICE, outcome, run_shoppers
 from ..fleet import fleet_report
-from ..middleware.base import BatchConfig
 from ..obs import install_tracer, layer_breakdown
 from ..opt import OPTIMIZATIONS
 from ..resilience import ResilienceConfig, RetryPolicy
@@ -37,43 +36,14 @@ def bench_resilience() -> ResilienceConfig:
     """The load benchmark's capacity-engineered policy set (DESIGN §13).
 
     On top of the default resilience knobs this enables gateway-side
-    batching (the sustained service rate ``max_batch / window`` is
-    sized to keep the GPRS cell's shared airtime below saturation)
-    and admission control (watermark + virtual-FIFO Retry-After
-    reservations), so overload is shed at the cheapest layer instead of
-    timing out after burning wireless and middleware budget.
+    batching and admission control (watermark, RAN backpressure and
+    virtual-FIFO Retry-After reservations, all sized to the GPRS cell's
+    shared airtime by the constants in :mod:`repro.middleware.base`),
+    so overload is shed at the cheapest layer instead of timing out
+    after burning wireless and middleware budget.
     """
     return ResilienceConfig(
-        batching=BatchConfig(
-            # 4 requests / 0.3s = ~13.3 req/s sustained service, sized so
-            # the admitted stream (~620B of shared GPRS airtime per served
-            # request) plus shed chatter stays below the cell's 12.5 KB/s.
-            # ~18.75 req/s nominal: deliberately above what the radio can
-            # sustain, so the binding constraint is the RAN backpressure
-            # gate below (which tracks the radio's true capacity) rather
-            # than a hardcoded rate that wastes airtime when the cell is
-            # quiet.  Empirically the knee: shorter windows push the GPRS
-            # cell into queueing (p50 latency jumps 3s -> 30s+).
-            window=0.16,
-            max_batch=3,
-            per_item_cost=0.001,
-            # A shallow watermark sheds the arrival wave BEFORE the radio
-            # saturates: a shed cycle costs ~400B of airtime against ~620B
-            # plus queueing for a served request, and the parked client
-            # stops contending entirely until its reservation matures.
-            watermark=12,
-            retry_floor=1.0,
-            jitter=0.2,
-            # Over-space reservations 5x so returning shed clients use a
-            # fraction of the service slots, leaving room for fresh
-            # arrivals; repeated sheds push the pointer (and the hints)
-            # out fast, which is what parks the overload wave.
-            reserve_factor=5.0,
-            # RAN backpressure: stop admitting whenever ~12 transmitters
-            # are already queued for the cell's shared airtime — replies
-            # sent into a saturated cell only deepen the collapse.
-            pressure_threshold=12,
-        ),
+        batching=True,
         # Shed clients park on the virtual-FIFO Retry-After hint (which
         # grows with the shed backlog) rather than on their own small
         # exponential backoff; parked devices cost zero airtime.
@@ -94,20 +64,25 @@ def bench_resilience() -> ResilienceConfig:
     )
 
 
-def check_capacity_curve(points, tolerance: float = 0.05) -> dict:
+# Goodput dips smaller than this fraction of the best so far are
+# discreteness at low loads, not a cliff.
+CURVE_TOLERANCE = 0.05
+
+
+def check_capacity_curve(points) -> dict:
     """Verify goodput is monotone non-decreasing in admitted load.
 
     A healthy capacity curve rises with offered load and flattens at
     the knee; a cliff (goodput collapsing as more work is admitted)
-    is the overload failure mode DESIGN §13 removed.  ``tolerance``
-    forgives small non-monotonicities from discreteness at low loads.
+    is the overload failure mode DESIGN §13 removed.  Dips within
+    ``CURVE_TOLERANCE`` are forgiven.
     """
     ordered = sorted(points, key=lambda p: (p["admitted"], p["users"]))
     best = 0.0
     regressions = []
     for point in ordered:
         goodput = point["goodput_tps"]
-        if goodput < best * (1.0 - tolerance):
+        if goodput < best * (1.0 - CURVE_TOLERANCE):
             regressions.append({
                 "users": point["users"],
                 "admitted": point["admitted"],
@@ -115,7 +90,7 @@ def check_capacity_curve(points, tolerance: float = 0.05) -> dict:
                 "previous_best": round(best, 6),
             })
         best = max(best, goodput)
-    return {"monotone": not regressions, "tolerance": tolerance,
+    return {"monotone": not regressions, "tolerance": CURVE_TOLERANCE,
             "regressions": regressions}
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..middleware.base import BatchConfig, MiddlewareSession, RequestTimeout
+from ..middleware.base import MiddlewareSession, RequestTimeout
 from ..security.wtls import SecurityError
 from ..sim import Counter, Event
 from .retry import RetryPolicy
@@ -186,11 +186,11 @@ class ResilienceConfig:
     # ring supplies its own failover candidates).
     standby_gateway: bool = True
     direct_fallback: bool = True
-    # Gateway-side batching + admission control (DESIGN.md §13).  Off
-    # by default: the chaos suite exercises failover without capacity
-    # shaping; the load benchmark turns it on via
-    # ``repro.perf.loadgen.bench_resilience``.
-    batching: Optional[BatchConfig] = None
+    # Gateway-side batching + admission control at the constants in
+    # ``repro.middleware.base`` (DESIGN.md §13).  Off by default: the
+    # chaos suite exercises failover without capacity shaping; the load
+    # benchmark turns it on via ``repro.perf.loadgen.bench_resilience``.
+    batching: bool = False
     # Gateway fleet (DESIGN.md §14): 0 keeps the classic single-gateway
     # topology; >= 1 builds a GatewayFleet behind a consistent-hash
     # LoadBalancer.  fleet_size=1 is the byte-identical degenerate case

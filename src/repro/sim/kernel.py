@@ -237,7 +237,8 @@ class Process(Event):
         self._cancelled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
+        # The event waited on; _STARTED until the bootstrap has run.
+        self._target: Any = _STARTED
         # Bootstrap: a scheduled call that resumes the process at the
         # current time (Simulator._call, inlined).
         sim._lane_append((sim.now, 1, next(sim._seq), self._resume, _STARTED))
@@ -247,8 +248,16 @@ class Process(Event):
         return self._state == Event.PENDING
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        A process whose bootstrap has not run yet is interrupted once it
+        has, so the generator meets the Interrupt at its first yield.
+        """
         if not self.is_alive:
+            return
+        sim = self.sim
+        if self._target is _STARTED:
+            sim._call(self.interrupt, cause)
             return
         err = Event(self.sim)
         err._ok = False
@@ -268,7 +277,6 @@ class Process(Event):
             # callbacks so the children don't keep a dead waiter alive.
             target.cancel()
         self._target = None
-        sim = self.sim
         sim._heappush((sim.now, 0, next(sim._seq), None, err))
 
     def _resume(self, event: Event) -> None:

@@ -6,7 +6,7 @@ from typing import Optional
 
 from ..net.addressing import IPAddress
 from ..net.node import Node
-from ..net.tcp import TCPStack, tcp_stack
+from ..net.tcp import tcp_stack
 from ..sim import Event
 from .http import HTTPRequest, HTTPResponse, ResponseParser
 
@@ -16,10 +16,10 @@ __all__ = ["HTTPClient"]
 class HTTPClient:
     """One-request-per-connection HTTP client bound to a node."""
 
-    def __init__(self, node: Node, tcp: Optional[TCPStack] = None):
+    def __init__(self, node: Node):
         self.node = node
         self.sim = node.sim
-        self.tcp = tcp or tcp_stack(node)
+        self.tcp = tcp_stack(node)
 
     def request(self, server: IPAddress, req: HTTPRequest,
                 port: int = 80, timeout: float = 30.0, trace=None) -> Event:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from ..db.server import TracedDatabaseClient
 from ..net.node import Node
-from ..net.tcp import TCPConnection, TCPStack, tcp_stack
+from ..net.tcp import TCPConnection, tcp_stack
 from ..obs import ctx_of, end_span, start_span
 from ..security.auth import AuthenticationError
 from ..sim import Counter, Interrupt, Resource, SimulationError
@@ -42,7 +42,6 @@ class WebServer:
         self,
         node: Node,
         port: int = DEFAULT_HTTP_PORT,
-        tcp: Optional[TCPStack] = None,
         workers: int = 16,
         database=None,
         transactions=None,
@@ -50,7 +49,7 @@ class WebServer:
         self.node = node
         self.sim = node.sim
         self.port = port
-        self.tcp = tcp or tcp_stack(node)
+        self.tcp = tcp_stack(node)
         self.cgi = CGIRegistry()
         self.sessions = SessionStore(self.sim)
         self.database = database

@@ -50,9 +50,10 @@ class Session:
 class SessionStore:
     """Creates, resolves and expires sessions."""
 
-    def __init__(self, sim: Simulator, ttl: float = 1800.0):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.ttl = ttl
+        # Idle seconds before a session expires (30 minutes).
+        self.ttl = 1800.0
         self._sessions: dict[str, Session] = {}
         # Store-local counter: a module-level one made session ids depend
         # on how many stores had run earlier in the process, breaking

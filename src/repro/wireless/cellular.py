@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 CELL_LINK_DELAY = 0.050  # cellular air-interface latency is much higher
+# Addresses of the core <-> base-station links.
+BACKHAUL_SUBNET = "172.16.0.0/16"
 HANDOFF_DELAY = 0.3
 
 
@@ -290,7 +292,6 @@ class CellularNetwork:
     def __init__(self, network: Network, core: Node,
                  standard: CellularStandard,
                  loss_rate: float = 0.0, loss_stream=None,
-                 backhaul_subnet: str = "172.16.0.0/16",
                  subscriber_subnet: Optional[str] = "10.200.0.0/16"):
         self.network = network
         self.core = core
@@ -299,7 +300,7 @@ class CellularNetwork:
         self.loss_stream = loss_stream
         self.base_stations: list[BaseStation] = []
         self.attachments: list[CellularAttachment] = []
-        self._backhaul = Subnet.parse(backhaul_subnet)
+        self._backhaul = Subnet.parse(BACKHAUL_SUBNET)
         self.subscriber_subnet = (
             Subnet.parse(subscriber_subnet) if subscriber_subnet else None
         )

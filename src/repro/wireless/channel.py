@@ -29,6 +29,8 @@ PATH_LOSS_EXPONENT = 3.0
 REFERENCE_LOSS_DB = {2.4: 40.0, 5.0: 47.0}
 EDGE_SOFTNESS_DB = 1.5  # logistic scale for the frame-error roll-off
 MIN_DISTANCE_M = 1.0
+RANGE_RESOLUTION_M = 1.0
+RANGE_LIMIT_M = 10_000.0
 
 
 @dataclass
@@ -50,13 +52,11 @@ class ChannelModel:
     """Stateless radio math + an optional fading stream for frame errors."""
 
     def __init__(self, fading_stream: RandomStream | None = None,
-                 path_loss_exponent: float = PATH_LOSS_EXPONENT,
-                 noise_floor_dbm: float = NOISE_FLOOR_DBM):
+                 path_loss_exponent: float = PATH_LOSS_EXPONENT):
         if path_loss_exponent <= 0:
             raise ValueError("path loss exponent must be positive")
         self.fading = fading_stream
         self.path_loss_exponent = path_loss_exponent
-        self.noise_floor_dbm = noise_floor_dbm
 
     # -- math -----------------------------------------------------------
     def reference_loss(self, band_ghz: float) -> float:
@@ -74,7 +74,7 @@ class ChannelModel:
     def snr_db(self, distance_m: float, standard: WLANStandard) -> float:
         return (standard.tx_power_dbm
                 - self.path_loss_db(distance_m, standard.band_ghz)
-                - self.noise_floor_dbm)
+                - NOISE_FLOOR_DBM)
 
     def budget(self, a: Position, b: Position,
                standard: WLANStandard) -> LinkBudget:
@@ -97,14 +97,13 @@ class ChannelModel:
             success_probability=p_success,
         )
 
-    def max_range_m(self, standard: WLANStandard,
-                    resolution_m: float = 1.0,
-                    limit_m: float = 10_000.0) -> float:
-        """Largest distance at which the lowest rung is still usable."""
-        lo, hi = MIN_DISTANCE_M, limit_m
+    def max_range_m(self, standard: WLANStandard) -> float:
+        """Largest distance at which the lowest rung is still usable,
+        to within RANGE_RESOLUTION_M and at most RANGE_LIMIT_M."""
+        lo, hi = MIN_DISTANCE_M, RANGE_LIMIT_M
         if self.snr_db(hi, standard) >= standard.min_required_snr():
             return hi
-        while hi - lo > resolution_m:
+        while hi - lo > RANGE_RESOLUTION_M:
             mid = (lo + hi) / 2.0
             if self.snr_db(mid, standard) >= standard.min_required_snr():
                 lo = mid

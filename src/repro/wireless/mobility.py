@@ -82,6 +82,10 @@ class LinearPath:
         self.done.succeed()
 
 
+# Seconds between a random-waypoint mobile's position updates.
+WAYPOINT_TICK = 1.0
+
+
 class RandomWaypoint:
     """Random-waypoint mobility inside a rectangular area."""
 
@@ -94,7 +98,6 @@ class RandomWaypoint:
         height: float,
         speed_range: tuple[float, float] = (0.5, 2.0),
         pause_range: tuple[float, float] = (0.0, 10.0),
-        tick: float = 1.0,
     ):
         if width <= 0 or height <= 0:
             raise ValueError("area dimensions must be positive")
@@ -108,7 +111,6 @@ class RandomWaypoint:
         self.height = height
         self.speed_range = speed_range
         self.pause_range = pause_range
-        self.tick = tick
         self.stopped = False
         sim.spawn(self._roam(), name="random-waypoint")
 
@@ -124,9 +126,9 @@ class RandomWaypoint:
             target = self._pick_target()
             speed = self.stream.uniform(*self.speed_range)
             while self.mobile.position != target and not self.stopped:
-                yield self.sim.timeout(self.tick)
+                yield self.sim.timeout(WAYPOINT_TICK)
                 self.mobile.move_to(
-                    self.mobile.position.toward(target, speed * self.tick)
+                    self.mobile.position.toward(target, speed * WAYPOINT_TICK)
                 )
             pause = self.stream.uniform(*self.pause_range)
             if pause > 0:

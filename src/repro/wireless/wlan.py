@@ -45,14 +45,12 @@ class RadioLink(Link):
         endpoint_b: Mobile,
         standard: WLANStandard,
         channel: ChannelModel,
-        queue_capacity: int = 64,
     ):
         super().__init__(
             sim,
             name=name,
             bandwidth_bps=standard.max_rate_bps,
             delay=RADIO_PROPAGATION_DELAY,
-            queue_capacity=queue_capacity,
         )
         self.endpoint_a = endpoint_a
         self.endpoint_b = endpoint_b
@@ -132,8 +130,7 @@ class AccessPoint(Mobile):
                                   self.standard)
         return snr >= self.standard.min_required_snr()
 
-    def associate(self, station: Node, station_mobile: Mobile,
-                  install_default_route: bool = True) -> Association:
+    def associate(self, station: Node, station_mobile: Mobile) -> Association:
         """Attach a station; raises if it is out of radio range."""
         if not self.in_range(station_mobile.position):
             raise ConnectionError(
@@ -165,13 +162,12 @@ class AccessPoint(Mobile):
             Route(subnet=Subnet(station.primary_address, 32),
                   iface_name=ap_iface.name)
         )
-        if install_default_route:
-            station.routing_table.clear()
-            station.routing_table.add(
-                Route(subnet=Subnet(IPAddress(0), 0),
-                      iface_name=station_iface.name,
-                      next_hop=self.router.primary_address)
-            )
+        station.routing_table.clear()
+        station.routing_table.add(
+            Route(subnet=Subnet(IPAddress(0), 0),
+                  iface_name=station_iface.name,
+                  next_hop=self.router.primary_address)
+        )
         association = Association(self, station, station_mobile, link,
                                   station_iface, ap_iface)
         self.associations.append(association)

@@ -2,7 +2,6 @@
 composed admission control, RAN backpressure and honest goodput
 accounting — the machinery that removes the 500-user overload cliff."""
 
-import dataclasses
 import json
 import pathlib
 
@@ -10,7 +9,11 @@ import pytest
 
 from repro.core import MCSystemBuilder
 from repro.core.builder import STANDBY_PORT_OFFSET
-from repro.middleware.base import BatchConfig, RequestBatcher, frame_reply
+from repro.middleware.base import (BATCH_MAX, BATCH_WINDOW, DRAIN_GAP,
+                                   PER_ITEM_COST, PRESSURE_THRESHOLD,
+                                   RESERVE_FACTOR, RETRY_FLOOR, SHED_JITTER,
+                                   WATERMARK, RequestBatcher, frame_reply)
+from repro.middleware.wap import WSP_PORT
 from repro.perf import bench_resilience, check_capacity_curve, run_bench
 from repro.resilience import ResilienceConfig
 from repro.sim import SeedBank, Simulator
@@ -20,165 +23,119 @@ from repro.wireless.standards import cellular_standard
 from repro.net import Network
 
 
-# ---------------------------------------------------------- BatchConfig
-def test_batch_config_validation():
-    with pytest.raises(ValueError):
-        BatchConfig(window=-0.1)
-    with pytest.raises(ValueError):
-        BatchConfig(max_batch=0)
-    with pytest.raises(ValueError):
-        BatchConfig(watermark=-1)
-    with pytest.raises(ValueError):
-        BatchConfig(retry_floor=-1.0)
-    with pytest.raises(ValueError):
-        BatchConfig(jitter=1.0)
-    with pytest.raises(ValueError):
-        BatchConfig(per_item_cost=-0.5)
-    with pytest.raises(ValueError):
-        BatchConfig(reserve_factor=0.5)
-    with pytest.raises(ValueError):
-        BatchConfig(pressure_threshold=-1)
-
-
-def test_batch_config_drain_gap_scales_with_reserve_factor():
-    cfg = BatchConfig(window=0.4, max_batch=4)
-    assert cfg.drain_gap == pytest.approx(0.1)
-    spaced = BatchConfig(window=0.4, max_batch=4, reserve_factor=5.0)
-    assert spaced.drain_gap == pytest.approx(0.5)
-
-
 # -------------------------------------------------------- RequestBatcher
-def _make_batcher(sim, config, handler=None, stream=None, pressure=None):
+def _make_batcher(sim, handler=None, stream=None, pressure=None):
     if handler is None:
         def handler(request, parent=None):
             if False:
                 yield
             return frame_reply(200, "ok")
-    return RequestBatcher(sim, config, handler, frame_reply,
+    return RequestBatcher(sim, handler, frame_reply,
                           stream=stream, pressure=pressure)
 
 
-def test_batcher_paces_flushes_by_window_and_max_batch():
-    sim = Simulator()
-    served = []
-
-    def handler(request, parent=None):
-        if False:
-            yield
-        served.append((sim.now, request))
-        return frame_reply(200, "ok")
-
-    batcher = _make_batcher(
-        sim, BatchConfig(window=1.0, max_batch=2), handler=handler)
-    replies = [batcher.submit(f"req-{n}") for n in range(6)]
-    sim.run(until=10)
-    assert all(reply.value["status"] == 200 for reply in replies)
-    # 6 requests, 2 per flush, one flush per second: t=0, 1, 2.
-    flush_times = sorted({when for when, _ in served})
-    assert flush_times == [0.0, 1.0, 2.0]
-    assert batcher.stats.get("batches") == 3
-    assert batcher.stats.get("batched_requests") == 6
-
-
-def test_batcher_per_item_cost_is_pipelined_within_a_flush():
-    sim = Simulator()
-    served = []
-
+def _logging_handler(sim, served):
     def handler(request, parent=None):
         if False:
             yield
         served.append(sim.now)
         return frame_reply(200, "ok")
+    return handler
 
-    batcher = _make_batcher(
-        sim, BatchConfig(window=0.0, max_batch=4, per_item_cost=0.01),
-        handler=handler)
-    for n in range(4):
+
+def test_batcher_paces_flushes_by_window_and_max_batch():
+    sim = Simulator()
+    served = []
+    batcher = _make_batcher(sim, handler=_logging_handler(sim, served))
+    replies = [batcher.submit(f"req-{n}") for n in range(2 * BATCH_MAX)]
+    sim.run(until=10)
+    assert all(reply.value["status"] == 200 for reply in replies)
+    # BATCH_MAX requests per flush, one flush per BATCH_WINDOW: t=0 and
+    # t=BATCH_WINDOW, each item one PER_ITEM_COST after the previous.
+    assert served == [pytest.approx(flush * BATCH_WINDOW
+                                    + (item + 1) * PER_ITEM_COST)
+                      for flush in range(2) for item in range(BATCH_MAX)]
+    assert batcher.stats.get("batches") == 2
+    assert batcher.stats.get("batched_requests") == 2 * BATCH_MAX
+
+
+def test_batcher_per_item_cost_is_pipelined_within_a_flush():
+    sim = Simulator()
+    served = []
+    batcher = _make_batcher(sim, handler=_logging_handler(sim, served))
+    for n in range(BATCH_MAX):
         batcher.submit(n)
     sim.run(until=1)
     # Each item starts one per-item cost after the previous — never two
     # handlers in the same kernel batch, where their dispatch order
     # would be observable (the commutativity sanitizer flags that).
-    assert served == [pytest.approx(0.01 * (n + 1)) for n in range(4)]
+    assert served == [pytest.approx(PER_ITEM_COST * (n + 1))
+                      for n in range(BATCH_MAX)]
     assert batcher.stats.get("batches") == 1
 
 
 def test_batcher_watermark_sheds_with_growing_reservation_hints():
     sim = Simulator()
-    # A huge window means nothing drains during the test.
-    cfg = BatchConfig(window=100.0, max_batch=2, watermark=1,
-                      retry_floor=1.0, jitter=0.0, reserve_factor=4.0)
-    batcher = _make_batcher(sim, cfg)
-
-    admitted = batcher.submit("first")
+    batcher = _make_batcher(sim)
+    # The clock never runs, so nothing drains during the test.
+    admitted = [batcher.submit(f"queued-{n}") for n in range(WATERMARK)]
     sheds = [batcher.submit(f"excess-{n}") for n in range(3)]
-    # Shed replies settle synchronously; the admitted one waits.
-    assert not admitted.triggered
+    # Shed replies settle synchronously; the admitted ones wait.
+    assert not any(reply.triggered for reply in admitted)
     hints = []
     for reply in sheds:
         assert reply.triggered
         assert reply.value["status"] == 503
         hints.append(reply.value["meta"]["retry_after"])
-    # Virtual-FIFO reservations: floor first, then one drain_gap apart
-    # (reserve_factor over-spaces the returns).
-    gap = cfg.drain_gap
-    assert hints[0] == pytest.approx(1.0)
-    assert hints[1] == pytest.approx(1.0 + gap)
-    assert hints[2] == pytest.approx(1.0 + 2 * gap)
+    # Virtual-FIFO reservations: floor first, then one drain gap apart
+    # (RESERVE_FACTOR over-spaces the returns).
+    assert DRAIN_GAP == pytest.approx(RESERVE_FACTOR * BATCH_WINDOW
+                                      / BATCH_MAX)
+    assert hints == [pytest.approx(RETRY_FLOOR + n * DRAIN_GAP)
+                     for n in range(3)]
     assert batcher.stats.get("admission_sheds") == 3
 
 
 def test_batcher_shed_jitter_is_seeded_and_bounded():
     def hints_for(seed):
         sim = Simulator()
-        cfg = BatchConfig(window=100.0, max_batch=1, watermark=1,
-                          retry_floor=1.0, jitter=0.2)
-        batcher = _make_batcher(sim, cfg,
-                                stream=SeedBank(seed).stream("adm"))
-        batcher.submit("fills the queue")
+        batcher = _make_batcher(sim, stream=SeedBank(seed).stream("adm"))
+        for n in range(WATERMARK):
+            batcher.submit(f"fills the queue {n}")
         return [batcher.submit(n).value["meta"]["retry_after"]
                 for n in range(4)]
 
     assert hints_for(3) == hints_for(3)  # same seed, same spread
-    cfg = BatchConfig(window=100.0, max_batch=1, watermark=1,
-                      retry_floor=1.0, jitter=0.2)
-    base = 1.0
+    assert hints_for(3) != hints_for(4)
+    base = RETRY_FLOOR
     for hint in hints_for(3):
-        assert base * 0.8 <= hint <= base * 1.2
-        base += cfg.drain_gap
+        assert (base * (1 - SHED_JITTER) <= hint
+                <= base * (1 + SHED_JITTER))
+        base += DRAIN_GAP
 
 
 def test_batcher_pressure_gate_sheds_on_upstream_congestion():
     sim = Simulator()
-    backlog = {"value": 0}
-    cfg = BatchConfig(window=100.0, max_batch=2, retry_floor=0.5,
-                      jitter=0.0, pressure_threshold=3)
-    batcher = _make_batcher(sim, cfg,
-                            pressure=lambda: backlog["value"])
+    backlog = {"value": PRESSURE_THRESHOLD - 1}
+    batcher = _make_batcher(sim, pressure=lambda: backlog["value"])
 
-    calm = batcher.submit("radio quiet")
+    calm = batcher.submit("radio below the threshold")
     assert not calm.triggered  # queued for service, not shed
 
-    backlog["value"] = 3  # radio hits the threshold
+    backlog["value"] = PRESSURE_THRESHOLD  # radio hits the threshold
     shed = batcher.submit("radio congested")
     assert shed.triggered
     assert shed.value["status"] == 503
     assert b"air interface" in shed.value["body"]
-    assert shed.value["meta"]["retry_after"] >= 0.5
+    assert shed.value["meta"]["retry_after"] == RETRY_FLOOR
     assert batcher.stats.get("pressure_sheds") == 1
     assert batcher.stats.get("admission_sheds") == 0
 
 
-def test_batcher_pressure_gate_off_without_threshold_or_probe():
+def test_batcher_pressure_gate_off_without_probe():
+    # No probe wired (e.g. WLAN bearer): no gate.
     sim = Simulator()
-    # Probe says "congested" but the threshold is 0: everything queues.
-    batcher = _make_batcher(sim, BatchConfig(window=100.0),
-                            pressure=lambda: 10_000)
-    assert not batcher.submit("x").triggered
-    # Threshold set but no probe wired (e.g. WLAN bearer): no gate.
-    ungated = _make_batcher(
-        sim, BatchConfig(window=100.0, pressure_threshold=1))
-    assert not ungated.submit("y").triggered
+    assert not _make_batcher(sim).submit("y").triggered
 
 
 # -------------------------------------------------- RAN backpressure probe
@@ -216,10 +173,9 @@ def test_air_backlog_zero_for_circuit_switched_cells():
 # ------------------------------------------------------- builder wiring
 def test_standby_ports_derive_from_primary_not_hardcoded():
     config = ResilienceConfig()
-    system = MCSystemBuilder(seed=2, resilience=config,
-                             middleware_port=7777).build()
-    assert system.gateway.port == 7777
-    assert system.standby_gateway.port == 7777 + STANDBY_PORT_OFFSET
+    system = MCSystemBuilder(seed=2, resilience=config).build()
+    assert system.gateway.port == WSP_PORT
+    assert system.standby_gateway.port == WSP_PORT + STANDBY_PORT_OFFSET
     primary = system.registry.lookup_service("middleware")
     standby = system.registry.lookup_service("middleware-standby")
     assert primary.port == system.gateway.port
@@ -227,7 +183,7 @@ def test_standby_ports_derive_from_primary_not_hardcoded():
 
 
 def test_builder_wires_air_pressure_probe_for_cellular_only():
-    config = ResilienceConfig(batching=BatchConfig(pressure_threshold=4),
+    config = ResilienceConfig(batching=True,
                               standby_gateway=False,
                               direct_fallback=False)
     cellular = MCSystemBuilder(seed=2, resilience=config,
@@ -279,34 +235,6 @@ SMALL = dict(users=5, seed=11, transactions_per_user=2, horizon=90.0,
              trace=False)
 
 
-def _passthrough_batching(**overrides):
-    """Batching on, but shaped to add zero virtual delay and no sheds."""
-    return ResilienceConfig(
-        batching=BatchConfig(window=0.0, max_batch=8, per_item_cost=0.0,
-                             watermark=0),
-        standby_gateway=False, direct_fallback=False, **overrides)
-
-
-def test_batching_is_transparent_on_the_untraced_wire():
-    """A zero-delay batcher must not change what the wire carries."""
-    batched = run_bench(resilience=_passthrough_batching(), **SMALL)
-    unbatched = run_bench(
-        resilience=dataclasses.replace(_passthrough_batching(),
-                                       batching=None),
-        **SMALL)
-    det_a = dict(batched["deterministic"])
-    det_b = dict(unbatched["deterministic"])
-    # The batcher runs its own flush processes (different kernel event
-    # totals) and reports its own counters; everything the *clients*
-    # can observe — counts, latencies, retries — must be identical.
-    for key in ("kernel_events", "gateway_admission"):
-        det_a.pop(key), det_b.pop(key)
-    assert det_a == det_b
-    admission = batched["deterministic"]["gateway_admission"]
-    assert admission["batched_requests"] == det_a["completed"] * 3
-    assert admission["sheds"] == 0
-
-
 def test_accounting_reports_offered_vs_admitted_vs_succeeded():
     report = run_bench(resilience=bench_resilience(), **SMALL)
     det = report["deterministic"]
@@ -323,13 +251,11 @@ def test_deprecated_success_rate_is_gone_from_bench_output():
     most of the offered load could still report near-perfect success.
     The field is now removed outright from the bench deterministic
     section; success_vs_offered is the honest replacement and must
-    still expose the stranded work."""
-    bench = bench_resilience()
-    throttled = dataclasses.replace(bench, batching=dataclasses.replace(
-        bench.batching, window=2.0, max_batch=1, watermark=0,
-        pressure_threshold=0))
-    report = run_bench(users=5, seed=11, transactions_per_user=4,
-                       horizon=40.0, trace=False, resilience=throttled)
+    still expose the stranded work (here 160 purchases offered in 10
+    virtual seconds, far past what the cell serves)."""
+    report = run_bench(users=40, seed=11, transactions_per_user=4,
+                       horizon=10.0, trace=False,
+                       resilience=bench_resilience())
     det = report["deterministic"]
     assert "success_rate" not in det
     assert det["completed"] < det["offered"]

@@ -128,7 +128,7 @@ def test_sync_respects_device_quota():
     from repro.devices import OutOfMemoryError
     small = EmbeddedDatabase(client.station, name="tiny", quota_kb=1)
     tiny_client = SyncClient(small, client.service_address,
-                             namespace="big", tcp=client.tcp)
+                             namespace="big")
     service.namespace("big").put("huge", {"blob": "z" * 5000})
     ev = tiny_client.sync()
     with pytest.raises(OutOfMemoryError):

@@ -15,20 +15,21 @@ from repro.db import (
     DeadlockError,
     TransactionError,
     TransactionManager,
-    encode_message,
     execute,
 )
 from repro.net import Network, Subnet
+from repro.net.framing import encode_frame
 from repro.sim import Simulator
 
 
 def test_encode_message_bytes_are_compact_json():
-    """The shared encoder frames exactly what json.dumps gives."""
+    """A DB message (no bytes values) frames as exactly what
+    json.dumps gives."""
     for obj in ({}, {"op": "query", "sql": "SELECT 1", "args": [1, 2.5]},
                 {"rows": [[1, "caf\u00e9", None, True]], "nan": float("nan"),
                  "nested": {"b": [{"c": -0.0}], "a": 1e300}}):
         body = json.dumps(obj, separators=(",", ":")).encode()
-        assert encode_message(obj) == struct.pack(">I", len(body)) + body
+        assert encode_frame(obj) == struct.pack(">I", len(body)) + body
 
 
 def make_manager():

@@ -9,14 +9,13 @@ but not on the bytes would not produce the same simulation.
 import pytest
 
 from repro.middleware import (
-    BatchConfig,
     FrameReader,
     IModeCenter,
     WAPGateway,
     WebClippingProxy,
     encode_frame,
 )
-from repro.middleware.base import TRANSLATION_MEMO_SIZE
+from repro.middleware.base import RETRY_FLOOR, TRANSLATION_MEMO_SIZE
 from repro.net import NameRegistry, Network, Subnet
 from repro.net.tcp import tcp_stack
 from repro.sim import Simulator
@@ -188,7 +187,7 @@ def test_dead_origin_is_504_and_a_breaker_failure(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_crash_rejects_pending_closes_and_flushes_then_restart_serves(kind):
-    world = World(kind, batching=BatchConfig())
+    world = World(kind, batching=True)
     page = world.get("http://shop.example.com/")
     assert world.status(page) == 200
     assert len(world.gateway._translations) == 1
@@ -197,7 +196,7 @@ def test_crash_rejects_pending_closes_and_flushes_then_restart_serves(kind):
         world.request("http://shop.example.com/"))
     world.gateway.crash()
     assert world.on_wire(pending.value) == world.shed(
-        503, f"{world.role} crashed", BatchConfig().retry_floor)
+        503, f"{world.role} crashed", RETRY_FLOOR)
     assert world.gateway.is_down
     assert len(world.gateway._translations) == 0
     assert world.get("http://shop.example.com/") == b""  # hung up on

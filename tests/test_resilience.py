@@ -7,6 +7,8 @@ import pytest
 from repro.core import MCSystemBuilder, TransactionEngine
 from repro.core.builder import SHEDDING
 from repro.faults.chaos import run_chaos
+from repro.fleet import health as fleet_health
+from repro.middleware import base as middleware_base
 from repro.middleware.base import MiddlewareResponse, MiddlewareSession
 from repro.net import Network, Subnet
 from repro.perf import run_bench
@@ -361,9 +363,13 @@ _DEFAULT_RETRY = dict(max_attempts=4, base_delay=0.25, multiplier=2.0,
                       max_delay=4.0, jitter=0.2, attempt_timeout=5.0)
 _BENCH_RETRY = dict(max_attempts=5, base_delay=0.5, multiplier=2.0,
                     max_delay=8.0, jitter=0.3, attempt_timeout=20.0)
-_BENCH_BATCH = dict(window=0.16, max_batch=3, watermark=12, retry_floor=1.0,
-                    jitter=0.2, per_item_cost=0.001, reserve_factor=5.0,
-                    pressure_threshold=12)
+# The batching and health-check values are module constants; these pin
+# them where the old per-caller configs did.
+_BATCH_CONSTANTS = dict(BATCH_WINDOW=0.16, BATCH_MAX=3, WATERMARK=12,
+                        RETRY_FLOOR=1.0, SHED_JITTER=0.2,
+                        PER_ITEM_COST=0.001, RESERVE_FACTOR=5.0,
+                        PRESSURE_THRESHOLD=12)
+_HEALTH_CONSTANTS = dict(PROBE_INTERVAL=2.0, PROBE_TIMEOUT=1.5)
 _CANARY = dict(fraction=0.5, deploy_at=60.0, handicap=3.0, window=40.0,
                min_samples=3, p95_ratio=1.5, success_delta=0.1,
                violations=2, healthy_windows=3)
@@ -372,13 +378,13 @@ _CANARY = dict(fraction=0.5, deploy_at=60.0, handicap=3.0, window=40.0,
 #  balancer sample window)
 _EFFECTIVE = [
     ("chaos-default", run_chaos, dict(scenario="storm"),
-     _DEFAULT_RETRY, True, None, 0, None, None),
+     _DEFAULT_RETRY, True, False, 0, None, None),
     ("bench", run_bench, {},
-     _BENCH_RETRY, False, _BENCH_BATCH, 0, None, None),
+     _BENCH_RETRY, False, True, 0, None, None),
     ("bench-fleet3", run_bench, dict(fleet=3),
-     _BENCH_RETRY, False, _BENCH_BATCH, 3, None, 120.0),
+     _BENCH_RETRY, False, True, 3, None, 120.0),
     ("canary-regression", run_chaos, dict(scenario="canary-regression"),
-     _DEFAULT_RETRY, False, None, 4, _CANARY, 160.0),
+     _DEFAULT_RETRY, False, False, 4, _CANARY, 160.0),
 ]
 
 
@@ -405,10 +411,10 @@ def test_effective_resilience_settings_are_pinned(
         assert (breaker.failure_threshold, breaker.recovery_time,
                 breaker.half_open_max) == (4, 8.0, 2)
         assert gateway.origin_timeout == 3.0
-        if batching is None:
-            assert gateway.batcher is None
-        else:
-            assert dataclasses.asdict(gateway.batcher.config) == batching
+        assert (gateway.batcher is not None) == batching
+    if batching:
+        assert {name: getattr(middleware_base, name)
+                for name in _BATCH_CONSTANTS} == _BATCH_CONSTANTS
 
     web = system.host.web_server
     assert (web._shed_backlog, web._shed_retry_after,
@@ -429,8 +435,10 @@ def test_effective_resilience_settings_are_pinned(
     assert system.fleet.port_stride == 20
     assert system.fleet.ring.virtual_nodes == 64
     health = system.health_monitor
-    assert (health.interval, health.timeout, health.unhealthy_threshold,
-            health.recovery_threshold) == (2.0, 1.5, 3, 2)
+    assert (health.unhealthy_threshold,
+            health.recovery_threshold) == (3, 2)
+    assert {name: getattr(fleet_health, name)
+            for name in _HEALTH_CONSTANTS} == _HEALTH_CONSTANTS
     assert system.balancer.sample_window == sample_window
     if canary is None:
         assert system.canary is None

@@ -277,6 +277,27 @@ def test_interrupt_dead_process_is_noop():
     proc.interrupt()  # must not raise
 
 
+def test_interrupt_before_bootstrap_reaches_the_first_yield():
+    """A process interrupted at the instant it was spawned starts
+    first and meets the Interrupt at its first yield, in its own
+    handler."""
+    sim = Simulator(strict=False)
+    log = []
+
+    def p(env):
+        log.append(("started", env.now))
+        try:
+            yield env.timeout(10)
+        except Interrupt as interrupt:
+            log.append(("interrupted", env.now, interrupt.cause))
+
+    proc = sim.spawn(p(sim))
+    proc.interrupt("x")
+    sim.run()
+    assert proc.ok is True
+    assert log == [("started", 0.0), ("interrupted", 0.0, "x")]
+
+
 def test_run_until_stops_clock():
     sim = Simulator()
 
