@@ -43,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 __all__ = [
@@ -216,7 +215,6 @@ class TrackedList(list):
 
 
 # ------------------------------------------------------------ flip replay
-@dataclass
 class FlipDirective:
     """Replay instruction: flip one batch's dispatch order.
 
@@ -229,11 +227,14 @@ class FlipDirective:
     batch).
     """
 
-    ordinal: int
-    seq_a: Optional[int] = None
-    seq_b: Optional[int] = None
-    mode: str = "pair"
-    applied: bool = False
+    def __init__(self, ordinal: int, seq_a: Optional[int] = None,
+                 seq_b: Optional[int] = None, mode: str = "pair",
+                 applied: bool = False):
+        self.ordinal = ordinal
+        self.seq_a = seq_a
+        self.seq_b = seq_b
+        self.mode = mode
+        self.applied = applied
 
     def apply(self, batch: list) -> list:
         self.applied = True
@@ -452,14 +453,14 @@ def _describe(entry: tuple) -> str:
     _, _, _, fn, event = entry
     if fn is not None:
         owner = getattr(fn, "__self__", None)
-        if isinstance(owner, Process) and \
-                getattr(fn, "__func__", None) is Process._resume:
+        if isinstance(owner, Process) and getattr(fn, "__func__", None) \
+                in (Process._resume, Process._relay):
             return f"event resuming {owner.name!r}"
         return getattr(fn, "__qualname__", repr(fn))
     if isinstance(event, Process):
         return f"process {event.name!r}"
     resumed = [cb.__self__.name for cb in event.callbacks
-               if getattr(cb, "__name__", "") == "_resume"
+               if getattr(cb, "__name__", "") in ("_resume", "_interrupted")
                and isinstance(getattr(cb, "__self__", None), Process)]
     kind = ("timeout" if isinstance(event, Timeout)
             else type(event).__name__.lower())

@@ -15,7 +15,7 @@ application code on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
 from typing import Optional
 
 from ..db import DatabaseClient, DatabaseServer
@@ -78,36 +78,40 @@ _MIDDLEWARE = {
 }
 
 
-@dataclass
 class HostTier:
     """The paper's host computer: web server, DB server, app programs."""
 
-    web_node: Node
-    db_node: Node
-    web_server: WebServer
-    db_server: DatabaseServer
-    db_client: DatabaseClient
-    payment: PaymentProcessor
-    users: UserStore
-    tokens: TokenIssuer
+    def __init__(self, web_node: Node, db_node: Node, web_server: WebServer,
+                 db_server: DatabaseServer, db_client: DatabaseClient,
+                 payment: PaymentProcessor, users: UserStore,
+                 tokens: TokenIssuer):
+        self.web_node = web_node
+        self.db_node = db_node
+        self.web_server = web_server
+        self.db_server = db_server
+        self.db_client = db_client
+        self.payment = payment
+        self.users = users
+        self.tokens = tokens
 
 
-@dataclass
 class StationHandle:
     """One provisioned mobile station with its middleware session."""
 
-    station: MobileStation
-    session: MiddlewareSession
-    browser: Microbrowser
-    attachment: object = None  # Association or CellularAttachment
+    def __init__(self, station: MobileStation, session: MiddlewareSession,
+                 browser: Microbrowser, attachment: object = None):
+        self.station = station
+        self.session = session
+        self.browser = browser
+        self.attachment = attachment  # Association or CellularAttachment
 
 
-@dataclass
 class ClientHandle:
     """One wired desktop client (EC systems)."""
 
-    node: Node
-    session: MiddlewareSession
+    def __init__(self, node: Node, session: MiddlewareSession):
+        self.node = node
+        self.session = session
 
 
 class _BaseSystem:
@@ -563,9 +567,11 @@ class MCSystemBuilder:
         if res is not None:
             host.web_server.enable_load_shedding(
                 stream=seeds.stream("shed-jitter"), **SHEDDING)
-            system.retry_policy = replace(
-                res.retry, attempt_timeout=res.request_timeout,
-                stream=seeds.stream("retry-jitter"))
+            # A copy: the config's retry template stays as it was.
+            retry = copy.copy(res.retry)
+            retry.attempt_timeout = res.request_timeout
+            retry.stream = seeds.stream("retry-jitter")
+            system.retry_policy = retry
             system.request_timeout = res.request_timeout
         return system
 

@@ -9,7 +9,6 @@ data/control flow, optional component).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = [
@@ -75,19 +74,18 @@ MC_COMPONENTS = (
 MC_OPTIONAL_COMPONENTS = frozenset({ComponentKind.MOBILE_MIDDLEWARE})
 
 
-@dataclass
 class Component:
     """One instantiated box: a kind plus the object implementing it."""
 
-    kind: str
-    name: str
-    implementation: Any = None
-    optional: bool = False
-    attributes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ComponentKind.ALL:
-            raise ValueError(f"unknown component kind {self.kind!r}")
+    def __init__(self, kind: str, name: str, implementation: Any = None,
+                 optional: bool = False, attributes: dict | None = None):
+        if kind not in ComponentKind.ALL:
+            raise ValueError(f"unknown component kind {kind!r}")
+        self.kind = kind
+        self.name = name
+        self.implementation = implementation
+        self.optional = optional
+        self.attributes = {} if attributes is None else attributes
 
     def __repr__(self) -> str:  # pragma: no cover
         marker = "?" if self.optional else ""

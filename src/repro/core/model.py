@@ -9,7 +9,6 @@ paper's structural claims with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .components import Component, ComponentKind, EDGE_ASSOCIATION, EDGE_DATA_FLOW
@@ -17,15 +16,13 @@ from .components import Component, ComponentKind, EDGE_ASSOCIATION, EDGE_DATA_FL
 __all__ = ["Edge", "SystemModel"]
 
 
-@dataclass(frozen=True)
 class Edge:
-    source: str   # component name
-    target: str
-    kind: str     # EDGE_ASSOCIATION | EDGE_DATA_FLOW
-
-    def __post_init__(self):
-        if self.kind not in (EDGE_ASSOCIATION, EDGE_DATA_FLOW):
-            raise ValueError(f"unknown edge kind {self.kind!r}")
+    def __init__(self, source: str, target: str, kind: str):
+        if kind not in (EDGE_ASSOCIATION, EDGE_DATA_FLOW):
+            raise ValueError(f"unknown edge kind {kind!r}")
+        self.source = source  # component name
+        self.target = target
+        self.kind = kind  # EDGE_ASSOCIATION | EDGE_DATA_FLOW
 
 
 # The data/control-flow chains of the two figures, expressed as the

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..apps import ALL_CATEGORIES
@@ -61,7 +60,6 @@ class Verdict(enum.Enum):
         return worst
 
 
-@dataclass(frozen=True)
 class Claim:
     """One falsifiable claim the paper's figures, tables or text make.
 
@@ -70,19 +68,21 @@ class Claim:
     apply to no static structure and leave it empty.
     """
 
-    claim_id: str
-    reference: str          # where the paper makes the claim
-    description: str
-    figures: tuple[str, ...] = ("ec", "mc")
+    def __init__(self, claim_id: str, reference: str, description: str,
+                 figures: tuple[str, ...] = ("ec", "mc")):
+        self.claim_id = claim_id
+        self.reference = reference  # where the paper makes the claim
+        self.description = description
+        self.figures = figures
 
 
-@dataclass
 class CheckResult:
     """One claim's verdict with human-readable evidence."""
 
-    claim: Claim
-    verdict: Verdict
-    evidence: str
+    def __init__(self, claim: Claim, verdict: Verdict, evidence: str):
+        self.claim = claim
+        self.verdict = verdict
+        self.evidence = evidence
 
     def render(self) -> str:
         return (f"[{self.verdict.name:12s}] {self.claim.claim_id} "
@@ -99,13 +99,14 @@ class CheckResult:
         }
 
 
-@dataclass
 class ModelCheckReport:
     """All claim verdicts for one model."""
 
-    figure: str
-    model_name: str
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self, figure: str, model_name: str,
+                 results: list[CheckResult] | None = None):
+        self.figure = figure
+        self.model_name = model_name
+        self.results = [] if results is None else results
 
     @property
     def verdict(self) -> Verdict:

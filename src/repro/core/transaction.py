@@ -11,7 +11,6 @@ rendering to the station hardware, and produces a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..middleware import MiddlewareResponse, RequestTimeout
@@ -27,29 +26,35 @@ _txn_ids = itertools.count(1)
 TRANSIENT_ERRORS = (RequestTimeout, ConnectionError)
 
 
-@dataclass
 class TransactionRecord:
     """The measured outcome of one end-to-end transaction."""
 
-    txn_id: int
-    flow_name: str
-    client_name: str
-    started_at: float
-    finished_at: float = 0.0
-    ok: bool = False
-    error: str = ""
-    result: Any = None
-    requests: int = 0
-    bytes_received: int = 0
-    render_seconds: float = 0.0
-    retries: int = 0
-    # 503 responses observed across all attempts: admission control
-    # (gateway watermark or web-server shedding) rejected the request.
-    # Lets benchmarks split "shed by design" from other failures.
-    shed_503s: int = 0
-    steps: list[str] = field(default_factory=list)
-    # Id of this transaction's root span when a tracer was installed.
-    trace_id: Optional[int] = None
+    def __init__(self, txn_id: int, flow_name: str, client_name: str,
+                 started_at: float, finished_at: float = 0.0, ok: bool = False,
+                 error: str = "", result: Any = None, requests: int = 0,
+                 bytes_received: int = 0, render_seconds: float = 0.0,
+                 retries: int = 0, shed_503s: int = 0,
+                 steps: list[str] | None = None,
+                 trace_id: Optional[int] = None):
+        self.txn_id = txn_id
+        self.flow_name = flow_name
+        self.client_name = client_name
+        self.started_at = started_at
+        self.finished_at = finished_at
+        self.ok = ok
+        self.error = error
+        self.result = result
+        self.requests = requests
+        self.bytes_received = bytes_received
+        self.render_seconds = render_seconds
+        self.retries = retries
+        # 503 responses observed across all attempts: admission control
+        # (gateway watermark or web-server shedding) rejected the request.
+        # Lets benchmarks split "shed by design" from other failures.
+        self.shed_503s = shed_503s
+        self.steps = [] if steps is None else steps
+        # Id of this transaction's root span when a tracer was installed.
+        self.trace_id = trace_id
 
     @property
     def latency(self) -> float:

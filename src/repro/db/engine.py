@@ -16,7 +16,6 @@ entries, so a write costs O(rows touched) however large the table is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
@@ -53,18 +52,17 @@ class IntegrityError(Exception):
     """Constraint violation: duplicate primary key, NOT NULL, bad type."""
 
 
-@dataclass(frozen=True)
 class Column:
     """One column definition."""
 
-    name: str
-    type: str
-    nullable: bool = True
-    primary_key: bool = False
-
-    def __post_init__(self):
-        if self.type not in _CASTS:
-            raise SchemaError(f"unknown column type {self.type!r}")
+    def __init__(self, name: str, type: str, nullable: bool = True,
+                 primary_key: bool = False):
+        if type not in _CASTS:
+            raise SchemaError(f"unknown column type {type!r}")
+        self.name = name
+        self.type = type
+        self.nullable = nullable
+        self.primary_key = primary_key
 
     def coerce(self, value: Any) -> Any:
         """Validate/convert a value for this column."""

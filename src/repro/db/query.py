@@ -10,7 +10,6 @@ can verify the index is actually being used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .engine import Column, Database, SchemaError, Table
@@ -38,13 +37,14 @@ class QueryError(Exception):
     """Runtime query failure (unknown column, bad parameter count...)."""
 
 
-@dataclass
 class QueryResult:
     """Rows plus metadata about how the query ran."""
 
-    rows: list[dict] = field(default_factory=list)
-    rowcount: int = 0
-    access_path: str = "none"
+    def __init__(self, rows: list[dict] | None = None, rowcount: int = 0,
+                 access_path: str = "none"):
+        self.rows = [] if rows is None else rows
+        self.rowcount = rowcount
+        self.access_path = access_path
 
     def __iter__(self):
         return iter(self.rows)

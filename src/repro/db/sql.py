@@ -19,7 +19,6 @@ parameter placeholders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from ..opt import OPTIMIZATIONS
@@ -62,11 +61,11 @@ _SYMBOLS = ("<=", ">=", "!=", "<>", "=", "<", ">", "(", ")", ",", ".",
             "*", "?", ";", "+", "-")
 
 
-@dataclass
 class _Token:
-    kind: str  # KEYWORD | IDENT | NUMBER | STRING | SYMBOL | EOF
-    value: Any
-    pos: int
+    def __init__(self, kind: str, value: Any, pos: int):
+        self.kind = kind  # KEYWORD | IDENT | NUMBER | STRING | SYMBOL | EOF
+        self.value = value
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -143,109 +142,125 @@ def _numeric_context(tokens: list[_Token]) -> bool:
 
 
 # -------------------------------------------------------------------- AST
-@dataclass(frozen=True)
+# Nodes are read-only by convention: the parse cache below shares one
+# AST between executions.
 class ColumnRef:
-    name: str
-    table: Optional[str] = None
+    def __init__(self, name: str, table: Optional[str] = None):
+        self.name = name
+        self.table = table
 
 
-@dataclass(frozen=True)
 class Literal:
-    value: Any
+    def __init__(self, value: Any):
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is Literal:
+            return self.value == other.value
+        return NotImplemented
 
 
-@dataclass(frozen=True)
 class Param:
-    index: int
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other):
+        if other.__class__ is Param:
+            return self.index == other.index
+        return NotImplemented
 
 
-@dataclass(frozen=True)
 class Arithmetic:
-    left: Any
-    op: str  # "+" | "-" | "*"
-    right: Any
+    def __init__(self, left: Any, op: str, right: Any):
+        self.left = left
+        self.op = op  # "+" | "-" | "*"
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Comparison:
-    left: Any
-    op: str
-    right: Any
+    def __init__(self, left: Any, op: str, right: Any):
+        self.left = left
+        self.op = op
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Logical:
-    op: str  # "AND" | "OR"
-    items: tuple
+    def __init__(self, op: str, items: tuple):
+        self.op = op  # "AND" | "OR"
+        self.items = items
 
 
-@dataclass(frozen=True)
 class Not:
-    item: Any
+    def __init__(self, item: Any):
+        self.item = item
 
 
-@dataclass(frozen=True)
 class ColumnDef:
-    name: str
-    type: str
-    primary_key: bool = False
-    nullable: bool = True
+    def __init__(self, name: str, type: str, primary_key: bool = False,
+                 nullable: bool = True):
+        self.name = name
+        self.type = type
+        self.primary_key = primary_key
+        self.nullable = nullable
 
 
-@dataclass(frozen=True)
 class CreateTable:
-    table: str
-    columns: tuple
-    if_not_exists: bool = False
+    def __init__(self, table: str, columns: tuple,
+                 if_not_exists: bool = False):
+        self.table = table
+        self.columns = columns
+        self.if_not_exists = if_not_exists
 
 
-@dataclass(frozen=True)
 class CreateIndex:
-    table: str
-    column: str
+    def __init__(self, table: str, column: str):
+        self.table = table
+        self.column = column
 
 
-@dataclass(frozen=True)
 class Insert:
-    table: str
-    columns: tuple
-    rows: tuple  # tuple of tuples of expressions
+    def __init__(self, table: str, columns: tuple, rows: tuple):
+        self.table = table
+        self.columns = columns
+        self.rows = rows  # tuple of tuples of expressions
 
 
-@dataclass(frozen=True)
 class Join:
-    table: str
-    left: ColumnRef
-    right: ColumnRef
+    def __init__(self, table: str, left: ColumnRef, right: ColumnRef):
+        self.table = table
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class OrderBy:
-    column: ColumnRef
-    descending: bool = False
+    def __init__(self, column: ColumnRef, descending: bool = False):
+        self.column = column
+        self.descending = descending
 
 
-@dataclass(frozen=True)
 class Select:
-    table: str
-    columns: tuple  # of ColumnRef, or ("*",)
-    join: Optional[Join] = None
-    where: Any = None
-    order_by: Optional[OrderBy] = None
-    limit: Optional[int] = None
+    def __init__(self, table: str, columns: tuple, join: Optional[Join] = None,
+                 where: Any = None, order_by: Optional[OrderBy] = None,
+                 limit: Optional[int] = None):
+        self.table = table
+        self.columns = columns  # of ColumnRef, or ("*",)
+        self.join = join
+        self.where = where
+        self.order_by = order_by
+        self.limit = limit
 
 
-@dataclass(frozen=True)
 class Update:
-    table: str
-    changes: tuple  # of (column_name, expression)
-    where: Any = None
+    def __init__(self, table: str, changes: tuple, where: Any = None):
+        self.table = table
+        self.changes = changes  # of (column_name, expression)
+        self.where = where
 
 
-@dataclass(frozen=True)
 class Delete:
-    table: str
-    where: Any = None
+    def __init__(self, table: str, where: Any = None):
+        self.table = table
+        self.where = where
 
 
 Statement = Union[CreateTable, CreateIndex, Insert, Select, Update, Delete]
@@ -546,9 +561,11 @@ class _Parser:
         return ColumnRef(name=first)
 
 
-# Prepared-statement cache: SQL text -> parsed AST.  Statement nodes
-# are frozen dataclasses, so one AST can safely be shared by every
-# execution of the same query text (parameters travel separately).
+# Prepared-statement cache: SQL text -> parsed AST.  Nothing writes to
+# a statement node after the parser builds it, so one AST can be shared
+# by every execution of the same query text (parameters travel
+# separately); the caches-off rows of tests/test_perf_bench.py pin that
+# sharing changes no report byte.
 # Bounded: cleared wholesale on overflow rather than tracking LRU order,
 # which keeps the hit path to a single dict lookup.
 _PARSE_CACHE_LIMIT = 1024

@@ -19,8 +19,6 @@ back to the device).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..devices.embedded_db import EmbeddedDatabase, Record, SyncDelta
 from ..net.addressing import IPAddress
 from ..net.node import Node

@@ -12,7 +12,6 @@ a Toshiba E740, which is what the Table 2 benchmark measures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs import end_span, start_span
@@ -42,15 +41,16 @@ class UnsupportedContentError(Exception):
     """Raised for content types the microbrowser cannot display."""
 
 
-@dataclass
 class RenderedPage:
     """The outcome of rendering one document."""
 
-    content_type: str
-    lines: list[str]
-    render_seconds: float
-    truncated: bool
-    source_bytes: int
+    def __init__(self, content_type: str, lines: list[str],
+                 render_seconds: float, truncated: bool, source_bytes: int):
+        self.content_type = content_type
+        self.lines = lines
+        self.render_seconds = render_seconds
+        self.truncated = truncated
+        self.source_bytes = source_bytes
 
     @property
     def visible_text(self) -> str:

@@ -16,7 +16,6 @@ module only needs a record-store peer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .hardware import OutOfMemoryError
@@ -27,26 +26,28 @@ __all__ = ["Record", "EmbeddedDatabase", "SyncDelta"]
 RECORD_OVERHEAD_BYTES = 24
 
 
-@dataclass
 class Record:
     """One synchronisable record."""
 
-    key: str
-    value: dict
-    version: int = 0
-    deleted: bool = False
+    def __init__(self, key: str, value: dict, version: int = 0,
+                 deleted: bool = False):
+        self.key = key
+        self.value = value
+        self.version = version
+        self.deleted = deleted
 
     def size_bytes(self) -> int:
         return RECORD_OVERHEAD_BYTES + len(self.key) + len(json.dumps(self.value))
 
 
-@dataclass
 class SyncDelta:
     """Changes shipped in one sync direction."""
 
-    records: list[Record] = field(default_factory=list)
-    since_version: int = 0
-    new_version: int = 0
+    def __init__(self, records: list[Record] | None = None,
+                 since_version: int = 0, new_version: int = 0):
+        self.records = [] if records is None else records
+        self.since_version = since_version
+        self.new_version = new_version
 
     def size_bytes(self) -> int:
         return 16 + sum(r.size_bytes() for r in self.records)

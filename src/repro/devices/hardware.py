@@ -9,8 +9,6 @@ memory allocation can fail, and the battery actually drains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim import Event, Simulator
 
 __all__ = ["CPU", "Memory", "Battery", "DrainRates", "OutOfMemoryError",
@@ -87,14 +85,15 @@ class Memory:
         return dict(self._allocations)
 
 
-@dataclass
 class DrainRates:
     """Battery drain in capacity-units per (virtual) second of activity."""
 
-    idle: float = 0.01
-    cpu: float = 0.20
-    radio_tx: float = 0.50
-    screen: float = 0.10
+    def __init__(self, idle: float = 0.01, cpu: float = 0.20,
+                 radio_tx: float = 0.50, screen: float = 0.10):
+        self.idle = idle
+        self.cpu = cpu
+        self.radio_tx = radio_tx
+        self.screen = screen
 
 
 class Battery:

@@ -17,8 +17,6 @@ battery-efficiency factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["OSProfile", "PALM_OS", "POCKET_PC", "SYMBIAN_OS", "OS_PROFILES",
            "TaskLimitError", "TaskTable"]
 
@@ -27,23 +25,25 @@ class TaskLimitError(Exception):
     """Raised when a single-tasking OS is asked to multitask."""
 
 
-@dataclass(frozen=True)
 class OSProfile:
     """Behavioural parameters of a mobile OS family."""
 
-    name: str
-    version: str
-    multitasking: str          # "cooperative" | "preemptive"
-    max_tasks: int             # concurrent task ceiling
-    cpu_overhead: float        # >= 1.0; multiplies every cycle count
-    battery_efficiency: float  # > 1.0 = longer battery life
-    footprint_kb: int          # resident RAM the OS itself claims
-
-    def __post_init__(self):
-        if self.cpu_overhead < 1.0:
+    def __init__(self, name: str, version: str, multitasking: str,
+                 max_tasks: int, cpu_overhead: float,
+                 battery_efficiency: float, footprint_kb: int):
+        if cpu_overhead < 1.0:
             raise ValueError("cpu_overhead must be >= 1.0")
-        if self.max_tasks < 1:
+        if max_tasks < 1:
             raise ValueError("max_tasks must be >= 1")
+        self.name = name
+        self.version = version
+        self.multitasking = multitasking  # "cooperative" | "preemptive"
+        self.max_tasks = max_tasks  # concurrent task ceiling
+        # >= 1.0; multiplies every cycle count
+        self.cpu_overhead = cpu_overhead
+        # > 1.0 = longer battery life
+        self.battery_efficiency = battery_efficiency
+        self.footprint_kb = footprint_kb  # resident RAM the OS itself claims
 
 
 PALM_OS = OSProfile(

@@ -10,7 +10,6 @@ transaction times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..net.addressing import IPAddress
@@ -23,13 +22,13 @@ from .os import OSProfile, TaskTable
 __all__ = ["Screen", "DeviceSpec", "MobileStation"]
 
 
-@dataclass(frozen=True)
 class Screen:
     """A small display: characters per line and visible lines."""
 
-    width_px: int
-    height_px: int
-    color: bool
+    def __init__(self, width_px: int, height_px: int, color: bool):
+        self.width_px = width_px
+        self.height_px = height_px
+        self.color = color
 
     @property
     def chars_per_line(self) -> int:
@@ -40,20 +39,22 @@ class Screen:
         return max(4, self.height_px // 12)
 
 
-@dataclass(frozen=True)
 class DeviceSpec:
     """A Table 2 row: everything needed to instantiate the device."""
 
-    vendor: str
-    model: str
-    os_name: str
-    os_version: str
-    cpu_name: str
-    cpu_mhz: float
-    ram_mb: int
-    rom_mb: int
-    screen: Screen
-    note: str = ""
+    def __init__(self, vendor: str, model: str, os_name: str, os_version: str,
+                 cpu_name: str, cpu_mhz: float, ram_mb: int, rom_mb: int,
+                 screen: Screen, note: str = ""):
+        self.vendor = vendor
+        self.model = model
+        self.os_name = os_name
+        self.os_version = os_version
+        self.cpu_name = cpu_name
+        self.cpu_mhz = cpu_mhz
+        self.ram_mb = ram_mb
+        self.rom_mb = rom_mb
+        self.screen = screen
+        self.note = note
 
     @property
     def full_name(self) -> str:

@@ -11,8 +11,6 @@ the sim clock, so the same arguments produce a byte-identical report.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..core import MCSystemBuilder
 from ..core.shoppers import DEFAULT_DEVICE, outcome, run_shoppers
 from ..fleet import fleet_report
@@ -163,21 +161,19 @@ def run_chaos(scenario: str = "storm", seed: int = 0,
         # Fleet scenarios need enough stations that every member (and
         # the canary cohort) actually sees traffic.
         stations = 12 if fleet > 0 else 4
-    resilience = ResilienceConfig() if policies else None
-    if fleet > 0:
-        resilience = dataclasses.replace(resilience, fleet_size=fleet)
+    resilience = ResilienceConfig(fleet_size=fleet) if policies else None
     if scenario == "canary-regression" and fleet > 0:
         # The planted regression: a v2 canary whose per-request
         # handicap scales with intensity, judged over windows sized to
         # see several transactions per side.
-        resilience = dataclasses.replace(resilience, canary=dict(
+        resilience.canary = dict(
             fraction=0.5,
             deploy_at=horizon * 0.25,
             handicap=2.0 + 2.0 * intensity,
             window=horizon / 6.0,
             min_samples=3,
             violations=2,
-        ))
+        )
     faults = None
 
     def start(system):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
 
@@ -51,7 +50,6 @@ _RANDOM_DURATIONS = {
 DEFAULT_RANDOM_KINDS = tuple(k for k in FAULT_KINDS if k != "battery_drain")
 
 
-@dataclass
 class FaultSpec:
     """One scheduled fault.
 
@@ -62,11 +60,13 @@ class FaultSpec:
     memory fraction).
     """
 
-    kind: str
-    at: float
-    duration: float = 0.0
-    target: str = ""
-    magnitude: float = 1.0
+    def __init__(self, kind: str, at: float, duration: float = 0.0,
+                 target: str = "", magnitude: float = 1.0):
+        self.kind = kind
+        self.at = at
+        self.duration = duration
+        self.target = target
+        self.magnitude = magnitude
 
     def validate(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -100,11 +100,11 @@ class FaultSpec:
         )
 
 
-@dataclass
 class FaultPlan:
     """An ordered schedule of faults."""
 
-    specs: list[FaultSpec] = field(default_factory=list)
+    def __init__(self, specs: list[FaultSpec] | None = None):
+        self.specs = [] if specs is None else specs
 
     def add(self, kind: str, at: float, duration: float = 0.0,
             target: str = "", magnitude: float = 1.0) -> FaultSpec:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Optional
 from urllib.parse import urlencode, urlsplit
 
@@ -57,14 +56,22 @@ class RequestTimeout(Exception):
     """
 
 
-@dataclass
 class MiddlewareResponse:
     """What a mobile application gets back for a URL."""
 
-    status: int
-    content_type: str
-    body: bytes
-    meta: dict = field(default_factory=dict)
+    def __init__(self, status: int, content_type: str, body: bytes,
+                 meta: dict | None = None):
+        self.status = status
+        self.content_type = content_type
+        self.body = body
+        self.meta = {} if meta is None else meta
+
+    def __eq__(self, other):
+        if other.__class__ is MiddlewareResponse:
+            return ((self.status, self.content_type, self.body, self.meta)
+                    == (other.status, other.content_type, other.body,
+                        other.meta))
+        return NotImplemented
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ by the Table 3 benchmark).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
@@ -34,21 +33,35 @@ class WMLError(Exception):
     """Malformed WML text or WMLC bytes."""
 
 
-@dataclass
 class WMLCard:
     """One screenful: id, title, paragraphs and navigation links."""
 
-    card_id: str
-    title: str = ""
-    paragraphs: list[str] = field(default_factory=list)
-    links: list[tuple[str, str]] = field(default_factory=list)  # (href, label)
+    def __init__(self, card_id: str, title: str = "",
+                 paragraphs: list[str] | None = None,
+                 links: list[tuple[str, str]] | None = None):
+        self.card_id = card_id
+        self.title = title
+        self.paragraphs = [] if paragraphs is None else paragraphs
+        self.links = [] if links is None else links  # (href, label)
+
+    def __eq__(self, other):
+        if other.__class__ is WMLCard:
+            return ((self.card_id, self.title, self.paragraphs, self.links)
+                    == (other.card_id, other.title, other.paragraphs,
+                        other.links))
+        return NotImplemented
 
 
-@dataclass
 class WMLDocument:
     """A deck of cards."""
 
-    cards: list[WMLCard] = field(default_factory=list)
+    def __init__(self, cards: list[WMLCard] | None = None):
+        self.cards = [] if cards is None else cards
+
+    def __eq__(self, other):
+        if other.__class__ is WMLDocument:
+            return self.cards == other.cards
+        return NotImplemented
 
     def card(self, card_id: str) -> WMLCard:
         for card in self.cards:

@@ -8,21 +8,36 @@ full RFC corpus, but the semantics here are the real ones so Mobile IP's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = ["IPAddress", "Subnet", "AddressAllocator"]
 
 
-@dataclass(frozen=True, order=True)
 class IPAddress:
-    """A 32-bit network address."""
+    """A 32-bit network address.
 
-    value: int
+    Immutable by convention and compared by value.  Addresses are dict
+    keys and set members, so the hash is the value's; it is the tuple
+    hash the class has always had, because a set iterates in hash order.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.value <= 0xFFFFFFFF:
-            raise ValueError(f"address out of 32-bit range: {self.value}")
+    def __init__(self, value: int):
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise ValueError(f"address out of 32-bit range: {value}")
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is IPAddress:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __lt__(self, other):
+        if other.__class__ is IPAddress:
+            return self.value < other.value
+        return NotImplemented
 
     @staticmethod
     def parse(text: str) -> "IPAddress":
@@ -45,20 +60,31 @@ class IPAddress:
         return f"IPAddress({str(self)!r})"
 
 
-@dataclass(frozen=True)
 class Subnet:
-    """A network prefix: base address + prefix length."""
+    """A network prefix: base address + prefix length.
 
-    network: IPAddress
-    prefix_len: int
+    Immutable by convention, compared and hashed by value like
+    :class:`IPAddress`.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.prefix_len <= 32:
-            raise ValueError(f"prefix length out of range: {self.prefix_len}")
-        if self.network.value & ~self.mask:
+    def __init__(self, network: IPAddress, prefix_len: int):
+        if not 0 <= prefix_len <= 32:
+            raise ValueError(f"prefix length out of range: {prefix_len}")
+        self.network = network
+        self.prefix_len = prefix_len
+        if network.value & ~self.mask:
             raise ValueError(
-                f"host bits set in network address {self.network}/{self.prefix_len}"
+                f"host bits set in network address {network}/{prefix_len}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is Subnet:
+            return (self.network == other.network
+                    and self.prefix_len == other.prefix_len)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.network, self.prefix_len))
 
     @staticmethod
     def parse(text: str) -> "Subnet":

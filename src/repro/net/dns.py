@@ -8,7 +8,6 @@ name by reading the registry directly, at zero virtual cost; a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .addressing import IPAddress
@@ -16,12 +15,12 @@ from .addressing import IPAddress
 __all__ = ["NameRegistry", "ServiceEndpoint"]
 
 
-@dataclass(frozen=True)
 class ServiceEndpoint:
     """A named service's published (address, port) — SRV-record style."""
 
-    address: IPAddress
-    port: int
+    def __init__(self, address: IPAddress, port: int):
+        self.address = address
+        self.port = port
 
 
 class NameRegistry:

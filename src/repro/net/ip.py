@@ -8,7 +8,6 @@ way to observe reachability and routing paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import Event, Simulator
@@ -22,20 +21,20 @@ _echo_ids = itertools.count(1)
 ECHO_PAYLOAD_BYTES = 64
 
 
-@dataclass
 class _EchoPayload:
-    echo_id: int
-    kind: str  # "request" | "reply"
-    origin: IPAddress
+    def __init__(self, echo_id: int, kind: str, origin: IPAddress):
+        self.echo_id = echo_id
+        self.kind = kind  # "request" | "reply"
+        self.origin = origin
 
 
-@dataclass
 class EchoReply:
     """Result of a successful ping."""
 
-    rtt: float
-    hops: list[str]
-    echo_id: int
+    def __init__(self, rtt: float, hops: list[str], echo_id: int):
+        self.rtt = rtt
+        self.hops = hops
+        self.echo_id = echo_id
 
 
 def install_echo_responder(node: Node) -> None:

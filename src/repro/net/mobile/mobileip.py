@@ -20,7 +20,6 @@ port bindings survive handoffs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from ...sim import Event, Simulator
@@ -52,32 +51,35 @@ RADIO_DELAY = 0.004
 _registration_ids = itertools.count(1)
 
 
-@dataclass
 class RegistrationRequest:
     """Mobile -> FA -> HA registration message."""
 
-    home_address: IPAddress
-    home_agent: IPAddress
-    care_of_address: IPAddress
-    lifetime: float
-    identification: int
+    def __init__(self, home_address: IPAddress, home_agent: IPAddress,
+                 care_of_address: IPAddress, lifetime: float,
+                 identification: int):
+        self.home_address = home_address
+        self.home_agent = home_agent
+        self.care_of_address = care_of_address
+        self.lifetime = lifetime
+        self.identification = identification
 
 
-@dataclass
 class RegistrationReply:
     """HA -> FA -> mobile registration outcome."""
 
-    home_address: IPAddress
-    accepted: bool
-    lifetime: float
-    identification: int
-    reason: str = ""
+    def __init__(self, home_address: IPAddress, accepted: bool,
+                 lifetime: float, identification: int, reason: str = ""):
+        self.home_address = home_address
+        self.accepted = accepted
+        self.lifetime = lifetime
+        self.identification = identification
+        self.reason = reason
 
 
-@dataclass
 class _Binding:
-    care_of_address: IPAddress
-    expires_at: float
+    def __init__(self, care_of_address: IPAddress, expires_at: float):
+        self.care_of_address = care_of_address
+        self.expires_at = expires_at
 
 
 class HomeAgent:

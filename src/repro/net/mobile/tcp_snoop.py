@@ -16,7 +16,6 @@ fixed host's ACKs still come from the mobile itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ...sim import Counter
@@ -33,13 +32,16 @@ MAX_CACHED_SEGMENTS = 256
 FlowKey = tuple
 
 
-@dataclass
 class _FlowState:
-    cache: dict[int, Packet] = field(default_factory=dict)  # seq -> packet
-    last_ack: int = -1
-    dupacks: int = 0
-    retransmitted_for: int = -1
-    dupacks_since_retransmit: int = 0
+    def __init__(self, cache: dict[int, Packet] | None = None,
+                 last_ack: int = -1, dupacks: int = 0,
+                 retransmitted_for: int = -1,
+                 dupacks_since_retransmit: int = 0):
+        self.cache = {} if cache is None else cache  # seq -> packet
+        self.last_ack = last_ack
+        self.dupacks = dupacks
+        self.retransmitted_for = retransmitted_for
+        self.dupacks_since_retransmit = dupacks_since_retransmit
 
 
 class SnoopAgent:

@@ -15,8 +15,6 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ...sim import Counter
 from ..addressing import IPAddress
 from ..node import Node
@@ -30,12 +28,13 @@ WIRELESS_MSS = 512
 WIRED_MSS = 1460
 
 
-@dataclass
 class _Session:
-    wireless: TCPConnection
-    wired: TCPConnection
-    bytes_up: int = 0
-    bytes_down: int = 0
+    def __init__(self, wireless: TCPConnection, wired: TCPConnection,
+                 bytes_up: int = 0, bytes_down: int = 0):
+        self.wireless = wireless
+        self.wired = wired
+        self.bytes_up = bytes_up
+        self.bytes_down = bytes_down
 
 
 class SplitRelay:

@@ -2,14 +2,13 @@
 
 A :class:`Packet` is an IP-like datagram: source/destination addresses,
 a protocol tag, a payload (any Python object — usually a TCP/UDP
-segment dataclass), a size in bytes and a TTL.  Tunnelling (used by
+segment), a size in bytes and a TTL.  Tunnelling (used by
 Mobile IP) wraps a whole packet as the payload of an outer packet.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from .addressing import IPAddress
@@ -26,7 +25,6 @@ _packet_ids = itertools.count(1)
 IP_HEADER_BYTES = 20
 
 
-@dataclass(slots=True)
 class Packet:
     """An IP datagram.
 
@@ -37,29 +35,35 @@ class Packet:
     and dropping the instance ``__dict__`` is free wall-clock.
     """
 
-    src: IPAddress
-    dst: IPAddress
-    proto: str
-    payload: Any = None
-    payload_size: int = 0
-    size: int = 0
-    ttl: int = 64
-    packet_id: int = field(default_factory=_packet_ids.__next__)
-    # Bookkeeping for traces and for Mobile IP decapsulation checks.
-    hops: list[str] = field(default_factory=list)
-    created_at: float = 0.0
-    # Observability: the TraceContext of the connection that emitted the
-    # packet (None while tracing is off).  Purely observational — copy()
-    # and encapsulate() preserve it, nothing else reads it.
-    trace: Any = None
+    __slots__ = ("src", "dst", "proto", "payload", "payload_size", "size",
+                 "ttl", "packet_id", "hops", "created_at", "trace")
 
-    def __post_init__(self):
-        if self.payload_size < 0:
-            raise ValueError(f"negative payload size: {self.payload_size}")
-        if self.size == 0:
-            self.size = self.payload_size + IP_HEADER_BYTES
-        if self.ttl <= 0:
-            raise ValueError(f"packet born dead: ttl={self.ttl}")
+    def __init__(self, src: IPAddress, dst: IPAddress, proto: str,
+                 payload: Any = None, payload_size: int = 0, size: int = 0,
+                 ttl: int = 64, packet_id: int | None = None,
+                 hops: list[str] | None = None, created_at: float = 0.0,
+                 trace: Any = None):
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.payload = payload
+        self.payload_size = payload_size
+        self.size = size
+        self.ttl = ttl
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        # Bookkeeping for traces and for Mobile IP decapsulation checks.
+        self.hops = [] if hops is None else hops
+        self.created_at = created_at
+        # Observability: the TraceContext of the connection that emitted
+        # the packet (None while tracing is off).  Purely observational:
+        # copy() and encapsulate() preserve it, nothing else reads it.
+        self.trace = trace
+        if payload_size < 0:
+            raise ValueError(f"negative payload size: {payload_size}")
+        if size == 0:
+            self.size = payload_size + IP_HEADER_BYTES
+        if ttl <= 0:
+            raise ValueError(f"packet born dead: ttl={ttl}")
 
     def encapsulate(self, outer_src: IPAddress, outer_dst: IPAddress) -> "Packet":
         """Wrap this packet in an IP-in-IP tunnel packet."""
@@ -82,11 +86,10 @@ class Packet:
 
     def copy(self) -> "Packet":
         """A fresh packet with identical headers/payload but a new id."""
-        return replace(
-            self,
-            packet_id=next(_packet_ids),
-            hops=list(self.hops),
-        )
+        return Packet(self.src, self.dst, self.proto, self.payload,
+                      self.payload_size, self.size, self.ttl,
+                      hops=list(self.hops), created_at=self.created_at,
+                      trace=self.trace)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

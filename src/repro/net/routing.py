@@ -12,7 +12,6 @@ from __future__ import annotations
 
 # Dijkstra's frontier, not an event queue.
 import heapq
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .addressing import IPAddress, Subnet
@@ -23,7 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Route", "RoutingTable", "compute_static_routes"]
 
 
-@dataclass
 class Route:
     """One routing entry.
 
@@ -31,10 +29,12 @@ class Route:
     ``iface`` (deliver without further routing).
     """
 
-    subnet: Subnet
-    iface_name: str
-    next_hop: Optional[IPAddress] = None
-    metric: int = 1
+    def __init__(self, subnet: Subnet, iface_name: str,
+                 next_hop: Optional[IPAddress] = None, metric: int = 1):
+        self.subnet = subnet
+        self.iface_name = iface_name
+        self.next_hop = next_hop
+        self.metric = metric
 
     def __repr__(self) -> str:  # pragma: no cover
         via = f" via {self.next_hop}" if self.next_hop else " direct"

@@ -18,7 +18,6 @@ close (FIN/ACK without TIME_WAIT).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..sim import Counter, Event, Simulator, Store, Timeout
@@ -37,18 +36,23 @@ INITIAL_RTO = 1.0
 DUPACK_THRESHOLD = 3
 
 
-@dataclass(slots=True)
 class TCPSegment:
     """A TCP segment as carried in a Packet payload (slotted: one is
     allocated for every data/ACK exchange on every connection)."""
 
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    flags: frozenset = frozenset()
-    data: bytes = b""
-    window: int = DEFAULT_RWND
+    __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "data",
+                 "window")
+
+    def __init__(self, src_port: int, dst_port: int, seq: int, ack: int,
+                 flags: frozenset = frozenset(), data: bytes = b"",
+                 window: int = DEFAULT_RWND):
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.data = data
+        self.window = window
 
     @property
     def syn(self) -> bool:
@@ -75,12 +79,15 @@ _SYN_ACK_FLAGS = frozenset(("SYN", "ACK"))
 _FIN_ACK_FLAGS = frozenset(("FIN", "ACK"))
 
 
-@dataclass(slots=True)
 class _SendBufferEntry:
-    seq: int
-    data: bytes
-    sent_at: float = 0.0
-    retransmitted: bool = False
+    __slots__ = ("seq", "data", "sent_at", "retransmitted")
+
+    def __init__(self, seq: int, data: bytes, sent_at: float = 0.0,
+                 retransmitted: bool = False):
+        self.seq = seq
+        self.data = data
+        self.sent_at = sent_at
+        self.retransmitted = retransmitted
 
 
 class TCPConnection:
@@ -651,8 +658,8 @@ class TCPStack:
         if not isinstance(segment, TCPSegment):
             node.stats.incr("tcp_malformed")
             return
-        # Keyed by the address's int: hashing the IPAddress dataclass
-        # runs a Python-level __hash__ on every segment.
+        # Keyed by the address's int: hashing an IPAddress runs a
+        # Python-level __hash__ on every segment.
         key = (packet.src.value, segment.src_port, segment.dst_port)
         conn = self._connections.get(key)
         if conn is not None:

@@ -7,7 +7,6 @@ few application protocols.  Port demultiplexing is per node.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..sim import Event, Store
@@ -20,12 +19,13 @@ __all__ = ["UDPSegment", "UDPSocket", "UDPStack", "udp_stack"]
 UDP_HEADER_BYTES = 8
 
 
-@dataclass
 class UDPSegment:
-    src_port: int
-    dst_port: int
-    data: Any
-    data_size: int = 0
+    def __init__(self, src_port: int, dst_port: int, data: Any,
+                 data_size: int = 0):
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.data = data
+        self.data_size = data_size
 
 
 class UDPSocket:

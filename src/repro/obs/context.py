@@ -14,14 +14,12 @@ any frame, header or packet puts on the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["TraceContext"]
 
 
-@dataclass(frozen=True)
 class TraceContext:
     """Immutable (trace_id, span_id) pair identifying a parent span."""
 
-    trace_id: int
-    span_id: int
+    def __init__(self, trace_id: int, span_id: int):
+        self.trace_id = trace_id
+        self.span_id = span_id

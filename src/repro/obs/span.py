@@ -16,7 +16,6 @@ single attribute check, keeping the default run byte-identical.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from .context import TraceContext
@@ -33,7 +32,6 @@ __all__ = [
 ParentLike = Union["Span", TraceContext, None]
 
 
-@dataclass(slots=True)
 class Span:
     """One timed, named, layered operation inside a trace.
 
@@ -41,14 +39,20 @@ class Span:
     thousands of spans, so they carry no per-instance ``__dict__``.
     """
 
-    name: str
-    layer: str
-    trace_id: int
-    span_id: int
-    parent_id: Optional[int]
-    start: float
-    end: Optional[float] = None
-    attrs: dict = field(default_factory=dict)
+    __slots__ = ("name", "layer", "trace_id", "span_id", "parent_id", "start",
+                 "end", "attrs")
+
+    def __init__(self, name: str, layer: str, trace_id: int, span_id: int,
+                 parent_id: Optional[int], start: float,
+                 end: Optional[float] = None, attrs: dict | None = None):
+        self.name = name
+        self.layer = layer
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.start = start
+        self.end = end
+        self.attrs = {} if attrs is None else attrs
 
     @property
     def finished(self) -> bool:

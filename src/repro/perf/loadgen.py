@@ -18,7 +18,7 @@ The report carries no host timing; ``python -m bench`` is the timer
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from typing import Iterable, Optional
 
 from ..core import MCSystemBuilder
@@ -124,7 +124,9 @@ def run_bench(users: int = 50, seed: int = 7,
     if fleet > 0:
         if resilience is None:
             raise ValueError("a gateway fleet requires policies=True")
-        resilience = dataclasses.replace(resilience, fleet_size=fleet)
+        # A copy: the caller's config stays as it was passed.
+        resilience = copy.copy(resilience)
+        resilience.fleet_size = fleet
 
     def start(system):
         if trace:

@@ -11,7 +11,6 @@ for a given root seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import RandomStream
@@ -23,7 +22,6 @@ __all__ = ["RetryPolicy", "RETRYABLE_STATUSES"]
 RETRYABLE_STATUSES = frozenset({502, 503, 504})
 
 
-@dataclass
 class RetryPolicy:
     """Exponential backoff: ``base_delay * multiplier**(attempt-1)``.
 
@@ -33,20 +31,22 @@ class RetryPolicy:
     handed to the middleware session when the caller sets none.
     """
 
-    max_attempts: int = 4
-    base_delay: float = 0.25
-    multiplier: float = 2.0
-    max_delay: float = 10.0
-    jitter: float = 0.1
-    attempt_timeout: Optional[float] = None
-    stream: Optional[RandomStream] = None
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
+    def __init__(self, max_attempts: int = 4, base_delay: float = 0.25,
+                 multiplier: float = 2.0, max_delay: float = 10.0,
+                 jitter: float = 0.1, attempt_timeout: Optional[float] = None,
+                 stream: Optional[RandomStream] = None):
+        if max_attempts < 1:
             raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
+                f"max_attempts must be >= 1, got {max_attempts}")
+        if not 0.0 <= jitter < 1.0:
+            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
+        self.max_attempts = max_attempts
+        self.base_delay = base_delay
+        self.multiplier = multiplier
+        self.max_delay = max_delay
+        self.jitter = jitter
+        self.attempt_timeout = attempt_timeout
+        self.stream = stream
 
     def backoff(self, attempt: int) -> float:
         """Delay before the attempt *after* ``attempt`` (1-based)."""

@@ -13,7 +13,6 @@ costs one failover rather than one per request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..middleware.base import MiddlewareSession, RequestTimeout
@@ -161,7 +160,6 @@ class ResilientSession(MiddlewareSession):
             session.close()
 
 
-@dataclass
 class ResilienceConfig:
     """Knobs :class:`repro.core.MCSystemBuilder` wires into a system.
 
@@ -175,27 +173,32 @@ class ResilienceConfig:
     their own classes' defaults.
     """
 
-    # Per-attempt request deadline (device -> middleware -> back); the
-    # builder also applies it as ``retry.attempt_timeout``.
-    request_timeout: float = 5.0
-    # Engine retry template; the builder adds the deadline and the
-    # seeded ``retry-jitter`` stream.
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_delay=4.0, jitter=0.2))
-    # Graceful degradation (single-gateway topology only: a fleet's
-    # ring supplies its own failover candidates).
-    standby_gateway: bool = True
-    direct_fallback: bool = True
-    # Gateway-side batching + admission control at the constants in
-    # ``repro.middleware.base`` (DESIGN.md §13).  Off by default: the
-    # chaos suite exercises failover without capacity shaping; the load
-    # benchmark turns it on via ``repro.perf.loadgen.bench_resilience``.
-    batching: bool = False
-    # Gateway fleet (DESIGN.md §14): 0 keeps the classic single-gateway
-    # topology; >= 1 builds a GatewayFleet behind a consistent-hash
-    # LoadBalancer.  fleet_size=1 is the byte-identical degenerate case
-    # (no monitors spawn).
-    fleet_size: int = 0
-    # Canary rollout: CanaryController keyword arguments (fraction,
-    # deploy_at, handicap, window, ...); None deploys no canary.
-    canary: Optional[dict] = None
+    def __init__(self, request_timeout: float = 5.0,
+                 retry: RetryPolicy | None = None,
+                 standby_gateway: bool = True, direct_fallback: bool = True,
+                 batching: bool = False, fleet_size: int = 0,
+                 canary: Optional[dict] = None):
+        # Per-attempt request deadline (device -> middleware -> back); the
+        # builder also applies it as ``retry.attempt_timeout``.
+        self.request_timeout = request_timeout
+        # Engine retry template; the builder adds the deadline and the
+        # seeded ``retry-jitter`` stream.
+        self.retry = (RetryPolicy(max_delay=4.0, jitter=0.2) if retry is None
+                      else retry)
+        # Graceful degradation (single-gateway topology only: a fleet's
+        # ring supplies its own failover candidates).
+        self.standby_gateway = standby_gateway
+        self.direct_fallback = direct_fallback
+        # Gateway-side batching + admission control at the constants in
+        # ``repro.middleware.base`` (DESIGN.md §13).  Off by default: the
+        # chaos suite exercises failover without capacity shaping; the load
+        # benchmark turns it on via ``repro.perf.loadgen.bench_resilience``.
+        self.batching = batching
+        # Gateway fleet (DESIGN.md §14): 0 keeps the classic single-gateway
+        # topology; >= 1 builds a GatewayFleet behind a consistent-hash
+        # LoadBalancer.  fleet_size=1 is the byte-identical degenerate case
+        # (no monitors spawn).
+        self.fleet_size = fleet_size
+        # Canary rollout: CanaryController keyword arguments (fraction,
+        # deploy_at, handicap, window, ...); None deploys no canary.
+        self.canary = canary

@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import RandomStream, Simulator
@@ -27,12 +26,13 @@ def _hash_password(password: str, salt: bytes) -> bytes:
     return hashlib.pbkdf2_hmac("sha256", password.encode(), salt, 1000)
 
 
-@dataclass
 class _UserRecord:
-    username: str
-    salt: bytes
-    password_hash: bytes
-    attributes: dict
+    def __init__(self, username: str, salt: bytes, password_hash: bytes,
+                 attributes: dict):
+        self.username = username
+        self.salt = salt
+        self.password_hash = password_hash
+        self.attributes = attributes
 
 
 class UserStore:

@@ -12,7 +12,6 @@ two-phase authorize → capture/void flow card networks use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim import Counter, RandomStream, Simulator
@@ -25,15 +24,16 @@ class PaymentError(Exception):
     """Declined, replayed, tampered or malformed payment."""
 
 
-@dataclass(frozen=True)
 class PaymentOrder:
     """A signed instruction to move money."""
 
-    account: str
-    merchant: str
-    amount_cents: int
-    nonce: str
-    signature: bytes = b""
+    def __init__(self, account: str, merchant: str, amount_cents: int,
+                 nonce: str, signature: bytes = b""):
+        self.account = account
+        self.merchant = merchant
+        self.amount_cents = amount_cents
+        self.nonce = nonce
+        self.signature = signature
 
     def signing_payload(self) -> tuple[bytes, ...]:
         return (self.account.encode(), self.merchant.encode(),
@@ -49,15 +49,16 @@ class PaymentOrder:
         )
 
 
-@dataclass
 class Authorization:
     """A held (not yet captured) amount."""
 
-    auth_id: int
-    account: str
-    merchant: str
-    amount_cents: int
-    state: str = "authorized"  # authorized | captured | voided
+    def __init__(self, auth_id: int, account: str, merchant: str,
+                 amount_cents: int, state: str = "authorized"):
+        self.auth_id = auth_id
+        self.account = account
+        self.merchant = merchant
+        self.amount_cents = amount_cents
+        self.state = state  # authorized | captured | voided
 
 
 class PaymentProcessor:

@@ -252,6 +252,8 @@ class Process(Event):
 
         A process whose bootstrap has not run yet is interrupted once it
         has, so the generator meets the Interrupt at its first yield.
+        Interrupts issued at one instant arrive one by one, in order; one
+        that arrives after the process has finished is dropped.
         """
         if not self.is_alive:
             return
@@ -263,8 +265,12 @@ class Process(Event):
         err._ok = False
         err._value = Interrupt(cause)
         err._state = Event.TRIGGERED
-        err.callbacks.append(self._resume)
-        # Detach from whatever the process was waiting on.
+        err.callbacks.append(self._interrupted)
+        self._detach()
+        sim._heappush((sim.now, 0, next(sim._seq), None, err))
+
+    def _detach(self) -> None:
+        """Stop waiting on the event waited on, if any."""
         target = self._target
         if target is not None and self._resume in target.callbacks:
             target.callbacks.remove(self._resume)
@@ -277,7 +283,16 @@ class Process(Event):
             # callbacks so the children don't keep a dead waiter alive.
             target.cancel()
         self._target = None
-        sim._heappush((sim.now, 0, next(sim._seq), None, err))
+
+    def _interrupted(self, err: Event) -> None:
+        # Interrupts issued at one instant are delivered one by one.  A
+        # later one can find the process resumed by an earlier one: it
+        # then detaches the process from what it waits on now, and is
+        # dropped if the process has finished.
+        if self._state != _PENDING:
+            return
+        self._detach()
+        self._resume(err)
 
     def _resume(self, event: Event) -> None:
         # ``event`` is the event waited on, or _STARTED for the first
@@ -314,9 +329,16 @@ class Process(Event):
         if result._state == _PROCESSED:
             # Already-processed events resume the process at once, by a
             # scheduled call that hands it the event itself.
-            self.sim._call(self._resume, result)
+            self.sim._call(self._relay, result)
         else:
             result.callbacks.append(self._resume)
+
+    def _relay(self, event: Event) -> None:
+        # The scheduled call cannot be cancelled, so an interrupt that
+        # landed first leaves it stale: it resumes the process only
+        # while the process still waits on ``event``.
+        if self._target is event:
+            self._resume(event)
 
 
 class _Condition(Event):

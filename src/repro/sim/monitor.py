@@ -8,7 +8,6 @@ reports summarise latency samples with :class:`StatSummary` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = ["Counter", "StatSummary", "percentile"]
 
@@ -36,18 +35,19 @@ class Counter:
         return f"Counter({self._counts!r})"
 
 
-@dataclass
 class StatSummary:
     """Summary statistics over a sample set."""
 
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
+    def __init__(self, count: int, mean: float, stdev: float, minimum: float,
+                 maximum: float, p50: float, p95: float, p99: float):
+        self.count = count
+        self.mean = mean
+        self.stdev = stdev
+        self.minimum = minimum
+        self.maximum = maximum
+        self.p50 = p50
+        self.p95 = p95
+        self.p99 = p99
 
     @staticmethod
     def of(samples: list[float]) -> "StatSummary":

@@ -12,7 +12,6 @@ before returning one.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..sim import Counter
@@ -22,18 +21,22 @@ from .sessions import Session
 __all__ = ["CGIContext", "CGIProgram", "CGIRegistry"]
 
 
-@dataclass
 class CGIContext:
     """Everything a server-side program can see for one request."""
 
-    request: HTTPRequest
-    params: dict
-    session: Optional[Session] = None
-    database: Any = None          # repro.db.Database when wired
-    transactions: Any = None      # repro.db.TransactionManager when wired
-    server: Any = None            # the WebServer, for cross-program state
-    trace: Any = None             # TraceContext when the request is traced
-    extra: dict = field(default_factory=dict)
+    def __init__(self, request: HTTPRequest, params: dict,
+                 session: Optional[Session] = None, database: Any = None,
+                 transactions: Any = None, server: Any = None,
+                 trace: Any = None, extra: dict | None = None):
+        self.request = request
+        self.params = params
+        self.session = session
+        self.database = database  # repro.db.Database when wired
+        # repro.db.TransactionManager when wired
+        self.transactions = transactions
+        self.server = server  # the WebServer, for cross-program state
+        self.trace = trace  # TraceContext when the request is traced
+        self.extra = {} if extra is None else extra
 
     def param(self, name: str, default: str = "") -> str:
         return self.params.get(name, default)

@@ -9,7 +9,6 @@ always-on i-mode path).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import parse_qsl, quote, unquote, urlsplit
 
@@ -35,22 +34,21 @@ class HTTPParseError(Exception):
     """Malformed HTTP on the wire."""
 
 
-@dataclass
 class HTTPRequest:
-    method: str
-    path: str
-    headers: dict = field(default_factory=dict)
-    body: bytes = b""
-    version: str = "HTTP/1.0"
-    # Observability metadata (a TraceContext), never serialized: the
-    # server stamps it from the connection the request arrived on.
-    trace: object = None
-
-    def __post_init__(self):
+    def __init__(self, method: str, path: str, headers: dict | None = None,
+                 body: bytes = b"", version: str = "HTTP/1.0",
+                 trace: object = None):
         # Interned: the access log keeps one method string per verb,
         # not one per request.
-        self.method = sys.intern(self.method.upper())
-        self.headers = {k.lower(): v for k, v in self.headers.items()}
+        self.method = sys.intern(method.upper())
+        self.path = path
+        self.headers = ({k.lower(): v for k, v in headers.items()}
+                        if headers else {})
+        self.body = body
+        self.version = version
+        # Observability metadata (a TraceContext), never serialized: the
+        # server stamps it from the connection the request arrived on.
+        self.trace = trace
 
     @property
     def path_only(self) -> str:
@@ -92,17 +90,14 @@ class HTTPRequest:
         return ("\r\n".join(lines) + "\r\n\r\n").encode() + self.body
 
 
-@dataclass
 class HTTPResponse:
-    status: int = 200
-    headers: dict = field(default_factory=dict)
-    body: bytes = b""
-    version: str = "HTTP/1.0"
-
-    def __post_init__(self):
-        self.headers = {k.lower(): v for k, v in self.headers.items()}
-        if isinstance(self.body, str):
-            self.body = self.body.encode()
+    def __init__(self, status: int = 200, headers: dict | None = None,
+                 body: bytes = b"", version: str = "HTTP/1.0"):
+        self.status = status
+        self.headers = ({k.lower(): v for k, v in headers.items()}
+                        if headers else {})
+        self.body = body.encode() if isinstance(body, str) else body
+        self.version = version
 
     @property
     def reason(self) -> str:

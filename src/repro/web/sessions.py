@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..sim import Simulator
@@ -27,12 +26,13 @@ __all__ = ["Session", "SessionStore", "SESSION_COOKIE"]
 SESSION_COOKIE = "msid"
 
 
-@dataclass
 class Session:
-    session_id: str
-    created_at: float
-    last_seen: float
-    data: dict = field(default_factory=dict)
+    def __init__(self, session_id: str, created_at: float, last_seen: float,
+                 data: dict | None = None):
+        self.session_id = session_id
+        self.created_at = created_at
+        self.last_seen = last_seen
+        self.data = {} if data is None else data
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)

@@ -16,7 +16,6 @@ rate's requirement, which gives the soft cell edge real radios have.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..sim import RandomStream
 from .mobility import Position
@@ -33,15 +32,16 @@ RANGE_RESOLUTION_M = 1.0
 RANGE_LIMIT_M = 10_000.0
 
 
-@dataclass
 class LinkBudget:
     """The channel model's verdict for one transmitter-receiver pair."""
 
-    distance_m: float
-    path_loss_db: float
-    snr_db: float
-    rate_bps: float          # 0.0 when out of range at every rung
-    success_probability: float
+    def __init__(self, distance_m: float, path_loss_db: float, snr_db: float,
+                 rate_bps: float, success_probability: float):
+        self.distance_m = distance_m
+        self.path_loss_db = path_loss_db
+        self.snr_db = snr_db
+        self.rate_bps = rate_bps  # 0.0 when out of range at every rung
+        self.success_probability = success_probability
 
     @property
     def in_range(self) -> bool:

@@ -9,7 +9,6 @@ Two movement models cover the tests and benchmarks: a deterministic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..sim import RandomStream, Simulator
@@ -17,12 +16,17 @@ from ..sim import RandomStream, Simulator
 __all__ = ["Position", "Mobile", "LinearPath", "RandomWaypoint"]
 
 
-@dataclass(frozen=True)
 class Position:
     """A point in a flat 2-D service area (metres)."""
 
-    x: float
-    y: float
+    def __init__(self, x: float, y: float):
+        self.x = x
+        self.y = y
+
+    def __eq__(self, other):
+        if other.__class__ is Position:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
 
     def distance_to(self, other: "Position") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)

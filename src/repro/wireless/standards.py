@@ -13,8 +13,6 @@ type (analog/digital voice channels), switching technique
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = [
     "WLANStandard",
     "CellularStandard",
@@ -25,18 +23,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class WLANStandard:
     """A WLAN PHY profile (Table 4 row)."""
 
-    name: str
-    max_rate_bps: float          # rated maximum (paper's "Max. Data Rate")
-    typical_range_m: tuple[float, float]  # paper's "Typical Range"
-    modulation: str              # paper's "Modulation"
-    band_ghz: float              # paper's "Frequency Band"
-    tx_power_dbm: float
-    # (rate_bps, required_snr_db) from fastest to slowest.
-    rate_ladder: tuple = ()
+    def __init__(self, name: str, max_rate_bps: float,
+                 typical_range_m: tuple[float, float], modulation: str,
+                 band_ghz: float, tx_power_dbm: float,
+                 rate_ladder: tuple = ()):
+        self.name = name
+        # rated maximum (paper's "Max. Data Rate")
+        self.max_rate_bps = max_rate_bps
+        self.typical_range_m = typical_range_m  # paper's "Typical Range"
+        self.modulation = modulation  # paper's "Modulation"
+        self.band_ghz = band_ghz  # paper's "Frequency Band"
+        self.tx_power_dbm = tx_power_dbm
+        # (rate_bps, required_snr_db) from fastest to slowest.
+        self.rate_ladder = rate_ladder
 
     def min_required_snr(self) -> float:
         return min(snr for _, snr in self.rate_ladder)
@@ -49,17 +51,19 @@ class WLANStandard:
         return 0.0
 
 
-@dataclass(frozen=True)
 class CellularStandard:
     """A cellular system profile (Table 5 row)."""
 
-    name: str
-    generation: str              # "1G" | "2G" | "2.5G" | "3G"
-    radio: str                   # "analog" | "digital"
-    switching: str               # "circuit" | "packet"
-    data_rate_bps: float         # 0.0 for voice-only 1G systems
-    voice_channels_per_cell: int = 30
-    typical_cell_radius_m: float = 3000.0
+    def __init__(self, name: str, generation: str, radio: str, switching: str,
+                 data_rate_bps: float, voice_channels_per_cell: int = 30,
+                 typical_cell_radius_m: float = 3000.0):
+        self.name = name
+        self.generation = generation  # "1G" | "2G" | "2.5G" | "3G"
+        self.radio = radio  # "analog" | "digital"
+        self.switching = switching  # "circuit" | "packet"
+        self.data_rate_bps = data_rate_bps  # 0.0 for voice-only 1G systems
+        self.voice_channels_per_cell = voice_channels_per_cell
+        self.typical_cell_radius_m = typical_cell_radius_m
 
     @property
     def supports_data(self) -> bool:

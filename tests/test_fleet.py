@@ -422,10 +422,8 @@ def test_gateway_crash_member_selectors():
     from repro.faults.injectors import gateways_for
     from repro.core import MCSystemBuilder
     from repro.resilience import ResilienceConfig
-    import dataclasses
 
-    res = dataclasses.replace(ResilienceConfig(), fleet_size=3,
-                              standby_gateway=False)
+    res = ResilienceConfig(fleet_size=3, standby_gateway=False)
     system = MCSystemBuilder(seed=1, resilience=res).build()
     members = list(system.fleet.members.values())
     assert gateways_for(system, "member:1") == [members[1].gateway]

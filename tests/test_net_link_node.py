@@ -118,6 +118,23 @@ def test_packet_born_dead_rejected():
         Packet(src=IPAddress(1), dst=IPAddress(2), proto="t", ttl=0)
 
 
+def test_packet_copy_draws_a_new_id_and_owns_its_hops():
+    trace = object()
+    pkt = Packet(src=IPAddress(1), dst=IPAddress(2), proto="test",
+                 payload="body", payload_size=30, ttl=9, created_at=1.5,
+                 trace=trace)
+    pkt.hops.append("a")
+    dup = pkt.copy()
+    assert dup.packet_id != pkt.packet_id
+    assert (dup.src, dup.dst, dup.proto, dup.payload, dup.payload_size,
+            dup.size, dup.ttl, dup.created_at) == \
+        (pkt.src, pkt.dst, pkt.proto, pkt.payload, 30, 50, 9, 1.5)
+    assert dup.trace is trace
+    assert dup.hops == ["a"] and dup.hops is not pkt.hops
+    dup.hops.append("b")
+    assert pkt.hops == ["a"]
+
+
 def test_link_loss_drops_packets():
     sim = Simulator()
     stream = SeedBank(7).stream("loss")

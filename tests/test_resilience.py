@@ -1,7 +1,5 @@
 """Unit tests for repro.resilience: retry, breaker, shedding, failover."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import MCSystemBuilder, TransactionEngine
@@ -11,7 +9,7 @@ from repro.fleet import health as fleet_health
 from repro.middleware import base as middleware_base
 from repro.middleware.base import MiddlewareResponse, MiddlewareSession
 from repro.net import Network, Subnet
-from repro.perf import run_bench
+from repro.perf import bench_resilience, run_bench
 from repro.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -422,8 +420,7 @@ def test_effective_resilience_settings_are_pinned(
     assert web._shed_stream is system.seeds.stream("shed-jitter")
 
     policy = system.retry_policy
-    assert {f.name: getattr(policy, f.name)
-            for f in dataclasses.fields(policy)} == dict(
+    assert vars(policy) == dict(
         retry, stream=system.seeds.stream("retry-jitter"))
     assert system.request_timeout == retry["attempt_timeout"]
     assert all(handle.session.timeout == retry["attempt_timeout"]
@@ -447,6 +444,24 @@ def test_effective_resilience_settings_are_pinned(
                 for name in canary} == canary
 
 
+def test_builds_leave_the_callers_resilience_config_unmodified():
+    """A fleet run and the builder's retry policy work on copies: the
+    config a caller passes, and the retry template in it, stay as they
+    were."""
+    config = bench_resilience()
+    before, template = dict(vars(config)), dict(vars(config.retry))
+    system = _built(run_bench, resilience=config, fleet=4)
+    assert system.resilience.fleet_size == 4
+    assert vars(config) == before and vars(config.retry) == template
+    assert system.retry_policy is not config.retry
+
+    system = _built(run_chaos, scenario="canary-regression", fleet=3)
+    res = system.resilience
+    assert res.fleet_size == 3 and res.canary is not None
+    assert (res.retry.attempt_timeout, res.retry.stream) == (None, None)
+    assert system.retry_policy.stream is system.seeds.stream("retry-jitter")
+
+
 def test_every_resilience_knob_is_varied_by_a_real_caller():
     """A ResilienceConfig field no real caller sets differently is a
     constant in disguise: it belongs at its one point of use."""
@@ -454,6 +469,9 @@ def test_every_resilience_knob_is_varied_by_a_real_caller():
                _built(run_bench).resilience,
                _built(run_bench, fleet=4).resilience,
                _built(run_chaos, scenario="canary-regression").resilience]
-    for field in dataclasses.fields(ResilienceConfig):
-        values = {repr(getattr(config, field.name)) for config in configs}
-        assert len(values) >= 2, field.name
+    for name in vars(ResilienceConfig()):
+        # A RetryPolicy compares by its fields, not by identity.
+        values = {repr(vars(value)) if isinstance(value, RetryPolicy)
+                  else repr(value)
+                  for value in (getattr(config, name) for config in configs)}
+        assert len(values) >= 2, name

@@ -298,6 +298,66 @@ def test_interrupt_before_bootstrap_reaches_the_first_yield():
     assert log == [("started", 0.0), ("interrupted", 0.0, "x")]
 
 
+def test_interrupt_cancels_the_relay_of_a_processed_event():
+    """A process that yields an already-processed event and is
+    interrupted at the same instant is resumed once, by the Interrupt:
+    the pending relay of the stale value does not resume it again."""
+    sim = Simulator()
+    log = []
+
+    def waiter(env, done):
+        yield env.timeout(1)
+        try:
+            yield done
+            log.append("relayed")
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        yield env.timeout(5)
+        log.append(("slept", env.now))
+
+    def interrupter(env, proc):
+        yield env.timeout(1)
+        proc.interrupt()
+
+    done = sim.event()
+    done.succeed("stale")
+    proc = sim.spawn(waiter(sim, done))
+    sim.spawn(interrupter(sim, proc))
+    sim.run()
+    assert log == [("interrupted", 1.0), ("slept", 6.0)]
+
+
+def test_interrupts_at_one_instant_are_delivered_one_by_one():
+    """The second of two same-instant interrupts detaches the process
+    from what it yielded after catching the first, and is dropped once
+    the process has finished."""
+    def catcher(env, catches, nap):
+        for _ in range(catches):
+            try:
+                yield env.timeout(10)
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, env.now))
+        if nap:
+            yield env.timeout(nap)
+            log.append(("slept", env.now))
+
+    def interrupter(env, proc):
+        yield env.timeout(1)
+        proc.interrupt("a")
+        proc.interrupt("b")
+
+    for catches, nap, expected in (
+            (2, 5, [("a", 1.0), ("b", 1.0), ("slept", 6.0)]),
+            (1, 0, [("a", 1.0)])):
+        sim = Simulator()
+        log = []
+        proc = sim.spawn(catcher(sim, catches, nap))
+        sim.spawn(interrupter(sim, proc))
+        sim.run()
+        assert proc.ok is True
+        assert log == expected
+
+
 def test_run_until_stops_clock():
     sim = Simulator()
 

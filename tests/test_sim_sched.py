@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Interrupt, Simulator, scheduler_override
 
@@ -200,6 +201,95 @@ def test_heap_matches_sorted_oracle_property():
                                              for n, key in live.items())]
         assert sim.queue_depth() == 0 and sim._tombstones == 0
         assert not sim._heap and not sim._lane
+
+
+# A few instants, so yields, gate openings and interrupts coincide.
+_INSTANTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_YIELDS = st.one_of(
+    st.tuples(st.just("timeout"), _INSTANTS),
+    st.tuples(st.just("gate"), st.integers(0, 2)),  # pending until opened
+    st.tuples(st.just("done")),                     # already processed
+    st.tuples(st.sampled_from(["any_of", "all_of"]), _INSTANTS, _INSTANTS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs=st.lists(st.lists(_YIELDS, min_size=1, max_size=5),
+                         min_size=1, max_size=4),
+       gate_times=st.lists(_INSTANTS, min_size=3, max_size=3),
+       interrupts=st.lists(st.tuples(_INSTANTS, st.integers(0, 3)),
+                           max_size=6))
+def test_each_yield_resumes_once_property(programs, gate_times, interrupts):
+    """Processes yield timeouts, pending events, processed events and
+    conditions while others interrupt them at the same instants.  Each
+    yield is resumed exactly once: by its event, at the time and with
+    the value the event gives (an uninterrupted ``timeout(d)`` at
+    ``now + d``), or by one Interrupt.  Interrupts reach a process in
+    the order issued, each once; only those issued at the instant it
+    finishes may find it gone."""
+    sim = Simulator()
+    tokens = itertools.count()
+    gates = [sim.event() for _ in gate_times]
+    done = sim.event()
+    done.succeed("done")
+    resumed = [[] for _ in programs]  # per process: (yield index, cause)
+    issued = [[] for _ in programs]   # per process: (cause, time)
+    finished = [None] * len(programs)
+
+    def opener(env, k):
+        yield env.timeout(gate_times[k])
+        gates[k].succeed(("gate", k))
+
+    def program(env, i, steps):
+        for j, (kind, *args) in enumerate(steps):
+            start, value = env.now, None
+            if kind == "timeout":
+                value = next(tokens)
+                event, due = env.timeout(args[0], value), start + args[0]
+            elif kind == "gate":
+                value = ("gate", args[0])
+                event = gates[args[0]]
+                due = max(start, gate_times[args[0]])
+            elif kind == "done":
+                event, due, value = done, start, "done"
+            else:
+                children = [env.timeout(delay) for delay in args]
+                event = getattr(env, kind)(children)
+                due = start + (min if kind == "any_of" else max)(args)
+            try:
+                got = yield event
+            except Interrupt as interrupt:
+                resumed[i].append((j, interrupt.cause))
+                continue
+            assert env.now == due, (i, j, kind, env.now, due)
+            if value is not None:
+                assert got == value, (i, j, kind, got, value)
+            resumed[i].append((j, None))
+        finished[i] = env.now
+
+    def interrupter(env, procs):
+        causes = itertools.count()
+        for at, target in sorted(interrupts, key=lambda pair: pair[0]):
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            i = target % len(procs)
+            if procs[i].is_alive:
+                cause = next(causes)
+                issued[i].append((cause, env.now))
+                procs[i].interrupt(cause)
+
+    for k in range(len(gates)):
+        sim.spawn(opener(sim, k))
+    procs = [sim.spawn(program(sim, i, steps))
+             for i, steps in enumerate(programs)]
+    sim.spawn(interrupter(sim, procs))
+    sim.run()
+    for i, steps in enumerate(programs):
+        assert not procs[i].is_alive
+        assert [j for j, _ in resumed[i]] == list(range(len(steps)))
+        caught = [cause for _, cause in resumed[i] if cause is not None]
+        assert caught == [cause for cause, _ in issued[i][:len(caught)]]
+        assert all(at == finished[i] for _, at in issued[i][len(caught):])
 
 
 # ----------------------------------------------------------------- shim
