@@ -165,12 +165,8 @@ def _print_replications(result) -> None:
 
 def _cmd_chaos(args) -> int:
     from repro.core.shoppers import canonical_json
-    from repro.faults import FaultPlan, run_chaos
+    from repro.faults import run_chaos
 
-    plan = None
-    if args.plan:
-        with open(args.plan) as handle:
-            plan = FaultPlan.from_json(handle.read())
     kwargs = dict(
         scenario=args.scenario,
         seed=args.seed,
@@ -181,7 +177,7 @@ def _cmd_chaos(args) -> int:
         horizon=args.horizon,
         middleware=args.middleware,
         bearer=(args.bearer_kind, args.bearer),
-        plan=plan,
+        plan=args.plan,
         fleet=args.fleet,
     )
     if args.replications > 1:
@@ -519,12 +515,42 @@ def main(argv=None) -> int:
     info.set_defaults(func=_cmd_info)
 
     args = parser.parse_args(argv)
-    if getattr(args, "bearer_kind", None) is None and \
-            hasattr(args, "bearer"):
-        from repro.wireless import WLAN_STANDARDS
-        args.bearer_kind = ("wlan" if args.bearer in WLAN_STANDARDS
-                            else "cellular")
+    _resolve(sub.choices[args.command], args)
     return args.func(args)
+
+
+def _resolve(parser, args) -> None:
+    """Resolve the bearer kind and the fault plan, and check every
+    catalogue name: a bad one is a usage error (exit 2), not a traceback
+    from deep in the build."""
+    if hasattr(args, "bearer"):
+        from repro.wireless import CELLULAR_STANDARDS, WLAN_STANDARDS
+        if args.bearer_kind is None:
+            args.bearer_kind = ("wlan" if args.bearer in WLAN_STANDARDS
+                                else "cellular")
+        known = (WLAN_STANDARDS if args.bearer_kind == "wlan"
+                 else CELLULAR_STANDARDS)
+        if args.bearer not in known:
+            parser.error(f"unknown {args.bearer_kind} bearer "
+                         f"{args.bearer!r} (known: {', '.join(known)})")
+    if hasattr(args, "device"):
+        from repro.devices import TABLE2_DEVICES
+        if args.device not in TABLE2_DEVICES:
+            parser.error(f"unknown device {args.device!r} "
+                         f"(known: {', '.join(TABLE2_DEVICES)})")
+    if args.command == "chaos":
+        from repro.faults import FaultPlan
+        from repro.faults.chaos import SCENARIOS
+        if args.plan:
+            # The plan replaces the scenario's faults; its name is a label.
+            try:
+                with open(args.plan) as handle:
+                    args.plan = FaultPlan.from_json(handle.read())
+            except (OSError, ValueError) as exc:
+                parser.error(f"--plan {args.plan}: {exc}")
+        elif args.scenario not in SCENARIOS:
+            parser.error(f"unknown scenario {args.scenario!r} "
+                         f"(known: {', '.join(SCENARIOS)})")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ can be generated as a seeded random process
 (:meth:`FaultPlan.random`), so a chaos run is fully determined by
 ``(plan | seed, system seed)`` and nothing else.  Schedules must never
 come from the wall clock or the module-level ``random``: the
-byte-pinned chaos reports (``tests/test_shoppers.py``) would change.
+byte-pinned chaos reports (``tests/pins.json``) would change.
 """
 
 from __future__ import annotations

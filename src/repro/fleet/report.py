@@ -6,11 +6,12 @@ __all__ = ["fleet_report", "stranded_sessions"]
 
 
 def stranded_sessions(system) -> int:
-    """Sessions that exhausted every route (lost to member churn).
+    """Stations whose ResilientSession ever exhausted every route.
 
-    The canary-regression acceptance gate: graceful ring retirement
-    must strand nothing, so any station whose ResilientSession ever
-    reported ``exhausted`` counts against it.
+    Any cause counts, not only member churn: a faulted radio can strand
+    a station whose purchase later succeeds on retry.  The canary
+    acceptance gate is that graceful ring retirement adds none, so the
+    fleet tests and CI assert 0 on ``canary-regression``.
     """
     stranded = 0
     for handle in getattr(system, "stations", []):

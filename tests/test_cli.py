@@ -113,8 +113,32 @@ FLEET = "must be >= 0"
     pytest.param(["chaos", "gateway-outage", "--fleet", "-1"], FLEET,
                  id="chaos--fleet-neg"),
     pytest.param(["bench", "--fleet", "-1"], FLEET, id="--fleet-neg"),
+    # Once a traceback (exit 1) from deep in the build or the plan loader.
+    pytest.param(["chaos", "nosuch"], "unknown scenario 'nosuch'",
+                 id="chaos-scenario"),
+    pytest.param(["chaos", "storm", "--plan", "missing.json"],
+                 "No such file", id="chaos--plan-missing"),
+    pytest.param(["chaos", "storm", "--plan", "not-json.json"],
+                 "Expecting value", id="chaos--plan-not-json"),
+    pytest.param(["chaos", "storm", "--plan", "meteor.json"],
+                 "unknown fault kind 'meteor'", id="chaos--plan-kind"),
+    pytest.param(["quickstart", "--device", "Foo"], "unknown device 'Foo'",
+                 id="quickstart--device"),
+    pytest.param(["trace", "--device", "Foo"], "unknown device 'Foo'",
+                 id="trace--device"),
+    *(pytest.param([*command, "--bearer", bearer, *kind],
+                   f"unknown cellular bearer '{bearer}'",
+                   id=f"{command[0]}--bearer-{bearer}")
+      for command in (["quickstart"], ["trace"], ["chaos", "storm"])
+      for bearer, kind in (("FOO", []),
+                           ("802.11b", ["--bearer-kind", "cellular"]))),
 ])
-def test_cli_bench_rejects_non_positive_counts(argv, message, capsys):
+def test_cli_bench_rejects_non_positive_counts(argv, message, capsys,
+                                               tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-json.json").write_text("faults: none\n")
+    (tmp_path / "meteor.json").write_text(
+        '{"faults": [{"kind": "meteor", "at": 1.0}]}')
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

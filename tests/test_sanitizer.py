@@ -1,7 +1,6 @@
 """Tests for the dynamic commutativity sanitizer: tracked containers,
 batch hazard detection, flip replay, and the scenario driver."""
 
-import hashlib
 import json
 
 import pytest
@@ -16,7 +15,6 @@ from repro.analysis.races import (
 )
 from repro.analysis.races.runner import run_sanitize
 from repro.analysis.races.sanitizer import first_divergence, state_hash
-from repro.core.shoppers import canonical_json
 from repro.faults.chaos import SCENARIOS
 from repro.sim import Simulator
 
@@ -291,74 +289,6 @@ def test_instrumented_bench_is_byte_identical_to_plain():
         assert json.dumps(report["deterministic"], sort_keys=True) == plain
     # The sanitizer really saw every dispatched entry.
     assert sanitizers[0].events_seen == report["deterministic"]["kernel_events"]
-
-
-# -- byte pins ---------------------------------------------------------------
-# sha256 of each report's canonical JSON.  Any change to how batches are
-# formed, counted, flipped or described shows up as a different digest.
-SANITIZE_PINNED = {
-    "planted-race-pair": "2f0a6825852a541ee7dbb64f3c664a3b2675f1e70aacce94b512ffb3baf8bb1e",
-    "planted-race-batch": "0d43a4ac9af0e8dd95832606f0eaaaf882f1afadb6775a67235304f1790880c0",
-    "bench": "ccd1ba08cde62201a26d8db02875a4760fe5ada099b36911635c1c4cab9933ff",
-    "gateway-outage": "fbe169c0053c84ab67260e28bb977fe0bcd1482e57bb64cd3f6ad32336c5f914",
-}
-
-SANITIZE_RUNS = {
-    "planted-race-pair": lambda: run_sanitize("planted-race"),
-    "planted-race-batch": lambda: run_sanitize("planted-race",
-                                               flip_mode="batch"),
-    "bench": lambda: run_sanitize("bench", users=10, transactions=2,
-                                  horizon=60.0),
-    "gateway-outage": lambda: run_sanitize("gateway-outage", stations=3,
-                                           transactions=2, horizon=90.0),
-}
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize("name", sorted(SANITIZE_PINNED))
-def test_sanitize_report_bytes_are_pinned(name):
-    report = canonical_json(SANITIZE_RUNS[name]())
-    assert _sha256(report) == SANITIZE_PINNED[name]
-
-
-class _DispatchLog:
-    """Duck-typed kernel profiler: ``(now, queue depth)`` per entry."""
-
-    def __init__(self):
-        self.seen = []
-
-    def on_event(self, now, queue_depth):
-        self.seen.append((now, queue_depth))
-
-    def on_resume(self, process):
-        pass
-
-
-def test_whole_batch_flips_on_a_bench_are_pinned():
-    """Whole-batch flips at three ordinals of a small bench: the spawn
-    batch (59 bootstraps) and two three-entry batches.  Each flip
-    reorders dispatch (the profiler's depth log changes) and the
-    flipped entries' later dispatch must stay where it was."""
-    from repro.perf.loadgen import run_bench
-
-    digest = hashlib.sha256()
-    for ordinal in (0, 962, 5898):
-        flip = FlipDirective(ordinal, mode="batch")
-        log = _DispatchLog()
-
-        def post_build(system, engine):
-            system.sim._profiler = log
-            install_sanitizer(system.sim, BatchSanitizer(flip=flip))
-
-        report = run_bench(users=10, seed=7, transactions_per_user=2,
-                           horizon=60.0, trace=False, post_build=post_build)
-        assert flip.applied
-        digest.update(canonical_json(report["deterministic"]).encode())
-        digest.update(repr(log.seen).encode())
-    assert digest.hexdigest() == "7774a2c6b9e6a50bc237a791b6530b433b9db9fe3df96226e6f782b86b9ba598"
 
 
 # -- helpers -----------------------------------------------------------------
