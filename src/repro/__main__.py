@@ -533,6 +533,11 @@ def _resolve(parser, args) -> None:
         if args.bearer not in known:
             parser.error(f"unknown {args.bearer_kind} bearer "
                          f"{args.bearer!r} (known: {', '.join(known)})")
+        if args.bearer_kind == "cellular" and \
+                not known[args.bearer].supports_data:
+            data = [name for name, std in known.items() if std.supports_data]
+            parser.error(f"{args.bearer!r} is a voice-only bearer "
+                         f"(data-capable: {', '.join(data)})")
     if hasattr(args, "device"):
         from repro.devices import TABLE2_DEVICES
         if args.device not in TABLE2_DEVICES:
@@ -546,7 +551,7 @@ def _resolve(parser, args) -> None:
             try:
                 with open(args.plan) as handle:
                     args.plan = FaultPlan.from_json(handle.read())
-            except (OSError, ValueError) as exc:
+            except (OSError, TypeError, ValueError) as exc:
                 parser.error(f"--plan {args.plan}: {exc}")
         elif args.scenario not in SCENARIOS:
             parser.error(f"unknown scenario {args.scenario!r} "

@@ -180,6 +180,7 @@ class SyncClient:
             conn = self.tcp.connect(self.service_address, self.port)
             expiry = env.timeout(timeout)
             race = yield env.any_of([conn.established_event, expiry])
+            expiry.cancel()  # a no-op once it has fired
             if conn.established_event not in race:
                 result.succeed(None)
                 return
@@ -190,11 +191,13 @@ class SyncClient:
                 chunk_ev = conn.recv()
                 got = yield env.any_of([chunk_ev, deadline])
                 if chunk_ev not in got or got[chunk_ev] == b"":
+                    deadline.cancel()
                     result.succeed(None)
                     return
                 replies = reader.feed(got[chunk_ev])
                 if replies:
                     break
+            deadline.cancel()
             conn.close()
             reply = replies[0]
             if not reply.get("ok"):

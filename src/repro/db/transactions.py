@@ -105,6 +105,7 @@ class TransactionManager:
                 lock.waiters.append(waiter)
                 expiry = env.timeout(max(0.0, deadline - env.now))
                 yield env.any_of([waiter, expiry])
+                expiry.cancel()  # a no-op once it has fired
 
         self.sim.spawn(attempt(self.sim), name=f"lock-{table_name}")
         return result

@@ -87,6 +87,8 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
+        if not isinstance(data, dict) or not {"kind", "at"} <= data.keys():
+            raise ValueError(f'a fault needs "kind" and "at": {data!r}')
         unknown = set(data) - {"kind", "at", "duration", "target",
                                "magnitude"}
         if unknown:
@@ -133,8 +135,10 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         data = json.loads(text)
-        plan = cls(specs=[FaultSpec.from_dict(entry)
-                          for entry in data.get("faults", [])])
+        faults = data.get("faults", []) if isinstance(data, dict) else None
+        if not isinstance(faults, list):
+            raise ValueError('a fault plan is {"faults": [...]}')
+        plan = cls(specs=[FaultSpec.from_dict(entry) for entry in faults])
         plan.validate()
         return plan
 

@@ -551,6 +551,31 @@ class GatewayServer:
 
 
 # ---------------------------------------------------------- client session
+class _Watchdog:
+    """A request deadline as callbacks, not a process (DESIGN §11): a
+    settled ``result`` cancels ``timer``, whose expiry interrupts
+    ``proc`` by one scheduled call in the slot the old race took."""
+
+    __slots__ = ("result", "proc", "timer", "url")
+
+    def __init__(self, result: Event, proc, timer, url: str):
+        self.result, self.proc, self.timer, self.url = result, proc, timer, url
+        timer.callbacks.append(self._expired)
+        result.callbacks.append(self._settled)
+
+    def _settled(self, _result: Event) -> None:
+        self.timer.cancel()
+
+    def _expired(self, timer) -> None:
+        timer.sim._call(self._interrupt)
+
+    def _interrupt(self, _arg) -> None:
+        if not self.result.triggered:
+            self.proc.interrupt(RequestTimeout(
+                f"no middleware response within {self.timer.delay:g}s "
+                f"({self.url})"))
+
+
 class ClientSession(MiddlewareSession):
     """The device-side session every mobile middleware shares.
 
@@ -618,8 +643,7 @@ class ClientSession(MiddlewareSession):
         proc = self.sim.spawn(self._run(request, result, span),
                               name=f"{self.span_prefix}-request")
         if timeout is not None:
-            self.sim.spawn(self._watchdog(result, proc, timeout, url),
-                           name="request-timeout")
+            _Watchdog(result, proc, self.sim.timeout(timeout), url)
         return result
 
     def _run(self, request, result: Event, span):
@@ -661,18 +685,6 @@ class ClientSession(MiddlewareSession):
             else:
                 grant.cancel()
             end_span(self.sim, span)
-
-    def _watchdog(self, result: Event, proc, timeout: float, url: str):
-        """Interrupt ``proc`` with a RequestTimeout if ``result`` is not
-        settled within ``timeout`` sim-seconds."""
-        expiry = self.sim.timeout(timeout)
-        try:
-            yield self.sim.any_of([result, expiry])
-        except Exception:  # a failed result ends the watch
-            return
-        if not result.triggered:
-            proc.interrupt(RequestTimeout(
-                f"no middleware response within {timeout:g}s ({url})"))
 
     def _established(self) -> bool:
         return self._conn is not None and \

@@ -18,6 +18,7 @@ close (FIN/ACK without TIME_WAIT).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Optional
 
 from ..sim import Counter, Event, Simulator, Store, Timeout
@@ -237,17 +238,17 @@ class TCPConnection:
         """Send FIN once all queued data has been transmitted."""
         if self.state in (TCPConnection.CLOSED, TCPConnection.FIN_SENT):
             return
+        self.sim._call(self._close_when_drained)
 
-        def closer(env):
-            while self._send_queue or self._inflight:
-                wake = self._wakeup_event()
-                yield wake
-            if self.state in (TCPConnection.ESTABLISHED, TCPConnection.CLOSE_WAIT):
-                self.state = TCPConnection.FIN_SENT
-                self._emit(flags=_FIN_ACK_FLAGS)
-                self.snd_nxt += 1  # FIN consumes a sequence number
-
-        self.sim.spawn(closer(self.sim), name="tcp-close")
+    def _close_when_drained(self, _event) -> None:
+        # Re-armed on the (always pending) send wakeup until all is ACKed.
+        if self._send_queue or self._inflight:
+            self._wakeup_event().callbacks.append(self._close_when_drained)
+        elif self.state in (TCPConnection.ESTABLISHED,
+                            TCPConnection.CLOSE_WAIT):
+            self.state = TCPConnection.FIN_SENT
+            self._emit(flags=_FIN_ACK_FLAGS)
+            self.snd_nxt += 1  # FIN consumes a sequence number
 
     # --------------------------------------------------------- connection setup
     def open_active(self) -> None:
@@ -610,6 +611,17 @@ class TCPListener:
         """Event yielding the next established TCPConnection."""
         return self._backlog.get()
 
+    def _admit(self, conn: TCPConnection) -> None:
+        # Scheduled per passive open: ``conn`` joins the backlog once
+        # established (by one more call if that was processed already).
+        if conn.established_event.processed:
+            self.stack.node.sim._call(self._backlog.try_put, conn)
+        else:
+            conn.established_event.callbacks.append(partial(self._join, conn))
+
+    def _join(self, conn: TCPConnection, _event) -> None:
+        self._backlog.try_put(conn)
+
     def close(self) -> None:
         self.stack._listeners.pop(self.port, None)
 
@@ -676,12 +688,7 @@ class TCPStack:
             )
             self._connections[key] = conn
             conn.open_passive_reply(segment)
-
-            def hand_to_backlog(env, conn=conn, listener=listener):
-                yield conn.established_event
-                listener._backlog.try_put(conn)
-
-            node.sim.spawn(hand_to_backlog(node.sim), name="tcp-accept")
+            node.sim._call(listener._admit, conn)
             return
         node.stats.incr("tcp_no_connection")
 

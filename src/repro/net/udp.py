@@ -67,6 +67,7 @@ class UDPSocket:
             got = self.inbox.get()
             expiry = env.timeout(timeout)
             fired = yield env.any_of([got, expiry])
+            expiry.cancel()  # a no-op once it has fired
             if not result.triggered:
                 if got in fired:
                     result.succeed(fired[got])

@@ -206,11 +206,14 @@ class Timeout(Event):
         :meth:`Simulator.run` drops the entry — without dispatching
         callbacks or counting it as processed — when it reaches it.
         Cancelling an already-processed (or already-cancelled) timeout
-        is a no-op, so callers can cancel unconditionally.
+        is a no-op, so callers can cancel unconditionally.  The
+        callbacks go now, as a firing would have dropped them: a race's
+        ``AnyOf`` and its timer would hold each other until the cyclic GC.
         """
         if self._cancelled or self._state == Event.PROCESSED:
             return
         self._cancelled = True
+        self.callbacks = []
         self.sim._tombstones += 1
 
 

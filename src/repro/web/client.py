@@ -37,6 +37,7 @@ class HTTPClient:
             conn.trace = trace
             expiry = env.timeout(timeout)
             race = yield env.any_of([conn.established_event, expiry])
+            expiry.cancel()  # a no-op once it has fired
             if conn.established_event not in race:
                 result.succeed(None)
                 return
@@ -51,10 +52,12 @@ class HTTPClient:
                     return
                 chunk = got[chunk_ev]
                 if chunk == b"":
+                    deadline.cancel()
                     result.succeed(None)
                     return
                 responses = parser.feed(chunk)
                 if responses:
+                    deadline.cancel()
                     conn.close()
                     result.succeed(responses[0])
                     return

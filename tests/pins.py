@@ -46,7 +46,7 @@ def _batch_flips():
     """Whole-batch flips of a small bench's spawn batch (59 bootstraps)
     and two three-entry batches: each report and its dispatch depths."""
     digest = hashlib.sha256()
-    for ordinal in (0, 962, 5898):
+    for ordinal in (0, 957, 5826):
         flip, seen = FlipDirective(ordinal, mode="batch"), []
 
         def post_build(system, engine):
@@ -109,13 +109,27 @@ PRODUCERS = {
 }
 
 
+def _leaves(tree, path=()):
+    """``(dotted key, value)`` for every scalar in ``tree``; a list's
+    items are keyed by index."""
+    if isinstance(tree, list):
+        tree = dict(enumerate(tree))
+    if not isinstance(tree, dict):
+        yield ".".join(path), tree
+        return
+    for key, value in tree.items():
+        yield from _leaves(value, (*path, str(key)))
+
+
 def repin() -> None:
     old = json.loads(LEDGER.read_text())
     for report, args in REPORTS.items():
-        before = (ROOT / report).read_bytes()
+        before = dict(_leaves(json.loads((ROOT / report).read_text())))
         _python_m("repro", "bench", *args.split(), "--out", report)
-        if (ROOT / report).read_bytes() != before:
-            print(f"{report} rewritten: its bytes moved")
+        after = dict(_leaves(json.loads((ROOT / report).read_text())))
+        for key in sorted(before.keys() | after.keys()):
+            if before.get(key) != after.get(key):
+                print(f"{report} {key} {before.get(key)} → {after.get(key)}")
     new = {name: produce() for name, produce in PRODUCERS.items()}
     LEDGER.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     for name in sorted(old.keys() | new.keys()):

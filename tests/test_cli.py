@@ -132,6 +132,21 @@ FLEET = "must be >= 0"
       for command in (["quickstart"], ["trace"], ["chaos", "storm"])
       for bearer, kind in (("FOO", []),
                            ("802.11b", ["--bearer-kind", "cellular"]))),
+    # Once a DataNotSupportedError traceback from the build.
+    *(pytest.param([*command, "--bearer", bearer],
+                   f"'{bearer}' is a voice-only bearer (data-capable: GSM, "
+                   "TDMA, CDMA, GPRS, EDGE, CDMA2000, WCDMA)",
+                   id=f"{command[0]}--bearer-{bearer}")
+      for command in (["quickstart"], ["trace"], ["chaos", "storm"])
+      for bearer in ("AMPS", "TACS")),
+    # Once a KeyError/AttributeError traceback from the plan loader.
+    pytest.param(["chaos", "storm", "--plan", "no-kind.json"],
+                 """a fault needs "kind" and "at": {'at': 1.0}""",
+                 id="chaos--plan-no-kind"),
+    pytest.param(["chaos", "storm", "--plan", "list.json"],
+                 'a fault plan is {"faults": [...]}', id="chaos--plan-list"),
+    pytest.param(["chaos", "storm", "--plan", "at-null.json"],
+                 "not 'NoneType'", id="chaos--plan-at-null"),
 ])
 def test_cli_bench_rejects_non_positive_counts(argv, message, capsys,
                                                tmp_path, monkeypatch):
@@ -139,6 +154,10 @@ def test_cli_bench_rejects_non_positive_counts(argv, message, capsys,
     (tmp_path / "not-json.json").write_text("faults: none\n")
     (tmp_path / "meteor.json").write_text(
         '{"faults": [{"kind": "meteor", "at": 1.0}]}')
+    (tmp_path / "no-kind.json").write_text('{"faults": [{"at": 1.0}]}')
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "at-null.json").write_text(
+        '{"faults": [{"kind": "link_flap", "at": null}]}')
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

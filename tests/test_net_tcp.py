@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Network, Subnet, TCPStack
+from repro.net import Network, Subnet, TCPConnection, TCPStack
 from repro.sim import SeedBank, Simulator
 
 
@@ -205,6 +205,56 @@ def test_connection_close_handshake():
     assert ("data", b"bye") in events
     assert ("eof", b"") in events
     assert any(e[0] == "client_closed" for e in events)
+
+
+def test_fin_goes_out_only_after_the_queued_bytes_are_acked(monkeypatch):
+    sim = Simulator()
+    net, a, b = build_pair(sim, bandwidth_bps=100_000)
+    payload = bytes(range(256)) * 40
+    received, outcome = run_transfer(sim, net, a, b, payload)
+    fins = []
+    emit = TCPConnection._emit
+
+    def watched_emit(conn, flags, *args, **kwargs):
+        if "FIN" in flags:
+            fins.append((sim.now, conn.snd_nxt - conn.snd_una,
+                         len(conn._inflight) + len(conn._send_queue)))
+        emit(conn, flags, *args, **kwargs)
+
+    monkeypatch.setattr(TCPConnection, "_emit", watched_emit)
+
+    def close_after_send(env):
+        while "conn" not in outcome:
+            yield env.timeout(0.001)
+        outcome["conn"].close()
+        outcome["closed_at"] = env.now
+
+    sim.spawn(close_after_send(sim))
+    sim.run(until=30)
+    assert bytes(received) == payload
+    [(fin_at, unacked, pending)] = fins
+    assert unacked == 0 and pending == 0
+    # The 10 KiB take 0.8 s at 100 kbit/s: the close waited them out.
+    assert fin_at > outcome["closed_at"] + len(payload) * 8 / 100_000
+
+
+def test_an_accept_after_the_handshake_still_reaches_the_backlog():
+    """The backlog hand-off relays an already-processed established
+    event with one scheduled call, as a process's yield would."""
+    sim = Simulator()
+    net, a, b = build_pair(sim)
+    tcp_c, tcp_s = TCPStack(a), TCPStack(b)
+    listener = tcp_s.listen(80)
+    conn = tcp_c.connect(b.primary_address, 80)
+    sim.run(until=1.0)
+    assert conn.established_event.processed
+    first = listener.accept()
+    sim.run(until=2.0)
+    late = listener.accept()
+    listener._admit(conn)
+    assert not late.triggered
+    sim.run(until=3.0)
+    assert first.value is not conn and late.value is conn
 
 
 def test_connect_to_closed_port_refused():

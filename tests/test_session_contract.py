@@ -102,6 +102,7 @@ class World:
                 box["response"] = yield call()
             except (ConnectionError, RequestTimeout) as exc:
                 box["error"] = exc
+            box["at"] = env.now
 
         self.sim.spawn(go(self.sim), name="contract-caller")
         return box
@@ -164,10 +165,12 @@ def test_concurrent_callers_get_their_own_replies_in_order(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_timeout_aborts_and_the_next_request_reconnects(kind):
     world = World(kind)
+    world.run(1.25)
     late = world.get("http://shop.example.com/slow", timeout=5.0)
     assert isinstance(late["error"], RequestTimeout)
     assert str(late["error"]) == ("no middleware response within 5s "
                                   "(http://shop.example.com/slow)")
+    assert late["at"] == 1.25 + 5.0
     assert world.session.stats.get("request_timeouts") == 1
     assert world.session._conn is None
 
@@ -175,6 +178,20 @@ def test_timeout_aborts_and_the_next_request_reconnects(kind):
     assert world.get()["response"] == world.page(PAGE)
     assert world.session.stats.get("session_establishments") == 2
     assert world.session.stats.get("requests") == 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_settled_request_leaves_nothing_queued(kind):
+    """Neither the session's deadline nor the gateway's HTTP timers
+    outlive the exchange."""
+    world = World(kind)
+    world.run(1.0)
+    before = world.sim.queue_depth()
+    box = world.start(lambda: world.session.get(
+        "http://shop.example.com/", timeout=20.0))
+    world.run(10.0)
+    assert box["response"] == world.page(PAGE)
+    assert world.sim.queue_depth() == before
 
 
 @pytest.mark.parametrize("kind", KINDS)

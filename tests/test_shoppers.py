@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.shoppers import canonical_json
 from repro.faults.chaos import SCENARIOS, run_chaos
 from repro.perf.loadgen import run_bench
-from repro.sim import percentile
+from repro.sim import AllOf, AnyOf, Timeout, percentile
 
 HORIZON = st.floats(min_value=20.0, max_value=120.0)
 SEED = st.integers(min_value=0, max_value=2**16)
@@ -28,14 +28,27 @@ CHAOS_RUNS = st.fixed_dictionaries(dict(
     fleet=st.integers(0, 3), seed=SEED)).map(lambda kw: (run_chaos, kw))
 
 
+def _dead_timers(sim):
+    """Live queued timers whose every waiter is a race already decided."""
+    return [entry for entry in (*sim._heap, *sim._lane)
+            if entry[3] is None and isinstance(entry[4], Timeout)
+            and not entry[4]._cancelled
+            and entry[4].callbacks and all(
+                isinstance(getattr(callback, "__self__", None),
+                           (AllOf, AnyOf)) and callback.__self__.triggered
+                for callback in entry[4].callbacks)]
+
+
 @settings(max_examples=70, deadline=None)
 @given(st.one_of(BENCH_RUNS, CHAOS_RUNS))
 def test_accounting_holds_over_drawn_runs(drawn):
-    """Every offered purchase is counted once, whatever the config, and
-    the same seed gives the same bytes."""
+    """Every offered purchase is counted once, whatever the config, the
+    same seed gives the same bytes, and no timer outlives its race."""
     run, kwargs = drawn
-    report = run(**kwargs)
+    built = []
+    report = run(**kwargs, post_build=lambda system, _: built.append(system))
     assert canonical_json(run(**kwargs)) == canonical_json(report)
+    assert _dead_timers(built[0].sim) == []
     if run is run_bench:
         report = report["deterministic"]
         offered = kwargs["users"] * kwargs["transactions_per_user"]

@@ -56,6 +56,21 @@ def test_mass_timeout_cancellation():
     assert sim.queue_depth() == 0
 
 
+def test_cancel_lets_go_of_the_waiters():
+    """A cancelled timer never fires, so it drops its callbacks at once:
+    a race's AnyOf and the timer no longer hold each other."""
+    sim = Simulator()
+    gate, timer = sim.event(), sim.timeout(30.0)
+    race = sim.any_of([gate, timer])
+    gate.succeed()
+    sim.run(until=1.0)
+    assert race.triggered and timer.callbacks
+    timer.cancel()
+    assert timer.callbacks == [] and sim.queue_depth() == 0
+    timer.cancel()
+    assert sim._tombstones == 1
+
+
 def test_peek_skips_cancelled_head():
     """run() looks at the queue head before it pops; a cancelled head
     is dropped there, uncounted, and the live entry behind it stays."""

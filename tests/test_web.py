@@ -172,6 +172,24 @@ def test_static_page_served():
     assert b"Welcome" in response.body
 
 
+def test_a_settled_get_leaves_nothing_queued():
+    """Both phase deadlines die with the exchange they guard."""
+    sim, host, server, client = web_world()
+    server.add_page("/index.html", "<html>Welcome</html>")
+    sim.run(until=1.0)
+    before = sim.queue_depth()
+    box = {}
+
+    def go(env):
+        box["response"] = yield client.get(host.primary_address,
+                                           "/index.html")
+
+    sim.spawn(go(sim))
+    sim.run(until=5.0)
+    assert box["response"].status == 200
+    assert sim.queue_depth() == before
+
+
 def test_missing_page_404():
     sim, host, server, client = web_world()
     response = fetch(sim, client, host, "/nope")
