@@ -12,9 +12,6 @@ Commands:
   MC system (policies on or off) and print the deterministic report;
   ``--replications R`` runs R consecutive seeds and adds a 95%
   confidence interval per headline metric;
-* ``sanitize`` — run a scenario with the same-timestamp commutativity
-  sanitizer installed; hazards are confirmed by deterministic flipped
-  replay and any confirmed race fails the command;
 * ``bench`` — run N concurrent users through the full transaction
   path, optionally sweep a goodput-vs-offered-load curve, and write
   ``BENCH_PERF.json`` (``--replications R`` instead replicates the
@@ -213,27 +210,6 @@ def _cmd_chaos(args) -> int:
             line += f"; canary {canary['state']}"
         print(line, file=sys.stderr)
     return 0 if report["success_rate"] > 0 else 1
-
-
-def _cmd_sanitize(args) -> int:
-    from repro.analysis.races.runner import render_text, run_sanitize
-    from repro.core.shoppers import canonical_json
-
-    try:
-        report = run_sanitize(
-            args.scenario, seed=args.seed, users=args.users,
-            stations=args.stations, transactions=args.transactions,
-            horizon=args.horizon, intensity=args.intensity,
-            max_replays=args.max_replays, flip_mode=args.flip)
-    except ValueError as exc:
-        print(f"python -m repro sanitize: error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(canonical_json(report) + "\n")
-        print(f"report written to {args.json}", file=sys.stderr)
-    print(render_text(report))
-    return 1 if report["confirmed_races"] else 0
 
 
 def _cmd_bench(args) -> int:
@@ -447,36 +423,6 @@ def main(argv=None) -> int:
     chaos.add_argument("--json", default=None, metavar="PATH",
                        help="write the report JSON here instead of stdout")
     chaos.set_defaults(func=_cmd_chaos)
-
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="run a scenario under the commutativity sanitizer")
-    sanitize.add_argument(
-        "scenario", nargs="?", default="bench",
-        help="bench, flaky-radio, gateway-outage, brownout, "
-             "dns-blackout, storm, fleet-outage, canary-regression, "
-             "or planted-race")
-    sanitize.add_argument("--seed", type=int, default=7)
-    sanitize.add_argument("--users", type=_positive_int, default=50,
-                          help="bench scenario: concurrent users")
-    sanitize.add_argument("--stations", type=_positive_int, default=4,
-                          help="chaos scenarios: stations")
-    sanitize.add_argument("--transactions", type=_positive_int, default=3,
-                          help="transactions per user/station")
-    sanitize.add_argument("--horizon", type=_positive_float, default=120.0,
-                          help="sim-seconds to run (default 120)")
-    sanitize.add_argument("--intensity", type=_intensity, default=0.5,
-                          help="chaos scenarios: fault intensity")
-    sanitize.add_argument("--max-replays", type=int, default=8,
-                          help="cap on flip-replay confirmations "
-                               "(each re-runs the full scenario)")
-    sanitize.add_argument("--flip", default="pair",
-                          choices=["pair", "batch"],
-                          help="replay flip: transpose the conflicting "
-                               "pair (default) or reverse the batch")
-    sanitize.add_argument("--json", default=None, metavar="PATH",
-                          help="write the sanitize report JSON here")
-    sanitize.set_defaults(func=_cmd_sanitize)
 
     bench = sub.add_parser(
         "bench", help="run the load benchmark and write BENCH_PERF.json")

@@ -38,7 +38,7 @@ def run_shoppers(builder, *, stations: int, transactions: int,
     stock level.  ``start(system)`` runs once the engine exists and
     before the think stream is drawn; ``post_build(system, engine)``
     runs after every shopper is spawned, just before the clock starts
-    (the race sanitizer instruments shared state there).
+    (the bench worker and the tests read the built system there).
     """
     if stations < 1:
         raise ValueError(f"stations must be >= 1, got {stations}")

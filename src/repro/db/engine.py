@@ -138,7 +138,8 @@ class Table:
 
     def _reindex(self) -> None:
         """Refill the pk index and every secondary index from ``rows``,
-        in place (the race sanitizer wraps these very containers)."""
+        in place, so the containers keep their identity across a
+        rollback."""
         self._pk_index.clear()
         if self.primary_key is not None:
             pk_name = self.primary_key.name

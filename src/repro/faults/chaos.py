@@ -147,11 +147,11 @@ def run_chaos(scenario: str = "storm", seed: int = 0,
     the baseline the benchmark compares against.  An explicit ``plan``
     overrides the scenario's schedule (the scenario name is still
     recorded).  ``post_build(system, engine)``, when given, runs after
-    the scenario is fully wired but before the clock starts — the race
-    sanitizer uses it to instrument shared state and install its
-    kernel hook.  ``fleet`` > 0 runs the scenario against an N-member
-    gateway fleet (requires ``policies``); the fleet-native scenarios
-    (``fleet-outage``, ``canary-regression``) default to one.
+    the scenario is fully wired but before the clock starts (the tests
+    use it to reach the built system).  ``fleet`` > 0 runs the scenario
+    against an N-member gateway fleet (requires ``policies``); the
+    fleet-native scenarios (``fleet-outage``, ``canary-regression``)
+    default to one.
     """
     if fleet == 0:
         fleet = FLEET_SCENARIOS.get(scenario, 0)

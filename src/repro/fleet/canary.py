@@ -77,8 +77,7 @@ class CanaryController:
         if self._started:
             return
         # Controller state is written only by the single fleet-canary
-        # process at phase-offset times (0.333) no other monitor
-        # shares; the dynamic sanitizer confirms no same-batch overlap.
+        # process.
         self._started = True
         self.sim.spawn(self._run(), name="fleet-canary")
 

@@ -27,8 +27,8 @@ __all__ = ["HealthMonitor"]
 PROBE_INTERVAL = 2.0
 PROBE_TIMEOUT = 1.5
 PROBE_COST = 0.005
-# Offset of the first sweep: monitor writes land in their own kernel
-# batches, never sharing one with the canary's.
+# Offset of the first sweep, apart from the canary's phase (0.333);
+# the fleet scenarios' pinned bytes depend on it.
 PROBE_PHASE = 0.111
 
 
@@ -51,8 +51,7 @@ class HealthMonitor:
         if self._started:
             return
         # Only the single monitor process (spawned below) and the
-        # build-time caller touch this; the phase offset keeps every
-        # later write in its own kernel batch.
+        # build-time caller touch this.
         self._started = True
         self.sim.spawn(self._probe_loop(), name="fleet-health")
 
@@ -69,9 +68,8 @@ class HealthMonitor:
                 yield from self._probe(member)
 
     def _probe(self, member: FleetMember):
-        # Single-writer: only the one fleet-health process increments
-        # these counters and mutates ring membership, at phase-offset
-        # times no other monitor shares (sanitizer-verified).
+        # Single writer: only the one fleet-health process increments
+        # these counters and ejects or re-admits ring members.
         self.stats.incr("probes")
         if member.gateway.is_down:
             # Dead listener: the probe burns its full connect timeout.

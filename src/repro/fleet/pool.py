@@ -103,10 +103,10 @@ class GatewayFleet:
     # -- membership --------------------------------------------------------
     def add_member(self, version: str = "v1", handicap: float = 0.0,
                    cell_index: Optional[int] = None) -> FleetMember:
-        # Membership changes come only from the phase-offset monitor
-        # loops (health 0.111 / canary 0.333), so no two writers ever
-        # share a same-timestamp batch; the dynamic sanitizer
-        # confirms this over the fleet scenarios.
+        # Membership changes come only from the monitor loops (health
+        # at phase 0.111, canary at 0.333).  Two at one instant would
+        # apply in tie-break order (DESIGN §11); the offsets are kept
+        # because the fleet scenarios' pinned bytes depend on them.
         index = self._next_index
         self._next_index += 1
         if cell_index is None:

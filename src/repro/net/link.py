@@ -147,8 +147,7 @@ class LinkEnd:
             return
         iface = self.peer_iface
         if iface is not None and iface.is_up:
-            # Bumped in place, not through Counter.incr; the dict is
-            # read here, not kept (the race sanitizer may swap it).
+            # Bumped in place, not through Counter.incr.
             counts = link.stats._counts
             counts["delivered"] = counts.get("delivered", 0) + 1
             counts["bytes_delivered"] = \

@@ -200,8 +200,7 @@ class Node:
             self.stats.incr("no_handler_drops")
             return
         # The per-packet counters are bumped in place, not through
-        # Counter.incr.  The dict is read here, not kept: the race
-        # sanitizer swaps it for a tracked one.
+        # Counter.incr.
         counts = self.stats._counts
         counts["delivered_local"] = counts.get("delivered_local", 0) + 1
         handler(self, packet)

@@ -68,11 +68,13 @@ class UDPSocket:
             expiry = env.timeout(timeout)
             fired = yield env.any_of([got, expiry])
             expiry.cancel()  # a no-op once it has fired
-            if not result.triggered:
-                if got in fired:
-                    result.succeed(fired[got])
-                else:
-                    result.succeed(None)
+            if got in fired:
+                result.succeed(fired[got])
+            else:
+                # Withdraw the getter, as Request.cancel withdraws a
+                # Resource waiter: the next datagram is the next recv's.
+                self.inbox.cancel(got)
+                result.succeed(None)
 
         sim.spawn(waiter(sim), name="udp-recv-timeout")
         return result

@@ -110,8 +110,8 @@ def run_bench(users: int = 50, seed: int = 7,
     ``users`` stations each run ``transactions_per_user`` purchase flows
     spread across ``horizon`` virtual seconds.  ``post_build(system,
     engine)``, when given, runs after the scenario is fully wired but
-    before the clock starts — the race sanitizer uses it to instrument
-    shared state and install its kernel hook.
+    before the clock starts (the bench worker and the tests use it to
+    reach the built system).
     ``resilience`` overrides the policy set (tests use it to force
     specific capacity knobs); the default with ``policies=True`` is
     :func:`bench_resilience`.  ``fleet`` > 0 runs the middleware tier

@@ -60,9 +60,9 @@ class CircuitBreaker:
         """May a call proceed right now?  (Counts rejections.)"""
         if self.state == CircuitBreaker.OPEN:
             if self.sim.now - self._opened_at >= self.recovery_time:
-                # Breaker transitions are driven by call outcomes that
-                # each arrive in their own kernel event; the dynamic
-                # sanitizer confirms no same-batch overlap.
+                # Breaker transitions are driven by call outcomes, each
+                # in its own kernel event; outcomes at one instant apply
+                # in tie-break order (DESIGN §11).
                 self.state = CircuitBreaker.HALF_OPEN
                 self._probes = 0
                 self.stats.incr("half_opens")

@@ -501,13 +501,6 @@ class Simulator:
         # path costs one attribute check.
         self.tracer: Any = None
         self._profiler: Any = None
-        # Same duck-typed pattern for the commutativity sanitizer
-        # (repro.analysis.races.BatchSanitizer): when installed, run()
-        # hands it every live entry before dispatching it and
-        # dispatches the entry it returns (a flip replay swaps in another
-        # entry of the same batch).  None by default; the disabled path
-        # costs one local check per entry.
-        self._sanitizer: Any = None
         # Number of entries (events and scheduled calls) dispatched so
         # far; doubles as the processing index stamped onto each event
         # (a plain int so callers can read it without a profiler
@@ -579,10 +572,6 @@ class Simulator:
         its callbacks or runs its call.  An exception that escapes a
         callback or a call leaves every other pending entry in place
         for the next :meth:`run`.
-
-        An installed race sanitizer sees each live entry before it is
-        dispatched, and the entry it returns is dispatched in its place
-        (see :class:`repro.analysis.races.BatchSanitizer`).
         """
         if until is None:
             stop = _INF
@@ -595,7 +584,6 @@ class Simulator:
         heappop = partial(heapq.heappop, heap)
         lane = self._lane
         lane_pop = lane.popleft
-        sanitizer = self._sanitizer
         while True:
             if lane:
                 entry = lane[0]
@@ -612,8 +600,6 @@ class Simulator:
                 # Rebalance the count Timeout.cancel() charged.
                 self._tombstones -= 1
                 continue
-            if sanitizer is not None:
-                time, _, _, fn, arg = sanitizer.on_entry(entry)
             if time < self.now:
                 raise SimulationError("time went backwards")
             self.now = time

@@ -139,3 +139,9 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
+
+    def cancel(self, getter: Event) -> None:
+        """Withdraw a pending :meth:`get` (no-op once it has its item),
+        so the next item goes to the next getter."""
+        if not getter.triggered:
+            self._getters.remove(getter)

@@ -14,6 +14,7 @@ the paper explicitly credits Apache with are all here:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from ..db.server import TracedDatabaseClient
@@ -61,10 +62,8 @@ class WebServer:
         # Apache-style access log: (time, client, method, path, status,
         # response bytes), the last ACCESS_LOG_SIZE requests.  The
         # client is the connection's IPAddress, one object per host
-        # shared by all its entries.  A list, not a bounded deque: the
-        # race sanitizer tracks list attributes, and its pinned reports
-        # name this one.
-        self.access_log: list[tuple] = []
+        # shared by all its entries.
+        self.access_log: deque[tuple] = deque(maxlen=ACCESS_LOG_SIZE)
         self.workers = Resource(self.sim, capacity=workers)
         # path -> list of (content_type, body) variants, in registration
         # order (the first variant is the default).
@@ -249,10 +248,7 @@ class WebServer:
                 conn.send(self._finalize(response).encode())
                 self.stats.incr("requests")
                 self.stats.incr(f"status_{response.status}")
-                log = self.access_log
-                if len(log) >= ACCESS_LOG_SIZE:
-                    log.pop(0)
-                log.append((
+                self.access_log.append((
                     self.sim.now, conn.remote_addr, request.method,
                     request.path, response.status, len(response.body),
                 ))

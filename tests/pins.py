@@ -8,11 +8,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
-from repro.analysis.races import BatchSanitizer, FlipDirective, \
-    install_sanitizer
-from repro.analysis.races.runner import run_sanitize
 from repro.core.shoppers import canonical_json
 from repro.faults.chaos import SCENARIOS, run_chaos
 from repro.perf.loadgen import run_bench
@@ -42,27 +38,6 @@ def _sha256(run, *args, **kwargs):
         canonical_json(run(*args, **kwargs)).encode()).hexdigest()
 
 
-def _batch_flips():
-    """Whole-batch flips of a small bench's spawn batch (59 bootstraps)
-    and two three-entry batches: each report and its dispatch depths."""
-    digest = hashlib.sha256()
-    for ordinal in (0, 957, 5826):
-        flip, seen = FlipDirective(ordinal, mode="batch"), []
-
-        def post_build(system, engine):
-            system.sim._profiler = SimpleNamespace(
-                on_event=lambda *now_depth: seen.append(now_depth),
-                on_resume=lambda process: None)
-            install_sanitizer(system.sim, BatchSanitizer(flip=flip))
-
-        report = run_bench(users=10, seed=7, transactions_per_user=2,
-                           horizon=60.0, trace=False, post_build=post_build)
-        assert flip.applied
-        digest.update(canonical_json(report["deterministic"]).encode())
-        digest.update(repr(seen).encode())
-    return digest.hexdigest()
-
-
 @functools.cache
 def _hops():
     """The 50-user bench's hops: node and (radio included) link counts.
@@ -90,15 +65,6 @@ PRODUCERS = {
         run_chaos, "storm", middleware="Palm", policies=False, **CHAOS),
     **{f"shoppers/chaos-{name}": _sha256(run_chaos, name, **CHAOS)
        for name in SCENARIOS},
-    "sanitize/planted-race-pair": _sha256(run_sanitize, "planted-race"),
-    "sanitize/planted-race-batch": _sha256(run_sanitize, "planted-race",
-                                           flip_mode="batch"),
-    "sanitize/bench": _sha256(run_sanitize, "bench", users=10,
-                              transactions=2, horizon=60.0),
-    "sanitize/gateway-outage": _sha256(run_sanitize, "gateway-outage",
-                                       stations=3, transactions=2,
-                                       horizon=90.0),
-    "sanitize/batch-flips": _batch_flips,
     **{f"hops/{key}": functools.partial(lambda key: _hops()[key], key)
        for key in ("forwarded", "delivered_local", "delivered",
                    "bytes_delivered")},

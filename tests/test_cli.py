@@ -75,12 +75,6 @@ FLEET = "must be >= 0"
                  id="chaos--stations"),
     pytest.param(["chaos", "storm", "--transactions", "0"], COUNT,
                  id="chaos--transactions"),
-    pytest.param(["sanitize", "bench", "--users", "0"], COUNT,
-                 id="sanitize--users"),
-    pytest.param(["sanitize", "storm", "--stations", "-1"], COUNT,
-                 id="sanitize--stations"),
-    pytest.param(["sanitize", "storm", "--transactions", "0"], COUNT,
-                 id="sanitize--transactions"),
     # Once a traceback, an empty report or a run that never returns.
     pytest.param(["bench", "--horizon", "-5"], SPAN, id="--horizon-neg"),
     pytest.param(["bench", "--horizon", "0"], SPAN, id="--horizon-zero"),
@@ -91,10 +85,6 @@ FLEET = "must be >= 0"
                  id="chaos--horizon-inf"),
     pytest.param(["chaos", "storm", "--horizon", "-5"], SPAN,
                  id="chaos--horizon-neg"),
-    pytest.param(["sanitize", "storm", "--horizon", "-5"], SPAN,
-                 id="sanitize--horizon-neg"),
-    pytest.param(["sanitize", "bench", "--horizon", "nan"], SPAN,
-                 id="sanitize--horizon-nan"),
     # Once a chaos run with no faults, a traceback, or (inf on storm) a
     # fault plan that is never finished.
     pytest.param(["chaos", "storm", "--intensity", "nan"], INTENSITY,
@@ -103,12 +93,6 @@ FLEET = "must be >= 0"
                  id="chaos--intensity-inf"),
     pytest.param(["chaos", "storm", "--intensity", "-1"], INTENSITY,
                  id="chaos--intensity-neg"),
-    pytest.param(["sanitize", "storm", "--intensity", "nan"], INTENSITY,
-                 id="sanitize--intensity-nan"),
-    pytest.param(["sanitize", "storm", "--intensity", "inf"], INTENSITY,
-                 id="sanitize--intensity-inf"),
-    pytest.param(["sanitize", "storm", "--intensity", "-1"], INTENSITY,
-                 id="sanitize--intensity-neg"),
     # Once silently run as --fleet 0.
     pytest.param(["chaos", "gateway-outage", "--fleet", "-1"], FLEET,
                  id="chaos--fleet-neg"),

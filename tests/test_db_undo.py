@@ -172,9 +172,8 @@ def test_rollback_of_duplicate_rows_keeps_order():
 
 
 def test_rollback_restores_table_containers_in_place():
-    """The race sanitizer swaps ``rows``, ``_pk_index`` and ``_indexes``
-    for tracked containers; rollback must refill those same objects,
-    or the sanitizer stops seeing the table."""
+    """Rollback refills ``rows``, ``_pk_index`` and ``_indexes`` in
+    place: anything holding one of them keeps seeing the table."""
     db = _build([(1, 0, "x"), (2, 1, "y")], [(0, 0)])
     table = db.tables["t"]
     containers = (table.rows, table._pk_index, table._indexes)

@@ -91,6 +91,30 @@ def test_udp_recv_timeout():
     assert result.value is None
 
 
+def test_udp_datagram_after_a_timeout_reaches_the_next_recv():
+    """A timed-out recv withdraws its getter: the datagram arriving at
+    t~2.01 goes to the next recv_with_timeout, not to the dead one."""
+    sim = Simulator()
+    net, a, b = make_pair(sim)
+    udp_a, udp_b = UDPStack(a), UDPStack(b)
+    server = udp_b.bind(9000)
+    client = udp_a.bind()
+    got = []
+
+    def srv(env):
+        got.append((yield server.recv_with_timeout(1.0)))
+        got.append((yield server.recv_with_timeout(5.0)))
+
+    def cli(env):
+        yield env.timeout(2.0)
+        client.sendto("late", b.primary_address, 9000, data_size=16)
+
+    sim.spawn(srv(sim))
+    sim.spawn(cli(sim))
+    sim.run()
+    assert got == [None, ("late", a.primary_address, client.port)]
+
+
 def test_udp_closed_socket_rejects():
     sim = Simulator()
     net, a, b = make_pair(sim)

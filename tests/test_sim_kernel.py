@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.races import BatchSanitizer, install_sanitizer
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -701,27 +700,22 @@ def _lane_beside_heap_mid_batch(sim, log):
             ("zero", 1.0)]
 
 
-# The two ways to drive a simulator; both must dispatch the same
-# events in the same order.
-DRIVERS = ("run", "sanitized-run")
+# The two ways to drive a simulator to the end; both must dispatch the
+# same entries in the same order.  A sliced drive is a run(until=t) to
+# halfway before, then to the time of, each next pending entry; each
+# slice must leave nothing pending at or before its t.
+DRIVERS = ("run", "sliced-run")
 
 
-def _simulator(driver):
-    sim = Simulator()
-    if driver == "sanitized-run":
-        # The sanitizer sees every entry and forms its own batches.
-        install_sanitizer(sim, BatchSanitizer())
-    return sim
-
-
-def _batches(sim):
-    """What an installed sanitizer counted, or None without one."""
-    sanitizer = sim._sanitizer
-    if sanitizer is None:
-        return None
-    sanitizer.finalize()
-    return (sanitizer.batches, sanitizer.multi_event_batches,
-            sanitizer.events_seen)
+def _drive(sim, driver):
+    if driver == "run":
+        sim.run()
+        return
+    while sim._lane or sim._heap:
+        at = sim._lane[0][0] if sim._lane else sim._heap[0][0]
+        sim.run(until=(sim.now + at) / 2)
+        sim.run(until=at)
+        assert not sim._lane and not (sim._heap and sim._heap[0][0] <= at)
 
 
 @pytest.mark.parametrize("scenario", [_interrupt_mid_batch,
@@ -730,22 +724,19 @@ def _batches(sim):
                          ids=["interrupt", "cancel", "lane-beside-heap"])
 def test_mid_batch_escapes_match_single_stepping(scenario):
     """An interrupt raised or a timeout cancelled while other entries
-    of its time are pending acts the same under run() with or without
-    a sanitizer, and the sanitizer sees every entry run() dispatches.
-    (The name predates run() becoming the only dispatch loop.)"""
+    of its time are pending acts the same under one run() and under
+    run(until=t) slices.  (The name predates run() becoming the only
+    dispatch loop.)"""
     logs = []
-    batches = []
     for driver in DRIVERS:
-        sim = _simulator(driver)
+        sim = Simulator()
         log = []
         expected = scenario(sim, log)
-        sim.run()
+        _drive(sim, driver)
         assert log == expected
         assert sim.queue_depth() == 0
         logs.append((log, sim.events_processed))
-        batches.append(_batches(sim))
     assert logs[0] == logs[1]
-    assert batches[0] is None and batches[1][2] == logs[1][1]
 
 
 @pytest.mark.parametrize("kind", ["heap", "lane", "call-heap", "call-lane"])
@@ -755,7 +746,7 @@ def test_escaped_exception_keeps_the_rest_of_its_batch(driver, kind):
     succeed() entries in the lane, or three scheduled calls in either)
     and the first callback or call raises.  The other two must stay
     pending and run on the next drive."""
-    sim = _simulator(driver)
+    sim = Simulator()
     log = []
 
     def boom(_):
@@ -784,10 +775,10 @@ def test_escaped_exception_keeps_the_rest_of_its_batch(driver, kind):
             for event in events:
                 event.succeed()
     with pytest.raises(RuntimeError, match="boom"):
-        sim.run()
+        _drive(sim, driver)
     assert sim.events_processed == 1
     assert sim.queue_depth() == 2
-    sim.run()
+    _drive(sim, driver)
     assert log == [("b", 1.0), ("c", 1.0)]
     assert sim.events_processed == 3
     assert sim.queue_depth() == 0
@@ -829,7 +820,7 @@ def _replay(tape, driver):
     fire performs ``tape[n]``'s ops (``tape[0]`` runs before the
     drive).  The tape is consumed in dispatch order, so two drivers
     that dispatch alike build the same schedule."""
-    sim = _simulator(driver)
+    sim = Simulator()
     profile = sim._profiler = _DepthLog(sim)
     log = []
     timers, spawned, sleeping = [], {}, []
@@ -880,23 +871,19 @@ def _replay(tape, driver):
                 timers[-1 - arg % len(timers)].cancel()
 
     perform(tape[0])
-    sim.run()
-    return (log, sim.events_processed, profile.seen,
-            sim.queue_depth()), _batches(sim)
+    _drive(sim, driver)
+    return log, sim.events_processed, profile.seen, sim.queue_depth()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tape=st.lists(st.lists(_OPS, max_size=4), min_size=1, max_size=40))
-def test_run_sanitized_run_and_step_dispatch_alike(tape):
+def test_run_and_sliced_run_dispatch_alike(tape):
     """Random schedules mixing zero, rounding-to-now and random delays
     of timeouts and scheduled calls, succeed() and call chains fired
     from callbacks, interrupts and cancellations of lane and heap
     entries: the dispatch log, the order stamps, the event count and
-    the queue depth the profiler sees are the same under run() with or
-    without a sanitizer, and the sanitizer sees every entry run()
-    dispatches.  (The name predates run() becoming the only dispatch
-    loop.)"""
-    runs, batches = zip(*(_replay(tape, driver) for driver in DRIVERS))
+    the queue depth the profiler sees are the same under one run() and
+    under run(until=t) slices at the schedule's times."""
+    runs = [_replay(tape, driver) for driver in DRIVERS]
     assert runs[0] == runs[1]
     assert runs[0][3] == 0
-    assert batches[0] is None and batches[1][2] == runs[1][1]
